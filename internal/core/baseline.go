@@ -1,10 +1,11 @@
 package core
 
 import (
+	"slices"
+
 	"igosim/internal/config"
 	"igosim/internal/runner"
 	"igosim/internal/schedule"
-	"igosim/internal/sim"
 	"igosim/internal/tensor"
 )
 
@@ -136,11 +137,11 @@ func baselineChoices(cfg config.NPU, p schedule.TileParams) ordersVal {
 		// orders (which park partial sums in the SPM) are not part of the
 		// baseline space — those appear only through the paper's
 		// transformations.
-		pn := baselinePanel(single, np)
+		pn, transient := baselinePanel(single, np)
 		var v ordersVal
 		best := int64(-1)
 		for _, c := range []dxCandidate{dxMK, dxKM} {
-			cyc := tuneCycles(single, pn.dxProg(c), func() schedule.Schedule {
+			cyc := tuneCycles(single, pn.dxProg(c), transient, func() schedule.Schedule {
 				return schedule.Schedule{Ops: baselineDXOps(single, np, c)}
 			})
 			if best < 0 || cyc < best {
@@ -150,7 +151,7 @@ func baselineChoices(cfg config.NPU, p schedule.TileParams) ordersVal {
 		}
 		best = -1
 		for _, c := range []dwCandidate{dwKN, dwNK} {
-			cyc := tuneCycles(single, pn.dwProg(c), func() schedule.Schedule {
+			cyc := tuneCycles(single, pn.dwProg(c), transient, func() schedule.Schedule {
 				return schedule.Schedule{Ops: baselineDWOps(single, np, c)}
 			})
 			if best < 0 || cyc < best {
@@ -181,14 +182,41 @@ func TunedDWOnly(cfg config.NPU, p schedule.TileParams) schedule.Schedule {
 	return schedule.Schedule{Name: "dW-only", Ops: baselineDWOps(cfg, p, v.dw)}
 }
 
+// ilvTuned is the joint tuner's winning combination and its makespan,
+// which BestOrderSimulated reads instead of re-simulating the winner.
+type ilvTuned struct {
+	v      ordersVal
+	cycles int64
+}
+
 // ilvCache holds the jointly tuned order pair for the fused stream.
-var ilvCache = runner.NewCache[ordersKey, ordersVal]("core/interleave-tune")
+var ilvCache = runner.NewCache[ordersKey, ilvTuned]("core/interleave-tune")
 
 // interleaveBlocks are the fusion granularities the joint tuner explores:
 // how many tile ops of each stream run per alternation turn. Finer blocks
 // shorten the dY reuse distance; coarser blocks reduce working-set
 // interference between the two streams.
 var interleaveBlocks = []int{1, 16, 128}
+
+// mergeCandidates lists np's valid fusion combinations in the joint
+// tuner's exploration order, so ties break identically on every path.
+func mergeCandidates(np schedule.TileParams) []ordersVal {
+	var vs []ordersVal
+	dxLen := np.OpCount()
+	for _, dc := range []dxCandidate{dxMK, dxKM} {
+		for _, wc := range []dwCandidate{dwKN, dwNK} {
+			for _, blk := range interleaveBlocks {
+				// A block at least as long as a stream degenerates to the
+				// sequential baseline; the fusion must actually alternate.
+				if blk > 1 && blk >= dxLen {
+					continue
+				}
+				vs = append(vs, ordersVal{dx: dc, dw: wc, block: blk})
+			}
+		}
+	}
+	return vs
+}
 
 // interleaveChoices picks the per-stream access orders and the fusion
 // granularity of the *fused* schedule jointly: fusing the two gradient
@@ -197,67 +225,53 @@ var interleaveBlocks = []int{1, 16, 128}
 // combination and keeps the fastest. Each stream still walks dY in a
 // traditional order (Figure 10a); only the combination is chosen jointly.
 func interleaveChoices(cfg config.NPU, p schedule.TileParams) ordersVal {
-	return ilvCache.GetOrCompute(keyFor(cfg, p), func() ordersVal {
+	return interleaveTuned(cfg, p).v
+}
+
+// interleaveTuned is interleaveChoices plus the winner's makespan.
+func interleaveTuned(cfg config.NPU, p schedule.TileParams) ilvTuned {
+	return ilvCache.GetOrCompute(keyFor(cfg, p), func() ilvTuned {
 		single := cfg
 		single.Cores = 1
 		np := tuneParams(p)
-		var v ordersVal
-		best := int64(-1)
-		// On a bandwidth sweep the candidate panel is already retained, so
-		// this loop is pure replays of shared programs (DESIGN.md §3l).
-		if set := mergePanel(single, np); set != nil {
-			for i := range set {
-				cyc := sim.RunProgram(single, sim.Options{}, set[i].prog).Cycles
-				if best < 0 || cyc < best {
-					best = cyc
-					v = set[i].v
-				}
-			}
-			return v
-		}
-		// Interpreter fallback: emit each combination in the same order the
-		// panel lists them, so ties break identically across executors.
-		dxLen := np.OpCount()
-		for _, dc := range []dxCandidate{dxMK, dxKM} {
-			for _, wc := range []dwCandidate{dwKN, dwNK} {
-				for _, blk := range interleaveBlocks {
-					// A block at least as long as a stream degenerates to the
-					// sequential baseline; the fusion must actually alternate.
-					if blk > 1 && blk >= dxLen {
-						continue
-					}
-					cyc := tuneCycles(single, nil, func() schedule.Schedule {
-						return schedule.Schedule{Ops: mergeStreams(
-							baselineDXOps(single, np, dc),
-							baselineDWOps(single, np, wc), blk)}
-					})
-					if best < 0 || cyc < best {
-						best = cyc
-						v = ordersVal{dx: dc, dw: wc, block: blk}
-					}
-				}
+		// On a bandwidth sweep the retained panel makes this loop pure
+		// replays of shared programs (DESIGN.md §3l). A transient panel
+		// merges each candidate into buf from code lowered once; only the
+		// interpreter emits and re-merges the op streams per candidate.
+		set, transient := mergePanel(single, np)
+		var buf []schedule.CompiledOp
+		best := ilvTuned{cycles: -1}
+		for _, v := range mergeCandidates(np) {
+			cyc := tuneCycles(single, set.program(v, &buf), transient, func() schedule.Schedule {
+				return schedule.Schedule{Ops: mergeStreams(nil,
+					baselineDXOps(single, np, v.dx),
+					baselineDWOps(single, np, v.dw), v.block)}
+			})
+			if best.cycles < 0 || cyc < best.cycles {
+				best = ilvTuned{v: v, cycles: cyc}
 			}
 		}
-		return v
+		return best
 	})
 }
 
-// mergeStreams alternates the two gradient streams at tile-op granularity,
-// `block` ops per stream per turn.
-func mergeStreams(dx, dw []schedule.Op, block int) []schedule.Op {
+// mergeStreams appends the two gradient streams to dst, alternating them
+// at tile-op granularity, `block` ops per stream per turn. It merges
+// emitted ops and lowered code alike.
+func mergeStreams[T any](dst, dx, dw []T, block int) []T {
 	if block < 1 {
 		block = 1
 	}
-	ops := make([]schedule.Op, 0, len(dx)+len(dw))
+	dst = slices.Grow(dst, len(dx)+len(dw))
 	for i := 0; i < len(dx) || i < len(dw); i += block {
 		if i < len(dx) {
-			ops = append(ops, dx[i:min(i+block, len(dx))]...)
+			dst = append(dst, dx[i:min(i+block, len(dx))]...)
 		}
 		if i < len(dw) {
-			ops = append(ops, dw[i:min(i+block, len(dw))]...)
+			dst = append(dst, dw[i:min(i+block, len(dw))]...)
 		}
 	}
-	return ops
+	return dst
 }
 
 // TunedInterleave emits the interleave-only schedule: the gradient streams
@@ -267,7 +281,7 @@ func TunedInterleave(cfg config.NPU, p schedule.TileParams) schedule.Schedule {
 	v := interleaveChoices(cfg, p)
 	dx := baselineDXOps(cfg, p, v.dx)
 	dw := baselineDWOps(cfg, p, v.dw)
-	return schedule.Schedule{Name: "interleave", Ops: mergeStreams(dx, dw, v.block)}
+	return schedule.Schedule{Name: "interleave", Ops: mergeStreams(nil, dx, dw, v.block)}
 }
 
 // fusedChunkShare is the fraction of the SPM streaming half granted to the
@@ -306,19 +320,25 @@ func BestOrderSimulated(cfg config.NPU, p schedule.TileParams) Order {
 		np := tuneParams(p)
 		best := OnlyInterleave
 		// The interleave candidate is exactly the joint tuner's winning
-		// merge, so its retained program (and thus its resolved trace) is
-		// shared with the tuner's exploration above.
-		v := interleaveChoices(single, np)
-		bestCycles := tuneCycles(single, mergePanel(single, np).progFor(v), func() schedule.Schedule {
-			return TunedInterleave(single, np)
-		})
-		mj := majorPanelFor(single, np)
-		if cyc := tuneCycles(single, mj.dxMajorProg(), func() schedule.Schedule {
+		// merge. Within the panel budget its retained program replays the
+		// tuner's resolved trace; above it the tuner's recorded makespan
+		// stands in, so an oversized winner is neither re-emitted nor
+		// re-simulated.
+		ilv := interleaveTuned(single, np)
+		bestCycles := ilv.cycles
+		if np.OpCount() <= panelOpBudget {
+			set, _ := mergePanel(single, np)
+			bestCycles = tuneCycles(single, set.program(ilv.v, nil), false, func() schedule.Schedule {
+				return TunedInterleave(single, np)
+			})
+		}
+		mj, transient := majorPanelFor(single, np)
+		if cyc := tuneCycles(single, mj.dxMajorProg(), transient, func() schedule.Schedule {
 			return FusedDXMajor(single, np)
 		}); cyc < bestCycles {
 			best, bestCycles = DXMajor, cyc
 		}
-		if cyc := tuneCycles(single, mj.dwMajorProg(), func() schedule.Schedule {
+		if cyc := tuneCycles(single, mj.dwMajorProg(), transient, func() schedule.Schedule {
 			return FusedDWMajor(single, np)
 		}); cyc < bestCycles {
 			best = DWMajor

@@ -82,7 +82,7 @@ func TestMergeStreamsBlocks(t *testing.T) {
 		}
 		return ops
 	}
-	merged := mergeStreams(mk(schedule.KindDX, 5), mk(schedule.KindDW, 5), 2)
+	merged := mergeStreams(nil, mk(schedule.KindDX, 5), mk(schedule.KindDW, 5), 2)
 	wantKinds := []schedule.Kind{
 		schedule.KindDX, schedule.KindDX, schedule.KindDW, schedule.KindDW,
 		schedule.KindDX, schedule.KindDX, schedule.KindDW, schedule.KindDW,
@@ -97,7 +97,7 @@ func TestMergeStreamsBlocks(t *testing.T) {
 		}
 	}
 	// Degenerate block clamps to 1.
-	if got := mergeStreams(mk(schedule.KindDX, 2), mk(schedule.KindDW, 2), 0); len(got) != 4 {
+	if got := mergeStreams(nil, mk(schedule.KindDX, 2), mk(schedule.KindDW, 2), 0); len(got) != 4 {
 		t.Fatalf("block 0 merge lost ops: %d", len(got))
 	}
 }

@@ -167,7 +167,7 @@ func RunBackward(cfg config.NPU, opts sim.Options, p schedule.TileParams, pol Po
 	if pol != PolPartition || skipDX {
 		var out LayerOutcome
 		var order Order
-		if useProgramCache(opts) {
+		if useProgramCache(opts, p) {
 			// Untraced compiled runs replay a shared pre-lowered program:
 			// emission, tuning lookups and interning happen once per
 			// (shape, policy, tuned-candidate) point, then every layer and
@@ -220,7 +220,7 @@ func runPartitionedSingle(cfg config.NPU, opts sim.Options, p schedule.TileParam
 	// executor.
 	var out LayerOutcome
 	var orderList []Order
-	if useProgramCache(opts) {
+	if useProgramCache(opts, p) {
 		if prog, orders, ok := partitionedProgram(cfg, p, scheme, parts, plan); ok {
 			out = outcomeFromResult(sim.RunProgram(cfg, opts, prog))
 			orderList = orders
@@ -269,7 +269,7 @@ func RunBackwardOrder(cfg config.NPU, opts sim.Options, p schedule.TileParams, o
 func RunForward(cfg config.NPU, opts sim.Options, p schedule.TileParams) LayerOutcome {
 	fopts := sim.Options{Trace: opts.Trace, TraceLabel: opts.TraceLabel}
 	var out LayerOutcome
-	if useProgramCache(fopts) {
+	if useProgramCache(fopts, p) {
 		out = outcomeFromResult(sim.RunProgram(cfg, fopts, forwardProgram(p)))
 	} else {
 		out = outcomeFromResult(sim.RunSchedules(cfg, fopts, schedule.Forward(p)))

@@ -43,13 +43,16 @@ type progKey struct {
 
 var progCache = runner.NewCache[progKey, *schedule.Program]("core/compiled-prog")
 
-// useProgramCache reports whether a RunBackward/RunForward call can go
-// through the shared compiled-program cache: the compiled executor must be
-// the resolved choice, and the run must be untraced (a shared program
+// useProgramCache reports whether a RunBackward/RunForward call on layer p
+// can go through the shared compiled-program caches: the compiled executor
+// must be the resolved choice, the run must be untraced (a shared program
 // carries normalized tile ids, which results are invariant to but trace
-// labels are not).
-func useProgramCache(opts sim.Options) bool {
-	return opts.Trace == nil && opts.CompiledResolved()
+// labels are not), and the layer's op grid must be within panelOpBudget —
+// the same size discipline as the candidate panels: retaining a compiled
+// program per huge-grid layer pins more memory than replays repay, so
+// those layers take the one-shot path.
+func useProgramCache(opts sim.Options, p schedule.TileParams) bool {
+	return opts.Trace == nil && opts.CompiledResolved() && p.OpCount() <= panelOpBudget
 }
 
 // backwardProgram returns the retained compiled program for one layer's
@@ -107,16 +110,17 @@ func ProgramCacheLen() int { return progCache.Len() }
 // hardware fingerprint, because the winner is timing-dependent — but the
 // candidate *streams* themselves depend on the configuration only through
 // SPMBytes (chunk sizing) and ElemBytes, exactly like the tuned programs
-// above. A panel retains one canonical shape's candidate family as
-// compiled programs under that narrower key, so a bandwidth sweep's
-// re-tuning does ONE cache lookup per family and then replays retained
-// programs through the sim layer's resolved-trace cache. (An earlier
-// revision keyed each candidate individually; hashing the wide
-// per-candidate key ~30k times per sweep cost as much as the replays it
-// guarded.) Panels are per tuner family — baseline pair, fusion set,
-// chunked majors — and built only when that tuner first reaches the
-// shape, so a shape that only ever tunes its baseline never compiles (or
-// allocates the op streams of) the twelve fusion candidates.
+// above. A panel holds one canonical shape's candidate family as compiled
+// programs. Within panelOpBudget it is retained under that narrower key,
+// so a bandwidth sweep's re-tuning does ONE cache lookup per family and
+// then replays retained programs through the sim layer's resolved-trace
+// cache. (An earlier revision keyed each candidate individually; hashing
+// the wide per-candidate key ~30k times per sweep cost as much as the
+// replays it guarded.) Above the budget the same panel is built for one
+// tuning call and dropped with it. Panels are per tuner family — baseline
+// pair, fusion set, chunked majors — and built only when that tuner first
+// reaches the shape, so a shape that only ever tunes its baseline never
+// merges the twelve fusion candidates.
 
 // panelKey identifies one shape's candidate panel up to tensor renaming
 // and hardware timing.
@@ -126,8 +130,50 @@ type panelKey struct {
 	elem int
 }
 
+// baseCode is one canonical shape's four base streams — dX MK/KM and dW
+// KN/NK — lowered once, straight from their generators, through one shared
+// compiler. The shared symbol table makes every block merge of this code a
+// valid program over the same table, so each baseline and fusion candidate
+// is a view or a merge of it, never a re-emission and re-lowering.
+type baseCode struct {
+	dx    [2][]schedule.CompiledOp // indexed by dxMK, dxKM
+	dw    [2][]schedule.CompiledOp // indexed by dwKN, dwNK
+	table schedule.TileTable
+}
+
+func lowerBase(np schedule.TileParams) *baseCode {
+	c := schedule.NewCompiler()
+	n := np.OpCount() // every single-GEMM stream emits exactly n ops
+	code := make([]schedule.CompiledOp, 0, 4*n)
+	for _, s := range []schedule.OpStream{
+		schedule.BaselineDXStream(np, schedule.DXOrderMK),
+		schedule.BaselineDXStream(np, schedule.DXOrderKM),
+		schedule.BaselineDWStream(np, schedule.DWOrderKN),
+		schedule.BaselineDWStream(np, schedule.DWOrderNK),
+	} {
+		code = c.CompileStream(code, s)
+	}
+	return &baseCode{
+		dx:    [2][]schedule.CompiledOp{code[:n], code[n : 2*n]},
+		dw:    [2][]schedule.CompiledOp{code[2*n : 3*n], code[3*n:]},
+		table: c.Table(),
+	}
+}
+
+// program wraps code as a one-kernel program over the shared table.
+func (b *baseCode) program(code []schedule.CompiledOp) *schedule.Program {
+	return &schedule.Program{Code: code, Kernels: []schedule.Kernel{{End: len(code)}}, Table: b.table}
+}
+
+// merged block-merges fusion candidate v into dst's storage (nil allocates
+// it) and wraps the result as a program.
+func (b *baseCode) merged(dst []schedule.CompiledOp, v ordersVal) *schedule.Program {
+	return b.program(mergeStreams(dst[:0], b.dx[v.dx], b.dw[v.dw], v.block))
+}
+
 // basePanel holds the baseline tuner's isolated candidates, indexed by
-// the candidate ids it explores (dxMK/dxKM, dwKN/dwNK).
+// the candidate ids it explores (dxMK/dxKM, dwKN/dwNK): views of the base
+// code.
 type basePanel struct {
 	dx [2]*schedule.Program
 	dw [2]*schedule.Program
@@ -140,10 +186,14 @@ type mergeProg struct {
 	prog *schedule.Program
 }
 
-// mergeSet lists one shape's valid fusion combinations in the joint
-// tuner's exploration order, so ties break identically whether the tuner
-// walks the panel or re-emits under the interpreter.
-type mergeSet []mergeProg
+// mergeSet is one shape's fusion family. A retained set holds every valid
+// combination's merged program, all over the base code's one tile table; a
+// transient set holds the base code itself and merges one combination at a
+// time into the tuner's reused buffer (program).
+type mergeSet struct {
+	progs []mergeProg
+	base  *baseCode // transient sets only
+}
 
 // majorPanel holds the two chunked-major rearranged candidates.
 type majorPanel struct {
@@ -153,76 +203,68 @@ type majorPanel struct {
 
 var (
 	basePanels  = runner.NewCache[panelKey, *basePanel]("core/baseline-panel")
-	mergePanels = runner.NewCache[panelKey, mergeSet]("core/merge-panel")
+	mergePanels = runner.NewCache[panelKey, *mergeSet]("core/merge-panel")
 	majorPanels = runner.NewCache[panelKey, *majorPanel]("core/major-panel")
 )
 
 // panelOpBudget bounds the single-GEMM op count up to which candidate
-// panels are compiled and retained. A panel pays off when the same shape
-// is re-tuned under many hardware fingerprints (bandwidth sweeps), whose
-// shapes are small; for the huge op grids of tiny-SPM configurations (the
-// GPU validation study's 128 KB buffer) retaining a dozen multi-megabyte
-// candidate programs per shape grows the heap far faster than the replays
-// repay. Oversized shapes fall back to emit-and-interpret, which reaches
-// bit-identical tuning decisions (the candidate orders match and the
-// executors are equivalence-tested).
+// panels (and the layer programs of useProgramCache) are retained. A panel
+// pays off when the same shape is re-tuned under many hardware
+// fingerprints (bandwidth sweeps), whose shapes are small; for the huge op
+// grids of tiny-SPM configurations (the GPU validation study's 128 KB
+// buffer) retaining a dozen multi-megabyte candidate programs per shape
+// grows the heap far faster than the replays repay. Oversized shapes get
+// transient panels instead: built once per tuning call, run on the one-shot
+// engine, dropped when the tuner returns.
 const panelOpBudget = 1 << 13
 
-// panelFor wraps the shared compute of one panel family: nil (tuners then
-// emit and RunSchedules per candidate) when the interpreter is the
-// resolved executor or the shape's op grid exceeds the panel budget.
-// Shared values: a miss race converges on one panel, so the program
+// panelFor returns one family's panel for a canonical shape and whether it
+// is transient. Within panelOpBudget the panel is built once and retained
+// as a shared value: a miss race converges on one panel, so the program
 // pointers keying the sim layer's resolved-trace cache stay canonical at
-// any -j.
-func panelFor[V any](cache *runner.Cache[panelKey, V], single config.NPU, np schedule.TileParams, build func() V) V {
-	if !(sim.Options{}).CompiledResolved() || np.OpCount() > panelOpBudget {
+// any -j. Above the budget build runs for this tuning call alone, and the
+// panel's programs must run through tuneCycles' one-shot path. Under the
+// interpreter there is no panel (nil): tuners emit and interpret each
+// candidate.
+func panelFor[V any](cache *runner.Cache[panelKey, V], single config.NPU, np schedule.TileParams, build func(transient bool) V) (V, bool) {
+	if !(sim.Options{}).CompiledResolved() {
 		var zero V
-		return zero
+		return zero, false
+	}
+	if np.OpCount() > panelOpBudget {
+		return build(true), true
 	}
 	key := panelKey{p: np, spm: single.SPMBytes, elem: single.ElemBytes}
-	return cache.GetOrComputeShared(key, build)
+	return cache.GetOrComputeShared(key, func() V { return build(false) }), false
 }
 
-func baselinePanel(single config.NPU, np schedule.TileParams) *basePanel {
-	return panelFor(basePanels, single, np, func() *basePanel {
-		pn := &basePanel{}
-		for _, c := range []dxCandidate{dxMK, dxKM} {
-			pn.dx[c] = sim.CompileSchedules(schedule.Schedule{Ops: baselineDXOps(single, np, c)})
+func baselinePanel(single config.NPU, np schedule.TileParams) (*basePanel, bool) {
+	return panelFor(basePanels, single, np, func(bool) *basePanel {
+		b := lowerBase(np)
+		return &basePanel{
+			dx: [2]*schedule.Program{b.program(b.dx[dxMK]), b.program(b.dx[dxKM])},
+			dw: [2]*schedule.Program{b.program(b.dw[dwKN]), b.program(b.dw[dwNK])},
 		}
-		for _, c := range []dwCandidate{dwKN, dwNK} {
-			pn.dw[c] = sim.CompileSchedules(schedule.Schedule{Ops: baselineDWOps(single, np, c)})
-		}
-		return pn
 	})
 }
 
-func mergePanel(single config.NPU, np schedule.TileParams) mergeSet {
-	return panelFor(mergePanels, single, np, func() mergeSet {
-		var set mergeSet
-		dxLen := np.OpCount()
-		for _, dc := range []dxCandidate{dxMK, dxKM} {
-			dxOps := baselineDXOps(single, np, dc)
-			for _, wc := range []dwCandidate{dwKN, dwNK} {
-				dwOps := baselineDWOps(single, np, wc)
-				for _, blk := range interleaveBlocks {
-					// A block at least as long as a stream degenerates to the
-					// sequential baseline; the fusion must actually alternate.
-					if blk > 1 && blk >= dxLen {
-						continue
-					}
-					set = append(set, mergeProg{
-						v:    ordersVal{dx: dc, dw: wc, block: blk},
-						prog: sim.CompileSchedules(schedule.Schedule{Ops: mergeStreams(dxOps, dwOps, blk)}),
-					})
-				}
-			}
+func mergePanel(single config.NPU, np schedule.TileParams) (*mergeSet, bool) {
+	return panelFor(mergePanels, single, np, func(transient bool) *mergeSet {
+		b := lowerBase(np)
+		if transient {
+			return &mergeSet{base: b}
+		}
+		vs := mergeCandidates(np)
+		set := &mergeSet{progs: make([]mergeProg, len(vs))}
+		for i, v := range vs {
+			set.progs[i] = mergeProg{v: v, prog: b.merged(nil, v)}
 		}
 		return set
 	})
 }
 
-func majorPanelFor(single config.NPU, np schedule.TileParams) *majorPanel {
-	return panelFor(majorPanels, single, np, func() *majorPanel {
+func majorPanelFor(single config.NPU, np schedule.TileParams) (*majorPanel, bool) {
+	return panelFor(majorPanels, single, np, func(bool) *majorPanel {
 		return &majorPanel{
 			dxMajor: sim.CompileSchedules(FusedDXMajor(single, np)),
 			dwMajor: sim.CompileSchedules(FusedDWMajor(single, np)),
@@ -230,7 +272,7 @@ func majorPanelFor(single config.NPU, np schedule.TileParams) *majorPanel {
 	})
 }
 
-// dxProg / dwProg / progFor / *MajorProg return the retained program for
+// dxProg / dwProg / *MajorProg return the panel's program for
 // one candidate, or nil on a nil (interpreter-mode) panel — tuneCycles
 // then falls back to emitting the schedule.
 func (pn *basePanel) dxProg(c dxCandidate) *schedule.Program {
@@ -247,10 +289,21 @@ func (pn *basePanel) dwProg(c dwCandidate) *schedule.Program {
 	return pn.dw[c]
 }
 
-func (s mergeSet) progFor(v ordersVal) *schedule.Program {
-	for i := range s {
-		if s[i].v == v {
-			return s[i].prog
+// program returns fusion candidate v's program. On a transient set v is
+// merged into *buf, reusing its storage, and the program is valid until
+// the next call.
+func (s *mergeSet) program(v ordersVal, buf *[]schedule.CompiledOp) *schedule.Program {
+	switch {
+	case s == nil:
+		return nil
+	case s.base != nil:
+		prog := s.base.merged(*buf, v)
+		*buf = prog.Code
+		return prog
+	}
+	for i := range s.progs {
+		if s.progs[i].v == v {
+			return s.progs[i].prog
 		}
 	}
 	return nil
@@ -285,18 +338,25 @@ func tuneParams(p schedule.TileParams) schedule.TileParams {
 	return p
 }
 
-// tuneCycles simulates one tuning candidate and returns its makespan:
-// the retained panel program through RunProgram's two-phase path, or —
-// when prog is nil because the interpreter is the resolved executor — a
-// plain RunSchedules of the freshly emitted schedule. Both paths are
-// bit-identical (the engine-equivalence property suite holds this), so
-// which one runs never changes a tuner's choice.
-func tuneCycles(single config.NPU, prog *schedule.Program, emit func() schedule.Schedule) int64 {
+// tuneCycles simulates one tuning candidate and returns its makespan. A
+// retained panel program replays through RunProgram's two-phase path. A
+// transient panel's program runs on the one-shot engine: it dies with the
+// tuning call, so it must never key the residency cache, where its pointer
+// would pin the program and its trace under a key no later lookup can hit.
+// With no program — the interpreter is the resolved executor — the freshly
+// emitted schedule is interpreted. All three are bit-identical (the
+// engine-equivalence property suite holds this), so which one runs never
+// changes a tuner's choice.
+func tuneCycles(single config.NPU, prog *schedule.Program, transient bool, emit func() schedule.Schedule) int64 {
 	opts := sim.Options{}
-	if prog != nil && opts.CompiledResolved() {
+	switch {
+	case prog == nil:
+		return sim.RunSchedules(single, opts, emit()).Cycles
+	case transient:
+		return sim.ExecuteProgram(single, opts, prog).Cycles
+	default:
 		return sim.RunProgram(single, opts, prog).Cycles
 	}
-	return sim.RunSchedules(single, opts, emit()).Cycles
 }
 
 // partKey identifies one single-core partitioned plan's compiled program
@@ -322,11 +382,6 @@ var partCache = runner.NewCache[partKey, *schedule.Program]("core/partitioned-pr
 // than the key holds are not cached (ok=false).
 func partitionedProgram(cfg config.NPU, p schedule.TileParams, scheme Scheme, parts int, plan Plan) (*schedule.Program, []Order, bool) {
 	if len(plan.Parts) > len(partKey{}.orders) {
-		return nil, nil, false
-	}
-	// Same size discipline as the candidate panels: retaining a compiled
-	// program per huge-grid plan would pin more memory than replays repay.
-	if p.OpCount() > panelOpBudget {
 		return nil, nil, false
 	}
 	np := p

@@ -81,9 +81,10 @@ func (b *Bounded[K, V]) Get(k K) (V, bool) {
 	e, ok := b.m[k]
 	if ok {
 		b.moveFrontLocked(e)
+		v := e.val // Put may rewrite e.val once the lock is released
 		b.mu.Unlock()
 		b.counters.Hit()
-		return e.val, true
+		return v, true
 	}
 	b.mu.Unlock()
 	b.counters.Miss()

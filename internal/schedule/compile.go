@@ -251,15 +251,14 @@ func (c *Compiler) CompileOps(ops []Op) []CompiledOp {
 	return code
 }
 
-// CompileStream lowers a stream without materializing it: the only
-// per-stream allocation is the compiled code itself.
-func (c *Compiler) CompileStream(s OpStream) []CompiledOp {
-	var code []CompiledOp
+// CompileStream lowers a stream without materializing it, appending the
+// code to dst: the only allocation is dst's growth, none if it has room.
+func (c *Compiler) CompileStream(dst []CompiledOp, s OpStream) []CompiledOp {
 	s(func(op *Op) bool {
-		code = append(code, c.Lower(op))
+		dst = append(dst, c.Lower(op))
 		return true
 	})
-	return code
+	return dst
 }
 
 // Compile lowers a schedule sequence into one program. Each schedule

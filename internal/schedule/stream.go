@@ -55,10 +55,11 @@ func (p TileParams) OpCount() int {
 func ForwardStream(p TileParams) OpStream {
 	return func(yield func(*Op) bool) {
 		mt, kt, nt := p.Tiling.Counts(p.Dims)
+		var op Op // one per stream, so yielding &op does not allocate per op
 		for mo := 0; mo < mt; mo++ {
 			for no := 0; no < nt; no++ {
 				for ko := 0; ko < kt; ko++ {
-					op := Op{
+					op = Op{
 						A:        p.XTile(mo, ko),
 						B:        p.WTile(ko, no),
 						Out:      p.YTile(mo, no),
@@ -82,11 +83,12 @@ func ForwardStream(p TileParams) OpStream {
 func BaselineDXStream(p TileParams, order DXLoopOrder) OpStream {
 	return func(yield func(*Op) bool) {
 		mt, kt, nt := p.Tiling.Counts(p.Dims)
+		var op Op // one per stream, so yielding &op does not allocate per op
 		if order == DXOrderMK {
 			for mo := 0; mo < mt; mo++ {
 				for ko := 0; ko < kt; ko++ {
 					for no := 0; no < nt; no++ {
-						op := p.DXOp(mo, ko, no, nt)
+						op = p.DXOp(mo, ko, no, nt)
 						if !yield(&op) {
 							return
 						}
@@ -98,7 +100,7 @@ func BaselineDXStream(p TileParams, order DXLoopOrder) OpStream {
 		for ko := 0; ko < kt; ko++ {
 			for mo := 0; mo < mt; mo++ {
 				for no := 0; no < nt; no++ {
-					op := p.DXOp(mo, ko, no, nt)
+					op = p.DXOp(mo, ko, no, nt)
 					if !yield(&op) {
 						return
 					}
@@ -112,11 +114,12 @@ func BaselineDXStream(p TileParams, order DXLoopOrder) OpStream {
 func BaselineDWStream(p TileParams, order DWLoopOrder) OpStream {
 	return func(yield func(*Op) bool) {
 		mt, kt, nt := p.Tiling.Counts(p.Dims)
+		var op Op // one per stream, so yielding &op does not allocate per op
 		if order == DWOrderKN {
 			for ko := 0; ko < kt; ko++ {
 				for no := 0; no < nt; no++ {
 					for mo := 0; mo < mt; mo++ {
-						op := p.DWOp(ko, no, mo, mt)
+						op = p.DWOp(ko, no, mo, mt)
 						if !yield(&op) {
 							return
 						}
@@ -128,7 +131,7 @@ func BaselineDWStream(p TileParams, order DWLoopOrder) OpStream {
 		for no := 0; no < nt; no++ {
 			for ko := 0; ko < kt; ko++ {
 				for mo := 0; mo < mt; mo++ {
-					op := p.DWOp(ko, no, mo, mt)
+					op = p.DWOp(ko, no, mo, mt)
 					if !yield(&op) {
 						return
 					}
@@ -148,13 +151,14 @@ func BaselineBackwardStream(p TileParams, dxo DXLoopOrder, dwo DWLoopOrder) OpSt
 func PartialStationaryDXStream(p TileParams, chunkRows int) OpStream {
 	return func(yield func(*Op) bool) {
 		mt, kt, nt := p.Tiling.Counts(p.Dims)
+		var op Op // one per stream, so yielding &op does not allocate per op
 		chunk := clampChunk(chunkRows, mt)
 		for mc := 0; mc < mt; mc += chunk {
 			hi := min(mc+chunk, mt)
 			for no := 0; no < nt; no++ {
 				for mo := mc; mo < hi; mo++ {
 					for ko := 0; ko < kt; ko++ {
-						op := p.DXOp(mo, ko, no, nt)
+						op = p.DXOp(mo, ko, no, nt)
 						if !yield(&op) {
 							return
 						}
@@ -169,13 +173,14 @@ func PartialStationaryDXStream(p TileParams, chunkRows int) OpStream {
 func PartialStationaryDXColsStream(p TileParams, chunkCols int) OpStream {
 	return func(yield func(*Op) bool) {
 		mt, kt, nt := p.Tiling.Counts(p.Dims)
+		var op Op // one per stream, so yielding &op does not allocate per op
 		chunk := clampChunk(chunkCols, kt)
 		for kc := 0; kc < kt; kc += chunk {
 			hi := min(kc+chunk, kt)
 			for no := 0; no < nt; no++ {
 				for ko := kc; ko < hi; ko++ {
 					for mo := 0; mo < mt; mo++ {
-						op := p.DXOp(mo, ko, no, nt)
+						op = p.DXOp(mo, ko, no, nt)
 						if !yield(&op) {
 							return
 						}
@@ -190,13 +195,14 @@ func PartialStationaryDXColsStream(p TileParams, chunkCols int) OpStream {
 func PartialStationaryDWStream(p TileParams, chunkRows int) OpStream {
 	return func(yield func(*Op) bool) {
 		mt, kt, nt := p.Tiling.Counts(p.Dims)
+		var op Op // one per stream, so yielding &op does not allocate per op
 		chunk := clampChunk(chunkRows, kt)
 		for kc := 0; kc < kt; kc += chunk {
 			hi := min(kc+chunk, kt)
 			for mo := 0; mo < mt; mo++ {
 				for ko := kc; ko < hi; ko++ {
 					for no := 0; no < nt; no++ {
-						op := p.DWOp(ko, no, mo, mt)
+						op = p.DWOp(ko, no, mo, mt)
 						if !yield(&op) {
 							return
 						}
@@ -211,13 +217,14 @@ func PartialStationaryDWStream(p TileParams, chunkRows int) OpStream {
 func PartialStationaryDWColsStream(p TileParams, chunkCols int) OpStream {
 	return func(yield func(*Op) bool) {
 		mt, kt, nt := p.Tiling.Counts(p.Dims)
+		var op Op // one per stream, so yielding &op does not allocate per op
 		chunk := clampChunk(chunkCols, nt)
 		for nc := 0; nc < nt; nc += chunk {
 			hi := min(nc+chunk, nt)
 			for mo := 0; mo < mt; mo++ {
 				for no := nc; no < hi; no++ {
 					for ko := 0; ko < kt; ko++ {
-						op := p.DWOp(ko, no, mo, mt)
+						op = p.DWOp(ko, no, mo, mt)
 						if !yield(&op) {
 							return
 						}

@@ -59,8 +59,8 @@ var retainedCompilers = runner.NewPool(schedule.NewCompiler)
 // call for a (program, SPM capacity, free-dY) key resolves the residency
 // trace, later calls replay it under whatever cost axes cfg carries —
 // bit-identical to the engine, held by the replay-equivalence proptest and
-// the replay-check gate. Traced calls and disabled caches (capacity 0)
-// take the one-shot engine path.
+// the replay-check gate. Traced calls, disabled caches (capacity 0) and
+// programs over maxCachedResolvedOps take ExecuteProgram's one-shot path.
 func RunProgram(cfg config.NPU, opts Options, prog *schedule.Program) Result {
 	if opts.Trace == nil && resolvedCache.Cap() > 0 && len(prog.Code) <= maxCachedResolvedOps {
 		key := resolvedKey{prog: prog, capacity: cfg.SPMBytes / 2, freeDY: opts.FreeDYOnDW}
@@ -77,6 +77,14 @@ func RunProgram(cfg config.NPU, opts Options, prog *schedule.Program) Result {
 		}
 		return res
 	}
+	return ExecuteProgram(cfg, opts, prog)
+}
+
+// ExecuteProgram runs prog once on a pooled single-core compiled engine and
+// keeps nothing: no resolved trace, and no reference to the program. It is
+// the path for programs that must never key the residency cache, such as
+// a tuner's transient candidates, whose pointers die with the tuning call.
+func ExecuteProgram(cfg config.NPU, opts Options, prog *schedule.Program) Result {
 	cr := compiledPool.Get()
 	e := &cr.eng
 	e.Init(cfg, opts)
