@@ -101,6 +101,12 @@ type Case struct {
 	// Scheme and Parts configure the partitioning invariants.
 	Scheme core.Scheme
 	Parts  int
+
+	// Cores and Phases shape the multi-core workload (MultiPhases): the
+	// layer split under Scheme across at most Cores cores, run for Phases
+	// synchronized phases.
+	Cores  int
+	Phases int
 }
 
 // maxOpsPerCase bounds the tile-op grid so a single case stays fast enough
@@ -150,6 +156,10 @@ func GenCase(s *Source) Case {
 		c.XFactor = float64(s.IntRange(5, 95)) / 100
 	}
 	c.SPMExtra = s.Int63Range(0, max(c.maxTileBytes()-1, 0))
+	// The multi-core knobs are drawn after every single-core one, so they
+	// leave the single-core properties' case sequences untouched.
+	c.Cores = s.IntRange(1, 4)
+	c.Phases = s.IntRange(1, 2)
 	return c.normalize()
 }
 
@@ -178,6 +188,8 @@ func (c Case) normalize() Case {
 		c.Variant = VariantBaseline
 	}
 	c.Parts = min(max(c.Parts, 1), schedule.MaxPartitions)
+	c.Cores = min(max(c.Cores, 1), 4)
+	c.Phases = min(max(c.Phases, 1), 2)
 	switch c.Scheme {
 	case core.WeightSharing, core.DYSharing, core.IfmapSharing:
 	default:
@@ -256,8 +268,10 @@ func (c Case) Params() schedule.TileParams {
 
 // Schedules materialises the case's schedule variant as the kernel sequence
 // sim.RunSchedules (and the oracle) executes.
-func (c Case) Schedules() []schedule.Schedule {
-	p := c.Params()
+func (c Case) Schedules() []schedule.Schedule { return c.schedulesFor(c.Params()) }
+
+// schedulesFor emits the case's schedule variant for tile parameters p.
+func (c Case) schedulesFor(p schedule.TileParams) []schedule.Schedule {
 	switch c.Variant {
 	case VariantBaselineTwoKernel:
 		return []schedule.Schedule{
@@ -289,6 +303,37 @@ func (c Case) Schedules() []schedule.Schedule {
 	}
 }
 
+// MultiConfig realises the case's NPU with Cores cores.
+func (c Case) MultiConfig() config.NPU {
+	cfg := c.Config()
+	cfg.Cores = c.Cores
+	return cfg
+}
+
+// MultiPhases materialises the case's multi-core workload, the shape
+// sim.RunMultiPhased executes: the layer partitioned under Scheme into at
+// most Cores parts, each part's variant schedule (kernels concatenated)
+// one core's stream. Phase k gives core i part (i+k) mod n, so a second
+// phase reruns every part on a different core after the phase-boundary
+// flush.
+func (c Case) MultiPhases() [][][]schedule.Op {
+	plan := core.PartitionLayer(c.Params(), c.Scheme, c.Cores)
+	parts := make([][]schedule.Op, len(plan.Parts))
+	for i, sub := range plan.Parts {
+		for _, s := range c.schedulesFor(sub) {
+			parts[i] = append(parts[i], s.Ops...)
+		}
+	}
+	phases := make([][][]schedule.Op, c.Phases)
+	for k := range phases {
+		phases[k] = make([][]schedule.Op, len(parts))
+		for i := range parts {
+			phases[k][i] = parts[(i+k)%len(parts)]
+		}
+	}
+	return phases
+}
+
 // AllOps concatenates the case's kernel streams, for stream-level checks.
 func (c Case) AllOps() []schedule.Op {
 	var ops []schedule.Op
@@ -300,8 +345,8 @@ func (c Case) AllOps() []schedule.Op {
 
 func (c Case) String() string {
 	return fmt.Sprintf(
-		"case{%v tile %dx%dx%d elem %d arr %dx%d ws=%v band %dB/c lat %d spm %dxTile+%dB xf %.2f %v chunk %d %v parts %d}",
+		"case{%v tile %dx%dx%d elem %d arr %dx%d ws=%v band %dB/c lat %d spm %dxTile+%dB xf %.2f %v chunk %d %v parts %d cores %d phases %d}",
 		c.Dims, c.Tiling.Tm, c.Tiling.Tk, c.Tiling.Tn, c.ElemBytes,
 		c.ArrayRows, c.ArrayCols, c.WeightStationary, c.BandBPC, c.Latency,
-		c.SPMFactor, c.SPMExtra, c.XFactor, c.Variant, c.Chunk, c.Scheme, c.Parts)
+		c.SPMFactor, c.SPMExtra, c.XFactor, c.Variant, c.Chunk, c.Scheme, c.Parts, c.Cores, c.Phases)
 }

@@ -29,6 +29,7 @@ func Invariants() []Invariant {
 	return []Invariant{
 		{"structure", CheckStructure},
 		{"oracle", CheckOracle},
+		{"multi-oracle", CheckMultiOracle},
 		{"compiled-equivalence", CheckCompiledEquivalence},
 		{"resolved-replay", CheckResolvedReplay},
 		{"cycle-bounds", CheckCycleBounds},
@@ -67,6 +68,26 @@ func CheckOracle(c Case) error {
 		want := refmodel.ReplaySchedules(cfg, refmodel.Options{FreeDYOnDW: free}, scheds...)
 		if err := refmodel.Compare(got, want); err != nil {
 			return fmt.Errorf("freeDY=%v: %w", free, err)
+		}
+	}
+	return nil
+}
+
+// CheckMultiOracle holds the multi-core engine to the oracle: on the case's
+// multi-core workload (MultiPhases), sim.RunMultiPhased must equal
+// refmodel.ReplayMulti on every counter — makespan, cross-core hits,
+// aggregate traffic and each core's result — for shared and private
+// scratchpad placement in both dY regimes.
+func CheckMultiOracle(c Case) error {
+	cfg := c.MultiConfig()
+	phases := c.MultiPhases()
+	for _, shared := range []bool{true, false} {
+		for _, free := range []bool{false, true} {
+			got := sim.RunMultiPhased(cfg, sim.Options{FreeDYOnDW: free}, phases, shared)
+			want := refmodel.ReplayMulti(cfg, refmodel.Options{FreeDYOnDW: free}, phases, shared)
+			if err := refmodel.CompareMulti(got, want); err != nil {
+				return fmt.Errorf("shared=%v freeDY=%v: %w", shared, free, err)
+			}
 		}
 	}
 	return nil

@@ -26,6 +26,11 @@ func TestPropertyOracle(t *testing.T) {
 	Run(t, "oracle", casesPerInvariant, CheckOracle)
 }
 
+func TestPropertyMultiOracle(t *testing.T) {
+	t.Parallel()
+	Run(t, "multi-oracle", casesPerInvariant, CheckMultiOracle)
+}
+
 func TestPropertyCompiledEquivalence(t *testing.T) {
 	t.Parallel()
 	Run(t, "compiled-equivalence", casesPerInvariant, CheckCompiledEquivalence)
@@ -130,6 +135,39 @@ func TestGenCaseReachesPressure(t *testing.T) {
 		t.Fatalf("300 cases produced %d spilling and %d evicting runs; generator misses the pressure regime", spilled, evicted)
 	}
 	t.Logf("pressure coverage: %d/300 cases spill, %d/300 evict", spilled, evicted)
+}
+
+// TestGenCaseReachesMultiCoreRegimes proves the multi-oracle property is
+// not vacuous: generated multi-core workloads span one to four cores and
+// one or two phases, and some of them spill live partial sums and hit
+// across cores on a shared scratchpad.
+func TestGenCaseReachesMultiCoreRegimes(t *testing.T) {
+	t.Parallel()
+	var spilled, shared int
+	cores := make(map[int]int)
+	phases := make(map[int]int)
+	for i := 0; i < 300; i++ {
+		c := GenCase(NewSource(uint64(i)))
+		cores[c.Cores]++
+		phases[c.Phases]++
+		r := sim.RunMultiPhased(c.MultiConfig(), sim.Options{}, c.MultiPhases(), true)
+		if r.SharedHits > 0 {
+			shared++
+		}
+		for _, pc := range r.PerCore {
+			if pc.Spills > 0 {
+				spilled++
+				break
+			}
+		}
+	}
+	if len(cores) != 4 || len(phases) != 2 {
+		t.Fatalf("cores sampled %v, phases %v: want 1-4 cores and 1-2 phases", cores, phases)
+	}
+	if spilled == 0 || shared == 0 {
+		t.Fatalf("300 multi-core cases: %d spill, %d hit across cores; generator misses a regime", spilled, shared)
+	}
+	t.Logf("multi-core coverage: %d/300 cases spill, %d/300 hit across cores", spilled, shared)
 }
 
 // TestShrinkMinimisesSyntheticPredicate drives Shrink against a predicate

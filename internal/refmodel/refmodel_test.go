@@ -30,20 +30,20 @@ func TestLRUSetBasics(t *testing.T) {
 	key := func(i int32) schedule.TileKey { return schedule.TileKey{Row: i} }
 	l := newLRUSet(100)
 
-	if l.touch(key(1)) {
+	if hit, _ := l.touch(key(1)); hit {
 		t.Fatal("empty set reported a hit")
 	}
-	if ev := l.insert(key(1), 40); ev != nil {
+	if ev := l.insert(key(1), 40, 0); ev != nil {
 		t.Fatalf("insert into empty set evicted %v", ev)
 	}
-	if ev := l.insert(key(2), 40); ev != nil {
+	if ev := l.insert(key(2), 40, 1); ev != nil {
 		t.Fatalf("fitting insert evicted %v", ev)
 	}
-	if !l.touch(key(1)) {
-		t.Fatal("resident tile missed")
+	if hit, by := l.touch(key(1)); !hit || by != 0 {
+		t.Fatalf("resident tile: hit %v placed by core %d, want hit by core 0", hit, by)
 	}
 	// Key 2 is now least recently used; a 40-byte insert must evict it only.
-	ev := l.insert(key(3), 40)
+	ev := l.insert(key(3), 40, 0)
 	if len(ev) != 1 || ev[0] != key(2) {
 		t.Fatalf("evicted %v, want [key 2]", ev)
 	}
@@ -51,7 +51,7 @@ func TestLRUSetBasics(t *testing.T) {
 		t.Fatalf("used = %d, want 80", l.used)
 	}
 	// Oversized inserts drain the set oldest-first.
-	ev = l.insert(key(4), 100)
+	ev = l.insert(key(4), 100, 0)
 	if len(ev) != 2 || ev[0] != key(1) || ev[1] != key(3) {
 		t.Fatalf("evicted %v, want [key 1, key 3]", ev)
 	}
@@ -193,6 +193,120 @@ func TestCompareReportsEveryDivergence(t *testing.T) {
 		bad := res
 		tc.corrupt(&bad)
 		err := Compare(bad, want)
+		if err == nil {
+			t.Fatalf("%s corruption not detected", tc.name)
+		}
+		if !strings.Contains(err.Error(), tc.name) {
+			t.Fatalf("%s corruption reported as %q", tc.name, err)
+		}
+	}
+}
+
+// multiPhases is a two-phase workload for up to three cores: in each phase
+// the cores walk the same layer's dY tiles in different loop orders, so a
+// shared scratchpad yields cross-core hits.
+func multiPhases(p schedule.TileParams, cores int) [][][]schedule.Op {
+	dx := [][]schedule.Op{schedule.BaselineDX(p), schedule.BaselineDXOrdered(p, schedule.DXOrderKM), core.InterleaveDXMajor(p).Ops}
+	dw := [][]schedule.Op{schedule.BaselineDW(p), schedule.BaselineDWOrdered(p, schedule.DWOrderNK), core.InterleaveDWMajor(p).Ops}
+	return [][][]schedule.Op{dx[:cores], dw[:cores]}
+}
+
+// TestMultiAgreesWithEngine holds ReplayMulti to sim.RunMultiPhased on
+// every counter: one to three cores, shared and private placement, roomy
+// and pressure-tight scratchpads, both dY regimes.
+func TestMultiAgreesWithEngine(t *testing.T) {
+	var sharedHits, spills int64
+	for _, spm := range []int64{1024, 3 * 1024, 64 * 1024} {
+		for _, d := range []tensor.Dims{{M: 16, K: 16, N: 16}, {M: 13, K: 9, N: 7}, {M: 8, K: 40, N: 40}} {
+			p := params(d, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
+			for cores := 1; cores <= 3; cores++ {
+				cfg := testCfg(spm).WithCores(cores)
+				for _, shared := range []bool{true, false} {
+					for _, free := range []bool{false, true} {
+						got := sim.RunMultiPhased(cfg, sim.Options{FreeDYOnDW: free}, multiPhases(p, cores), shared)
+						want := ReplayMulti(cfg, Options{FreeDYOnDW: free}, multiPhases(p, cores), shared)
+						if err := CompareMulti(got, want); err != nil {
+							t.Fatalf("%v spm=%d cores=%d shared=%v free=%v: %v", d, spm, cores, shared, free, err)
+						}
+						sharedHits += want.SharedHits
+						for _, c := range want.PerCore {
+							spills += c.Spills
+						}
+					}
+				}
+			}
+		}
+	}
+	if sharedHits == 0 || spills == 0 {
+		t.Fatalf("sweep covered %d shared hits and %d spills; it must reach both", sharedHits, spills)
+	}
+}
+
+// TestMultiOneCoreIsSingleCore pins the degenerate case: one core, one
+// stream per phase replays exactly like the single-core interpreter with
+// a flush between schedules.
+func TestMultiOneCoreIsSingleCore(t *testing.T) {
+	cfg := testCfg(3 * 1024)
+	p := params(tensor.Dims{M: 8, K: 40, N: 40}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
+	dx, dw := schedule.BaselineDX(p), schedule.BaselineDW(p)
+	got := ReplayMulti(cfg, Options{}, [][][]schedule.Op{{dx}, {dw}}, true)
+	want := ReplaySchedules(cfg, Options{}, schedule.Schedule{Ops: dx}, schedule.Schedule{Ops: dw})
+	if len(got.PerCore) != 1 || got.PerCore[0] != want || got.Cycles != want.Cycles || got.SharedHits != 0 {
+		t.Fatalf("one-core multi replay %+v, single-core %+v", got, want)
+	}
+}
+
+// TestMultiSharedHitsHandComputed checks cross-core hit accounting on a
+// by-hand case: two cores run the same single-op dX GEMM. Round 0 serves
+// core 0 (both operands miss), then core 1, whose dY and W operands hit
+// tiles core 0 placed — two shared hits. Its output tile is the same key,
+// already drained by core 0, so core 1 places it afresh. Private placement
+// fetches everything twice and credits nothing.
+func TestMultiSharedHitsHandComputed(t *testing.T) {
+	p := params(tensor.Dims{M: 2, K: 2, N: 2}, schedule.Tiling{Tm: 2, Tk: 2, Tn: 2})
+	op := p.DXOp(0, 0, 0, 1)
+	cfg := testCfg(4096).WithCores(2)
+	phases := [][][]schedule.Op{{{op}, {op}}}
+
+	sh := ReplayMulti(cfg, Options{}, phases, true)
+	if sh.SharedHits != 2 || sh.PerCore[0].Hits != 2 || sh.PerCore[0].Misses != 2 {
+		t.Fatalf("shared: shared hits %d, hits/misses %d/%d, want 2, 2/2", sh.SharedHits, sh.PerCore[0].Hits, sh.PerCore[0].Misses)
+	}
+	if sh.Traffic.Read[dram.ClassDY] != 16 || sh.Traffic.Read[dram.ClassW] != 16 {
+		t.Fatalf("shared: reads %+v, want one copy of each operand", sh.Traffic.Read)
+	}
+	pr := ReplayMulti(cfg, Options{}, phases, false)
+	if pr.SharedHits != 0 || pr.Traffic.Read[dram.ClassDY] != 32 || pr.PerCore[0].Misses != 2 || pr.PerCore[1].Misses != 0 {
+		t.Fatalf("private: %+v", pr)
+	}
+}
+
+// TestCompareMultiReportsEveryDivergence corrupts each multi-core field in
+// turn and checks CompareMulti names it.
+func TestCompareMultiReportsEveryDivergence(t *testing.T) {
+	cfg := testCfg(1024).WithCores(2)
+	p := params(tensor.Dims{M: 16, K: 16, N: 16}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
+	res := sim.RunMultiPhased(cfg, sim.Options{}, multiPhases(p, 2), true)
+	want := ReplayMulti(cfg, Options{}, multiPhases(p, 2), true)
+	if err := CompareMulti(res, want); err != nil {
+		t.Fatalf("clean comparison failed: %v", err)
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*sim.MultiResult)
+	}{
+		{"Cycles", func(r *sim.MultiResult) { r.Cycles++ }},
+		{"SharedHits", func(r *sim.MultiResult) { r.SharedHits-- }},
+		{"Traffic.Read[dY]", func(r *sim.MultiResult) { r.Traffic.Read[dram.ClassDY]++ }},
+		{"len(PerCore)", func(r *sim.MultiResult) { r.PerCore = r.PerCore[:1] }},
+		{"PerCore[0].SPM.Hits", func(r *sim.MultiResult) { r.PerCore[0].SPM.Hits++ }},
+		{"PerCore[1].Spills", func(r *sim.MultiResult) { r.PerCore[1].Spills++ }},
+		{"PerCore[1].Traffic.Write[dX]", func(r *sim.MultiResult) { r.PerCore[1].Traffic.Write[dram.ClassDX]-- }},
+	} {
+		bad := res
+		bad.PerCore = append([]sim.Result(nil), res.PerCore...)
+		tc.corrupt(&bad)
+		err := CompareMulti(bad, want)
 		if err == nil {
 			t.Fatalf("%s corruption not detected", tc.name)
 		}
