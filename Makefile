@@ -63,14 +63,15 @@ lint-check:
 	sh scripts/lint_check.sh
 
 # Native fuzzing against the property-suite generators (DESIGN.md §3f).
-# The seed corpus lives in internal/proptest/testdata/fuzz/; 30 seconds per
-# target is enough to replay it and mutate a few hundred thousand inputs.
-# Go allows one -fuzz pattern per invocation, hence four runs.
+# The seed corpora live in internal/proptest/testdata/fuzz/ and
+# internal/sim/testdata/fuzz/; 30 seconds per target is enough to replay
+# them and mutate a few hundred thousand inputs. Go allows one -fuzz
+# pattern per invocation, hence one run per target.
 FUZZTIME ?= 30s
 fuzz-short:
 	$(GO) test ./internal/proptest/ -run '^$$' -fuzz '^FuzzBackwardSchedules$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/proptest/ -run '^$$' -fuzz '^FuzzTilingCounts$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/proptest/ -run '^$$' -fuzz '^FuzzSPMResidency$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz '^FuzzResidency$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/proptest/ -run '^$$' -fuzz '^FuzzCompiledEngine$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/proptest/ -run '^$$' -fuzz '^FuzzResolvedReplay$$' -fuzztime $(FUZZTIME)
 

@@ -236,17 +236,20 @@ func BenchmarkSweepPruned(b *testing.B) {
 
 // --- microbenchmarks: simulator hot paths ---
 
+// BenchmarkEngineStep times the engine's per-op step: one layer's backward
+// program, lowered once, executed from a reset engine per iteration.
 func BenchmarkEngineStep(b *testing.B) {
 	cfg := config.LargeNPU()
 	p := core.LayerParams(tensor.Dims{M: 1024, K: 1024, N: 1024}, 1, cfg)
-	ops := schedule.BaselineBackward(p).Ops
-	e := sim.NewEngine(cfg, sim.Options{})
+	prog := schedule.Compile(schedule.BaselineBackward(p))
+	e := sim.NewCompiledEngine(cfg, sim.Options{})
+	e.Bind(&prog)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Reset()
-		e.Run(ops)
+		e.Execute()
 	}
-	b.ReportMetric(float64(len(ops)), "ops/run")
+	b.ReportMetric(float64(len(prog.Code)), "ops/run")
 }
 
 func BenchmarkScheduleGeneration(b *testing.B) {

@@ -2,8 +2,8 @@
 // the same bodies behind BenchmarkCompiledEngine) through testing.Benchmark
 // and writes a machine-readable summary so the perf trajectory is tracked
 // across PRs. The output records, per benchmark, ns/op, allocs/op and
-// simulated-DRAM MB/s, plus the headline interpreted-vs-compiled speedup
-// and allocation ratios the acceptance criteria gate on.
+// simulated-DRAM MB/s: full passes (lower + execute) and the steady state
+// (programs lowered once).
 //
 // Usage:
 //
@@ -39,10 +39,8 @@ type entry struct {
 }
 
 type report struct {
-	Workload    string  `json:"workload"`
-	Benchmarks  []entry `json:"benchmarks"`
-	Speedup     float64 `json:"speedup"`      // interpreted ns/op ÷ compiled ns/op
-	AllocsRatio float64 `json:"allocs_ratio"` // interpreted allocs/op ÷ compiled allocs/op
+	Workload   string  `json:"workload"`
+	Benchmarks []entry `json:"benchmarks"`
 }
 
 func main() {
@@ -79,8 +77,7 @@ func main() {
 		name string
 		fn   func(*testing.B)
 	}{
-		{"CompiledEngine/interpreted", w.Pass(sim.EngineInterpreted)},
-		{"CompiledEngine/compiled", w.Pass(sim.EngineCompiled)},
+		{"CompiledEngine/compiled", w.Pass()},
 		{"CompiledEngine/steady", w.Steady()},
 	} {
 		r := testing.Benchmark(b.fn)
@@ -91,14 +88,6 @@ func main() {
 		rep.Benchmarks = append(rep.Benchmarks, e)
 		fmt.Printf("%-28s %14.0f ns/op %8d allocs/op %10.1f MB/s\n", e.Name, e.NsPerOp, e.AllocsPerOp, e.MBPerSec)
 	}
-	interp, compiled := rep.Benchmarks[0], rep.Benchmarks[1]
-	if compiled.NsPerOp > 0 {
-		rep.Speedup = interp.NsPerOp / compiled.NsPerOp
-	}
-	if compiled.AllocsPerOp > 0 {
-		rep.AllocsRatio = float64(interp.AllocsPerOp) / float64(compiled.AllocsPerOp)
-	}
-	fmt.Printf("speedup %.2fx, allocs ratio %.0fx\n", rep.Speedup, rep.AllocsRatio)
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

@@ -21,7 +21,6 @@ import (
 	"igosim/internal/experiments"
 	"igosim/internal/metrics"
 	"igosim/internal/runner"
-	"igosim/internal/sim"
 	"igosim/internal/trace"
 )
 
@@ -39,7 +38,6 @@ func main() {
 		jobs       = flag.Int("j", 0, "parallel simulation workers (0 = GOMAXPROCS)")
 		traceOut   = flag.String("trace", "", "write Chrome trace-event JSON of the run to this file (view in Perfetto)")
 		report     = flag.Bool("report", false, "print the trace-derived report: stall attribution, SPM occupancy, reuse distances")
-		compiled   = flag.Bool("compiled", true, "execute schedules on the compiled engine (false = reference interpreter; results are identical)")
 		manifest   = flag.String("manifest", "", "write the deterministic run manifest (JSON, report digests) to this file")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file")
@@ -50,7 +48,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(1)
 	}
-	sim.SetCompiledDefault(*compiled)
 	runner.SetParallelism(*jobs)
 	stopTrace := trace.StartCLI(*traceOut, *report)
 
@@ -109,12 +106,11 @@ func main() {
 		// artifact without embedding the whole table.
 		m := metrics.NewManifest("figures")
 		if err := m.SetFingerprint(struct {
-			Tool     string   `json:"tool"`
-			IDs      []string `json:"ids"`
-			Trials   int      `json:"trials"`
-			Seed     int64    `json:"seed"`
-			Compiled bool     `json:"compiled"`
-		}{"figures", ids, *trials, *seed, *compiled}); err != nil {
+			Tool   string   `json:"tool"`
+			IDs    []string `json:"ids"`
+			Trials int      `json:"trials"`
+			Seed   int64    `json:"seed"`
+		}{"figures", ids, *trials, *seed}); err != nil {
 			fmt.Fprintln(os.Stderr, "figures:", err)
 			os.Exit(1)
 		}

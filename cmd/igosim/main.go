@@ -36,7 +36,6 @@ func main() {
 		jobs       = flag.Int("j", 0, "parallel simulation workers (0 = GOMAXPROCS; results are identical at any width)")
 		traceOut   = flag.String("trace", "", "write Chrome trace-event JSON of the run to this file (view in Perfetto)")
 		report     = flag.Bool("report", false, "print the trace-derived report: stall attribution, SPM occupancy, reuse distances")
-		compiled   = flag.Bool("compiled", true, "execute schedules on the compiled engine (false = reference interpreter; results are identical)")
 		manifest   = flag.String("manifest", "", "write the deterministic run manifest (JSON) to this file")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file")
@@ -46,7 +45,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sim.SetCompiledDefault(*compiled)
 	runner.SetParallelism(*jobs)
 	stopTrace := trace.StartCLI(*traceOut, *report)
 
@@ -128,7 +126,7 @@ func main() {
 		fatal(err)
 	}
 	if *manifest != "" {
-		if err := writeManifest(*manifest, cfg, models, *polName, *compiled, workloads, traceSum); err != nil {
+		if err := writeManifest(*manifest, cfg, models, *polName, workloads, traceSum); err != nil {
 			fatal(err)
 		}
 	}
@@ -141,19 +139,18 @@ func main() {
 // everything that determines the outcome, per-workload cycle/traffic
 // results, the derived cache report and the cycle-domain registry
 // snapshot. Byte-identical at any -j (see make manifest-check).
-func writeManifest(path string, cfg config.NPU, models []workload.Model, policy string, compiled bool, workloads []metrics.WorkloadResult, traceSum *metrics.TraceSummary) error {
+func writeManifest(path string, cfg config.NPU, models []workload.Model, policy string, workloads []metrics.WorkloadResult, traceSum *metrics.TraceSummary) error {
 	m := metrics.NewManifest("igosim")
 	names := make([]string, len(models))
 	for i, w := range models {
 		names[i] = w.Abbr
 	}
 	if err := m.SetFingerprint(struct {
-		Tool     string     `json:"tool"`
-		Config   config.NPU `json:"config"`
-		Models   []string   `json:"models"`
-		Policy   string     `json:"policy"`
-		Compiled bool       `json:"compiled"`
-	}{"igosim", cfg, names, policy, compiled}); err != nil {
+		Tool   string     `json:"tool"`
+		Config config.NPU `json:"config"`
+		Models []string   `json:"models"`
+		Policy string     `json:"policy"`
+	}{"igosim", cfg, names, policy}); err != nil {
 		return err
 	}
 	m.Config = &cfg

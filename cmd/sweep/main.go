@@ -74,7 +74,6 @@ func main() {
 		jobs        = flag.Int("j", 0, "parallel simulation workers (0 = GOMAXPROCS)")
 		traceOut    = flag.String("trace", "", "write Chrome trace-event JSON of the run to this file (view in Perfetto)")
 		report      = flag.Bool("report", false, "print the trace-derived report: stall attribution, SPM occupancy, reuse distances")
-		compiled    = flag.Bool("compiled", true, "execute schedules on the compiled engine (false = reference interpreter; results are identical)")
 		manifest    = flag.String("manifest", "", "write the deterministic run manifest (JSON, prune efficacy) to this file")
 		metricsAddr = flag.String("metrics-http", "", "serve live metrics (Prometheus text / ?format=json) on this address, e.g. :9090")
 		cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -85,7 +84,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sim.SetCompiledDefault(*compiled)
 	if *resCache != "" {
 		// Strict like the integer axes: "512.5 traces" is a config error,
 		// not something to truncate silently.
@@ -238,11 +236,10 @@ func main() {
 			Space       string `json:"space"`
 			Prune       bool   `json:"prune"`
 			Eps, EpsRed float64
-			Budget      int  `json:"budget"`
-			ShardSize   int  `json:"shard_size"`
-			WaveSize    int  `json:"wave_size"`
-			Compiled    bool `json:"compiled"`
-		}{"sweep", space.Fingerprint(), *prune, *eps, *epsRed, *budget, *shardSize, *waveSize, *compiled}); err != nil {
+			Budget      int `json:"budget"`
+			ShardSize   int `json:"shard_size"`
+			WaveSize    int `json:"wave_size"`
+		}{"sweep", space.Fingerprint(), *prune, *eps, *epsRed, *budget, *shardSize, *waveSize}); err != nil {
 			fatal(err)
 		}
 		m.Sweep = &metrics.SweepSummary{

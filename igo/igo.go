@@ -164,15 +164,6 @@ func Experiments() []string { return experiments.IDs() }
 // fans work out by index and reassembles it in order.
 func Parallelism(n int) int { return runner.SetParallelism(n) }
 
-// Compiled toggles the compiled execution engine process-wide, returning
-// the previous setting. On (the default), schedules are lowered once into
-// a dense program — tile keys interned to integer IDs, sizes and costs
-// precomputed — and executed against array-indexed scratchpad state; off
-// falls back to the reference interpreter. Results are bit-identical in
-// both modes (the property suite holds them to the refmodel oracle); only
-// speed differs.
-func Compiled(on bool) bool { return sim.SetCompiledDefault(on) }
-
 // CacheStats reports the hit/miss counters of the simulator's memo caches
 // (layer simulations and order-tuning results), one line per cache. Useful
 // when judging whether a sweep benefits from shape sharing.

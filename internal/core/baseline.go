@@ -127,7 +127,7 @@ func baselineChoices(cfg config.NPU, p schedule.TileParams) ordersVal {
 	return ordersCache.GetOrCompute(keyFor(cfg, p), func() ordersVal {
 		single := cfg
 		single.Cores = 1
-		// Candidates are emitted from the canonical shape so their retained
+		// Candidates are lowered from the canonical shape so their retained
 		// programs are shared; cycle outcomes are renaming-invariant.
 		np := tuneParams(p)
 
@@ -141,9 +141,7 @@ func baselineChoices(cfg config.NPU, p schedule.TileParams) ordersVal {
 		var v ordersVal
 		best := int64(-1)
 		for _, c := range []dxCandidate{dxMK, dxKM} {
-			cyc := tuneCycles(single, pn.dxProg(c), transient, func() schedule.Schedule {
-				return schedule.Schedule{Ops: baselineDXOps(single, np, c)}
-			})
+			cyc := tuneCycles(single, pn.dx[c], transient)
 			if best < 0 || cyc < best {
 				best = cyc
 				v.dx = c
@@ -151,9 +149,7 @@ func baselineChoices(cfg config.NPU, p schedule.TileParams) ordersVal {
 		}
 		best = -1
 		for _, c := range []dwCandidate{dwKN, dwNK} {
-			cyc := tuneCycles(single, pn.dwProg(c), transient, func() schedule.Schedule {
-				return schedule.Schedule{Ops: baselineDWOps(single, np, c)}
-			})
+			cyc := tuneCycles(single, pn.dw[c], transient)
 			if best < 0 || cyc < best {
 				best = cyc
 				v.dw = c
@@ -236,17 +232,12 @@ func interleaveTuned(cfg config.NPU, p schedule.TileParams) ilvTuned {
 		np := tuneParams(p)
 		// On a bandwidth sweep the retained panel makes this loop pure
 		// replays of shared programs (DESIGN.md §3l). A transient panel
-		// merges each candidate into buf from code lowered once; only the
-		// interpreter emits and re-merges the op streams per candidate.
+		// merges each candidate into buf from code lowered once.
 		set, transient := mergePanel(single, np)
 		var buf []schedule.CompiledOp
 		best := ilvTuned{cycles: -1}
 		for _, v := range mergeCandidates(np) {
-			cyc := tuneCycles(single, set.program(v, &buf), transient, func() schedule.Schedule {
-				return schedule.Schedule{Ops: mergeStreams(nil,
-					baselineDXOps(single, np, v.dx),
-					baselineDWOps(single, np, v.dw), v.block)}
-			})
+			cyc := tuneCycles(single, set.program(v, &buf), transient)
 			if best.cycles < 0 || cyc < best.cycles {
 				best = ilvTuned{v: v, cycles: cyc}
 			}
@@ -328,19 +319,13 @@ func BestOrderSimulated(cfg config.NPU, p schedule.TileParams) Order {
 		bestCycles := ilv.cycles
 		if np.OpCount() <= panelOpBudget {
 			set, _ := mergePanel(single, np)
-			bestCycles = tuneCycles(single, set.program(ilv.v, nil), false, func() schedule.Schedule {
-				return TunedInterleave(single, np)
-			})
+			bestCycles = tuneCycles(single, set.program(ilv.v, nil), false)
 		}
 		mj, transient := majorPanelFor(single, np)
-		if cyc := tuneCycles(single, mj.dxMajorProg(), transient, func() schedule.Schedule {
-			return FusedDXMajor(single, np)
-		}); cyc < bestCycles {
+		if cyc := tuneCycles(single, mj.dxMajor, transient); cyc < bestCycles {
 			best, bestCycles = DXMajor, cyc
 		}
-		if cyc := tuneCycles(single, mj.dwMajorProg(), transient, func() schedule.Schedule {
-			return FusedDWMajor(single, np)
-		}); cyc < bestCycles {
+		if cyc := tuneCycles(single, mj.dwMajor, transient); cyc < bestCycles {
 			best = DWMajor
 		}
 		return best

@@ -45,24 +45,28 @@ func tuneOversized(cfg config.NPU, p schedule.TileParams) oversizedTuning {
 }
 
 // TestOversizedTuningMatchesInterpreter holds the transient panels to the
-// interpreter: over the panel budget the compiled default lowers each
-// shape's base streams once and merges candidates from the code, while the
-// interpreter emits and interprets every candidate. Choices, the recorded
-// interleave makespan and the partitioned outcome must agree exactly.
+// refmodel reference interpreter: over the panel budget the compiled
+// tuners lower each shape's base streams once and merge candidates from
+// the code, while the oracle emits every candidate schedule and replays it
+// in the tuners' order. Choices, the recorded interleave makespan and the
+// partitioned outcome must agree exactly.
 func TestOversizedTuningMatchesInterpreter(t *testing.T) {
 	if testing.Short() {
-		t.Skip("interprets ~10⁶ ops per shape")
+		t.Skip("replays ~10⁷ ops through the oracle per shape")
 	}
 	cfg, ps := oversizedParams(t)
+	o := newOracle()
 	for _, p := range ps {
 		ResetCaches()
 		got := tuneOversized(cfg, p)
-		prev := sim.SetCompiledDefault(false)
-		ResetCaches()
-		want := tuneOversized(cfg, p)
-		sim.SetCompiledDefault(prev)
+		want := oversizedTuning{
+			base:  o.baseline(cfg, p),
+			ilv:   o.interleave(cfg, p),
+			order: o.bestOrder(cfg, p),
+			part:  o.backward(cfg, p, PolPartition, false),
+		}
 		if got != want {
-			t.Errorf("%v: compiled tuning diverged from the interpreter:\n got %+v\nwant %+v", p.Dims, got, want)
+			t.Errorf("%v: compiled tuning diverged from the oracle:\n got %+v\nwant %+v", p.Dims, got, want)
 		}
 	}
 	ResetCaches()

@@ -7,7 +7,6 @@ import (
 	"igosim/internal/dram"
 	"igosim/internal/schedule"
 	"igosim/internal/sim"
-	"igosim/internal/spm"
 	"igosim/internal/tensor"
 )
 
@@ -76,7 +75,7 @@ type LayerOutcome struct {
 	Spills  int64
 	// SPM reports scratchpad hit/miss/eviction counts (on multi-core runs,
 	// of the shared or core-0 residency set).
-	SPM spm.Stats
+	SPM sim.SPMStats
 	// SharedHits counts cross-core SPM hits (multi-core runs only).
 	SharedHits int64
 }
@@ -213,11 +212,9 @@ func runPartitionedSingle(cfg config.NPU, opts sim.Options, p schedule.TileParam
 		return LayerOutcome{}, false
 	}
 	// Partitions are separate kernels on one core: the scratchpad is flushed
-	// between them, so this matches per-part FlushSPM exactly. Untraced
-	// compiled runs replay a shared pre-lowered program (per-part orders
-	// resolved first, mirroring backwardProgram); otherwise the kernels are
-	// emitted and simulated directly, letting Options.Compiled pick the
-	// executor.
+	// between them. Untraced in-budget runs replay a shared pre-lowered
+	// program (per-part orders resolved first, mirroring backwardProgram);
+	// otherwise the kernels are emitted and simulated directly.
 	var out LayerOutcome
 	var orderList []Order
 	if useProgramCache(opts, p) {

@@ -44,15 +44,14 @@ type progKey struct {
 var progCache = runner.NewCache[progKey, *schedule.Program]("core/compiled-prog")
 
 // useProgramCache reports whether a RunBackward/RunForward call on layer p
-// can go through the shared compiled-program caches: the compiled executor
-// must be the resolved choice, the run must be untraced (a shared program
-// carries normalized tile ids, which results are invariant to but trace
-// labels are not), and the layer's op grid must be within panelOpBudget —
-// the same size discipline as the candidate panels: retaining a compiled
-// program per huge-grid layer pins more memory than replays repay, so
-// those layers take the one-shot path.
+// can go through the shared compiled-program caches: the run must be
+// untraced (a shared program carries normalized tile ids, which results
+// are invariant to but trace labels are not), and the layer's op grid must
+// be within panelOpBudget — the same size discipline as the candidate
+// panels: retaining a compiled program per huge-grid layer pins more
+// memory than replays repay, so those layers take the one-shot path.
 func useProgramCache(opts sim.Options, p schedule.TileParams) bool {
-	return opts.Trace == nil && opts.CompiledResolved() && p.OpCount() <= panelOpBudget
+	return opts.Trace == nil && p.OpCount() <= panelOpBudget
 }
 
 // backwardProgram returns the retained compiled program for one layer's
@@ -223,14 +222,8 @@ const panelOpBudget = 1 << 13
 // as a shared value: a miss race converges on one panel, so the program
 // pointers keying the sim layer's resolved-trace cache stay canonical at
 // any -j. Above the budget build runs for this tuning call alone, and the
-// panel's programs must run through tuneCycles' one-shot path. Under the
-// interpreter there is no panel (nil): tuners emit and interpret each
-// candidate.
+// panel's programs must run through tuneCycles' one-shot path.
 func panelFor[V any](cache *runner.Cache[panelKey, V], single config.NPU, np schedule.TileParams, build func(transient bool) V) (V, bool) {
-	if !(sim.Options{}).CompiledResolved() {
-		var zero V
-		return zero, false
-	}
 	if np.OpCount() > panelOpBudget {
 		return build(true), true
 	}
@@ -272,31 +265,11 @@ func majorPanelFor(single config.NPU, np schedule.TileParams) (*majorPanel, bool
 	})
 }
 
-// dxProg / dwProg / *MajorProg return the panel's program for
-// one candidate, or nil on a nil (interpreter-mode) panel — tuneCycles
-// then falls back to emitting the schedule.
-func (pn *basePanel) dxProg(c dxCandidate) *schedule.Program {
-	if pn == nil {
-		return nil
-	}
-	return pn.dx[c]
-}
-
-func (pn *basePanel) dwProg(c dwCandidate) *schedule.Program {
-	if pn == nil {
-		return nil
-	}
-	return pn.dw[c]
-}
-
 // program returns fusion candidate v's program. On a transient set v is
 // merged into *buf, reusing its storage, and the program is valid until
 // the next call.
 func (s *mergeSet) program(v ordersVal, buf *[]schedule.CompiledOp) *schedule.Program {
-	switch {
-	case s == nil:
-		return nil
-	case s.base != nil:
+	if s.base != nil {
 		prog := s.base.merged(*buf, v)
 		*buf = prog.Code
 		return prog
@@ -306,28 +279,14 @@ func (s *mergeSet) program(v ordersVal, buf *[]schedule.CompiledOp) *schedule.Pr
 			return s.progs[i].prog
 		}
 	}
-	return nil
-}
-
-func (pn *majorPanel) dxMajorProg() *schedule.Program {
-	if pn == nil {
-		return nil
-	}
-	return pn.dxMajor
-}
-
-func (pn *majorPanel) dwMajorProg() *schedule.Program {
-	if pn == nil {
-		return nil
-	}
-	return pn.dwMajor
+	panic("core: fusion candidate not in its merge panel")
 }
 
 // tuneParams canonicalizes tile parameters to the equivalence the tuning
 // caches already declare (ordersKey keys on dims/tiling/elem/xfactor
 // only): tensor-instance ids, partition offsets and partial-output
 // redirection are bijective tile renamings that cannot change residency
-// or cycle outcomes. Tuning closures emit candidates from the canonical
+// or cycle outcomes. Tuners lower their candidates from the canonical
 // representative so the candidate-program census does not depend on which
 // equivalent variant reached the tuner first (a -j determinism property
 // the manifest gate checks).
@@ -343,20 +302,13 @@ func tuneParams(p schedule.TileParams) schedule.TileParams {
 // transient panel's program runs on the one-shot engine: it dies with the
 // tuning call, so it must never key the residency cache, where its pointer
 // would pin the program and its trace under a key no later lookup can hit.
-// With no program — the interpreter is the resolved executor — the freshly
-// emitted schedule is interpreted. All three are bit-identical (the
-// engine-equivalence property suite holds this), so which one runs never
-// changes a tuner's choice.
-func tuneCycles(single config.NPU, prog *schedule.Program, transient bool, emit func() schedule.Schedule) int64 {
-	opts := sim.Options{}
-	switch {
-	case prog == nil:
-		return sim.RunSchedules(single, opts, emit()).Cycles
-	case transient:
-		return sim.ExecuteProgram(single, opts, prog).Cycles
-	default:
-		return sim.RunProgram(single, opts, prog).Cycles
+// Both paths are bit-identical, so which one runs never changes a tuner's
+// choice.
+func tuneCycles(single config.NPU, prog *schedule.Program, transient bool) int64 {
+	if transient {
+		return sim.ExecuteProgram(single, sim.Options{}, prog).Cycles
 	}
+	return sim.RunProgram(single, sim.Options{}, prog).Cycles
 }
 
 // partKey identifies one single-core partitioned plan's compiled program

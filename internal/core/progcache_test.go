@@ -4,38 +4,42 @@ import (
 	"testing"
 
 	"igosim/internal/config"
+	"igosim/internal/schedule"
 	"igosim/internal/sim"
 	"igosim/internal/tensor"
 )
 
 // TestProgramCacheBitEquivalent proves the shared-program path changes no
 // results: for every policy, a backward pass through the compiled-program
-// cache must be bit-identical to the reference interpreter (which never
-// touches the cache), and the forward pass likewise.
+// cache must equal the refmodel oracle's replay of the same policy's
+// kernels, tuned and composed by the oracle itself (which never touches
+// the cache), and the forward pass likewise.
 func TestProgramCacheBitEquivalent(t *testing.T) {
 	ResetCaches()
 	cfg := config.SmallNPU()
 	p := LayerParams(tensor.Dims{M: 96, K: 384, N: 160}, 7, cfg)
+	if !useProgramCache(sim.Options{}, p) {
+		t.Fatalf("%v does not take the program-cache path", p.Dims)
+	}
 
+	o := newOracle()
 	for _, pol := range Policies() {
 		for _, skipDX := range []bool{false, true} {
 			ResetCaches()
-			got := RunBackward(cfg, sim.Options{Compiled: sim.EngineCompiled}, p, pol, skipDX)
-			ResetCaches()
-			want := RunBackward(cfg, sim.Options{Compiled: sim.EngineInterpreted}, p, pol, skipDX)
-			if got != want {
-				t.Errorf("policy %v skipDX=%v: program-cache path diverged:\n got %+v\nwant %+v",
+			got := RunBackward(cfg, sim.Options{}, p, pol, skipDX)
+			if want := o.backward(cfg, p, pol, skipDX); got != want {
+				t.Errorf("policy %v skipDX=%v: program-cache path diverged from the oracle:\n got %+v\nwant %+v",
 					pol, skipDX, got, want)
 			}
 		}
 	}
 
 	ResetCaches()
-	gotF := RunForward(cfg, sim.Options{Compiled: sim.EngineCompiled}, p)
-	ResetCaches()
-	wantF := RunForward(cfg, sim.Options{Compiled: sim.EngineInterpreted}, p)
+	gotF := RunForward(cfg, sim.Options{}, p)
+	wantF := outcomeFromCounts(oracleCounts(cfg, schedule.Forward(p)))
+	wantF.Dims, wantF.Parts = p.Dims, 1
 	if gotF != wantF {
-		t.Errorf("forward: program-cache path diverged:\n got %+v\nwant %+v", gotF, wantF)
+		t.Errorf("forward: program-cache path diverged from the oracle:\n got %+v\nwant %+v", gotF, wantF)
 	}
 }
 
@@ -50,7 +54,7 @@ func TestProgramCacheSharesAcrossTimings(t *testing.T) {
 	slow := fast.WithBandwidth(fast.DRAMBandwidth / 2)
 	p := LayerParams(tensor.Dims{M: 128, K: 256, N: 128}, 3, fast)
 
-	opts := sim.Options{Compiled: sim.EngineCompiled}
+	opts := sim.Options{}
 	a := RunBackward(fast, opts, p, PolBaseline, false)
 	entries := ProgramCacheLen()
 	if entries == 0 {

@@ -17,8 +17,8 @@
 // naming an analyzer in the run that suppresses no diagnostic is reported
 // as stale (analyzer name "stalemarker"), so certifications and escape
 // hatches cannot outlive the code they were written for. Annotation markers
-// (`//lint:hotpath`, `//lint:sink`, `//lint:guardedcall`, `//lint:walldomain`,
-// `//lint:registered`) use names outside the analyzer roster and are exempt.
+// (`//lint:hotpath`, `//lint:sink`, `//lint:walldomain`, `//lint:registered`)
+// use names outside the analyzer roster and are exempt.
 package analysis
 
 import (
@@ -209,8 +209,8 @@ func (m *markerIndex) suppress(analyzer string, pos token.Position) bool {
 
 // stale returns, in source order, every unused marker whose name is in the
 // ran set. Names outside the set are annotations (hotpath, sink,
-// guardedcall, walldomain, registered) or target analyzers not in this
-// run; neither is this run's business.
+// walldomain, registered) or target analyzers not in this run; neither is
+// this run's business.
 func (m *markerIndex) stale(ran map[string]bool) []*marker {
 	var out []*marker
 	for _, mk := range m.all {

@@ -18,7 +18,6 @@ import (
 var cyclePackages = []string{
 	"internal/sim",
 	"internal/core",
-	"internal/spm",
 	"internal/schedule",
 	"internal/dram",
 	"internal/energy",

@@ -1,9 +1,8 @@
 // Package hotalloc polices the compiled execution path's zero-alloc
 // contract (DESIGN.md §3g). Functions whose doc comment carries a
 // `//lint:hotpath` marker run once per simulated op — the residency-table
-// methods, CompiledEngine.step, the interner probe — and their speedup over
-// the interpreter comes precisely from doing no map lookups and no heap
-// allocations there. The analyzer flags, inside marked functions (and any
+// methods, CompiledEngine.step, the interner probe — and the engine's speed
+// comes precisely from doing no map lookups and no heap allocations there. The analyzer flags, inside marked functions (and any
 // closures they contain):
 //
 //   - map index expressions, reads and writes alike — hot-path state is

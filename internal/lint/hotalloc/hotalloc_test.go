@@ -12,6 +12,5 @@ func TestHotalloc(t *testing.T) {
 		"hotalloctest",             // //lint:hotpath marker semantics
 		"igosim/internal/sim",      // CompiledEngine/residency hot paths stay clean
 		"igosim/internal/schedule", // Compiler.Intern stays clean
-		"igosim/internal/spm",      // interpreter-side buffer has no marked paths
 	)
 }

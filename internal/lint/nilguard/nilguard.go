@@ -17,16 +17,6 @@
 //   - a single-return body that never reads a field of the receiver
 //     (e.g. `func (s *Sink) Enabled() bool { return s != nil }` — method
 //     calls are fine, nil-safe by this same contract; field reads are not).
-//
-// A second rule covers optional callback fields such as spm.Buffer.OnChange:
-// a function-typed struct field whose doc comment carries a
-// `//lint:guardedcall` marker may only be invoked behind a nil check — either
-// lexically inside `if x.Field != nil { ... }` (the condition may be an &&
-// chain) or after an early-return `if x.Field == nil { return }` fast path
-// earlier in the same block. The guard is matched on the full selector
-// expression, so guarding a.Field does not license a call through b.Field.
-// Calls are checked in the field's declaring package (the only place the
-// simulator invokes its hooks); other packages merely assign them.
 package nilguard
 
 import (
@@ -42,21 +32,14 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "nilguard",
 	Doc: "exported pointer-receiver methods on trace.Sink/Track (and //lint:sink types) " +
-		"must start with the `if s == nil` fast-path return; calls through " +
-		"//lint:guardedcall callback fields must sit behind a nil check",
+		"must start with the `if s == nil` fast-path return",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
-	checkSinkMethods(pass)
-	checkGuardedCalls(pass)
-	return nil
-}
-
-func checkSinkMethods(pass *analysis.Pass) {
 	targets := targetTypes(pass)
 	if len(targets) == 0 {
-		return
+		return nil
 	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
@@ -78,181 +61,7 @@ func checkSinkMethods(pass *analysis.Pass) {
 			pass.Reportf(fn.Pos(), "exported method (*%s).%s must begin with the `if %s == nil` fast-path return (zero-overhead-when-disabled contract)", recvType, fn.Name.Name, recvName)
 		}
 	}
-}
-
-// checkGuardedCalls enforces the //lint:guardedcall contract: every call
-// through a marked callback field must be dominated by a nil check on that
-// exact selector expression.
-func checkGuardedCalls(pass *analysis.Pass) {
-	marked := markedCallbackFields(pass)
-	if len(marked) == 0 {
-		return
-	}
-	c := &callChecker{pass: pass, marked: marked}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
-				c.stmts(fn.Body.List, nil)
-			}
-		}
-	}
-}
-
-// markedCallbackFields collects the function-typed struct fields whose doc
-// comment carries the `//lint:guardedcall` marker.
-func markedCallbackFields(pass *analysis.Pass) map[types.Object]bool {
-	marked := make(map[types.Object]bool)
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				if _, ok := field.Type.(*ast.FuncType); !ok {
-					continue
-				}
-				if !hasMarker(field.Doc) && !hasMarker(field.Comment) {
-					continue
-				}
-				for _, name := range field.Names {
-					if obj := pass.TypesInfo.Defs[name]; obj != nil {
-						marked[obj] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	return marked
-}
-
-func hasMarker(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.Contains(c.Text, "lint:guardedcall") {
-			return true
-		}
-	}
-	return false
-}
-
-// callChecker walks function bodies carrying the set of callback selector
-// expressions (keyed by their printed form, e.g. "b.OnChange") currently
-// proven non-nil.
-type callChecker struct {
-	pass   *analysis.Pass
-	marked map[types.Object]bool
-}
-
-// stmts checks a statement list. An early-return `if x.F == nil { return }`
-// extends the guarded set for the remainder of the same block — the shape
-// of spm.Buffer.notifyChange.
-func (c *callChecker) stmts(list []ast.Stmt, guarded map[string]bool) {
-	guarded = cloneSet(guarded)
-	for _, s := range list {
-		if ifs, ok := s.(*ast.IfStmt); ok && ifs.Init == nil {
-			c.walk(ifs.Cond, guarded)
-			c.stmts(ifs.Body.List, withKeys(guarded, c.nilCmpKeys(ifs.Cond, token.NEQ, token.LAND)))
-			if ifs.Else != nil {
-				c.walk(ifs.Else, guarded)
-			}
-			if keys := c.nilCmpKeys(ifs.Cond, token.EQL, token.LOR); len(keys) > 0 && endsInReturn(ifs.Body) {
-				for _, k := range keys {
-					guarded[k] = true
-				}
-			}
-			continue
-		}
-		c.walk(s, guarded)
-	}
-}
-
-// walk checks an arbitrary subtree, descending into nested blocks and if
-// statements with the appropriate guard extensions.
-func (c *callChecker) walk(n ast.Node, guarded map[string]bool) {
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch v := m.(type) {
-		case *ast.BlockStmt:
-			c.stmts(v.List, guarded)
-			return false
-		case *ast.IfStmt:
-			if v.Init != nil {
-				c.walk(v.Init, guarded)
-			}
-			c.walk(v.Cond, guarded)
-			c.stmts(v.Body.List, withKeys(guarded, c.nilCmpKeys(v.Cond, token.NEQ, token.LAND)))
-			if v.Else != nil {
-				c.walk(v.Else, guarded)
-			}
-			return false
-		case *ast.CallExpr:
-			if sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr); ok {
-				if k, ok := c.fieldKey(sel); ok && !guarded[k] {
-					c.pass.Reportf(v.Pos(), "call to guarded callback %s must sit behind an `if %s != nil` check or a preceding nil fast-path return", k, k)
-				}
-			}
-			return true
-		}
-		return true
-	})
-}
-
-// nilCmpKeys collects the marked-field selectors compared against nil with
-// cmp inside a chain of the given logical operator: NEQ/&& operands prove
-// the field non-nil inside the branch, EQL/|| operands prove it non-nil
-// after an early-return branch.
-func (c *callChecker) nilCmpKeys(cond ast.Expr, cmp, chain token.Token) []string {
-	cond = ast.Unparen(cond)
-	if bin, ok := cond.(*ast.BinaryExpr); ok {
-		switch bin.Op {
-		case chain:
-			return append(c.nilCmpKeys(bin.X, cmp, chain), c.nilCmpKeys(bin.Y, cmp, chain)...)
-		case cmp:
-			if k, ok := c.fieldKey(bin.X); ok && isNil(bin.Y) {
-				return []string{k}
-			}
-			if k, ok := c.fieldKey(bin.Y); ok && isNil(bin.X) {
-				return []string{k}
-			}
-		}
-	}
 	return nil
-}
-
-// fieldKey resolves e to a marked callback field selection and returns its
-// printed selector expression as the guard key.
-func (c *callChecker) fieldKey(e ast.Expr) (string, bool) {
-	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	s := c.pass.TypesInfo.Selections[sel]
-	if s == nil || s.Kind() != types.FieldVal || !c.marked[s.Obj()] {
-		return "", false
-	}
-	return types.ExprString(sel), true
-}
-
-func cloneSet(s map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(s))
-	for k := range s {
-		out[k] = true
-	}
-	return out
-}
-
-func withKeys(s map[string]bool, keys []string) map[string]bool {
-	if len(keys) == 0 {
-		return s
-	}
-	out := cloneSet(s)
-	for _, k := range keys {
-		out[k] = true
-	}
-	return out
 }
 
 // targetTypes returns the type names whose methods must be nil-guarded.

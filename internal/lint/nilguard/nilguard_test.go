@@ -10,7 +10,6 @@ import (
 func TestNilguard(t *testing.T) {
 	analysistest.Run(t, "testdata", nilguard.Analyzer,
 		"igosim/internal/trace", // Sink/Track checked by package path
-		"nilguardtest",          // //lint:sink and //lint:guardedcall markers
-		"igosim/internal/spm",   // real OnChange call sites stay guarded
+		"nilguardtest",          // //lint:sink marker
 	)
 }

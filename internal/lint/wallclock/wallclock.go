@@ -1,9 +1,9 @@
 // Package wallclock forbids wall-clock reads (time.Now, time.Since,
 // time.Sleep) and math/rand in the simulator's cycle-accounting packages.
 // Simulated time advances only by integer cycle arithmetic; a wall-clock
-// read or RNG draw in internal/sim, internal/core, internal/spm,
-// internal/schedule, internal/dram, internal/energy, internal/refmodel,
-// internal/proptest or internal/dse would make results vary run to run and
+// read or RNG draw in internal/sim, internal/core, internal/schedule,
+// internal/dram, internal/energy, internal/refmodel, internal/proptest or
+// internal/dse would make results vary run to run and
 // break the byte-identical golden figures (proptest's deterministic
 // splitmix64 source exists precisely so the property suite never needs
 // math/rand). Findings here are unsuppressable.
@@ -46,7 +46,7 @@ var Analyzer = &analysis.Analyzer{
 // are pushed out to cmd/igoserved and the loadtest harness — timeouts
 // reach serve only as time.Duration values.
 var forbidden = []string{
-	"internal/sim", "internal/core", "internal/spm",
+	"internal/sim", "internal/core",
 	"internal/schedule", "internal/dram", "internal/energy",
 	"internal/refmodel", "internal/proptest", "internal/dse",
 	"internal/serve",

@@ -29,12 +29,11 @@ func buildManifest(t *testing.T, cfg config.NPU, models []workload.Model) []byte
 	}
 	m := metrics.NewManifest("igosim")
 	if err := m.SetFingerprint(struct {
-		Tool     string     `json:"tool"`
-		Config   config.NPU `json:"config"`
-		Models   []string   `json:"models"`
-		Policy   string     `json:"policy"`
-		Compiled bool       `json:"compiled"`
-	}{"igosim", cfg, names, "partition", true}); err != nil {
+		Tool   string     `json:"tool"`
+		Config config.NPU `json:"config"`
+		Models []string   `json:"models"`
+		Policy string     `json:"policy"`
+	}{"igosim", cfg, names, "partition"}); err != nil {
 		t.Fatal(err)
 	}
 	m.Config = &cfg

@@ -7,7 +7,6 @@ import (
 	"igosim/internal/refmodel"
 	"igosim/internal/schedule"
 	"igosim/internal/sim"
-	"igosim/internal/spm"
 	"igosim/internal/tensor"
 	"igosim/internal/trace"
 )
@@ -92,11 +91,12 @@ func FuzzTilingCounts(f *testing.F) {
 	})
 }
 
-// FuzzCompiledEngine fuzzes the compiled execution path against the
-// interpreter in case space: bit-exact counter agreement in both free-dY
-// modes (CheckCompiledEquivalence, which also replays the refmodel oracle)
-// and byte-identical trace-event exports — the compiled engine must be
-// indistinguishable from the interpreter to every observer.
+// FuzzCompiledEngine fuzzes the engine's entry points in case space:
+// bit-exact agreement with each other and the refmodel oracle in both
+// free-dY modes (CheckCompiledEquivalence), and tracing as pure
+// observation — a traced run reconciles, returns the untraced result, and
+// exports the same bytes whether the schedules are lowered per call or run
+// as a retained program.
 func FuzzCompiledEngine(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x02, 0x41, 0x17, 0x88, 0x0c, 0x3d, 0x5e, 0x99, 0x21, 0x6f})
@@ -106,19 +106,26 @@ func FuzzCompiledEngine(f *testing.F) {
 		if err := CheckCompiledEquivalence(c); err != nil {
 			t.Fatalf("compiled-equivalence: %v\n  case: %v", err, c)
 		}
+		cfg, scheds := c.Config(), c.Schedules()
+		want := sim.RunSchedules(cfg, sim.Options{}, scheds...)
 		var dumps [2]bytes.Buffer
-		for i, mode := range []sim.EngineChoice{sim.EngineInterpreted, sim.EngineCompiled} {
+		for i, run := range []func(sim.Options) sim.Result{
+			func(o sim.Options) sim.Result { return sim.RunSchedules(cfg, o, scheds...) },
+			func(o sim.Options) sim.Result { return sim.ExecuteProgram(cfg, o, sim.CompileSchedules(scheds...)) },
+		} {
 			snk := trace.New()
-			sim.RunSchedules(c.Config(), sim.Options{Trace: snk, TraceLabel: "fuzz", Compiled: mode}, c.Schedules()...)
+			if got := run(sim.Options{Trace: snk, TraceLabel: "fuzz"}); got != want {
+				t.Fatalf("path %d: traced %+v != untraced %+v\n  case: %v", i, got, want, c)
+			}
 			if err := snk.Check(); err != nil {
-				t.Fatalf("mode %d: trace reconciliation: %v\n  case: %v", mode, err, c)
+				t.Fatalf("path %d: trace reconciliation: %v\n  case: %v", i, err, c)
 			}
 			if err := snk.WriteJSON(&dumps[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if !bytes.Equal(dumps[0].Bytes(), dumps[1].Bytes()) {
-			t.Fatalf("compiled trace differs from interpreted trace\n  case: %v", c)
+			t.Fatalf("retained-program trace differs from RunSchedules trace\n  case: %v", c)
 		}
 	})
 }
@@ -176,157 +183,6 @@ func (e *multisetError) Error() string {
 		return "op not in baseline multiset: " + e.op.Out.Key.Class.String()
 	}
 	return "op count mismatch"
-}
-
-// FuzzSPMResidency differentially tests the production LRU (intrusive
-// list + map) against a brutally simple slice model: identical hits,
-// misses, evictions, eviction order, byte occupancy and full recency
-// ordering after every operation.
-func FuzzSPMResidency(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x10, 0x20, 0x30, 0x40})
-	f.Add([]byte{0x7f, 0x03, 0x91, 0x15, 0xe4, 0x33, 0x02, 0x58, 0x9b, 0xcc, 0xdd})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s := FromBytes(data)
-		capacity := int64(s.IntRange(8, 512))
-		buf := spm.New[int](capacity)
-		ref := newRefLRU(capacity)
-
-		nops := s.IntRange(1, 200)
-		for i := 0; i < nops; i++ {
-			key := s.IntRange(0, 30)
-			switch s.Pick(4) {
-			case 0:
-				wantHit := ref.touch(key)
-				if got := buf.Touch(key); got != wantHit {
-					t.Fatalf("op %d: Touch(%d) = %v, reference says %v", i, key, got, wantHit)
-				}
-			case 1:
-				bytes := int64(s.IntRange(1, int(capacity)))
-				wantEv := ref.insert(key, bytes)
-				gotEv := buf.Insert(key, bytes)
-				if len(gotEv) != len(wantEv) {
-					t.Fatalf("op %d: Insert(%d,%d) evicted %v, reference %v", i, key, bytes, gotEv, wantEv)
-				}
-				for j := range gotEv {
-					if gotEv[j] != wantEv[j] {
-						t.Fatalf("op %d: eviction order %v, reference %v", i, gotEv, wantEv)
-					}
-				}
-			case 2:
-				want := ref.remove(key)
-				if got := buf.Remove(key); got != want {
-					t.Fatalf("op %d: Remove(%d) = %v, reference says %v", i, key, got, want)
-				}
-			default:
-				want := ref.contains(key)
-				if got := buf.Contains(key); got != want {
-					t.Fatalf("op %d: Contains(%d) = %v, reference says %v", i, key, got, want)
-				}
-			}
-
-			if buf.Used() != ref.used() {
-				t.Fatalf("op %d: used %d, reference %d", i, buf.Used(), ref.used())
-			}
-			if buf.Len() != len(ref.entries) {
-				t.Fatalf("op %d: len %d, reference %d", i, buf.Len(), len(ref.entries))
-			}
-			gotKeys := buf.Keys()
-			if len(gotKeys) != len(ref.entries) {
-				t.Fatalf("op %d: Keys() has %d entries, reference %d", i, len(gotKeys), len(ref.entries))
-			}
-			for j, k := range gotKeys {
-				if k != ref.entries[j].key {
-					t.Fatalf("op %d: recency order %v, reference %v", i, gotKeys, ref.keyList())
-				}
-			}
-		}
-		if buf.Stats != (spm.Stats{Hits: ref.hits, Misses: ref.misses, Evictions: ref.evictions}) {
-			t.Fatalf("stats %+v, reference hits %d misses %d evictions %d",
-				buf.Stats, ref.hits, ref.misses, ref.evictions)
-		}
-	})
-}
-
-// refLRU is the naive reference: a slice ordered most-recently-used first.
-type refLRU struct {
-	capacity                int64
-	entries                 []refEntry
-	hits, misses, evictions int64
-}
-
-type refEntry struct {
-	key   int
-	bytes int64
-}
-
-func newRefLRU(capacity int64) *refLRU { return &refLRU{capacity: capacity} }
-
-func (r *refLRU) find(key int) int {
-	for i, e := range r.entries {
-		if e.key == key {
-			return i
-		}
-	}
-	return -1
-}
-
-func (r *refLRU) used() int64 {
-	var u int64
-	for _, e := range r.entries {
-		u += e.bytes
-	}
-	return u
-}
-
-func (r *refLRU) contains(key int) bool { return r.find(key) >= 0 }
-
-func (r *refLRU) touch(key int) bool {
-	i := r.find(key)
-	if i < 0 {
-		r.misses++
-		return false
-	}
-	r.hits++
-	e := r.entries[i]
-	r.entries = append(r.entries[:i], r.entries[i+1:]...)
-	r.entries = append([]refEntry{e}, r.entries...)
-	return true
-}
-
-func (r *refLRU) insert(key int, bytes int64) []int {
-	if i := r.find(key); i >= 0 {
-		e := r.entries[i]
-		r.entries = append(r.entries[:i], r.entries[i+1:]...)
-		r.entries = append([]refEntry{e}, r.entries...)
-		return nil
-	}
-	var evicted []int
-	for r.used()+bytes > r.capacity && len(r.entries) > 0 {
-		last := r.entries[len(r.entries)-1]
-		r.entries = r.entries[:len(r.entries)-1]
-		r.evictions++
-		evicted = append(evicted, last.key)
-	}
-	r.entries = append([]refEntry{{key: key, bytes: bytes}}, r.entries...)
-	return evicted
-}
-
-func (r *refLRU) remove(key int) bool {
-	i := r.find(key)
-	if i < 0 {
-		return false
-	}
-	r.entries = append(r.entries[:i], r.entries[i+1:]...)
-	return true
-}
-
-func (r *refLRU) keyList() []int {
-	out := make([]int, len(r.entries))
-	for i, e := range r.entries {
-		out[i] = e.key
-	}
-	return out
 }
 
 // TestRefmodelSmoke keeps one direct compile-time dependency on refmodel's

@@ -93,24 +93,33 @@ func CheckMultiOracle(c Case) error {
 	return nil
 }
 
-// CheckCompiledEquivalence is the three-way agreement property behind the
-// compiled execution path (DESIGN.md §3g): for every generated case and
-// both free-dY modes, the compiled engine, the interpreter and the
-// refmodel oracle must agree bit-exactly on every counter. The
-// compiled/interpreted comparison is full-struct equality; the oracle
-// comparison reuses refmodel's field-by-field diff for readable failures.
+// CheckCompiledEquivalence holds the engine's entry points together and to
+// the oracle (DESIGN.md §3g): for every generated case and both free-dY
+// modes, RunSchedules (pooled lowering), ExecuteProgram on a retained
+// CompileSchedules program, and a CompiledEngine bound to schedule.Compile
+// must produce identical Results, and the refmodel oracle must agree with
+// them on every counter. The entry-point comparison is full-struct
+// equality; the oracle comparison reuses refmodel's field-by-field diff
+// for readable failures.
 func CheckCompiledEquivalence(c Case) error {
 	cfg := c.Config()
 	scheds := c.Schedules()
+	retained := sim.CompileSchedules(scheds...)
+	prog := schedule.Compile(scheds...)
 	for _, free := range []bool{false, true} {
-		interp := sim.RunSchedules(cfg, sim.Options{FreeDYOnDW: free, Compiled: sim.EngineInterpreted}, scheds...)
-		compiled := sim.RunSchedules(cfg, sim.Options{FreeDYOnDW: free, Compiled: sim.EngineCompiled}, scheds...)
-		if !reflect.DeepEqual(compiled, interp) {
-			return fmt.Errorf("freeDY=%v: compiled %+v != interpreted %+v", free, compiled, interp)
+		opts := sim.Options{FreeDYOnDW: free}
+		pooled := sim.RunSchedules(cfg, opts, scheds...)
+		if got := sim.ExecuteProgram(cfg, opts, retained); !reflect.DeepEqual(got, pooled) {
+			return fmt.Errorf("freeDY=%v: retained program %+v != RunSchedules %+v", free, got, pooled)
+		}
+		e := sim.NewCompiledEngine(cfg, opts)
+		e.RunProgram(&prog)
+		if got := e.Result(); !reflect.DeepEqual(got, pooled) {
+			return fmt.Errorf("freeDY=%v: bound engine %+v != RunSchedules %+v", free, got, pooled)
 		}
 		want := refmodel.ReplaySchedules(cfg, refmodel.Options{FreeDYOnDW: free}, scheds...)
-		if err := refmodel.Compare(compiled, want); err != nil {
-			return fmt.Errorf("freeDY=%v: compiled vs oracle: %w", free, err)
+		if err := refmodel.Compare(pooled, want); err != nil {
+			return fmt.Errorf("freeDY=%v: engine vs oracle: %w", free, err)
 		}
 	}
 	return nil

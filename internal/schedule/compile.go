@@ -7,10 +7,10 @@ import (
 )
 
 // This file lowers tile-op streams into a dense, execution-ready program
-// form (DESIGN.md §3g). The interpreter (sim.Engine) resolves every access
-// through map-keyed residency lookups on the 16-byte TileKey; the compiled
-// form interns each distinct key into a small integer once, so the engine
-// can run against flat arrays with zero map traffic and zero allocations in
+// form (DESIGN.md §3g). Rather than resolving every access through
+// map-keyed residency lookups on the 16-byte TileKey, the compiled form
+// interns each distinct key into a small integer once, so the engine can
+// run against flat arrays with zero map traffic and zero allocations in
 // steady state. Everything derivable from the op alone — byte sizes, tensor
 // classes, the OutFirst/OutLast protocol bits, whether an operand is a dY
 // read of a dW op (the Section 3.3 free-dY predicate) — is precomputed at
@@ -263,7 +263,7 @@ func (c *Compiler) CompileStream(dst []CompiledOp, s OpStream) []CompiledOp {
 
 // Compile lowers a schedule sequence into one program. Each schedule
 // becomes a kernel (flushed boundary); tile IDs are shared across kernels
-// so cross-kernel aliasing matches the interpreter's key-based residency.
+// so a tile's identity is its TileKey across the whole program.
 func Compile(scheds ...Schedule) Program {
 	c := NewCompiler()
 	var n int
@@ -280,30 +280,6 @@ func Compile(scheds ...Schedule) Program {
 			prog.Code = append(prog.Code, c.Lower(&s.Ops[i]))
 		}
 		prog.Kernels = append(prog.Kernels, Kernel{Name: s.Name, Start: start, End: len(prog.Code)})
-	}
-	prog.Table = c.Table()
-	return prog
-}
-
-// StreamKernel names one kernel's op stream for CompileStreams.
-type StreamKernel struct {
-	Name string
-	Ops  OpStream
-}
-
-// CompileStreams is Compile for pull-based generators: the program is built
-// directly from the streams, so peak memory never holds a materialized
-// []Op.
-func CompileStreams(kernels ...StreamKernel) Program {
-	c := NewCompiler()
-	prog := Program{Kernels: make([]Kernel, 0, len(kernels))}
-	for _, k := range kernels {
-		start := len(prog.Code)
-		k.Ops(func(op *Op) bool {
-			prog.Code = append(prog.Code, c.Lower(op))
-			return true
-		})
-		prog.Kernels = append(prog.Kernels, Kernel{Name: k.Name, Start: start, End: len(prog.Code)})
 	}
 	prog.Table = c.Table()
 	return prog

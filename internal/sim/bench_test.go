@@ -4,21 +4,19 @@ import (
 	"testing"
 
 	"igosim/internal/bench"
-	"igosim/internal/sim"
 )
 
 // BenchmarkCompiledEngine measures a full ResNet-50 backward pass per
-// iteration: the interpreter against the compiled path (lower + execute),
-// plus the compiled steady state (programs lowered once, execution only).
-// The bodies live in internal/bench so cmd/benchjson reports exactly the
-// numbers this benchmark measures.
+// iteration: full passes (lower + execute) and the steady state (programs
+// lowered once, execution only). The bodies live in internal/bench so
+// cmd/benchjson reports exactly the numbers this benchmark measures.
 func BenchmarkCompiledEngine(b *testing.B) {
 	w := bench.ResNet50Backward()
-	// The two paths must agree before their speeds are worth comparing.
+	// The engine must agree with the oracle before its speed is worth
+	// measuring.
 	if err := w.Verify(); err != nil {
 		b.Fatal(err)
 	}
-	b.Run("interpreted", w.Pass(sim.EngineInterpreted))
-	b.Run("compiled", w.Pass(sim.EngineCompiled))
+	b.Run("compiled", w.Pass())
 	b.Run("steady", w.Steady())
 }

@@ -7,7 +7,6 @@ import (
 	"igosim/internal/dram"
 	"igosim/internal/runner"
 	"igosim/internal/schedule"
-	"igosim/internal/spm"
 	"igosim/internal/systolic"
 	"igosim/internal/trace"
 )
@@ -15,27 +14,26 @@ import (
 // Compiled execution (DESIGN.md §3g). schedule.Compile lowers a kernel
 // sequence into a dense program — tile keys interned to int32 IDs, byte
 // sizes, classes and protocol flags resolved per op — and CompiledEngine
-// replays it against array-indexed residency state: an intrusive
+// executes it against array-indexed residency state: an intrusive
 // doubly-linked LRU over the tile-ID space with no map lookups and no
-// allocations in steady state. The engine is a cycle- and counter-exact
-// replacement for the interpreter (Engine.step); PropCompiledEquivalence
-// and the refmodel oracle hold the two to bit-exact agreement, and traced
-// runs emit the identical event sequence so the golden trace bytes and
-// Sink.Check reconciliation are unchanged.
+// allocations in steady state. The refmodel oracle, an independent
+// access-list interpreter, holds every counter to bit-exact agreement
+// (the property suite and `validate -refcheck`), and the golden trace
+// files pin the event sequence traced runs emit.
 
 // nilID terminates the intrusive LRU list.
 const nilID = int32(-1)
 
-// residency is the compiled engines' scratchpad model: spm.Buffer semantics
-// (byte-capacity LRU, hit/miss/eviction stats, identical eviction order)
-// over dense tile-ID arrays instead of a map of heap nodes.
+// residency is the engines' scratchpad model: a byte-capacity LRU set with
+// hit/miss/eviction stats, evicting least-recently-used tiles first, over
+// dense tile-ID arrays.
 type residency struct {
 	capacity, used int64
 	head, tail     int32
 	prev, next     []int32
 	resident       []bool
 	resBytes       []int64
-	stats          spm.Stats
+	stats          SPMStats
 	victims        []int32 // eviction scratch, reused across inserts
 }
 
@@ -55,8 +53,8 @@ func (r *residency) grow(n int) {
 	r.resBytes = make([]int64, n)
 }
 
-// reset empties the residency set. Stats are preserved (mirroring
-// spm.Buffer.Flush); zero them separately when starting a fresh run.
+// reset empties the residency set. Stats are preserved across this kernel
+// boundary; zero them separately when starting a fresh run.
 func (r *residency) reset() {
 	clear(r.resident)
 	r.used = 0
@@ -82,8 +80,9 @@ func (r *residency) touch(id schedule.TileID) bool {
 
 // insert adds id, evicting LRU tiles as needed. The returned victim slice
 // (oldest first, valid until the next insert) lists evicted IDs; changed is
-// false when id was already resident (recency refreshed, nothing evicted) —
-// the cases spm.Buffer.Insert reports by returning early.
+// false when id was already resident (recency refreshed, nothing evicted).
+// A tile larger than the whole set cannot be held: insert panics, because
+// the tiler is required to produce SPM-fitting tiles.
 //
 //lint:hotpath
 func (r *residency) insert(id schedule.TileID, bytes int64) (evicted []int32, changed bool) {
@@ -162,10 +161,10 @@ func (r *residency) pushFront(i int32) {
 	}
 }
 
-// CompiledEngine executes compiled programs on one NPU core. It is the
-// fast path behind RunSchedules; the interpreter (Engine) remains as the
-// checkable slow path. Reuse pattern: Init (per configuration) -> Bind (per
-// program) -> Execute; Result reads the accumulated outcome.
+// CompiledEngine executes compiled programs on one NPU core; it is the
+// engine behind RunSchedules, RunProgram and ExecuteProgram. Reuse
+// pattern: Init (per configuration) -> Bind (per program) -> Execute;
+// Result reads the accumulated outcome.
 type CompiledEngine struct {
 	cfg  config.NPU
 	arr  systolic.Array
@@ -217,7 +216,7 @@ func (e *CompiledEngine) Init(cfg config.NPU, opts Options) {
 		BurstLatency:  cfg.DRAMLatency,
 	}
 	// Half of the SPM is the double-buffer fill target; the residency set
-	// models the other half (Section 2.2) — same split as the interpreter.
+	// models the other half (Section 2.2).
 	e.resv.capacity = cfg.SPMBytes / 2
 	e.opts = opts
 	e.freeDY = opts.FreeDYOnDW
@@ -235,7 +234,7 @@ func (e *CompiledEngine) Init(cfg config.NPU, opts Options) {
 	e.rec, e.recOK = nil, false
 	e.recTm, e.recTk, e.recTn = -1, -1, -1
 	e.recDim = 0
-	e.resv.stats = spm.Stats{}
+	e.resv.stats = SPMStats{}
 	e.memDone, e.compDone, e.prevCompEnd = 0, 0, 0
 	e.res = Result{}
 }
@@ -280,14 +279,17 @@ func (e *CompiledEngine) Bind(prog *schedule.Program) {
 // keeping the configuration and bound program.
 func (e *CompiledEngine) Reset() {
 	e.resv.reset()
-	e.resv.stats = spm.Stats{}
+	e.resv.stats = SPMStats{}
 	clear(e.liveBytes)
 	e.memDone, e.compDone, e.prevCompEnd = 0, 0, 0
 	e.res = Result{}
 }
 
-// flushSPM empties the scratchpad at a kernel boundary, mirroring
-// Engine.FlushSPM (including the occupancy sample a traced run records).
+// flushSPM empties the scratchpad without touching pipeline time or
+// accumulated results, recording the occupancy drop on a traced run. It
+// models a kernel boundary: sequential execution frees each operation's
+// staged buffers, which is exactly why the conventional backward pass
+// cannot reuse dY across the two gradient GEMMs (Section 3.2).
 func (e *CompiledEngine) flushSPM() {
 	e.resv.reset()
 	clear(e.liveBytes)
@@ -330,8 +332,10 @@ func (e *CompiledEngine) Result() Result {
 	return r
 }
 
-// step mirrors Engine.step exactly — same residency decisions, counter
-// updates, pipeline advance and trace-event sequence — over compiled ops.
+// step executes a single compiled op through the two-stage pipeline. Spill
+// write-backs are accounted separately from ordinary fetches and drains so
+// the trace layer can attribute stall cycles to scratchpad pressure; the
+// transfer timing itself depends only on the totals.
 //
 //lint:hotpath
 func (e *CompiledEngine) step(op *schedule.CompiledOp, compCycles int64) {
@@ -422,9 +426,8 @@ func (e *CompiledEngine) step(op *schedule.CompiledOp, compCycles int64) {
 }
 
 // insert places a tile in the residency set, charging spill writes for any
-// live partial-sum tiles that get evicted. Trace events keep the
-// interpreter's order: the occupancy sample (spm.Buffer.OnChange fires as
-// Insert returns) precedes the spill instants (charged by the caller).
+// live partial-sum tiles that get evicted. On a traced run the occupancy
+// sample precedes the spill instants.
 //
 //lint:hotpath
 func (e *CompiledEngine) insert(id schedule.TileID, bytes int64, spillBytes *int64, spillBursts *int) {
@@ -480,8 +483,8 @@ func (cr *compiledRunner) run(cfg config.NPU, opts Options, compile func(*compil
 	return r
 }
 
-// runSchedulesCompiled is RunSchedules' compiled path: lower, execute,
-// return the runner to the pool.
+// runSchedulesCompiled lowers scheds into a pooled runner, executes them
+// and returns the runner to the pool.
 func runSchedulesCompiled(cfg config.NPU, opts Options, scheds []schedule.Schedule) Result {
 	cr := compiledPool.Get()
 	r := cr.run(cfg, opts, func(cr *compiledRunner) {
@@ -491,24 +494,6 @@ func runSchedulesCompiled(cfg config.NPU, opts Options, scheds []schedule.Schedu
 				cr.code = append(cr.code, cr.comp.Lower(&s.Ops[i]))
 			}
 			cr.kernels = append(cr.kernels, schedule.Kernel{Name: s.Name, Start: start, End: len(cr.code)})
-		}
-	})
-	compiledPool.Put(cr)
-	return r
-}
-
-// runStreamsCompiled compiles kernels directly from their streams (no
-// materialized []Op) and executes the program.
-func runStreamsCompiled(cfg config.NPU, opts Options, kernels []schedule.StreamKernel) Result {
-	cr := compiledPool.Get()
-	r := cr.run(cfg, opts, func(cr *compiledRunner) {
-		for _, k := range kernels {
-			start := len(cr.code)
-			k.Ops(func(op *schedule.Op) bool {
-				cr.code = append(cr.code, cr.comp.Lower(op))
-				return true
-			})
-			cr.kernels = append(cr.kernels, schedule.Kernel{Name: k.Name, Start: start, End: len(cr.code)})
 		}
 	})
 	compiledPool.Put(cr)

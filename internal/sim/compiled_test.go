@@ -1,4 +1,7 @@
-package sim
+// The engine-versus-oracle tests live in the external test package: the
+// refmodel oracle imports internal/sim, so an in-package test could not
+// import it.
+package sim_test
 
 import (
 	"bytes"
@@ -6,22 +9,24 @@ import (
 	"testing"
 
 	"igosim/internal/config"
+	"igosim/internal/refmodel"
 	"igosim/internal/schedule"
+	"igosim/internal/sim"
 	"igosim/internal/tensor"
 	"igosim/internal/trace"
 )
 
 // tightCfg shrinks the scratchpad below the test layers' working sets so the
-// compiled/interpreted comparison covers evictions, spills and fetch-backs.
+// engine/oracle comparison covers evictions, spills and fetch-backs.
 func tightCfg() config.NPU {
-	cfg := testCfg()
+	cfg := sim.TestCfg()
 	cfg.SPMBytes = 1 << 10
 	return cfg
 }
 
 // burstCfg adds DRAM burst latency so per-op burst counts matter.
 func burstCfg() config.NPU {
-	cfg := testCfg()
+	cfg := sim.TestCfg()
 	cfg.DRAMLatency = 7
 	return cfg
 }
@@ -29,17 +34,17 @@ func burstCfg() config.NPU {
 // testKernelSets enumerates schedule sequences covering the protocol space:
 // multi-kernel flushes, fused interleaving, chunked partials and edge tiles.
 func testKernelSets() map[string][]schedule.Schedule {
-	p := params(tensor.Dims{M: 16, K: 16, N: 16}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
+	p := sim.Params(tensor.Dims{M: 16, K: 16, N: 16}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
 	// Uneven dims produce edge tiles with distinct byte sizes and systolic
 	// costs.
-	pe := params(tensor.Dims{M: 18, K: 13, N: 10}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
+	pe := sim.Params(tensor.Dims{M: 18, K: 13, N: 10}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
 	return map[string][]schedule.Schedule{
 		"baseline-two-kernels": {
 			{Name: "dx", Ops: schedule.BaselineDX(p)},
 			{Name: "dw", Ops: schedule.BaselineDW(p)},
 		},
 		"paired-interleave": {
-			{Name: "fused", Ops: pairedBackward(p)},
+			{Name: "fused", Ops: sim.PairedBackward(p)},
 		},
 		"chunked-partials": {
 			{Name: "dx", Ops: schedule.PartialStationaryDX(p, 2)},
@@ -48,65 +53,78 @@ func testKernelSets() map[string][]schedule.Schedule {
 		"edge-tiles": {
 			{Name: "dx", Ops: schedule.PartialStationaryDXCols(pe, 2)},
 			{Name: "dw", Ops: schedule.PartialStationaryDW(pe, 2)},
-			{Name: "fused", Ops: pairedBackward(pe)},
+			{Name: "fused", Ops: sim.PairedBackward(pe)},
 		},
 	}
 }
 
-// TestCompiledMatchesInterpreter holds the compiled engine to full Result
-// equality with the interpreter across configurations, kernel shapes and
-// the free-dY study toggle.
+// TestCompiledMatchesInterpreter holds the engine to the refmodel reference
+// interpreter on every counter across configurations, kernel shapes and the
+// free-dY study toggle, and the retained-program path (CompileSchedules +
+// ExecuteProgram) to full Result equality with RunSchedules.
 func TestCompiledMatchesInterpreter(t *testing.T) {
 	cfgs := map[string]config.NPU{
-		"base":  testCfg(),
+		"base":  sim.TestCfg(),
 		"tight": tightCfg(),
 		"burst": burstCfg(),
 	}
 	for cname, cfg := range cfgs {
 		for kname, scheds := range testKernelSets() {
+			prog := sim.CompileSchedules(scheds...)
 			for _, free := range []bool{false, true} {
-				want := RunSchedules(cfg, Options{FreeDYOnDW: free, Compiled: EngineInterpreted}, scheds...)
-				got := RunSchedules(cfg, Options{FreeDYOnDW: free, Compiled: EngineCompiled}, scheds...)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s freeDY=%v: compiled %+v != interpreted %+v",
-						cname, kname, free, got, want)
+				got := sim.RunSchedules(cfg, sim.Options{FreeDYOnDW: free}, scheds...)
+				want := refmodel.ReplaySchedules(cfg, refmodel.Options{FreeDYOnDW: free}, scheds...)
+				if err := refmodel.Compare(got, want); err != nil {
+					t.Errorf("%s/%s freeDY=%v: %v", cname, kname, free, err)
+				}
+				if ret := sim.ExecuteProgram(cfg, sim.Options{FreeDYOnDW: free}, prog); !reflect.DeepEqual(ret, got) {
+					t.Errorf("%s/%s freeDY=%v: retained program %+v != RunSchedules %+v", cname, kname, free, ret, got)
 				}
 			}
 		}
 	}
 }
 
-// TestCompiledSpillsUnderPressure guards that the equivalence above is not
+// TestCompiledSpillsUnderPressure guards that the comparison above is not
 // vacuous: the tight configuration must actually exercise spills.
 func TestCompiledSpillsUnderPressure(t *testing.T) {
 	scheds := testKernelSets()["paired-interleave"]
-	r := RunSchedules(tightCfg(), Options{Compiled: EngineCompiled}, scheds...)
+	r := sim.RunSchedules(tightCfg(), sim.Options{}, scheds...)
 	if r.Spills == 0 {
-		t.Fatal("tight config no longer spills — shrink its SPM so the compiled/interpreted comparison keeps covering spill paths")
+		t.Fatal("tight config no longer spills — shrink its SPM so the engine/oracle comparison keeps covering spill paths")
 	}
 	if r.SPM.Evictions == 0 {
 		t.Fatal("tight config no longer evicts")
 	}
 }
 
-// TestCompiledTraceParity compares the full trace-event export byte for
-// byte: the compiled engine must emit the identical event sequence, not
-// just identical counters.
+// TestCompiledTraceParity checks tracing is observation only: a traced run
+// reconciles, returns the untraced Result, and exports the same trace
+// bytes whether the schedules are lowered per call (RunSchedules) or run
+// as a retained program (ExecuteProgram).
 func TestCompiledTraceParity(t *testing.T) {
 	for kname, scheds := range testKernelSets() {
+		want := sim.RunSchedules(tightCfg(), sim.Options{}, scheds...)
 		var dumps [2]bytes.Buffer
-		for i, mode := range []EngineChoice{EngineInterpreted, EngineCompiled} {
+		for i, run := range []func(sim.Options) sim.Result{
+			func(o sim.Options) sim.Result { return sim.RunSchedules(tightCfg(), o, scheds...) },
+			func(o sim.Options) sim.Result {
+				return sim.ExecuteProgram(tightCfg(), o, sim.CompileSchedules(scheds...))
+			},
+		} {
 			sink := trace.New()
-			RunSchedules(tightCfg(), Options{Trace: sink, TraceLabel: "parity", Compiled: mode}, scheds...)
+			if got := run(sim.Options{Trace: sink, TraceLabel: "parity"}); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s path %d: traced %+v != untraced %+v", kname, i, got, want)
+			}
 			if err := sink.Check(); err != nil {
-				t.Fatalf("%s mode %d: %v", kname, mode, err)
+				t.Fatalf("%s path %d: %v", kname, i, err)
 			}
 			if err := sink.WriteJSON(&dumps[i]); err != nil {
 				t.Fatalf("%s: %v", kname, err)
 			}
 		}
 		if !bytes.Equal(dumps[0].Bytes(), dumps[1].Bytes()) {
-			t.Errorf("%s: compiled trace differs from interpreted trace", kname)
+			t.Errorf("%s: retained-program trace differs from RunSchedules trace", kname)
 		}
 	}
 }
@@ -115,25 +133,31 @@ func TestCompiledTraceParity(t *testing.T) {
 // the same dY tiles (shared-hit coverage) and the scratchpad is under
 // pressure.
 func multiPhases() [][][]schedule.Op {
-	p := params(tensor.Dims{M: 16, K: 16, N: 16}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
+	p := sim.Params(tensor.Dims{M: 16, K: 16, N: 16}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
 	return [][][]schedule.Op{
 		{schedule.BaselineDX(p), schedule.BaselineDXOrdered(p, schedule.DXOrderKM)},
 		{schedule.BaselineDW(p), schedule.BaselineDWOrdered(p, schedule.DWOrderNK)},
 	}
 }
 
-// TestCompiledMultiMatchesInterpreter holds the compiled multi-core path to
-// full MultiResult equality, in both scratchpad organisations.
-func TestCompiledMultiMatchesInterpreter(t *testing.T) {
-	cfg := testCfg()
+func multiCfg() config.NPU {
+	cfg := sim.TestCfg()
 	cfg.Cores = 2
 	cfg.SPMBytes = 1 << 10
+	return cfg
+}
+
+// TestCompiledMultiMatchesInterpreter holds the multi-core engine to the
+// refmodel reference interpreter on every counter, in both scratchpad
+// organisations and both dY regimes.
+func TestCompiledMultiMatchesInterpreter(t *testing.T) {
+	cfg := multiCfg()
 	for _, shared := range []bool{true, false} {
 		for _, free := range []bool{false, true} {
-			want := RunMultiPhased(cfg, Options{FreeDYOnDW: free, Compiled: EngineInterpreted}, multiPhases(), shared)
-			got := RunMultiPhased(cfg, Options{FreeDYOnDW: free, Compiled: EngineCompiled}, multiPhases(), shared)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("shared=%v freeDY=%v: compiled %+v != interpreted %+v", shared, free, got, want)
+			got := sim.RunMultiPhased(cfg, sim.Options{FreeDYOnDW: free}, multiPhases(), shared)
+			want := refmodel.ReplayMulti(cfg, refmodel.Options{FreeDYOnDW: free}, multiPhases(), shared)
+			if err := refmodel.CompareMulti(got, want); err != nil {
+				t.Errorf("shared=%v freeDY=%v: %v", shared, free, err)
 			}
 			if shared && want.SharedHits == 0 {
 				t.Error("multi workload no longer produces shared hits — the comparison lost its cross-core coverage")
@@ -143,46 +167,20 @@ func TestCompiledMultiMatchesInterpreter(t *testing.T) {
 }
 
 // TestCompiledMultiTraceParity is TestCompiledTraceParity for the
-// multi-core path (per-core tracks, per-buffer occupancy tracks, phases).
+// multi-core path (per-core tracks, per-buffer occupancy tracks, phases):
+// a traced run reconciles and returns the untraced result. The exported
+// bytes are pinned by the multi-core trace goldens in internal/trace.
 func TestCompiledMultiTraceParity(t *testing.T) {
-	cfg := testCfg()
-	cfg.Cores = 2
-	cfg.SPMBytes = 1 << 10
+	cfg := multiCfg()
 	for _, shared := range []bool{true, false} {
-		var dumps [2]bytes.Buffer
-		for i, mode := range []EngineChoice{EngineInterpreted, EngineCompiled} {
-			sink := trace.New()
-			RunMultiPhased(cfg, Options{Trace: sink, TraceLabel: "mparity", Compiled: mode}, multiPhases(), shared)
-			if err := sink.Check(); err != nil {
-				t.Fatalf("shared=%v mode %d: %v", shared, mode, err)
-			}
-			if err := sink.WriteJSON(&dumps[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !bytes.Equal(dumps[0].Bytes(), dumps[1].Bytes()) {
-			t.Errorf("shared=%v: compiled multi-core trace differs from interpreted", shared)
-		}
-	}
-}
-
-// TestRunStreamsMatchesRunSchedules checks the stream entry point against
-// the materialized one on both executors.
-func TestRunStreamsMatchesRunSchedules(t *testing.T) {
-	p := params(tensor.Dims{M: 16, K: 16, N: 16}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
-	scheds := []schedule.Schedule{
-		{Name: "dx", Ops: schedule.PartialStationaryDX(p, 2)},
-		{Name: "dw", Ops: schedule.PartialStationaryDW(p, 2)},
-	}
-	kernels := []schedule.StreamKernel{
-		{Name: "dx", Ops: schedule.PartialStationaryDXStream(p, 2)},
-		{Name: "dw", Ops: schedule.PartialStationaryDWStream(p, 2)},
-	}
-	for _, mode := range []EngineChoice{EngineInterpreted, EngineCompiled} {
-		want := RunSchedules(tightCfg(), Options{Compiled: mode}, scheds...)
-		got := RunStreams(tightCfg(), Options{Compiled: mode}, kernels...)
+		want := sim.RunMultiPhased(cfg, sim.Options{}, multiPhases(), shared)
+		sink := trace.New()
+		got := sim.RunMultiPhased(cfg, sim.Options{Trace: sink, TraceLabel: "mparity"}, multiPhases(), shared)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("mode %d: RunStreams %+v != RunSchedules %+v", mode, got, want)
+			t.Errorf("shared=%v: traced %+v != untraced %+v", shared, got, want)
+		}
+		if err := sink.Check(); err != nil {
+			t.Fatalf("shared=%v: %v", shared, err)
 		}
 	}
 }
@@ -193,40 +191,17 @@ func TestCompiledEngineReuse(t *testing.T) {
 	big := testKernelSets()["edge-tiles"]
 	small := testKernelSets()["baseline-two-kernels"]
 
-	fresh := NewCompiledEngine(tightCfg(), Options{})
+	fresh := sim.NewCompiledEngine(tightCfg(), sim.Options{})
 	progSmall := schedule.Compile(small...)
 	fresh.RunProgram(&progSmall)
 	want := fresh.Result()
 
-	reused := NewCompiledEngine(burstCfg(), Options{FreeDYOnDW: true})
+	reused := sim.NewCompiledEngine(burstCfg(), sim.Options{FreeDYOnDW: true})
 	progBig := schedule.Compile(big...)
 	reused.RunProgram(&progBig)
-	reused.Init(tightCfg(), Options{})
+	reused.Init(tightCfg(), sim.Options{})
 	reused.RunProgram(&progSmall)
 	if got := reused.Result(); !reflect.DeepEqual(got, want) {
 		t.Errorf("reused engine %+v != fresh engine %+v", got, want)
-	}
-}
-
-// TestSetCompiledDefault checks the process-wide default toggle and its
-// return-previous contract.
-func TestSetCompiledDefault(t *testing.T) {
-	orig := CompiledDefault()
-	defer SetCompiledDefault(orig)
-	if prev := SetCompiledDefault(false); prev != orig {
-		t.Errorf("SetCompiledDefault returned %v, want %v", prev, orig)
-	}
-	if CompiledDefault() {
-		t.Error("default still compiled after SetCompiledDefault(false)")
-	}
-	if (Options{}).useCompiled() {
-		t.Error("EngineDefault ignored the process default")
-	}
-	if !(Options{Compiled: EngineCompiled}).useCompiled() {
-		t.Error("EngineCompiled did not force the compiled path")
-	}
-	SetCompiledDefault(true)
-	if !(Options{}).useCompiled() || (Options{Compiled: EngineInterpreted}).useCompiled() {
-		t.Error("default restore or EngineInterpreted override broken")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"igosim/internal/config"
 	"igosim/internal/dram"
 	"igosim/internal/schedule"
-	"igosim/internal/spm"
 	"igosim/internal/systolic"
 	"igosim/internal/trace"
 )
@@ -67,6 +66,11 @@ func RunMulti(cfg config.NPU, opts Options, streams [][]schedule.Op) MultiResult
 // distribution step places partition-shared tensors once for all cores
 // (shared == true).
 //
+// One compiler interns tiles across every phase and stream, so a tile
+// shared between cores (the duplicated dY of ifmap-sharing partitioning)
+// carries one ID everywhere and the shared-residency logic runs on dense
+// arrays.
+//
 // Every phase must have between 1 and cfg.Cores streams; empty streams are
 // allowed (an idle core).
 func RunMultiPhased(cfg config.NPU, opts Options, phases [][][]schedule.Op, shared bool) MultiResult {
@@ -83,35 +87,46 @@ func RunMultiPhased(cfg config.NPU, opts Options, phases [][][]schedule.Op, shar
 		}
 		cores = max(cores, len(streams))
 	}
-	if opts.useCompiled() {
-		res := runMultiPhasedCompiled(cfg, opts, phases, shared)
-		countMulti(res)
-		return res
+	c := schedule.NewCompiler()
+	code := make([][][]schedule.CompiledOp, len(phases))
+	for pi, streams := range phases {
+		code[pi] = make([][]schedule.CompiledOp, len(streams))
+		for si, ops := range streams {
+			code[pi][si] = c.CompileOps(ops)
+		}
 	}
+	n := c.NumTiles()
+	keys := c.Table().Keys
+
 	arr := systolic.New(cfg)
 	chn := dram.Channel{
 		BytesPerCycle: cfg.BytesPerCycle(), // per core
 		BurstLatency:  cfg.DRAMLatency,
 	}
-	// Shared placement: one residency set over the whole SPM. Private
-	// placement: each core owns an equal slice.
-	var bufs []*spm.Buffer[schedule.TileKey]
+	var bufs []*residency
 	if shared {
-		bufs = []*spm.Buffer[schedule.TileKey]{spm.New[schedule.TileKey](cfg.TotalSPMBytes() / 2)}
+		bufs = []*residency{{capacity: cfg.TotalSPMBytes() / 2}}
 	} else {
-		bufs = make([]*spm.Buffer[schedule.TileKey], cores)
-		for c := range bufs {
-			bufs[c] = spm.New[schedule.TileKey](cfg.SPMBytes / 2)
+		bufs = make([]*residency, cores)
+		for ci := range bufs {
+			bufs[ci] = &residency{capacity: cfg.SPMBytes / 2}
 		}
 	}
-	bufFor := func(c int) *spm.Buffer[schedule.TileKey] {
+	for _, b := range bufs {
+		b.grow(n)
+		b.reset()
+	}
+	bufFor := func(ci int) *residency {
 		if shared {
 			return bufs[0]
 		}
-		return bufs[c]
+		return bufs[ci]
 	}
-	live := make(map[schedule.TileKey]int64)
-	loadedBy := make(map[schedule.TileKey]int, 1024)
+	liveBytes := make([]int64, n)
+	loadedBy := make([]int32, n)
+	for i := range loadedBy {
+		loadedBy[i] = noCore
+	}
 
 	pipes := make([]corePipe, cores)
 	var sharedHits int64
@@ -122,50 +137,66 @@ func RunMultiPhased(cfg config.NPU, opts Options, phases [][][]schedule.Op, shar
 	// latest DMA completion among the cores using the buffer — the closest
 	// observable proxy for "now" in the round-robin residency merge.
 	var coreTr []*trace.Track
+	var occ []func(used int64) // per buffer index; nil when not traced
 	if opts.Trace != nil {
 		label := opts.TraceLabel
 		if label == "" {
 			label = "multicore"
 		}
 		coreTr = make([]*trace.Track, cores)
-		for c := range coreTr {
-			coreTr[c] = opts.Trace.NewTrack(label + "/core" + strconv.Itoa(c))
+		for ci := range coreTr {
+			coreTr[ci] = opts.Trace.NewTrack(label + "/core" + strconv.Itoa(ci))
 		}
 		occTS := func(bi int) int64 {
 			if !shared {
 				return pipes[bi].memDone
 			}
 			var ts int64
-			for c := range pipes {
-				ts = max(ts, pipes[c].memDone)
+			for ci := range pipes {
+				ts = max(ts, pipes[ci].memDone)
 			}
 			return ts
 		}
+		occ = make([]func(used int64), len(bufs))
 		for bi, b := range bufs {
 			name := label + "/spm"
 			if !shared {
 				name += strconv.Itoa(bi)
 			}
 			st := opts.Trace.NewTrack(name)
-			st.SetCapacity(b.Capacity())
+			st.SetCapacity(b.capacity)
 			bi := bi
-			b.OnChange = func(used int64) { st.Occupancy(occTS(bi), used) }
+			occ[bi] = func(used int64) { st.Occupancy(occTS(bi), used) }
 		}
 	}
+	occFor := func(ci int) func(used int64) {
+		if occ == nil {
+			return nil
+		}
+		if shared {
+			return occ[0]
+		}
+		return occ[ci]
+	}
 
-	for pi, streams := range phases {
+	for pi, streams := range code {
 		if pi > 0 {
-			for _, b := range bufs {
-				b.Flush()
+			for bi, b := range bufs {
+				b.reset()
+				if occ != nil {
+					occ[bi](0)
+				}
 			}
-			clear(live)
-			clear(loadedBy)
+			clear(liveBytes)
+			for i := range loadedBy {
+				loadedBy[i] = noCore
+			}
 		}
 		var phaseStart []int64
 		if coreTr != nil {
 			phaseStart = make([]int64, cores)
-			for c := range pipes {
-				phaseStart[c] = pipes[c].compDone
+			for ci := range pipes {
+				phaseStart[ci] = pipes[ci].compDone
 			}
 		}
 		next := make([]int, len(streams))
@@ -176,18 +207,19 @@ func RunMultiPhased(cfg config.NPU, opts Options, phases [][][]schedule.Op, shar
 		for round := 0; ; round++ {
 			progressed := false
 			for i := range streams {
-				c := (round + i) % len(streams)
-				if next[c] >= len(streams[c]) {
+				ci := (round + i) % len(streams)
+				if next[ci] >= len(streams[ci]) {
 					continue
 				}
-				op := &streams[c][next[c]]
-				next[c]++
+				op := &streams[ci][next[ci]]
+				next[ci]++
 				progressed = true
 				var tr *trace.Track
 				if coreTr != nil {
-					tr = coreTr[c]
+					tr = coreTr[ci]
 				}
-				stepShared(op, c, arr, chn, bufFor(c), live, loadedBy, &pipes[c], opts, &sharedHits, tr)
+				stepShared(op, int32(ci), arr, chn, bufFor(ci), liveBytes,
+					loadedBy, keys, &pipes[ci], opts.FreeDYOnDW, &sharedHits, tr, occFor(ci))
 			}
 			if !progressed {
 				break
@@ -195,8 +227,8 @@ func RunMultiPhased(cfg config.NPU, opts Options, phases [][][]schedule.Op, shar
 		}
 		if coreTr != nil {
 			name := "phase" + strconv.Itoa(pi)
-			for c := range pipes {
-				coreTr[c].Phase(name, phaseStart[c], pipes[c].compDone)
+			for ci := range pipes {
+				coreTr[ci].Phase(name, phaseStart[ci], pipes[ci].compDone)
 			}
 		}
 	}
@@ -205,38 +237,47 @@ func RunMultiPhased(cfg config.NPU, opts Options, phases [][][]schedule.Op, shar
 	if !shared {
 		out.SharedHits = 0
 	}
-	for c := range pipes {
-		pipes[c].res.Cycles = pipes[c].compDone
-		out.PerCore[c] = pipes[c].res
-		out.Traffic.Merge(pipes[c].res.Traffic)
-		if pipes[c].compDone > out.Cycles {
-			out.Cycles = pipes[c].compDone
+	for ci := range pipes {
+		pipes[ci].res.Cycles = pipes[ci].compDone
+		out.PerCore[ci] = pipes[ci].res
+		out.Traffic.Merge(pipes[ci].res.Traffic)
+		if pipes[ci].compDone > out.Cycles {
+			out.Cycles = pipes[ci].compDone
 		}
 	}
 	// Hit/miss stats live in the shared (or core-0) buffer; surface them on
 	// core 0's result.
 	if len(out.PerCore) > 0 {
-		out.PerCore[0].SPM = bufFor(0).Stats
+		out.PerCore[0].SPM = bufFor(0).stats
 	}
 	countMulti(out)
 	return out
 }
 
-// stepShared is the multi-core variant of Engine.step operating on the
-// shared residency set.
-func stepShared(op *schedule.Op, core int, arr systolic.Array, chn dram.Channel,
-	buf *spm.Buffer[schedule.TileKey], live map[schedule.TileKey]int64,
-	loadedBy map[schedule.TileKey]int, p *corePipe, opts Options, sharedHits *int64,
-	tr *trace.Track) {
+// noCore marks a tile no core currently claims in the loadedBy table.
+const noCore = int32(-1)
+
+// stepShared is CompiledEngine.step for one core of a multi-core run: the
+// residency set may be shared with other cores, and operand hits on tiles
+// another core loaded count as shared hits.
+//
+//lint:hotpath
+func stepShared(op *schedule.CompiledOp, core int32, arr systolic.Array, chn dram.Channel,
+	buf *residency, liveBytes []int64, loadedBy []int32, keys []schedule.TileKey,
+	p *corePipe, freeDY bool, sharedHits *int64, tr *trace.Track, occ func(used int64)) {
 
 	var fetchBytes, writeBytes, spillBytes int64
 	var bursts, spillBursts int
 
-	insert := func(k schedule.TileKey, bytes int64) {
-		for _, victim := range buf.Insert(k, bytes) {
-			vb, isLive := live[victim]
-			delete(loadedBy, victim)
-			if !isLive {
+	insert := func(id schedule.TileID, bytes int64) {
+		victims, changed := buf.insert(id, bytes)
+		if changed && occ != nil {
+			occ(buf.used)
+		}
+		for _, v := range victims {
+			vb := liveBytes[v]
+			loadedBy[v] = noCore
+			if vb == 0 {
 				continue
 			}
 			spillBytes += vb
@@ -245,51 +286,69 @@ func stepShared(op *schedule.Op, core int, arr systolic.Array, chn dram.Channel,
 			p.res.Spills++
 			tr.Spill(p.memDone, vb)
 		}
-		loadedBy[k] = core
+		loadedBy[id] = core
 	}
 
 	out := op.Out
-	if op.OutFirst {
-		if !op.OutLast {
-			live[out.Key] = out.Bytes
+	if op.Flags&schedule.FlagOutFirst != 0 {
+		if op.Flags&schedule.FlagOutLast == 0 {
+			liveBytes[out] = op.OutBytes
 		}
-		insert(out.Key, out.Bytes)
-	} else if !buf.Touch(out.Key) {
-		fetchBytes += out.Bytes
+		insert(out, op.OutBytes)
+	} else if !buf.touch(out) {
+		fetchBytes += op.OutBytes
 		bursts++
-		p.res.Traffic.AddRead(dram.ClassAcc, out.Bytes)
-		insert(out.Key, out.Bytes)
+		p.res.Traffic.AddRead(dram.ClassAcc, op.OutBytes)
+		insert(out, op.OutBytes)
 	}
-	tr.Access(out.Key)
+	if tr != nil {
+		tr.Access(keys[out])
+	}
 
-	for _, t := range [2]schedule.Tile{op.A, op.B} {
-		tr.Access(t.Key)
-		if buf.Touch(t.Key) {
-			if by, ok := loadedBy[t.Key]; ok && by != core {
-				*sharedHits++
-			}
-			continue
+	if tr != nil {
+		tr.Access(keys[op.A])
+	}
+	if buf.touch(op.A) {
+		if by := loadedBy[op.A]; by != noCore && by != core {
+			*sharedHits++
 		}
-		free := opts.FreeDYOnDW && op.Kind == schedule.KindDW && t.Key.Class == dram.ClassDY
-		if !free {
-			fetchBytes += t.Bytes
+	} else {
+		if !(freeDY && op.Flags&schedule.FlagFreeDYA != 0) {
+			fetchBytes += op.ABytes
 			bursts++
-			p.res.Traffic.AddRead(t.Key.Class, t.Bytes)
+			p.res.Traffic.AddRead(op.AClass, op.ABytes)
 		}
-		insert(t.Key, t.Bytes)
+		insert(op.A, op.ABytes)
+	}
+	if tr != nil {
+		tr.Access(keys[op.B])
+	}
+	if buf.touch(op.B) {
+		if by := loadedBy[op.B]; by != noCore && by != core {
+			*sharedHits++
+		}
+	} else {
+		if !(freeDY && op.Flags&schedule.FlagFreeDYB != 0) {
+			fetchBytes += op.BBytes
+			bursts++
+			p.res.Traffic.AddRead(op.BClass, op.BBytes)
+		}
+		insert(op.B, op.BBytes)
 	}
 
-	if op.OutLast {
-		writeBytes += out.Bytes
+	if op.Flags&schedule.FlagOutLast != 0 {
+		writeBytes += op.OutBytes
 		bursts++
-		p.res.Traffic.AddWrite(out.Key.Class, out.Bytes)
-		buf.Remove(out.Key)
-		delete(live, out.Key)
-		delete(loadedBy, out.Key)
+		p.res.Traffic.AddWrite(op.OutClass, op.OutBytes)
+		if buf.remove(out) && occ != nil {
+			occ(buf.used)
+		}
+		liveBytes[out] = 0
+		loadedBy[out] = noCore
 	}
 
 	memCycles := chn.TransferCycles(fetchBytes+writeBytes+spillBytes, bursts+spillBursts)
-	compCycles := arr.TileCycles(op.Tm, op.Tk, op.Tn)
+	compCycles := arr.TileCycles(int(op.Tm), int(op.Tk), int(op.Tn))
 
 	memStart := max(p.memDone, p.prevCompEnd)
 	memEnd := memStart + memCycles
@@ -298,7 +357,7 @@ func stepShared(op *schedule.Op, core int, arr systolic.Array, chn dram.Channel,
 
 	if tr != nil {
 		tr.DMA(memStart, memCycles, fetchBytes, writeBytes, spillBytes, bursts+spillBursts)
-		tr.Compute(op.Kind.String(), compStart, compCycles, op.Tm, op.Tk, op.Tn)
+		tr.Compute(op.Kind.String(), compStart, compCycles, int(op.Tm), int(op.Tk), int(op.Tn))
 		tr.Stall(splitStall(chn, compStart-p.compDone, memCycles, spillBytes, spillBursts))
 	}
 

@@ -95,9 +95,3 @@ func ExecuteProgram(cfg config.NPU, opts Options, prog *schedule.Program) Result
 	countPass(res)
 	return res
 }
-
-// CompiledResolved reports whether these options resolve to the compiled
-// executor (following the process-wide default when Compiled is
-// EngineDefault). Callers that maintain compiled-program caches use it to
-// decide whether a cached program would actually be executed.
-func (o Options) CompiledResolved() bool { return o.useCompiled() }

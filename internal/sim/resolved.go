@@ -58,7 +58,7 @@ func (t *ResolvedTrace) Ops() int { return len(t.ops) }
 // replaySkew is a test hook: extra cycles added to every replayed op's
 // compute time, so the replay-check gate can prove it distinguishes replay
 // from the engine. Zero in production; set only by the hidden -replay-skew
-// flag. Same package-atomic pattern as interpretByDefault.
+// flag.
 var replaySkew atomic.Int64
 
 // SetReplaySkew installs a per-op compute-cycle skew applied only on the

@@ -78,20 +78,21 @@ func TestPairedInterleaveReadsDYOnce(t *testing.T) {
 func TestFlushForcesRefetch(t *testing.T) {
 	p := params(tensor.Dims{M: 8, K: 8, N: 8}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
 	dx := schedule.BaselineDX(p)
-
-	// Same kernel twice without flush: second pass hits.
-	e := NewEngine(testCfg(), Options{})
-	e.Run(dx)
-	firstReads := e.Result().Traffic.TotalRead()
-	e.Run(dx)
-	if got := e.Result().Traffic.TotalRead(); got != firstReads {
-		t.Fatalf("warm rerun fetched %d extra bytes", got-firstReads)
+	reads := func(kernels ...schedule.Schedule) int64 {
+		prog := schedule.Compile(kernels...)
+		e := NewCompiledEngine(testCfg(), Options{})
+		e.RunProgram(&prog)
+		return e.Result().Traffic.TotalRead()
 	}
-	// With a flush, everything is refetched.
-	e.FlushSPM()
-	e.Run(dx)
-	if got := e.Result().Traffic.TotalRead(); got != 2*firstReads {
-		t.Fatalf("post-flush reads = %d, want %d", got, 2*firstReads)
+	once := reads(schedule.Schedule{Ops: dx})
+
+	// Same kernel twice without a flush: the second pass hits.
+	if got := reads(schedule.Schedule{Ops: append(append([]schedule.Op{}, dx...), dx...)}); got != once {
+		t.Fatalf("warm rerun fetched %d extra bytes", got-once)
+	}
+	// With a kernel boundary (flush) in between, everything is refetched.
+	if got := reads(schedule.Schedule{Ops: dx}, schedule.Schedule{Ops: dx}); got != 2*once {
+		t.Fatalf("post-flush reads = %d, want %d", got, 2*once)
 	}
 }
 
@@ -172,12 +173,18 @@ func TestBurstLatencyCharged(t *testing.T) {
 
 func TestEngineReset(t *testing.T) {
 	p := params(tensor.Dims{M: 8, K: 8, N: 8}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
-	e := NewEngine(testCfg(), Options{})
-	e.Run(schedule.BaselineDX(p))
+	prog := schedule.Compile(schedule.Schedule{Ops: schedule.BaselineDX(p)})
+	e := NewCompiledEngine(testCfg(), Options{})
+	e.RunProgram(&prog)
 	e.Reset()
 	r := e.Result()
-	if r.Cycles != 0 || r.Traffic.Total() != 0 || r.Ops != 0 {
+	if r != (Result{}) {
 		t.Fatalf("reset left state: %+v", r)
+	}
+	// The bound program survives Reset and re-executes from scratch.
+	e.Execute()
+	if r := e.Result(); r.Ops != int64(len(prog.Code)) || r.SPM.Hits+r.SPM.Misses == 0 {
+		t.Fatalf("re-execution after reset: %+v", r)
 	}
 }
 

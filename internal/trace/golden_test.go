@@ -58,16 +58,12 @@ func TestGoldenTraceJSON(t *testing.T) {
 		if shared {
 			name = "multi_shared"
 		}
-		// The reference interpreter pins the multi-core goldens: its export
-		// must equal the compiled engine's, byte for byte.
-		for _, mode := range []sim.EngineChoice{sim.EngineCompiled, sim.EngineInterpreted} {
-			sink := trace.New()
-			res := sim.RunMultiPhased(mcfg, sim.Options{Trace: sink, TraceLabel: "golden/" + name, Compiled: mode}, goldenMultiPhases(), shared)
-			if shared && res.SharedHits == 0 {
-				t.Fatalf("%s: golden workload no longer hits across cores", name)
-			}
-			checkGolden(t, name, sink)
+		sink := trace.New()
+		res := sim.RunMultiPhased(mcfg, sim.Options{Trace: sink, TraceLabel: "golden/" + name}, goldenMultiPhases(), shared)
+		if shared && res.SharedHits == 0 {
+			t.Fatalf("%s: golden workload no longer hits across cores", name)
 		}
+		checkGolden(t, name, sink)
 	}
 }
 

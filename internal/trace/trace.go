@@ -1,7 +1,7 @@
 // Package trace is the simulator's cycle-level observability layer: a
-// zero-overhead-when-disabled event sink that the engine (internal/sim),
-// the scratchpad (internal/spm), the schedule executors (internal/core) and
-// the parallel runner (internal/runner) emit into.
+// zero-overhead-when-disabled event sink that the engine and its
+// scratchpad model (internal/sim), the schedule executors (internal/core)
+// and the parallel runner (internal/runner) emit into.
 //
 // Two time domains coexist in one sink:
 //

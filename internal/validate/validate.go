@@ -21,7 +21,6 @@ import (
 	"igosim/internal/runner"
 	"igosim/internal/schedule"
 	"igosim/internal/sim"
-	"igosim/internal/spm"
 	"igosim/internal/tensor"
 	"igosim/internal/trace"
 	"igosim/internal/workload"
@@ -68,7 +67,7 @@ type modelReport struct {
 	// Residency behaviour of the simulated schedules: eviction and
 	// spill counts surface scratchpad pressure next to the numeric
 	// verdicts (a schedule can be correct yet thrash the SPM).
-	spmStats spm.Stats
+	spmStats sim.SPMStats
 	spills   int64
 }
 

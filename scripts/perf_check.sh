@@ -4,14 +4,14 @@
 # temporary directory and diffs them against the committed baselines with
 # cmd/igostat:
 #
-#   - wall-clock-derived leaves (ns_op, mb_s, speedup, points_per_sec,
-#     wall_seconds, allocs_ratio) get an effectively-open tolerance: CI runs
-#     one benchmark iteration, so timing is noise;
-#   - allocs/op gets a 0.1% relative tolerance: the interpreted engine's
-#     ~56k allocs jitter by a few (runner-pool and GC bookkeeping lands
-#     nondeterministically at 1x benchtime), while 0.1% of the compiled
-#     rows' 96/8 allocs is still less than one, so a single new allocation
-#     on the compiled hot path fails CI;
+#   - wall-clock-derived leaves (ns_op, mb_s, points_per_sec, wall_seconds)
+#     get an effectively-open tolerance: CI runs one benchmark iteration,
+#     so timing is noise;
+#   - allocs/op gets a 0.1% relative tolerance: 0.1% of the engine rows'
+#     96/8 allocs is less than one, so a single new allocation on the
+#     engine's hot path fails CI, while a row with thousands of allocs
+#     would absorb a few allocations of runner-pool and GC bookkeeping
+#     that land nondeterministically at 1x benchtime;
 #   - everything else — sweep point/simulated/frontier counts, pruned
 #     fraction — gates at exactly zero. Move a number deliberately by
 #     regenerating the baseline (`make bench-json`) in the same change.
