@@ -42,11 +42,13 @@ type Options struct {
 	Trace *trace.Sink
 	// Out receives the report; nil discards it.
 	Out io.Writer
-	// Corrupt, when set, mutates each simulated result before the oracle
-	// comparison. It exists purely for tests: injecting a single-counter
-	// corruption proves the differential check actually fails (and names
-	// the divergent metric) rather than vacuously passing.
-	Corrupt func(*sim.Result)
+	// Corrupt and CorruptMulti, when set, mutate each single-core and
+	// multi-core simulated result before the oracle comparison. They exist
+	// purely for tests: injecting a single-counter corruption proves the
+	// differential check actually fails (and names the divergent metric)
+	// rather than vacuously passing.
+	Corrupt      func(*sim.Result)
+	CorruptMulti func(*sim.MultiResult)
 }
 
 // shrink caps a dimension so the O(M*K*N) numeric execution stays fast
@@ -175,21 +177,38 @@ func validateModel(cfg config.NPU, opts Options, m workload.Model) (modelReport,
 		// Partitioned schedules: structural check per partition (each
 		// partition is its own sub-GEMM), numeric equivalence on the
 		// concatenated stream (the cross-partition reduction happens in
-		// the executor's accumulation).
+		// the executor's accumulation). Under RefCheck a two-part plan
+		// also runs as one shared-scratchpad phase on two cores, checked
+		// against the oracle's multi-core replay.
+		mcfg := cfg.WithCores(2)
 		for _, scheme := range core.Schemes() {
 			plan := core.PartitionLayer(p, scheme, 2)
 			var ops []schedule.Op
+			phase := make([][]schedule.Op, 0, len(plan.Parts))
 			for _, sub := range plan.Parts {
 				s := core.InterleaveDXMajor(sub)
 				if err := schedule.VerifyBackward(sub, s.Ops, false); err != nil {
 					return rep, fmt.Errorf("%s layer %d (%s) %v: structure: %w", m.Abbr, i, l.Name, scheme, err)
 				}
 				ops = append(ops, s.Ops...)
+				phase = append(phase, s.Ops)
 			}
 			if err := core.CheckEquivalence(d, tl, ops, 1e-6); err != nil {
 				return rep, fmt.Errorf("%s layer %d (%s) %v: %w", m.Abbr, i, l.Name, scheme, err)
 			}
 			rep.checks++
+			if opts.RefCheck && len(phase) == 2 {
+				phases := [][][]schedule.Op{phase}
+				res := sim.RunMultiPhased(mcfg, sim.Options{}, phases, true)
+				if opts.CorruptMulti != nil {
+					opts.CorruptMulti(&res)
+				}
+				want := refmodel.ReplayMulti(mcfg, refmodel.Options{}, phases, true)
+				if err := refmodel.CompareMulti(res, want); err != nil {
+					return rep, fmt.Errorf("%s layer %d (%s) %v on 2 cores: refcheck: %w", m.Abbr, i, l.Name, scheme, err)
+				}
+				rep.refChecks++
+			}
 		}
 		rep.layers++
 		if opts.Verbose {

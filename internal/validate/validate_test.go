@@ -28,6 +28,44 @@ func TestRunRefCheckPasses(t *testing.T) {
 	if sum.Layers == 0 || sum.Checks == 0 || sum.RefChecks == 0 {
 		t.Fatalf("summary counters empty: %+v", sum)
 	}
+	// Four whole-layer schedules per layer are oracle-checked on one core;
+	// the two-core partition checks come on top.
+	if sum.RefChecks <= 4*sum.Layers {
+		t.Fatalf("%d oracle checks over %d layers: no multi-core partition was checked", sum.RefChecks, sum.Layers)
+	}
+}
+
+// TestRunDetectsCorruptedMultiCoreMetric is TestRunDetectsCorruptedMetric
+// for the two-core partition runs: any corrupted multi-core field must fail
+// the pass, naming the field and the multi-core check.
+func TestRunDetectsCorruptedMultiCoreMetric(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(*sim.MultiResult)
+		want    string
+	}{
+		{"cycles", func(r *sim.MultiResult) { r.Cycles++ }, "Cycles"},
+		{"shared-hits", func(r *sim.MultiResult) { r.SharedHits++ }, "SharedHits"},
+		{"aggregate-traffic", func(r *sim.MultiResult) { r.Traffic.AddRead(dram.ClassDY, 64) }, "Traffic.Read[dY]"},
+		{"core0-hits", func(r *sim.MultiResult) { r.PerCore[0].SPM.Hits-- }, "PerCore[0].SPM.Hits"},
+		{"core1-mem-cycles", func(r *sim.MultiResult) { r.PerCore[1].MemCycles += 3 }, "PerCore[1].MemCycles"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := smallOpts()
+			opts.CorruptMulti = tc.corrupt
+			_, err := Run(opts)
+			if err == nil {
+				t.Fatalf("corrupting %s went undetected", tc.name)
+			}
+			if !strings.Contains(err.Error(), "on 2 cores: refcheck") {
+				t.Fatalf("error does not name the multi-core refcheck: %v", err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error does not name the corrupted field %q: %v", tc.want, err)
+			}
+		})
+	}
 }
 
 // TestRunDetectsCorruptedMetric is the regression test for the validation
