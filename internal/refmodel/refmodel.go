@@ -211,56 +211,16 @@ func (m *machine) step(p *pipe, set *lruSet, core int, op *schedule.Op) (crossHi
 	return crossHits
 }
 
-// Replay is the single-core reference interpreter. Scratchpad state
-// persists across Run calls; Flush models a kernel boundary.
-type Replay struct {
-	m   machine
-	spm *lruSet
-	p   pipe
-}
-
-// New builds a reference interpreter for cfg. The residency capacity is the
-// streaming half of the scratchpad, exactly as the engine models it.
-func New(cfg config.NPU, opts Options) *Replay {
-	return &Replay{m: newMachine(cfg, opts), spm: newLRUSet(cfg.SPMBytes / 2)}
-}
-
-// Flush empties the scratchpad without touching pipeline time or counters —
-// the kernel boundary between schedules.
-func (r *Replay) Flush() {
-	r.spm.flush()
-	clear(r.m.live)
-}
-
-// Counts returns the accumulated tallies of all Run calls.
-func (r *Replay) Counts() Counts {
-	c := r.p.c
-	c.Cycles = r.p.compDone
-	c.Hits = r.spm.hits
-	c.Misses = r.spm.misses
-	c.Evictions = r.spm.evictions
-	return c
-}
-
-// Run replays one op stream, continuing the pipeline from previous calls.
-func (r *Replay) Run(ops []schedule.Op) {
-	for i := range ops {
-		r.m.step(&r.p, r.spm, 0, &ops[i])
-	}
-}
-
-// ReplaySchedules replays the given schedules in order on a fresh
-// interpreter, flushing the scratchpad at each schedule boundary — the
-// oracle twin of sim.RunSchedules.
+// ReplaySchedules replays the given schedules in order on one core,
+// flushing the scratchpad at each schedule boundary — the oracle twin of
+// sim.RunSchedules, as a one-core ReplayMulti with one phase per schedule.
 func ReplaySchedules(cfg config.NPU, opts Options, scheds ...schedule.Schedule) Counts {
-	r := New(cfg, opts)
+	cfg.Cores = 1
+	phases := make([][][]schedule.Op, len(scheds))
 	for i, s := range scheds {
-		if i > 0 {
-			r.Flush()
-		}
-		r.Run(s.Ops)
+		phases[i] = [][]schedule.Op{s.Ops}
 	}
-	return r.Counts()
+	return ReplayMulti(cfg, opts, phases, true).PerCore[0]
 }
 
 // MultiCounts is the oracle's tally of one multi-core replay. Field for

@@ -70,9 +70,7 @@ func TestHandComputedTinyStream(t *testing.T) {
 	p := params(tensor.Dims{M: 2, K: 2, N: 2}, schedule.Tiling{Tm: 2, Tk: 2, Tn: 2})
 	op := p.DXOp(0, 0, 0, 1) // single-tile dX GEMM: OutFirst and OutLast
 	cfg := testCfg(4096)
-	r := New(cfg, Options{})
-	r.Run([]schedule.Op{op})
-	c := r.Counts()
+	c := ReplaySchedules(cfg, Options{}, schedule.Schedule{Ops: []schedule.Op{op}})
 
 	// Accesses: alloc dX out (no traffic), load dY miss (16 B), load W miss
 	// (16 B), drain dX (16 B write). Misses: 2, hits: 0, no evictions.
@@ -239,20 +237,6 @@ func TestMultiAgreesWithEngine(t *testing.T) {
 	}
 	if sharedHits == 0 || spills == 0 {
 		t.Fatalf("sweep covered %d shared hits and %d spills; it must reach both", sharedHits, spills)
-	}
-}
-
-// TestMultiOneCoreIsSingleCore pins the degenerate case: one core, one
-// stream per phase replays exactly like the single-core interpreter with
-// a flush between schedules.
-func TestMultiOneCoreIsSingleCore(t *testing.T) {
-	cfg := testCfg(3 * 1024)
-	p := params(tensor.Dims{M: 8, K: 40, N: 40}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
-	dx, dw := schedule.BaselineDX(p), schedule.BaselineDW(p)
-	got := ReplayMulti(cfg, Options{}, [][][]schedule.Op{{dx}, {dw}}, true)
-	want := ReplaySchedules(cfg, Options{}, schedule.Schedule{Ops: dx}, schedule.Schedule{Ops: dw})
-	if len(got.PerCore) != 1 || got.PerCore[0] != want || got.Cycles != want.Cycles || got.SharedHits != 0 {
-		t.Fatalf("one-core multi replay %+v, single-core %+v", got, want)
 	}
 }
 

@@ -467,35 +467,34 @@ var compiledPool = runner.NewPool(func() *compiledRunner {
 	return &compiledRunner{comp: schedule.NewCompiler()}
 })
 
-// run compiles into the reusable buffers, executes, and leaves no dangling
-// references in the pooled state.
-func (cr *compiledRunner) run(cfg config.NPU, opts Options, compile func(*compiledRunner)) Result {
+// runSchedulesCompiled lowers scheds into a pooled runner's reusable
+// buffers, executes them, and leaves no dangling references in the pooled
+// state.
+func runSchedulesCompiled(cfg config.NPU, opts Options, scheds []schedule.Schedule) Result {
+	cr := compiledPool.Get()
 	cr.comp.Reset()
 	cr.code = cr.code[:0]
 	cr.kernels = cr.kernels[:0]
-	compile(cr)
+	for _, s := range scheds {
+		start := len(cr.code)
+		for i := range s.Ops {
+			cr.code = append(cr.code, cr.comp.Lower(&s.Ops[i]))
+		}
+		cr.kernels = append(cr.kernels, schedule.Kernel{Name: s.Name, Start: start, End: len(cr.code)})
+	}
 	prog := schedule.Program{Code: cr.code, Kernels: cr.kernels, Table: cr.comp.Table()}
-	e := &cr.eng
-	e.Init(cfg, opts)
-	e.RunProgram(&prog)
-	r := e.Result()
-	e.prog, e.keys, e.tr = nil, nil, nil // don't retain the program view or sink
+	r := cr.execute(cfg, opts, &prog)
+	compiledPool.Put(cr)
 	return r
 }
 
-// runSchedulesCompiled lowers scheds into a pooled runner, executes them
-// and returns the runner to the pool.
-func runSchedulesCompiled(cfg config.NPU, opts Options, scheds []schedule.Schedule) Result {
-	cr := compiledPool.Get()
-	r := cr.run(cfg, opts, func(cr *compiledRunner) {
-		for _, s := range scheds {
-			start := len(cr.code)
-			for i := range s.Ops {
-				cr.code = append(cr.code, cr.comp.Lower(&s.Ops[i]))
-			}
-			cr.kernels = append(cr.kernels, schedule.Kernel{Name: s.Name, Start: start, End: len(cr.code)})
-		}
-	})
-	compiledPool.Put(cr)
+// execute runs prog on the runner's engine and leaves no reference to the
+// program or the trace sink in the pooled state.
+func (cr *compiledRunner) execute(cfg config.NPU, opts Options, prog *schedule.Program) Result {
+	e := &cr.eng
+	e.Init(cfg, opts)
+	e.RunProgram(prog)
+	r := e.Result()
+	e.prog, e.keys, e.tr = nil, nil, nil
 	return r
 }

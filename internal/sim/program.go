@@ -86,11 +86,7 @@ func RunProgram(cfg config.NPU, opts Options, prog *schedule.Program) Result {
 // a tuner's transient candidates, whose pointers die with the tuning call.
 func ExecuteProgram(cfg config.NPU, opts Options, prog *schedule.Program) Result {
 	cr := compiledPool.Get()
-	e := &cr.eng
-	e.Init(cfg, opts)
-	e.RunProgram(prog)
-	res := e.Result()
-	e.prog, e.keys, e.tr = nil, nil, nil // don't retain the program view or sink
+	res := cr.execute(cfg, opts, prog)
 	compiledPool.Put(cr)
 	countPass(res)
 	return res

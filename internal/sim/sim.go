@@ -8,8 +8,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"igosim/internal/config"
 	"igosim/internal/dram"
 	"igosim/internal/schedule"
@@ -143,11 +141,4 @@ func ReduceCost(cfg config.NPU, parts int, outBytes int64, finalClass dram.Class
 		Cycles:  chn.TransferCycles(readBytes+outBytes, parts+1),
 		Traffic: tr,
 	}
-}
-
-func validateStreams(streams [][]schedule.Op) error {
-	if len(streams) == 0 {
-		return fmt.Errorf("sim: no op streams")
-	}
-	return nil
 }
