@@ -37,9 +37,9 @@ func Analyze(cfg Config, l Layer) LayerAnalytic {
 func Variants() []Model { return workload.Variants() }
 
 // SelfCheck runs a small deterministic slice of the simulator's property
-// suite — the differential-oracle, conservation, cycle-envelope and
-// partition invariants over generated cases — and returns the first
-// violation, or nil. It is an embedding sanity check: a library user (or a
+// suite — the single- and multi-core differential-oracle, conservation,
+// cycle-envelope and partition invariants over generated cases — and
+// returns the first violation, or nil. It is an embedding sanity check: a library user (or a
 // CI job without the repository's test files) can prove the simulator
 // behaves on their platform in about a second.
 func SelfCheck() error {

@@ -20,6 +20,11 @@
 //	fast := igo.Train(cfg, model, igo.Partition)
 //	fmt.Printf("execution time reduced %.1f%%\n", 100*igo.Improvement(base, fast))
 //
+// Every simulation runs on one engine: schedules are lowered once into
+// dense compiled programs and executed against an array-backed scratchpad
+// model, single- or multi-core. An independent reference model checks that
+// engine counter for counter; SelfCheck runs a slice of that check.
+//
 // All heavy lifting lives in internal packages; this package only names
 // the supported surface.
 package igo
