@@ -77,10 +77,10 @@ func backwardProgram(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX b
 			key.tuned = interleaveChoices(cfg, np)
 		}
 	}
-	// Shared (canonical) result: the program pointer keys the sim layer's
+	// Canonical result: the program pointer keys the sim layer's
 	// resolved-trace cache, so a miss race must converge on one pointer per
 	// logical program or the distinct-key census would vary with -j.
-	prog := progCache.GetOrComputeShared(key, func() *schedule.Program {
+	prog := progCache.GetOrCompute(key, func() *schedule.Program {
 		kernels, _ := BackwardKernels(cfg, np, pol, skipDX)
 		return sim.CompileSchedules(kernels...)
 	})
@@ -95,7 +95,7 @@ func forwardProgram(p schedule.TileParams) *schedule.Program {
 	np := p
 	np.Layer, np.Part = 0, 0
 	key := progKey{p: np, elem: np.ElemBytes, kind: memoForward}
-	return progCache.GetOrComputeShared(key, func() *schedule.Program {
+	return progCache.GetOrCompute(key, func() *schedule.Program {
 		return sim.CompileSchedules(schedule.Forward(np))
 	})
 }
@@ -228,7 +228,7 @@ func panelFor[V any](cache *runner.Cache[panelKey, V], single config.NPU, np sch
 		return build(true), true
 	}
 	key := panelKey{p: np, spm: single.SPMBytes, elem: single.ElemBytes}
-	return cache.GetOrComputeShared(key, func() V { return build(false) }), false
+	return cache.GetOrCompute(key, func() V { return build(false) }), false
 }
 
 func baselinePanel(single config.NPU, np schedule.TileParams) (*basePanel, bool) {
@@ -351,7 +351,7 @@ func partitionedProgram(cfg config.NPU, p schedule.TileParams, scheme Scheme, pa
 			key.tuned[i] = interleaveChoices(cfg, sub)
 		}
 	}
-	prog := partCache.GetOrComputeShared(key, func() *schedule.Program {
+	prog := partCache.GetOrCompute(key, func() *schedule.Program {
 		// Rebuild from the normalized parent so the retained program's tile
 		// ids are canonical regardless of which layer resolved it first.
 		nplan := PartitionLayer(np, scheme, parts)

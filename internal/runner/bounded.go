@@ -7,30 +7,36 @@ import (
 )
 
 // Bounded is a capacity-bounded LRU cache with a doorkeeper admission
-// policy, for values too large to memoize unboundedly (resolved residency
-// traces run to megabytes on big programs). It trades the sharding of
-// Cache for strict LRU ordering under a single mutex: the values it holds
-// are expensive enough to produce that the lock is never the bottleneck.
+// policy, for values too large or too numerous to memoize unboundedly
+// (resolved residency traces run to megabytes on big programs; a serving
+// process sees an open-ended stream of distinct requests). It trades the
+// sharding of Cache for strict LRU ordering under a single mutex: the
+// values it holds are expensive enough to produce that the lock is never
+// the bottleneck.
 //
 // Admission: while the cache is below capacity every key is admitted
-// immediately (a cold sweep must not pay a double-resolve tax). Once full,
-// a new key is admitted — evicting the LRU entry — only on its second
-// miss: the unbounded `seen` set remembers every key ever requested, so
-// one-shot keys cannot thrash the working set (the doorkeeper idea from
-// the serving layer's admission cache, TinyLFU-style).
+// immediately (a cold sweep must not pay a double-compute tax). Once full,
+// the first Put of a new key is refused and the key is remembered in the
+// doorkeeper, a FIFO set of at most doorkeeperFactor × capacity keys; a
+// Put of a remembered key is admitted, evicting the LRU entry, and leaves
+// the doorkeeper (so once evicted it must miss twice again). A
+// one-shot scan over many distinct keys therefore cannot flush the working
+// set: each scan key is refused once and forgotten FIFO, and only keys
+// that recur earn a slot (the TinyLFU doorkeeper, simplified to a set).
 //
-// The `seen` set doubles as the cache's deterministic census: the set of
-// distinct keys ever requested does not depend on worker interleaving,
-// even though the hit/miss split and the surviving resident set do. The
-// stats sizer reports len(seen) for exactly that reason — manifests and
-// benchmark gates need a -j-independent entry count.
+// The cache keeps no census of the keys it has seen beyond the doorkeeper:
+// every piece of per-key state is bounded by capacity. The caller owns
+// the counters and picks what they report as Entries — Len, or an exact
+// distinct-key census it keeps itself.
 type Bounded[K comparable, V any] struct {
 	mu       sync.Mutex
 	cap      int
 	m        map[K]*boundedEntry[K, V]
-	seen     map[K]struct{}
 	head     *boundedEntry[K, V] // most recently used
 	tail     *boundedEntry[K, V] // least recently used
+	door     map[K]int           // doorkeeper: refused key -> its slot in doorQ
+	doorQ    []K                 // ring of remembered keys; stale once admitted
+	doorNext int                 // doorQ's oldest slot once the ring is full
 	counters *stats.CacheCounters
 }
 
@@ -40,29 +46,33 @@ type boundedEntry[K comparable, V any] struct {
 	prev, next *boundedEntry[K, V]
 }
 
-// NewBounded creates a bounded cache registered in the stats cache report
-// under name, holding at most capacity entries. Capacity 0 disables the
-// cache: Get always misses and Put is a no-op (only the seen-census still
-// records keys).
-func NewBounded[K comparable, V any](name string, capacity int) *Bounded[K, V] {
-	b := &Bounded[K, V]{
+// doorkeeperFactor bounds the doorkeeper to doorkeeperFactor × capacity
+// keys; beyond that the oldest remembered keys are forgotten FIFO.
+const doorkeeperFactor = 8
+
+// NewBounded creates a bounded cache holding at most capacity entries,
+// counting its hits, misses and evictions on the caller's registered
+// counters. Capacity 0 disables the cache: Get always misses and Put is a
+// no-op.
+func NewBounded[K comparable, V any](capacity int, counters *stats.CacheCounters) *Bounded[K, V] {
+	return &Bounded[K, V]{
 		cap:      capacity,
 		m:        make(map[K]*boundedEntry[K, V]),
-		seen:     make(map[K]struct{}),
-		counters: stats.NewCacheCounters(name),
+		door:     make(map[K]int),
+		counters: counters,
 	}
-	b.counters.SetSizer(b.Distinct)
-	return b
 }
 
 // SetCap changes the capacity. Shrinking evicts LRU entries down to the
-// new bound; capacity 0 drops everything and disables the cache.
+// new bound; capacity 0 drops everything and disables the cache. The
+// doorkeeper, sized by capacity, starts over empty.
 func (b *Bounded[K, V]) SetCap(capacity int) {
 	b.mu.Lock()
 	b.cap = capacity
 	for len(b.m) > b.cap {
 		b.evictLocked()
 	}
+	b.forgetLocked()
 	b.mu.Unlock()
 }
 
@@ -73,11 +83,10 @@ func (b *Bounded[K, V]) Cap() int {
 	return b.cap
 }
 
-// Get returns the cached value for k, counting the lookup and recording k
-// in the seen-census. A hit moves the entry to the front of the LRU list.
+// Get returns the cached value for k, counting the lookup. A hit moves
+// the entry to the front of the LRU list.
 func (b *Bounded[K, V]) Get(k K) (V, bool) {
 	b.mu.Lock()
-	b.seen[k] = struct{}{}
 	e, ok := b.m[k]
 	if ok {
 		b.moveFrontLocked(e)
@@ -92,35 +101,59 @@ func (b *Bounded[K, V]) Get(k K) (V, bool) {
 	return zero, false
 }
 
-// Put offers v for caching under k. Below capacity it is admitted
-// immediately; at capacity the doorkeeper admits only keys already in the
-// seen-census (i.e. requested at least once before), evicting the LRU
-// entry to make room. Returns whether the value was admitted.
+// Put offers v for caching under k and reports whether it was admitted. A
+// resident key takes the new value; below capacity a new key is admitted
+// immediately; at capacity the doorkeeper refuses a new key the first time
+// and admits it, evicting the LRU entry, once it comes back.
 func (b *Bounded[K, V]) Put(k K, v V) bool {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.cap <= 0 {
-		b.mu.Unlock()
 		return false
 	}
 	if e, ok := b.m[k]; ok {
 		e.val = v
 		b.moveFrontLocked(e)
-		b.mu.Unlock()
 		return true
 	}
 	if len(b.m) >= b.cap {
-		if _, ok := b.seen[k]; !ok {
-			b.mu.Unlock()
+		if _, ok := b.door[k]; !ok {
+			b.rememberLocked(k)
 			return false
 		}
+		delete(b.door, k)
 		b.evictLocked()
 	}
-	b.seen[k] = struct{}{}
 	e := &boundedEntry[K, V]{key: k, val: v}
 	b.m[k] = e
 	b.pushFrontLocked(e)
-	b.mu.Unlock()
 	return true
+}
+
+// rememberLocked records a refused key in the doorkeeper, overwriting the
+// oldest slot once the ring holds doorkeeperFactor × capacity keys. The
+// overwritten slot's key is forgotten only if that slot is still its
+// newest: a key admitted and later refused again holds a newer one.
+func (b *Bounded[K, V]) rememberLocked(k K) {
+	if bound := doorkeeperFactor * b.cap; len(b.doorQ) < bound {
+		b.door[k] = len(b.doorQ)
+		b.doorQ = append(b.doorQ, k)
+		return
+	}
+	i := b.doorNext
+	if j, ok := b.door[b.doorQ[i]]; ok && j == i {
+		delete(b.door, b.doorQ[i])
+	}
+	b.doorQ[i] = k
+	b.door[k] = i
+	b.doorNext = (i + 1) % len(b.doorQ)
+}
+
+// forgetLocked empties the doorkeeper.
+func (b *Bounded[K, V]) forgetLocked() {
+	b.door = make(map[K]int)
+	b.doorQ = nil
+	b.doorNext = 0
 }
 
 func (b *Bounded[K, V]) evictLocked() {
@@ -174,21 +207,13 @@ func (b *Bounded[K, V]) Len() int {
 	return len(b.m)
 }
 
-// Distinct returns the number of distinct keys ever requested (via Get or
-// admitted Put) since the last Reset. Unlike Len or the hit/miss split,
-// this count is independent of worker interleaving for a fixed workload.
-func (b *Bounded[K, V]) Distinct() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.seen)
-}
-
-// Reset drops every entry, clears the seen-census, and zeroes counters.
+// Reset drops every entry and the doorkeeper's memory, and zeroes the
+// counters.
 func (b *Bounded[K, V]) Reset() {
 	b.mu.Lock()
 	b.m = make(map[K]*boundedEntry[K, V])
-	b.seen = make(map[K]struct{})
 	b.head, b.tail = nil, nil
+	b.forgetLocked()
 	b.mu.Unlock()
 	b.counters.Reset()
 }

@@ -14,8 +14,8 @@ const cacheShards = 64
 
 // Cache is a sharded, concurrency-safe memoization cache. It is built for
 // pure functions: GetOrCompute may invoke the compute function more than
-// once for the same key under a miss race, which is harmless (both calls
-// produce the identical value) and keeps the fast path free of per-key
+// once for the same key under a miss race, which is harmless (the callers
+// converge on one stored value) and keeps the fast path free of per-key
 // locking. Hit/miss counts are published through the stats cache report.
 type Cache[K comparable, V any] struct {
 	seed     maphash.Seed
@@ -73,24 +73,22 @@ func (c *Cache[K, V]) Put(k K, v V) {
 }
 
 // GetOrCompute returns the cached value for k, computing and storing it on
-// a miss. compute runs outside the shard lock; concurrent misses on the
-// same key may compute twice and last-write-wins, which is deterministic
-// for pure compute functions.
+// a miss. compute runs outside the shard lock, so under a miss race both
+// workers compute; the first to store wins and the loser adopts its value.
+// Every caller therefore sees one canonical value per key at any
+// parallelism — the property identity caches need when the cached value's
+// pointer is itself a cache key (e.g. a *schedule.Program keying the
+// resolved-trace cache).
 func (c *Cache[K, V]) GetOrCompute(k K, compute func() V) V {
 	if v, ok := c.Get(k); ok {
 		return v
 	}
-	v := compute()
-	c.Put(k, v)
-	return v
+	return c.putIfAbsent(k, compute())
 }
 
-// PutIfAbsent stores v under k only if no value is resident, and returns
-// the resident value either way. Losers of a miss race therefore adopt the
-// winner's value instead of overwriting it — the property downstream
-// identity caches need when the cached value's *pointer* is itself a cache
-// key (one canonical value per logical key, regardless of -j).
-func (c *Cache[K, V]) PutIfAbsent(k K, v V) V {
+// putIfAbsent stores v under k only if no value is resident, and returns
+// the resident value either way.
+func (c *Cache[K, V]) putIfAbsent(k K, v V) V {
 	s := c.shard(k)
 	s.mu.Lock()
 	if cur, ok := s.m[k]; ok {
@@ -100,31 +98,6 @@ func (c *Cache[K, V]) PutIfAbsent(k K, v V) V {
 	s.m[k] = v
 	s.mu.Unlock()
 	return v
-}
-
-// GetOrComputeShared is GetOrCompute with canonical results: under a miss
-// race both workers compute, but PutIfAbsent makes them converge on a
-// single resident value, so callers that key further caches by the
-// returned value (e.g. by a *schedule.Program pointer) see exactly one
-// representative per logical key at any parallelism.
-func (c *Cache[K, V]) GetOrComputeShared(k K, compute func() V) V {
-	if v, ok := c.Get(k); ok {
-		return v
-	}
-	return c.PutIfAbsent(k, compute())
-}
-
-// Range calls f for every cached key in unspecified order (diagnostics
-// and determinism tests only; holds each shard's read lock during f).
-func (c *Cache[K, V]) Range(f func(K)) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		for k := range s.m {
-			f(k)
-		}
-		s.mu.RUnlock()
-	}
 }
 
 // Len returns the number of cached entries.

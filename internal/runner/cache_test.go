@@ -110,3 +110,27 @@ func TestCacheSpreadsAcrossShards(t *testing.T) {
 		t.Fatalf("only %d/%d shards used", used, cacheShards)
 	}
 }
+
+// TestCacheGetOrComputeConverges races many workers on one cold key, each
+// computing its own value: every caller must get back the single value
+// that was stored first.
+func TestCacheGetOrComputeConverges(t *testing.T) {
+	c := NewCache[int, *int]("test/converge")
+	const goroutines = 16
+	got := make([]*int, goroutines)
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			defer wg.Done()
+			got[g] = c.GetOrCompute(1, func() *int { return new(int) })
+		}()
+	}
+	wg.Wait()
+	stored, _ := c.Get(1)
+	for g, p := range got {
+		if p != stored {
+			t.Fatalf("worker %d got %p, resident value is %p", g, p, stored)
+		}
+	}
+}

@@ -1,29 +1,18 @@
 package serve
 
 import (
-	"container/list"
 	"context"
-
 	"sync"
 
 	"igosim/internal/runner"
 	"igosim/internal/stats"
 )
 
-// resultCache is the process-wide response cache: a bounded LRU over
-// marshaled response bodies keyed by request fingerprint, with
-// singleflight deduplication of in-flight computations and a doorkeeper
-// admission filter.
-//
-// Admission policy (scan resistance): while the LRU is below capacity,
-// every computed result is admitted. Once full, a newly computed key is
-// only admitted — evicting the LRU tail — if it has been *seen before*
-// (recorded in a bounded doorkeeper set). A one-shot scan over thousands
-// of distinct requests therefore cannot flush the working set: each scan
-// key is computed, remembered, and discarded; only keys that recur earn a
-// slot. This is the classic TinyLFU doorkeeper simplified to a set, which
-// is enough for a result cache whose entries are expensive to compute but
-// cheap to hold.
+// resultCache is the process-wide response cache: marshaled response
+// bodies keyed by request fingerprint in a runner.Bounded (LRU with a
+// doorkeeper, so a one-shot scan over thousands of distinct requests
+// cannot flush the working set), plus singleflight deduplication of
+// in-flight computations.
 //
 // Determinism: the cache stores exact marshaled bytes, and cached bytes
 // are returned verbatim, so hit-vs-miss cannot change a response body.
@@ -31,21 +20,11 @@ import (
 // and capacity), which is why cache status travels in a response header
 // and the counters live in the Wall metric domain.
 type resultCache struct {
-	mu       sync.Mutex
-	cap      int
-	lru      *list.List               // front = most recently used
-	entries  map[string]*list.Element // fingerprint -> element
-	seen     map[string]struct{}      // doorkeeper: keys computed but not admitted
-	seenQ    []string                 // FIFO bound on the doorkeeper set
+	bodies   *runner.Bounded[string, []byte]
+	mu       sync.Mutex // guards inflight
 	inflight map[string]*call
 	counters *stats.CacheCounters
 	limiter  *runner.Limiter
-}
-
-// cacheEntry is one admitted result.
-type cacheEntry struct {
-	key  string
-	body []byte
 }
 
 // call is one in-flight computation; waiters block on done.
@@ -55,42 +34,24 @@ type call struct {
 	err  *Error
 }
 
-// seenBoundFactor bounds the doorkeeper set to seenBoundFactor × capacity
-// keys; beyond that the oldest recorded keys are forgotten FIFO.
-const seenBoundFactor = 8
-
 func newResultCache(capacity int, counters *stats.CacheCounters, limiter *runner.Limiter) *resultCache {
 	c := &resultCache{
-		cap:      capacity,
-		lru:      list.New(),
-		entries:  make(map[string]*list.Element),
-		seen:     make(map[string]struct{}),
+		bodies:   runner.NewBounded[string, []byte](capacity, counters),
 		inflight: make(map[string]*call),
 		counters: counters,
 		limiter:  limiter,
 	}
-	counters.SetSizer(c.Len)
+	counters.SetSizer(c.bodies.Len)
 	return c
 }
 
 // Len returns the number of admitted entries.
-func (c *resultCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
+func (c *resultCache) Len() int { return c.bodies.Len() }
 
 // Reset drops every admitted entry and the doorkeeper's memory. In-flight
 // computations are left to finish; their results are admitted per the
 // usual policy into the now-empty cache.
-func (c *resultCache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.lru.Init()
-	c.entries = make(map[string]*list.Element)
-	c.seen = make(map[string]struct{})
-	c.seenQ = nil
-}
+func (c *resultCache) Reset() { c.bodies.Reset() }
 
 // Status values for the X-Igosim-Cache response header.
 const (
@@ -105,23 +66,22 @@ const (
 // the computation finishes and populates the cache, so the work is never
 // wasted. The returned status is one of the Status* constants.
 func (c *resultCache) Get(ctx context.Context, key string, compute func() ([]byte, *Error)) (body []byte, status string, err *Error) {
+	// c.mu orders the lookup against run's admit-then-unregister, so a key
+	// is always either in flight, resident, or neither — never counted as
+	// both a miss and a coalesced wait.
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(e)
-		body = e.Value.(*cacheEntry).body
-		c.mu.Unlock()
-		c.counters.Hit()
-		return body, StatusHit, nil
-	}
 	if cl, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
 		c.counters.Coalesced()
 		return c.wait(ctx, cl, StatusCoalesced)
 	}
+	if body, ok := c.bodies.Get(key); ok {
+		c.mu.Unlock()
+		return body, StatusHit, nil
+	}
 	cl := &call{done: make(chan struct{})}
 	c.inflight[key] = cl
 	c.mu.Unlock()
-	c.counters.Miss()
 
 	// The leader computes on a detached goroutine so that the computation —
 	// and the cache admission that follows — survives the leader's client
@@ -142,10 +102,10 @@ func (c *resultCache) run(key string, cl *call, compute func() ([]byte, *Error))
 		cl.err = &Error{Code: CodeShuttingDown, Message: err.Error()}
 	}
 	c.mu.Lock()
-	delete(c.inflight, key)
 	if cl.err == nil {
-		c.admit(key, cl.body)
+		c.bodies.Put(key, cl.body)
 	}
+	delete(c.inflight, key)
 	c.mu.Unlock()
 	close(cl.done)
 }
@@ -158,43 +118,4 @@ func (c *resultCache) wait(ctx context.Context, cl *call, status string) ([]byte
 	case <-ctx.Done():
 		return nil, status, &Error{Code: CodeDeadline, Message: ctx.Err().Error()}
 	}
-}
-
-// admit applies the doorkeeper policy; the caller holds c.mu.
-func (c *resultCache) admit(key string, body []byte) {
-	if _, ok := c.entries[key]; ok {
-		return // a racing reset + recompute may have re-admitted it already
-	}
-	if c.cap <= 0 {
-		return // caching disabled: singleflight only
-	}
-	if c.lru.Len() >= c.cap {
-		if _, ok := c.seen[key]; !ok {
-			// First sighting at full capacity: remember the key, keep the
-			// working set. The key earns admission on its next computation.
-			c.remember(key)
-			return
-		}
-		delete(c.seen, key)
-		tail := c.lru.Back()
-		delete(c.entries, tail.Value.(*cacheEntry).key)
-		c.lru.Remove(tail)
-		c.counters.Eviction()
-	}
-	//lint:spanpair container/list insertion, not a trace span; removal happens on later evictions
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, body: body})
-}
-
-// remember records a rejected key in the bounded doorkeeper set.
-func (c *resultCache) remember(key string) {
-	if _, ok := c.seen[key]; ok {
-		return
-	}
-	bound := c.cap * seenBoundFactor
-	for len(c.seenQ) >= bound && len(c.seenQ) > 0 {
-		delete(c.seen, c.seenQ[0])
-		c.seenQ = c.seenQ[1:]
-	}
-	c.seen[key] = struct{}{}
-	c.seenQ = append(c.seenQ, key)
 }

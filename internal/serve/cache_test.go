@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -267,5 +269,31 @@ func TestResetEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("POST /reset without EnableReset: %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestServersRegisterOneResultCache builds several servers in one process
+// and checks the stats cache report still lists exactly the process's
+// eleven caches, serve/result once: the benchmark's per-layer probes and
+// the run manifests key on these names. Counters the unit tests above
+// register for their private caches (serve/test-*) are left out.
+func TestServersRegisterOneResultCache(t *testing.T) {
+	for i := 0; i < 3; i++ {
+		New(Options{CacheCap: 4 + i})
+	}
+	want := []string{
+		"core/baseline-panel", "core/baseline-tune", "core/compiled-prog",
+		"core/interleave-tune", "core/layer-sim", "core/major-panel",
+		"core/merge-panel", "core/order-tune", "core/partitioned-prog",
+		"serve/result", "sim/resolved",
+	}
+	var got []string
+	for _, snap := range stats.CacheReport() {
+		if !strings.HasPrefix(snap.Name, "serve/test-") {
+			got = append(got, snap.Name)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("cache report names after building 3 servers:\n got %q\nwant %q", got, want)
 	}
 }

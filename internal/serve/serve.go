@@ -125,9 +125,12 @@ func (s *Server) isDraining() bool {
 	}
 }
 
-// ResetCaches empties every cache the server can reach: its own result
-// cache (and doorkeeper memory), plus the simulator's layer memo,
-// schedule-tuning and compiled-program caches via core.ResetCaches.
+// ResetCaches returns the process to cold. It empties this server's result
+// cache (bodies and doorkeeper) and, through core.ResetCaches, every
+// simulator cache — layer memo, tuning caches, compiled programs, panels,
+// partitioned programs and resolved traces — and zeroes every registered
+// cache's counters, serve/result's included. In-flight computations still
+// finish and are admitted into the emptied cache.
 func (s *Server) ResetCaches() {
 	s.cache.Reset()
 	core.ResetCaches()

@@ -70,6 +70,7 @@ func RunProgram(cfg config.NPU, opts Options, prog *schedule.Program) Result {
 			countPass(res)
 			return res
 		}
+		resolvedCensus.add(key)
 		res, rt := ResolveProgram(cfg, opts, prog)
 		resolvedPhases.Resolution()
 		if rt != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"igosim/internal/config"
@@ -238,12 +239,49 @@ type resolvedKey struct {
 const defaultResolvedCacheCap = 8192
 
 var (
-	resolvedCache = runner.NewBounded[resolvedKey, *ResolvedTrace]("sim/resolved", defaultResolvedCacheCap)
+	resolvedCounters = stats.NewCacheCounters("sim/resolved")
+	resolvedCache    = runner.NewBounded[resolvedKey, *ResolvedTrace](defaultResolvedCacheCap, resolvedCounters)
+	resolvedCensus   = newKeyCensus(resolvedCounters)
 	// Wall domain: under a layer-memo miss race two workers may both
 	// resolve or replay the same key, so the executed split varies with
-	// -j. The deterministic census is the cache's Distinct count.
+	// -j. The deterministic census is resolvedCensus.
 	resolvedPhases = stats.NewPhaseCounters("sim/resolved")
 )
+
+// keyCensus is the resolved-trace cache's distinct-key census: every key
+// ever looked up since the last reset, which — unlike the hit/miss split
+// or the surviving resident set — does not depend on worker interleaving.
+// It is installed as the cache counters' sizer, so manifests and the
+// sweep benchmark's "resolutions" leaf read it as Entries. RunProgram
+// records keys on a miss only: a hit key missed before it was admitted.
+type keyCensus struct {
+	mu   sync.Mutex
+	keys map[resolvedKey]struct{}
+}
+
+func newKeyCensus(counters *stats.CacheCounters) *keyCensus {
+	c := &keyCensus{keys: make(map[resolvedKey]struct{})}
+	counters.SetSizer(c.size)
+	return c
+}
+
+func (c *keyCensus) add(k resolvedKey) {
+	c.mu.Lock()
+	c.keys[k] = struct{}{}
+	c.mu.Unlock()
+}
+
+func (c *keyCensus) size() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.keys)
+}
+
+func (c *keyCensus) reset() {
+	c.mu.Lock()
+	c.keys = make(map[resolvedKey]struct{})
+	c.mu.Unlock()
+}
 
 // SetResidencyCacheCap sets the resolved-trace cache capacity (entries),
 // returning the previous value. Capacity 0 disables two-phase execution
@@ -265,6 +303,7 @@ func ResidencyCacheCap() int { return resolvedCache.Cap() }
 // the phase counters, returning two-phase execution to a cold state.
 func ResetResolvedCache() {
 	resolvedCache.Reset()
+	resolvedCensus.reset()
 	resolvedPhases.Reset()
 }
 
