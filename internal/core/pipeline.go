@@ -301,8 +301,10 @@ func runBackwardMulti(cfg config.NPU, opts sim.Options, p schedule.TileParams, p
 	}
 	if skipDX {
 		// dW-only layer: batch-split with partial-dW reduction for every
-		// policy; the techniques do not apply.
-		out := runMultiPlan(cfg, opts, PartitionLayer(p, WeightSharing, cfg.Cores), true)
+		// policy; the techniques do not apply. It runs as conventional data
+		// parallelism: private buffers.
+		plan := PartitionLayer(p, WeightSharing, cfg.Cores)
+		out := runMultiPlanPolicy(cfg, opts, p, plan, PolBaseline, true, false)
 		out.Policy = pol
 		out.Dims = p.Dims
 		return out
@@ -311,7 +313,7 @@ func runBackwardMulti(cfg config.NPU, opts sim.Options, p schedule.TileParams, p
 	switch pol {
 	case PolBaseline, PolInterleave, PolRearrange:
 		plan := PartitionLayer(p, WeightSharing, cfg.Cores)
-		out := runMultiPlanPolicy(cfg, opts, plan, pol, false)
+		out := runMultiPlanPolicy(cfg, opts, p, plan, pol, false, false)
 		out.Policy = pol
 		out.Dims = p.Dims
 		return out
@@ -320,7 +322,7 @@ func runBackwardMulti(cfg config.NPU, opts sim.Options, p schedule.TileParams, p
 		first := true
 		for _, scheme := range Schemes() {
 			plan := PartitionLayer(p, scheme, cfg.Cores)
-			cand := runMultiPlanPolicy(cfg, opts, plan, PolRearrange, true)
+			cand := runMultiPlanPolicy(cfg, opts, p, plan, PolRearrange, false, true)
 			cand.Scheme = scheme
 			if first || cand.Cycles < best.Cycles {
 				best = cand
@@ -333,44 +335,33 @@ func runBackwardMulti(cfg config.NPU, opts sim.Options, p schedule.TileParams, p
 	}
 }
 
-// runMultiPlanPolicy executes a plan's partitions concurrently, one per
-// core, with each partition's stream generated per the policy. Kernel
-// boundaries are synchronized across cores (data parallelism launches each
-// gradient kernel on all cores together), so the baseline runs as two
-// phases with a shared-SPM flush in between.
-func runMultiPlanPolicy(cfg config.NPU, opts sim.Options, plan Plan, pol Policy, sharedSPM bool) LayerOutcome {
-	orders := make(map[Order]bool)
-	var phases [][][]schedule.Op
-	for _, sub := range plan.Parts {
-		kernels, o := BackwardKernels(cfg, sub, pol, false)
-		orders[o] = true
-		for k, kernel := range kernels {
-			if k >= len(phases) {
-				phases = append(phases, nil)
+// runMultiPlanPolicy executes the partitions of plan (a partitioning of
+// p) concurrently, one per core, with each partition's stream generated
+// per the policy, or dW-only for the network's first layer (skipDX).
+// Kernel boundaries are synchronized across cores (data parallelism
+// launches each gradient kernel on all cores together), so the baseline
+// runs as two phases with a shared-SPM flush in between. The reported
+// order is the last partition's, as in runPartitionedSingle.
+func runMultiPlanPolicy(cfg config.NPU, opts sim.Options, p schedule.TileParams, plan Plan, pol Policy, skipDX, sharedSPM bool) LayerOutcome {
+	key := multiKey{kind: memoBackward, pol: pol, skipDX: skipDX}
+	for i, sub := range plan.Parts {
+		key.orders[i], key.tuned[i] = tunedChoices(cfg, sub, pol, skipDX)
+	}
+	mr := runMulti(cfg, opts, p, plan, key, sharedSPM, func() [][][]schedule.Op {
+		var phases [][][]schedule.Op
+		for _, sub := range plan.Parts {
+			kernels, _ := BackwardKernels(cfg, sub, pol, skipDX)
+			for k, kernel := range kernels {
+				if k >= len(phases) {
+					phases = append(phases, nil)
+				}
+				phases[k] = append(phases[k], kernel.Ops)
 			}
-			phases[k] = append(phases[k], kernel.Ops)
 		}
-	}
-	out := finishMulti(cfg, sim.RunMultiPhased(cfg, opts, phases, sharedSPM), plan)
-	for o := range orders {
-		out.Order = o
-	}
-	out.Scheme = plan.Scheme
-	out.Parts = len(plan.Parts)
-	return out
-}
-
-// runMultiPlan executes a plan with dW-only per-core streams.
-func runMultiPlan(cfg config.NPU, opts sim.Options, plan Plan, dwOnly bool) LayerOutcome {
-	if !dwOnly {
-		return runMultiPlanPolicy(cfg, opts, plan, PolBaseline, false)
-	}
-	var streams [][]schedule.Op
-	for _, sub := range plan.Parts {
-		streams = append(streams, TunedDWOnly(cfg, sub).Ops)
-	}
-	// dW-only layers run as conventional data parallelism: private buffers.
-	out := finishMulti(cfg, sim.RunMultiPhased(cfg, opts, [][][]schedule.Op{streams}, false), plan)
+		return phases
+	})
+	out := finishMulti(cfg, mr, plan)
+	out.Order = key.orders[len(plan.Parts)-1]
 	out.Scheme = plan.Scheme
 	out.Parts = len(plan.Parts)
 	return out
@@ -410,15 +401,17 @@ func runForwardMulti(cfg config.NPU, opts sim.Options, p schedule.TileParams) La
 		return RunForward(cfg, opts, p)
 	}
 	plan := PartitionLayer(p, WeightSharing, cfg.Cores)
-	var streams [][]schedule.Op
-	for _, sub := range plan.Parts {
-		sub.DWPartial = false // forward pass computes Y, not dW
-		streams = append(streams, schedule.Forward(sub).Ops)
-	}
 	// The forward pass runs as conventional data parallelism: private
 	// per-core buffers.
 	fopts := sim.Options{Trace: opts.Trace, TraceLabel: opts.TraceLabel}
-	mr := sim.RunMultiPhased(cfg, fopts, [][][]schedule.Op{streams}, false)
+	mr := runMulti(cfg, fopts, p, plan, multiKey{kind: memoForward}, false, func() [][][]schedule.Op {
+		var streams [][]schedule.Op
+		for _, sub := range plan.Parts {
+			sub.DWPartial = false // forward pass computes Y, not dW
+			streams = append(streams, schedule.Forward(sub).Ops)
+		}
+		return [][][]schedule.Op{streams}
+	})
 	out := LayerOutcome{
 		Cycles:     mr.Cycles,
 		Traffic:    mr.Traffic,

@@ -139,6 +139,25 @@ func TestMultiCoreBaselineIncludesReduction(t *testing.T) {
 	}
 }
 
+// TestMultiPlanOrderIsLastParts pins the access order a multi-core plan
+// reports when its parts tune to different orders: the last part's, the
+// same on every run (as runPartitionedSingle reports it).
+func TestMultiPlanOrderIsLastParts(t *testing.T) {
+	cfg := config.SmallNPU().WithCores(2)
+	p := LayerParams(tensor.Dims{M: 392, K: 800, N: 128}, 0, cfg)
+	plan := PartitionLayer(p, IfmapSharing, cfg.Cores)
+	first := BestOrderSimulated(cfg, plan.Parts[0])
+	last := BestOrderSimulated(cfg, plan.Parts[len(plan.Parts)-1])
+	if first == last {
+		t.Fatalf("every part tunes to %v: the plan cannot tell which part's order is reported", first)
+	}
+	for i := 0; i < 20; i++ {
+		if got := runMultiPlanPolicy(cfg, sim.Options{}, p, plan, PolRearrange, false, true).Order; got != last {
+			t.Fatalf("run %d reports order %v, want the last part's %v", i, got, last)
+		}
+	}
+}
+
 func TestRunTrainingShape(t *testing.T) {
 	cfg := tinyCfg()
 	m := workload.Model{

@@ -64,19 +64,8 @@ func backwardProgram(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX b
 	key := progKey{
 		p: np, spm: cfg.SPMBytes, elem: cfg.ElemBytes,
 		kind: memoBackward, pol: pol, skipDX: skipDX,
-		order: OnlyInterleave,
 	}
-	switch {
-	case skipDX, pol == PolBaseline:
-		key.tuned = baselineChoices(cfg, np)
-	case pol == PolInterleave:
-		key.tuned = interleaveChoices(cfg, np)
-	default: // PolRearrange and above
-		key.order = BestOrderSimulated(cfg, np)
-		if key.order == OnlyInterleave {
-			key.tuned = interleaveChoices(cfg, np)
-		}
-	}
+	key.order, key.tuned = tunedChoices(cfg, np, pol, skipDX)
 	// Canonical result: the program pointer keys the sim layer's
 	// resolved-trace cache, so a miss race must converge on one pointer per
 	// logical program or the distinct-key census would vary with -j.
@@ -85,6 +74,25 @@ func backwardProgram(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX b
 		return sim.CompileSchedules(kernels...)
 	})
 	return prog, key.order
+}
+
+// tunedChoices resolves the tuned choices that shape p's backward stream
+// under pol, the same ones BackwardKernels makes: the access order, and
+// for streams built from tuned candidates (the baseline pair, or a fused
+// interleave) the candidate choice, zero otherwise.
+func tunedChoices(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX bool) (Order, ordersVal) {
+	switch {
+	case skipDX, pol == PolBaseline:
+		return OnlyInterleave, baselineChoices(cfg, p)
+	case pol == PolInterleave:
+		return OnlyInterleave, interleaveChoices(cfg, p)
+	default: // PolRearrange and above
+		o := BestOrderSimulated(cfg, p)
+		if o == OnlyInterleave {
+			return o, interleaveChoices(cfg, p)
+		}
+		return o, ordersVal{}
+	}
 }
 
 // forwardProgram returns the retained compiled program for one layer's
@@ -344,12 +352,8 @@ func partitionedProgram(cfg config.NPU, p schedule.TileParams, scheme Scheme, pa
 	}
 	orders := make([]Order, len(plan.Parts))
 	for i, sub := range plan.Parts {
-		o := BestOrderSimulated(cfg, sub)
-		orders[i] = o
-		key.orders[i] = o
-		if o == OnlyInterleave {
-			key.tuned[i] = interleaveChoices(cfg, sub)
-		}
+		key.orders[i], key.tuned[i] = tunedChoices(cfg, sub, PolRearrange, false)
+		orders[i] = key.orders[i]
 	}
 	prog := partCache.GetOrCompute(key, func() *schedule.Program {
 		// Rebuild from the normalized parent so the retained program's tile
@@ -363,4 +367,41 @@ func partitionedProgram(cfg config.NPU, p schedule.TileParams, scheme Scheme, pa
 		return sim.CompileSchedules(scheds...)
 	})
 	return prog, orders, true
+}
+
+// multiKey identifies one multi-core run's phases up to tensor renaming
+// and hardware timing: the parent shape, what every part runs (kind,
+// policy, dW-only), the plan's scheme and part count — which together fix
+// the part shapes — and the per-part tuned choices, resolved first as in
+// partKey. sim.RunMultiKeyed completes it with the SPM size, core count,
+// placement and free-dY option. Unlike progKey and partKey it keys no
+// retained program: the sim layer's trace cache holds the resolved trace,
+// and a miss emits, compiles, resolves and drops the phases.
+type multiKey struct {
+	p      schedule.TileParams // parent, Layer/Part zeroed
+	spm    int64
+	elem   int
+	kind   memoKind
+	pol    Policy
+	skipDX bool
+	scheme Scheme
+	parts  int
+	orders [schedule.MaxPartitions]Order
+	tuned  [schedule.MaxPartitions]ordersVal
+}
+
+// runMulti simulates a plan's multi-core phases, which emit builds. key
+// carries what the parts run and their tuned choices; runMulti completes
+// it from p, plan and cfg. Untraced runs of layers within panelOpBudget —
+// the size discipline of the retained programs — go through the trace
+// cache; the rest emit and simulate every time.
+func runMulti(cfg config.NPU, opts sim.Options, p schedule.TileParams, plan Plan, key multiKey, shared bool, emit func() [][][]schedule.Op) sim.MultiResult {
+	if !useProgramCache(opts, p) {
+		return sim.RunMultiPhased(cfg, opts, emit(), shared)
+	}
+	key.p = p
+	key.p.Layer, key.p.Part = 0, 0
+	key.spm, key.elem = cfg.SPMBytes, cfg.ElemBytes
+	key.scheme, key.parts = plan.Scheme, len(plan.Parts)
+	return sim.RunMultiKeyed(cfg, opts, key, shared, emit)
 }

@@ -1,7 +1,9 @@
 // Package detmap flags `range` loops over maps whose bodies have
 // order-dependent effects: printing/formatting (including fmt.Errorf — the
-// chosen error then depends on iteration order) or appending to a slice
-// declared outside the loop. Go randomises map iteration order, so any
+// chosen error then depends on iteration order), assigning the iteration
+// key or value to a variable declared outside the loop (the element the
+// map yields last wins), or appending to a slice declared outside the
+// loop. Go randomises map iteration order, so any
 // such loop makes reports, figures and error messages nondeterministic —
 // exactly the silent nondeterminism the simulator's byte-identical golden
 // tests exist to prevent.
@@ -34,8 +36,9 @@ import (
 // Analyzer is the detmap check.
 var Analyzer = &analysis.Analyzer{
 	Name: "detmap",
-	Doc: "flags map-range loops that print, format errors, or append to outer slices " +
-		"without a later sort; iterate stats.SortedKeys(m) or sort explicitly",
+	Doc: "flags map-range loops that print, format errors, assign the iteration key or value " +
+		"to an outer variable, or append to outer slices without a later sort; " +
+		"iterate stats.SortedKeys(m) or sort explicitly",
 	Run: run,
 }
 
@@ -149,6 +152,13 @@ func checkMapRange(pass *analysis.Pass, g *detflow.Graph, rs *ast.RangeStmt, fn 
 		return
 	}
 
+	// Assigning the iteration key or value to an outer variable keeps
+	// whichever element the map yields last.
+	if iter, dst := lastWrite(pass, rs); dst != nil {
+		pass.Reportf(rs.For, "map iteration assigns %s to %s, declared outside the loop: the last element the map yields wins; range over sorted keys instead", iter, dst.Name())
+		return
+	}
+
 	// Appending to an outer slice is nondeterministic unless the function
 	// sorts that slice after the loop.
 	for _, obj := range appendTargets {
@@ -157,6 +167,65 @@ func checkMapRange(pass *analysis.Pass, g *detflow.Graph, rs *ast.RangeStmt, fn 
 			return
 		}
 	}
+}
+
+// lastWrite finds a plain (=) assignment in rs's body whose right-hand
+// side is the loop's key or value variable iter and whose left-hand side
+// is dst, a variable declared outside the loop or a field of one. Index
+// targets (m2[k] = v) are left alone: each key writes its own element.
+// dst is nil when there is none.
+func lastWrite(pass *analysis.Pass, rs *ast.RangeStmt) (iter string, dst types.Object) {
+	iters := map[types.Object]bool{}
+	for _, e := range []ast.Expr{rs.Key, rs.Value} {
+		if id, ok := e.(*ast.Ident); ok && rs.Tok == token.DEFINE {
+			if obj := pass.TypesInfo.Defs[id]; obj != nil {
+				iters[obj] = true
+			}
+		}
+	}
+	ast.Inspect(rs.Body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if dst != nil || !ok || as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) {
+			return dst == nil
+		}
+		for i, rhs := range as.Rhs {
+			id, ok := ast.Unparen(rhs).(*ast.Ident)
+			if !ok || !iters[pass.TypesInfo.Uses[id]] {
+				continue
+			}
+			if v := assignedVar(pass, as.Lhs[i]); v != nil && !within(rs, v) {
+				iter, dst = id.Name, v
+				return false
+			}
+		}
+		return true
+	})
+	return iter, dst
+}
+
+// assignedVar resolves an assignment target to the variable it writes: an
+// identifier, the root of a field selector chain (x.a.b writes into x), or
+// a package-level variable (pkg.V). Other targets yield nil.
+func assignedVar(pass *analysis.Pass, lhs ast.Expr) types.Object {
+	switch e := ast.Unparen(lhs).(type) {
+	case *ast.Ident:
+		if v, ok := pass.TypesInfo.Uses[e].(*types.Var); ok {
+			return v
+		}
+	case *ast.SelectorExpr:
+		if x, ok := e.X.(*ast.Ident); ok {
+			if _, isPkg := pass.TypesInfo.Uses[x].(*types.PkgName); isPkg {
+				return assignedVar(pass, e.Sel)
+			}
+		}
+		return assignedVar(pass, e.X)
+	}
+	return nil
+}
+
+// within reports whether obj is declared inside rs.
+func within(rs *ast.RangeStmt, obj types.Object) bool {
+	return rs.Pos() <= obj.Pos() && obj.Pos() <= rs.End()
 }
 
 // outerObject resolves expr to a variable declared outside the range

@@ -38,6 +38,43 @@ func appendUnsorted(m map[string]int) []string {
 	return keys
 }
 
+// lastKey keeps whichever key the map yields last.
+func lastKey(m map[string]bool) string {
+	var last string
+	for k := range m { // want `map iteration assigns k to last, declared outside the loop`
+		last = k
+	}
+	return last
+}
+
+type pick struct{ n int }
+
+// lastValueField writes the iteration value into a field of an outer
+// variable.
+func lastValueField(m map[string]int) pick {
+	var p pick
+	for _, v := range m { // want `map iteration assigns v to p, declared outside the loop`
+		p.n = v
+	}
+	return p
+}
+
+// perKeyWrites are order-insensitive: each key writes its own element,
+// the loop-local copy dies with its iteration, and the outer write is
+// not a bare iteration variable.
+func perKeyWrites(m map[string]int) (map[int]string, int) {
+	inv := make(map[int]string, len(m))
+	best := 0
+	for k, v := range m {
+		inv[v] = k
+		var local string
+		local = k
+		_ = local
+		best = max(best, v)
+	}
+	return inv, best
+}
+
 // sortedKeysPattern mirrors stats.SortedKeys: append then sort is the
 // sanctioned way to turn a map into a deterministic sequence.
 func sortedKeysPattern(m map[string]int) []string {

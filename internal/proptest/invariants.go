@@ -32,6 +32,7 @@ func Invariants() []Invariant {
 		{"multi-oracle", CheckMultiOracle},
 		{"compiled-equivalence", CheckCompiledEquivalence},
 		{"resolved-replay", CheckResolvedReplay},
+		{"multi-replay", CheckMultiReplay},
 		{"cycle-bounds", CheckCycleBounds},
 		{"conservation", CheckConservation},
 		{"partition", CheckPartition},
@@ -176,6 +177,38 @@ func CheckResolvedReplay(c Case) error {
 			want := refmodel.ReplaySchedules(cfg, refmodel.Options{FreeDYOnDW: free}, scheds...)
 			if err := refmodel.Compare(replayed, want); err != nil {
 				return fmt.Errorf("freeDY=%v variant %d: replay vs oracle: %w", free, vi, err)
+			}
+		}
+	}
+	return nil
+}
+
+// CheckMultiReplay is the two-phase execution property for multi-core
+// runs: a trace sim.ResolveMulti records at the case's base point must
+// replay at every cost variant to exactly what RunMultiPhased produces
+// there — full MultiResult equality — and agree with the refmodel oracle,
+// for shared and private placement in both dY regimes. This is what lets
+// core replay a multi-core plan's trace across a bandwidth sweep.
+func CheckMultiReplay(c Case) error {
+	base := c.MultiConfig()
+	phases := c.MultiPhases()
+	for _, shared := range []bool{true, false} {
+		for _, free := range []bool{false, true} {
+			opts := sim.Options{FreeDYOnDW: free}
+			_, rt := sim.ResolveMulti(base, opts, phases, shared)
+			if rt == nil {
+				return fmt.Errorf("shared=%v freeDY=%v: resolution yielded no trace", shared, free)
+			}
+			for vi, cfg := range costVariants(base) {
+				replayed := rt.ReplayMulti(cfg)
+				engine := sim.RunMultiPhased(cfg, opts, phases, shared)
+				if !reflect.DeepEqual(replayed, engine) {
+					return fmt.Errorf("shared=%v freeDY=%v variant %d: replay %+v != engine %+v", shared, free, vi, replayed, engine)
+				}
+				want := refmodel.ReplayMulti(cfg, refmodel.Options{FreeDYOnDW: free}, phases, shared)
+				if err := refmodel.CompareMulti(replayed, want); err != nil {
+					return fmt.Errorf("shared=%v freeDY=%v variant %d: replay vs oracle: %w", shared, free, vi, err)
+				}
 			}
 		}
 	}

@@ -41,6 +41,11 @@ func TestPropertyResolvedReplay(t *testing.T) {
 	Run(t, "resolved-replay", casesPerInvariant, CheckResolvedReplay)
 }
 
+func TestPropertyMultiReplay(t *testing.T) {
+	t.Parallel()
+	Run(t, "multi-replay", casesPerInvariant, CheckMultiReplay)
+}
+
 func TestPropertyCycleBounds(t *testing.T) {
 	t.Parallel()
 	Run(t, "cycle-bounds", casesPerInvariant, CheckCycleBounds)

@@ -180,13 +180,9 @@ type CompiledEngine struct {
 
 	freeDY bool
 
-	// Trace recording (resolved.go): when rec is non-nil, step captures
-	// each op's resolved transfer totals and tile-dimension index. recTm/
-	// recTk/recTn/recDim are a last-value cache over the dimension table.
-	rec                 *ResolvedTrace
-	recOK               bool
-	recTm, recTk, recTn int32
-	recDim              uint16
+	// Trace recording (resolved.go): while rec is recording, step captures
+	// each op's resolved transfer totals and tile-dimension index.
+	rec recorder
 
 	memDone     int64
 	compDone    int64
@@ -231,9 +227,7 @@ func (e *CompiledEngine) Init(cfg config.NPU, opts Options) {
 	}
 	e.prog = nil
 	e.keys = nil
-	e.rec, e.recOK = nil, false
-	e.recTm, e.recTk, e.recTn = -1, -1, -1
-	e.recDim = 0
+	e.rec = recorder{}
 	e.resv.stats = SPMStats{}
 	e.memDone, e.compDone, e.prevCompEnd = 0, 0, 0
 	e.res = Result{}
@@ -399,8 +393,8 @@ func (e *CompiledEngine) step(op *schedule.CompiledOp, compCycles int64) {
 
 	memCycles := e.chn.TransferCycles(fetchBytes+writeBytes+spillBytes, bursts+spillBursts)
 
-	if e.rec != nil {
-		e.record(op, fetchBytes+writeBytes+spillBytes, bursts+spillBursts)
+	if e.rec.t != nil {
+		e.rec.record(&e.rec.t.ops, op, fetchBytes+writeBytes+spillBytes, bursts+spillBursts)
 	}
 
 	// Double-buffered pipeline: the DMA may run at most one op ahead of the

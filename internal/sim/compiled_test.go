@@ -6,6 +6,8 @@ package sim_test
 import (
 	"bytes"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"igosim/internal/config"
@@ -182,6 +184,54 @@ func TestCompiledMultiTraceParity(t *testing.T) {
 		if err := sink.Check(); err != nil {
 			t.Fatalf("shared=%v: %v", shared, err)
 		}
+	}
+}
+
+// TestRunMultiKeyedConcurrent drives the value-keyed multi-core trace
+// cache from eight goroutines at once over a bandwidth sweep in both
+// scratchpad placements: every call must return exactly RunMultiPhased's
+// result for its configuration. Afterwards a resolved key must replay
+// without emitting, and a disabled cache must emit on every call.
+func TestRunMultiKeyedConcurrent(t *testing.T) {
+	sim.ResetResolvedCache()
+	defer sim.ResetResolvedCache()
+	type phasesKey struct{ name string }
+	key := phasesKey{"multiPhases"}
+	var emits atomic.Int64
+	emit := func() [][][]schedule.Op {
+		emits.Add(1)
+		return multiPhases()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, bw := range []float64{1e9, 3e9, 9e9, 27e9} {
+				cfg := multiCfg().WithBandwidth(bw)
+				for _, shared := range []bool{true, false} {
+					got := sim.RunMultiKeyed(cfg, sim.Options{}, key, shared, emit)
+					if want := sim.RunMultiPhased(cfg, sim.Options{}, multiPhases(), shared); !reflect.DeepEqual(got, want) {
+						t.Errorf("bw=%g shared=%v: keyed %+v != engine %+v", bw, shared, got, want)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	cfg := multiCfg().WithBandwidth(5e9)
+	before := emits.Load()
+	sim.RunMultiKeyed(cfg, sim.Options{}, key, true, emit)
+	if n := emits.Load() - before; n != 0 {
+		t.Errorf("a resolved key emitted %d times", n)
+	}
+	prev := sim.SetResidencyCacheCap(0)
+	defer sim.SetResidencyCacheCap(prev)
+	before = emits.Load()
+	sim.RunMultiKeyed(cfg, sim.Options{}, key, true, emit)
+	if n := emits.Load() - before; n != 1 {
+		t.Errorf("a disabled cache emitted %d times for one call, want 1", n)
 	}
 }
 

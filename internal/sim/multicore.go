@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"strconv"
 
 	"igosim/internal/config"
@@ -74,6 +75,22 @@ func RunMulti(cfg config.NPU, opts Options, streams [][]schedule.Op) MultiResult
 // Every phase must have between 1 and cfg.Cores streams; empty streams are
 // allowed (an idle core).
 func RunMultiPhased(cfg config.NPU, opts Options, phases [][][]schedule.Op, shared bool) MultiResult {
+	out, _ := runMultiPhased(cfg, opts, phases, shared, false)
+	return out
+}
+
+// ResolveMulti runs phases exactly as RunMultiPhased does, additionally
+// recording the residency-resolved trace ReplayMulti re-prices. As with
+// ResolveProgram, the trace is nil when the run is not representable, and
+// tracing is unsupported.
+func ResolveMulti(cfg config.NPU, opts Options, phases [][][]schedule.Op, shared bool) (MultiResult, *ResolvedTrace) {
+	if opts.Trace != nil {
+		panic("sim: ResolveMulti with tracing enabled")
+	}
+	return runMultiPhased(cfg, opts, phases, shared, true)
+}
+
+func runMultiPhased(cfg config.NPU, opts Options, phases [][][]schedule.Op, shared, record bool) (MultiResult, *ResolvedTrace) {
 	if len(phases) == 0 {
 		panic("sim: no phases")
 	}
@@ -97,6 +114,21 @@ func RunMultiPhased(cfg config.NPU, opts Options, phases [][][]schedule.Op, shar
 	}
 	n := c.NumTiles()
 	keys := c.Table().Keys
+
+	// Recording keeps one op run per core; the trace stores them core
+	// after core.
+	var rec recorder
+	var recOps [][]resolvedOp
+	if record {
+		total := 0
+		for _, streams := range code {
+			for _, ops := range streams {
+				total += len(ops)
+			}
+		}
+		rec.start(&ResolvedTrace{}, total)
+		recOps = make([][]resolvedOp, cores)
+	}
 
 	arr := systolic.New(cfg)
 	chn := dram.Channel{
@@ -218,8 +250,11 @@ func RunMultiPhased(cfg config.NPU, opts Options, phases [][][]schedule.Op, shar
 				if coreTr != nil {
 					tr = coreTr[ci]
 				}
-				stepShared(op, int32(ci), arr, chn, bufFor(ci), liveBytes,
+				bytes, bursts := stepShared(op, int32(ci), arr, chn, bufFor(ci), liveBytes,
 					loadedBy, keys, &pipes[ci], opts.FreeDYOnDW, &sharedHits, tr, occFor(ci))
+				if rec.t != nil {
+					rec.record(&recOps[ci], op, bytes, bursts)
+				}
 			}
 			if !progressed {
 				break
@@ -233,24 +268,42 @@ func RunMultiPhased(cfg config.NPU, opts Options, phases [][][]schedule.Op, shar
 		}
 	}
 
-	out := MultiResult{PerCore: make([]Result, len(pipes)), SharedHits: sharedHits}
-	if !shared {
-		out.SharedHits = 0
-	}
+	perCore := make([]Result, len(pipes))
 	for ci := range pipes {
 		pipes[ci].res.Cycles = pipes[ci].compDone
-		out.PerCore[ci] = pipes[ci].res
-		out.Traffic.Merge(pipes[ci].res.Traffic)
-		if pipes[ci].compDone > out.Cycles {
-			out.Cycles = pipes[ci].compDone
-		}
+		perCore[ci] = pipes[ci].res
 	}
 	// Hit/miss stats live in the shared (or core-0) buffer; surface them on
 	// core 0's result.
-	if len(out.PerCore) > 0 {
-		out.PerCore[0].SPM = bufFor(0).stats
+	perCore[0].SPM = bufFor(0).stats
+	if !shared {
+		sharedHits = 0
 	}
+	out := multiResult(perCore, sharedHits)
 	countMulti(out)
+	if !rec.ok {
+		return out, nil
+	}
+	rt := rec.t
+	rt.ops = slices.Concat(recOps...)
+	rt.cores = make([]resolvedCore, len(perCore))
+	end := 0
+	for ci, r := range perCore {
+		end += len(recOps[ci])
+		rt.cores[ci] = resolvedCore{end: end, agg: costFree(r)}
+	}
+	rt.sharedHits = sharedHits
+	return out, rt
+}
+
+// multiResult assembles a MultiResult from its per-core results: the
+// makespan is the slowest core's, the traffic the sum of all cores'.
+func multiResult(perCore []Result, sharedHits int64) MultiResult {
+	out := MultiResult{PerCore: perCore, SharedHits: sharedHits}
+	for _, r := range perCore {
+		out.Traffic.Merge(r.Traffic)
+		out.Cycles = max(out.Cycles, r.Cycles)
+	}
 	return out
 }
 
@@ -259,15 +312,16 @@ const noCore = int32(-1)
 
 // stepShared is CompiledEngine.step for one core of a multi-core run: the
 // residency set may be shared with other cores, and operand hits on tiles
-// another core loaded count as shared hits.
+// another core loaded count as shared hits. It returns the op's transfer
+// totals, the coefficients a resolved trace records.
 //
 //lint:hotpath
 func stepShared(op *schedule.CompiledOp, core int32, arr systolic.Array, chn dram.Channel,
 	buf *residency, liveBytes []int64, loadedBy []int32, keys []schedule.TileKey,
-	p *corePipe, freeDY bool, sharedHits *int64, tr *trace.Track, occ func(used int64)) {
+	p *corePipe, freeDY bool, sharedHits *int64, tr *trace.Track, occ func(used int64)) (bytes int64, bursts int) {
 
 	var fetchBytes, writeBytes, spillBytes int64
-	var bursts, spillBursts int
+	var spillBursts int
 
 	insert := func(id schedule.TileID, bytes int64) {
 		victims, changed := buf.insert(id, bytes)
@@ -368,4 +422,5 @@ func stepShared(op *schedule.CompiledOp, core int32, arr systolic.Array, chn dra
 	p.res.ComputeCycles += compCycles
 	p.res.MemCycles += memCycles
 	p.res.Ops++
+	return fetchBytes + writeBytes + spillBytes, bursts + spillBursts
 }

@@ -81,6 +81,35 @@ func RunProgram(cfg config.NPU, opts Options, prog *schedule.Program) Result {
 	return ExecuteProgram(cfg, opts, prog)
 }
 
+// RunMultiKeyed is RunMultiPhased through the two-phase executor, for
+// callers that can name a multi-core run without building it. key must be
+// a comparable value that determines, up to a renaming of tiles, the
+// phases emit returns; the SPM size, core count, placement and free-dY
+// option complete the residency key here. The first call for a key emits,
+// compiles and resolves the phases, and nothing of them is kept but the
+// trace; later calls replay it under cfg's cost axes without calling emit.
+// Traced calls and a disabled cache (capacity 0) run RunMultiPhased, and
+// runs over maxCachedResolvedOps are resolved but not admitted.
+func RunMultiKeyed(cfg config.NPU, opts Options, key any, shared bool, emit func() [][][]schedule.Op) MultiResult {
+	if opts.Trace != nil || resolvedCache.Cap() == 0 {
+		return RunMultiPhased(cfg, opts, emit(), shared)
+	}
+	rk := resolvedKey{phases: key, capacity: cfg.SPMBytes / 2, cores: cfg.Cores, shared: shared, freeDY: opts.FreeDYOnDW}
+	if rt, ok := resolvedCache.Get(rk); ok {
+		res := rt.ReplayMulti(cfg)
+		resolvedPhases.Replay()
+		countMulti(res)
+		return res
+	}
+	resolvedCensus.add(rk)
+	res, rt := ResolveMulti(cfg, opts, emit(), shared)
+	resolvedPhases.Resolution()
+	if rt != nil && rt.Ops() <= maxCachedResolvedOps {
+		resolvedCache.Put(rk, rt)
+	}
+	return res
+}
+
 // ExecuteProgram runs prog once on a pooled single-core compiled engine and
 // keeps nothing: no resolved trace, and no reference to the program. It is
 // the path for programs that must never key the residency cache, such as

@@ -24,6 +24,14 @@ import (
 // maps, no LRU and no residency branching. RunProgram threads a bounded,
 // admission-controlled trace cache between the two so bandwidth/frequency
 // sweeps resolve once and replay thousands of times.
+//
+// Multi-core runs share the argument: RunMultiPhased's residency follows a
+// round-robin merge of the core streams that no timing axis can reorder, so
+// ResolveMulti records each core's ops (phases concatenated, since pipeline
+// time carries across phase boundaries) into the same trace type, and
+// ReplayMulti prices every core with the same recurrence. RunMultiKeyed
+// caches those traces under a caller-supplied value key, so multi-core
+// programs are never retained.
 
 // resolvedOp is one op's residency-resolved cost coefficients: the total
 // bytes the DMA stage moves for it (fetches + final write + pressure
@@ -43,14 +51,30 @@ type tileDim struct {
 }
 
 // ResolvedTrace is the residency-resolved form of one compiled program
-// under one (SPM capacity, free-dY) key. It is immutable after resolution
-// and safe to replay concurrently from many goroutines. agg carries the
-// cost-independent half of the Result (traffic by class, SPM hit/miss
-// stats, spill and op counts); the cycle fields are recomputed per replay.
+// (or of one multi-core run's phases) under one residency key. It is
+// immutable after resolution and safe to replay concurrently from many
+// goroutines. ops holds every core's ops in execution order, core after
+// core; a single-core trace has one core.
 type ResolvedTrace struct {
-	ops  []resolvedOp
-	dims []tileDim
-	agg  Result
+	ops        []resolvedOp
+	dims       []tileDim
+	cores      []resolvedCore
+	sharedHits int64
+}
+
+// resolvedCore is one core's share of a trace: the end of its run in the
+// trace's ops, and the cost-independent half of its Result (traffic by
+// class, SPM hit/miss stats, spill and op counts). The cycle fields are
+// recomputed per replay.
+type resolvedCore struct {
+	end int
+	agg Result
+}
+
+// costFree returns r without its cost-point-dependent cycle fields.
+func costFree(r Result) Result {
+	r.Cycles, r.ComputeCycles, r.MemCycles = 0, 0, 0
+	return r
 }
 
 // Ops returns the number of resolved ops (the program's op count).
@@ -76,12 +100,31 @@ type replayScratch struct {
 
 var replayPool = runner.NewPool(func() *replayScratch { return &replayScratch{} })
 
-// Replay prices the resolved trace under cfg's cost axes and returns the
-// exact Result the compiled engine would produce for the same program —
-// bit-identical, as long as cfg agrees with the trace's resolution key on
-// SPM capacity (the replay-equivalence proptest and the replay-check gate
-// hold this). Safe for concurrent use on a shared trace.
+// Replay prices a single-core resolved trace under cfg's cost axes and
+// returns the exact Result the compiled engine would produce for the same
+// program — bit-identical, as long as cfg agrees with the trace's
+// resolution key on SPM capacity (the replay-equivalence proptest and the
+// replay-check gate hold this). Safe for concurrent use on a shared trace.
 func (t *ResolvedTrace) Replay(cfg config.NPU) Result {
+	if len(t.cores) != 1 {
+		panic("sim: Replay of a multi-core trace")
+	}
+	var out [1]Result
+	t.replay(cfg, out[:])
+	return out[0]
+}
+
+// ReplayMulti prices a trace from ResolveMulti under cfg's cost axes and
+// returns the exact MultiResult RunMultiPhased would produce, as long as
+// cfg agrees with the resolution on SPM size and core count.
+func (t *ResolvedTrace) ReplayMulti(cfg config.NPU) MultiResult {
+	perCore := make([]Result, len(t.cores))
+	t.replay(cfg, perCore)
+	return multiResult(perCore, t.sharedHits)
+}
+
+// replay prices every core's ops under cfg into out, one Result per core.
+func (t *ResolvedTrace) replay(cfg config.NPU, out []Result) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -101,13 +144,16 @@ func (t *ResolvedTrace) Replay(cfg config.NPU) Result {
 		// table, so the per-op compute cycles match bit-for-bit.
 		sc.dimCycles[i] = arr.TileCycles(int(d.tm), int(d.tk), int(d.tn))
 	}
-	cycles, compSum, memSum := replayOps(t.ops, sc.dimCycles, chn, replaySkew.Load())
+	skew := replaySkew.Load()
+	start := 0
+	for ci := range t.cores {
+		c := &t.cores[ci]
+		res := c.agg
+		res.Cycles, res.ComputeCycles, res.MemCycles = replayOps(t.ops[start:c.end], sc.dimCycles, chn, skew)
+		out[ci] = res
+		start = c.end
+	}
 	replayPool.Put(sc)
-	res := t.agg
-	res.Cycles = cycles
-	res.ComputeCycles = compSum
-	res.MemCycles = memSum
-	return res
 }
 
 // replayOps advances the double-buffered pipeline over the resolved ops —
@@ -141,12 +187,12 @@ func replayOps(ops []resolvedOp, dimCycles []int64, chn dram.Channel, skew int64
 // may pin; larger programs stay on the engine path.
 const maxResolvedOps = 1 << 20
 
-// maxCachedResolvedOps bounds the program size RunProgram admits to the
-// residency cache. The entry cap bounds trace count, not bytes: a grid of
-// tiny-SPM configurations (the GPU validation study) produces op streams a
-// hundred thousand ops long, and pinning hundreds of megabyte-scale traces
-// grows the heap far faster than replays repay — each such program runs
-// once per layer memo anyway. Oversized programs take the one-shot engine
+// maxCachedResolvedOps bounds the program size RunProgram and
+// RunMultiKeyed admit to the residency cache. The entry cap bounds trace
+// count, not bytes: a grid of tiny-SPM configurations (the GPU validation
+// study) produces op streams a hundred thousand ops long, and pinning
+// hundreds of megabyte-scale traces grows the heap far faster than replays
+// repay — each such program runs once per layer memo anyway. Oversized programs take the one-shot engine
 // path, which is bit-identical (PropResolvedReplayEquivalence).
 const maxCachedResolvedOps = 1 << 15
 
@@ -164,39 +210,52 @@ func ResolveProgram(cfg config.NPU, opts Options, prog *schedule.Program) (Resul
 	cr := compiledPool.Get()
 	e := &cr.eng
 	e.Init(cfg, opts)
-	e.rec = &ResolvedTrace{ops: make([]resolvedOp, 0, len(prog.Code))}
-	e.recOK = len(prog.Code) <= maxResolvedOps
+	e.rec.start(&ResolvedTrace{ops: make([]resolvedOp, 0, len(prog.Code))}, len(prog.Code))
 	e.RunProgram(prog)
 	res := e.Result()
 	var rt *ResolvedTrace
-	if e.recOK {
-		rt = e.rec
-		rt.agg = res
-		// The cycle fields are cost-point-dependent; replay recomputes them.
-		rt.agg.Cycles, rt.agg.ComputeCycles, rt.agg.MemCycles = 0, 0, 0
+	if e.rec.ok {
+		rt = e.rec.t
+		rt.cores = []resolvedCore{{end: len(rt.ops), agg: costFree(res)}}
 	}
-	e.rec, e.recOK = nil, false
+	e.rec = recorder{}
 	e.prog, e.keys, e.tr = nil, nil, nil // don't retain the program view
 	compiledPool.Put(cr)
 	countPass(res)
 	return res, rt
 }
 
-// record captures one op's resolved coefficients. Falls back (recOK=false,
-// trace discarded) when totals overflow the compact encoding; the run's
-// Result is unaffected either way.
+// recorder builds a ResolvedTrace while an engine runs. A nil t means the
+// engine is not recording; ok turns false, discarding the trace, when an
+// op's totals or the dimension table overflow the compact encoding. The
+// run's Result is unaffected either way. tm/tk/tn/dim are a last-value
+// cache over the dimension table.
+type recorder struct {
+	t          *ResolvedTrace
+	ok         bool
+	tm, tk, tn int32
+	dim        uint16
+}
+
+// start begins recording into t a run of ops ops, refusing runs over
+// maxResolvedOps.
+func (r *recorder) start(t *ResolvedTrace, ops int) {
+	*r = recorder{t: t, ok: ops <= maxResolvedOps, tm: -1, tk: -1, tn: -1}
+}
+
+// record appends one op's resolved coefficients to dst.
 //
 //lint:hotpath
-func (e *CompiledEngine) record(op *schedule.CompiledOp, bytes int64, bursts int) {
-	if !e.recOK {
+func (r *recorder) record(dst *[]resolvedOp, op *schedule.CompiledOp, bytes int64, bursts int) {
+	if !r.ok {
 		return
 	}
 	if bytes < 0 || bytes > math.MaxUint32 || bursts < 0 || bursts > math.MaxUint16 {
-		e.recOK = false
+		r.ok = false
 		return
 	}
-	if op.Tm != e.recTm || op.Tk != e.recTk || op.Tn != e.recTn {
-		t := e.rec
+	if op.Tm != r.tm || op.Tk != r.tk || op.Tn != r.tn {
+		t := r.t
 		found := -1
 		for i := range t.dims {
 			d := &t.dims[i]
@@ -207,25 +266,30 @@ func (e *CompiledEngine) record(op *schedule.CompiledOp, bytes int64, bursts int
 		}
 		if found < 0 {
 			if len(t.dims) >= math.MaxUint16 {
-				e.recOK = false
+				r.ok = false
 				return
 			}
 			t.dims = append(t.dims, tileDim{tm: op.Tm, tk: op.Tk, tn: op.Tn})
 			found = len(t.dims) - 1
 		}
-		e.recTm, e.recTk, e.recTn = op.Tm, op.Tk, op.Tn
-		e.recDim = uint16(found)
+		r.tm, r.tk, r.tn = op.Tm, op.Tk, op.Tn
+		r.dim = uint16(found)
 	}
-	e.rec.ops = append(e.rec.ops, resolvedOp{bytes: uint32(bytes), bursts: uint16(bursts), dim: e.recDim})
+	*dst = append(*dst, resolvedOp{bytes: uint32(bytes), bursts: uint16(bursts), dim: r.dim})
 }
 
-// resolvedKey identifies one resolution: the retained program (canonical
-// pointer — CompileSchedules callers share programs through identity
-// caches) and the only two axes residency depends on. Everything else in
+// resolvedKey identifies one resolution: what ran, and the only axes
+// residency depends on. A single-core run is its retained program
+// (canonical pointer — CompileSchedules callers share programs through
+// identity caches); a multi-core run is its caller's value key for the
+// phases, plus the core count and SPM placement. Everything else in
 // config.NPU is replay-safe.
 type resolvedKey struct {
 	prog     *schedule.Program
+	phases   any
 	capacity int64
+	cores    int
+	shared   bool
 	freeDY   bool
 }
 
@@ -235,8 +299,11 @@ type resolvedKey struct {
 // set — the canonical 240-point sweep needs ~1.6k (mostly partition tuning
 // candidates) and an undersized cache re-resolves instead of replaying,
 // ~8× the work — while keeping worst-case pin bounded; sweeps with wider
-// working sets raise it via SetResidencyCacheCap (-residency-cache).
-const defaultResolvedCacheCap = 8192
+// working sets raise it via SetResidencyCacheCap (-residency-cache). The
+// 1024 entries above 8192 hold multi-core traces (a sweep over 1-2 cores
+// of three models resolves ~750), so they do not push out the single-core
+// traces the tuners replay.
+const defaultResolvedCacheCap = 9216
 
 var (
 	resolvedCounters = stats.NewCacheCounters("sim/resolved")
