@@ -24,9 +24,11 @@ bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
 # Machine-readable perf trajectory (DESIGN.md §3g): BENCH_compiled.json
-# records ns/op, allocs/op and simulated-DRAM MB/s for the compiled-vs-
-# interpreted engine benchmarks; BENCH_sweep.json records the canonical
-# pruned design-space sweep's throughput and pruned fraction (§3h). CI runs
+# records ns/op, allocs/op and simulated-DRAM MB/s for the compiled
+# engine's cold (pooled lowering) and steady-state (pre-bound program)
+# runs; BENCH_sweep.json records the canonical pruned design-space sweep's
+# throughput, pruned fraction and resolve/replay split (§3h, §3l); and
+# BENCH_serve.json the fixed-seed serve load test (§3k). CI runs
 # one iteration per benchmark — enough to prove the harness and refresh the
 # artifacts; quote numbers from a longer run (`make bench-json BENCHTIME=2s`).
 BENCHTIME ?= 1x

@@ -3,7 +3,7 @@
 // (or a request list to /batch) and receive the schedule choice, cycles,
 // per-class DRAM traffic, energy and optionally the trace report; every
 // client of one igoserved process shares the result, layer-memo and
-// compiled-program caches, so a fleet of experiment scripts pays for each
+// resolved-trace caches, so a fleet of experiment scripts pays for each
 // distinct simulation once.
 //
 // Endpoints:

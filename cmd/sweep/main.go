@@ -67,7 +67,7 @@ func main() {
 		maxShards = flag.Int("max-shards", 0, "stop after N shards (for checkpoint testing; 0 = run all)")
 
 		canonical  = flag.Bool("canonical", false, "sweep the canonical benchmark grid (BERT-tiny on the small NPU, 240 points; overrides the model and axis flags)")
-		resCache   = flag.String("residency-cache", "", "max resolved residency traces retained by the two-phase executor (0 disables replay entirely; empty = engine default)")
+		resCache   = flag.String("residency-cache", "", "MiB of resolved residency traces the two-phase executor may retain (0 disables replay entirely; empty = engine default, 128)")
 		replaySkew = flag.Int64("replay-skew", 0, "add N cycles to every replayed op's compute time (fault injection for make replay-check; leave at 0)")
 
 		csvPath     = flag.String("csv", "", "write all rows as CSV to this path (\"-\" = stdout)")
@@ -85,16 +85,16 @@ func main() {
 		fatal(err)
 	}
 	if *resCache != "" {
-		// Strict like the integer axes: "512.5 traces" is a config error,
-		// not something to truncate silently.
+		// Strict like the integer axes: "512.5 MiB" is a config error, not
+		// something to truncate silently.
 		n, err := strconv.Atoi(strings.TrimSpace(*resCache))
 		if err != nil {
-			fatal(fmt.Errorf("-residency-cache: %q is not an integer (this knob takes a whole number of retained traces)", *resCache))
+			fatal(fmt.Errorf("-residency-cache: %q is not an integer (this knob takes a whole number of MiB)", *resCache))
 		}
-		if n < 0 {
-			fatal(fmt.Errorf("-residency-cache: %d is negative (want 0 to disable, or a positive trace count)", n))
+		if n < 0 || n > math.MaxInt>>20 {
+			fatal(fmt.Errorf("-residency-cache: %d is out of range (want 0 to disable, or a positive MiB budget)", n))
 		}
-		sim.SetResidencyCacheCap(n)
+		sim.SetResidencyCacheBytes(n << 20)
 	}
 	sim.SetReplaySkew(*replaySkew)
 	runner.SetParallelism(*jobs)

@@ -27,7 +27,7 @@ type ServeOptions = serve.Options
 type ServeServer = serve.Server
 
 // NewServer builds a service instance. Run one per process: every client
-// then shares the result, layer-memo and compiled-program caches.
+// then shares the result, layer-memo and resolved-trace caches.
 func NewServer(opts ServeOptions) *ServeServer { return serve.New(opts) }
 
 // ServeHandler builds a service instance with the given options and

@@ -127,8 +127,8 @@ func baselineChoices(cfg config.NPU, p schedule.TileParams) ordersVal {
 	return ordersCache.GetOrCompute(keyFor(cfg, p), func() ordersVal {
 		single := cfg
 		single.Cores = 1
-		// Candidates are lowered from the canonical shape so their retained
-		// programs are shared; cycle outcomes are renaming-invariant.
+		// Candidates are lowered from the canonical shape so their traces
+		// are shared; cycle outcomes are renaming-invariant.
 		np := tuneParams(p)
 
 		// The baseline explores the two reduction-inner loop orders per GEMM:
@@ -137,11 +137,11 @@ func baselineChoices(cfg config.NPU, p schedule.TileParams) ordersVal {
 		// orders (which park partial sums in the SPM) are not part of the
 		// baseline space — those appear only through the paper's
 		// transformations.
-		pn, transient := baselinePanel(single, np)
+		fam := baselineFamily(single, np)
 		var v ordersVal
 		best := int64(-1)
 		for _, c := range []dxCandidate{dxMK, dxKM} {
-			cyc := tuneCycles(single, pn.dx[c], transient)
+			cyc := fam.Result(int(c)).Cycles
 			if best < 0 || cyc < best {
 				best = cyc
 				v.dx = c
@@ -149,7 +149,7 @@ func baselineChoices(cfg config.NPU, p schedule.TileParams) ordersVal {
 		}
 		best = -1
 		for _, c := range []dwCandidate{dwKN, dwNK} {
-			cyc := tuneCycles(single, pn.dw[c], transient)
+			cyc := fam.Result(2 + int(c)).Cycles
 			if best < 0 || cyc < best {
 				best = cyc
 				v.dw = c
@@ -230,14 +230,13 @@ func interleaveTuned(cfg config.NPU, p schedule.TileParams) ilvTuned {
 		single := cfg
 		single.Cores = 1
 		np := tuneParams(p)
-		// On a bandwidth sweep the retained panel makes this loop pure
-		// replays of shared programs (DESIGN.md §3l). A transient panel
-		// merges each candidate into buf from code lowered once.
-		set, transient := mergePanel(single, np)
-		var buf []schedule.CompiledOp
+		// On a bandwidth sweep the family lookup makes this loop pure
+		// replays of shared traces (DESIGN.md §3l).
+		vs := mergeCandidates(np)
+		fam := mergeFamily(single, np, vs)
 		best := ilvTuned{cycles: -1}
-		for _, v := range mergeCandidates(np) {
-			cyc := tuneCycles(single, set.program(v, &buf), transient)
+		for i, v := range vs {
+			cyc := fam.Result(i).Cycles
 			if best.cycles < 0 || cyc < best.cycles {
 				best = ilvTuned{v: v, cycles: cyc}
 			}
@@ -311,21 +310,15 @@ func BestOrderSimulated(cfg config.NPU, p schedule.TileParams) Order {
 		np := tuneParams(p)
 		best := OnlyInterleave
 		// The interleave candidate is exactly the joint tuner's winning
-		// merge. Within the panel budget its retained program replays the
-		// tuner's resolved trace; above it the tuner's recorded makespan
-		// stands in, so an oversized winner is neither re-emitted nor
+		// merge, simulated under this same fingerprint: its recorded
+		// makespan stands in, so the winner is neither re-emitted nor
 		// re-simulated.
-		ilv := interleaveTuned(single, np)
-		bestCycles := ilv.cycles
-		if np.OpCount() <= panelOpBudget {
-			set, _ := mergePanel(single, np)
-			bestCycles = tuneCycles(single, set.program(ilv.v, nil), false)
-		}
-		mj, transient := majorPanelFor(single, np)
-		if cyc := tuneCycles(single, mj.dxMajor, transient); cyc < bestCycles {
+		bestCycles := interleaveTuned(single, np).cycles
+		mj := majorFamily(single, np)
+		if cyc := mj.Result(0).Cycles; cyc < bestCycles {
 			best, bestCycles = DXMajor, cyc
 		}
-		if cyc := tuneCycles(single, mj.dwMajor, transient); cyc < bestCycles {
+		if cyc := mj.Result(1).Cycles; cyc < bestCycles {
 			best = DWMajor
 		}
 		return best

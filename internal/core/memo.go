@@ -108,11 +108,11 @@ func ResetCaches() {
 	ordersCache.Reset()
 	ilvCache.Reset()
 	reCache.Reset()
-	progCache.Reset()
-	basePanels.Reset()
-	mergePanels.Reset()
-	majorPanels.Reset()
-	partCache.Reset()
+	progCensus.Reset()
+	partCensus.Reset()
+	for _, c := range panelCensus {
+		c.Reset()
+	}
 	sim.ResetResolvedCache()
 	stats.ResetAllCacheCounters()
 }

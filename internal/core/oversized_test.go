@@ -44,11 +44,11 @@ func tuneOversized(cfg config.NPU, p schedule.TileParams) oversizedTuning {
 	}
 }
 
-// TestOversizedTuningMatchesInterpreter holds the transient panels to the
-// refmodel reference interpreter: over the panel budget the compiled
-// tuners lower each shape's base streams once and merge candidates from
-// the code, while the oracle emits every candidate schedule and replays it
-// in the tuners' order. Choices, the recorded interleave makespan and the
+// TestOversizedTuningMatchesInterpreter holds the one-shot candidate
+// families to the refmodel reference interpreter: over the panel budget
+// the compiled tuners lower each shape's base streams once and merge
+// candidates from the code, while the oracle emits every candidate
+// schedule and replays it in the tuners' order. Choices, the recorded interleave makespan and the
 // partitioned outcome must agree exactly.
 func TestOversizedTuningMatchesInterpreter(t *testing.T) {
 	if testing.Short() {
@@ -74,8 +74,9 @@ func TestOversizedTuningMatchesInterpreter(t *testing.T) {
 
 // TestOversizedTuningRetainsNothing checks that tuning and simulating an
 // oversized shape leaves no trace in the process-lifetime caches: no
-// candidate panel, no compiled layer program, and no new key in the
-// residency cache's census (a transient program must never key it).
+// family or layer-program key in the censuses, no new key in the residency
+// cache's census (a one-shot run must never key it) and no resident trace
+// byte.
 func TestOversizedTuningRetainsNothing(t *testing.T) {
 	cfg, ps := oversizedParams(t)
 	ResetCaches()
@@ -83,14 +84,15 @@ func TestOversizedTuningRetainsNothing(t *testing.T) {
 	// counts that are non-zero and must merely not move.
 	small := LayerParams(tensor.Dims{M: 512, K: 512, N: 512}, 3, cfg)
 	tuneOversized(cfg, small)
-	census := func() [5]int64 {
-		return [5]int64{
-			int64(basePanels.Len()), int64(mergePanels.Len()), int64(majorPanels.Len()),
-			int64(ProgramCacheLen()), sim.ResolvedCacheStats().Entries,
+	census := func() [6]int64 {
+		return [6]int64{
+			int64(panelCensus[famBaseline].Len()), int64(panelCensus[famMerge].Len()),
+			int64(panelCensus[famMajor].Len()), int64(progCensus.Len()),
+			sim.ResolvedCacheStats().Entries, int64(sim.ResolvedCacheBytes()),
 		}
 	}
 	before := census()
-	if before[1] == 0 || before[4] == 0 {
+	if before[1] == 0 || before[4] == 0 || before[5] == 0 {
 		t.Fatalf("in-budget warm-up retained nothing: %v", before)
 	}
 	p := ps[0]
@@ -100,39 +102,15 @@ func TestOversizedTuningRetainsNothing(t *testing.T) {
 		RunBackward(cfg, sim.Options{}, p, pol, false)
 	}
 	if after := census(); after != before {
-		t.Errorf("oversized %v moved the caches (base, merge, major panels, programs, residency census): %v -> %v",
+		t.Errorf("oversized %v moved the caches (baseline, merge, major families, layer programs, residency census, trace bytes): %v -> %v",
 			p.Dims, before, after)
 	}
 	ResetCaches()
 }
 
-// TestMergePanelSharesTileTable checks that a retained fusion panel's
-// merged programs are views over one lowering: every program carries the
-// same tile table, not a detached copy each.
-func TestMergePanelSharesTileTable(t *testing.T) {
-	ResetCaches()
-	defer ResetCaches()
-	single := config.SmallNPU()
-	np := tuneParams(LayerParams(tensor.Dims{M: 96, K: 384, N: 160}, 7, single))
-	set, transient := mergePanel(single, np)
-	if set == nil || transient {
-		t.Fatalf("in-budget shape got no retained panel (transient=%v)", transient)
-	}
-	if len(set.progs) < 2 {
-		t.Fatalf("panel has %d programs", len(set.progs))
-	}
-	keys := set.progs[0].prog.Table.Keys
-	for _, mp := range set.progs[1:] {
-		k := mp.prog.Table.Keys
-		if len(k) != len(keys) || &k[0] != &keys[0] {
-			t.Fatalf("candidate %+v has its own tile table", mp.v)
-		}
-	}
-}
-
 // BenchmarkTuneOversized times the tuning of one shape over the panel
 // budget from cold caches: the baseline pair, the twelve fusion candidates
-// and the two chunked majors, all through transient panels.
+// and the two chunked majors, all on the one-shot engine.
 func BenchmarkTuneOversized(b *testing.B) {
 	cfg, ps := oversizedParams(b)
 	p := ps[1]

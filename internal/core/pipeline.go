@@ -166,13 +166,13 @@ func RunBackward(cfg config.NPU, opts sim.Options, p schedule.TileParams, pol Po
 	if pol != PolPartition || skipDX {
 		var out LayerOutcome
 		var order Order
-		if useProgramCache(opts, p) {
-			// Untraced compiled runs replay a shared pre-lowered program:
-			// emission, tuning lookups and interning happen once per
-			// (shape, policy, tuned-candidate) point, then every layer and
-			// every hardware timing that maps to it just executes.
-			prog, o := backwardProgram(cfg, p, pol, skipDX)
-			out = outcomeFromResult(sim.RunProgram(cfg, opts, prog))
+		if useTraceCache(opts, p) {
+			// Untraced runs replay a shared resolved trace: emission,
+			// lowering and residency resolution happen once per (shape,
+			// policy, tuned-candidate) point, then every layer and every
+			// hardware timing that maps to it just replays.
+			res, o := runBackwardKeyed(cfg, opts, p, pol, skipDX)
+			out = outcomeFromResult(res)
 			order = o
 		} else {
 			kernels, o := BackwardKernels(cfg, p, pol, skipDX)
@@ -212,14 +212,14 @@ func runPartitionedSingle(cfg config.NPU, opts sim.Options, p schedule.TileParam
 		return LayerOutcome{}, false
 	}
 	// Partitions are separate kernels on one core: the scratchpad is flushed
-	// between them. Untraced in-budget runs replay a shared pre-lowered
-	// program (per-part orders resolved first, mirroring backwardProgram);
+	// between them. Untraced in-budget runs replay a shared resolved trace
+	// (per-part orders resolved first, mirroring runBackwardKeyed);
 	// otherwise the kernels are emitted and simulated directly.
 	var out LayerOutcome
 	var orderList []Order
-	if useProgramCache(opts, p) {
-		if prog, orders, ok := partitionedProgram(cfg, p, scheme, parts, plan); ok {
-			out = outcomeFromResult(sim.RunProgram(cfg, opts, prog))
+	if useTraceCache(opts, p) {
+		if res, orders, ok := runPartitionedKeyed(cfg, opts, p, scheme, parts, plan); ok {
+			out = outcomeFromResult(res)
 			orderList = orders
 		}
 	}
@@ -266,8 +266,8 @@ func RunBackwardOrder(cfg config.NPU, opts sim.Options, p schedule.TileParams, o
 func RunForward(cfg config.NPU, opts sim.Options, p schedule.TileParams) LayerOutcome {
 	fopts := sim.Options{Trace: opts.Trace, TraceLabel: opts.TraceLabel}
 	var out LayerOutcome
-	if useProgramCache(fopts, p) {
-		out = outcomeFromResult(sim.RunProgram(cfg, fopts, forwardProgram(p)))
+	if useTraceCache(fopts, p) {
+		out = outcomeFromResult(runForwardKeyed(cfg, fopts, p))
 	} else {
 		out = outcomeFromResult(sim.RunSchedules(cfg, fopts, schedule.Forward(p)))
 	}

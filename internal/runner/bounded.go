@@ -14,15 +14,21 @@ import (
 // values it holds are expensive enough to produce that the lock is never
 // the bottleneck.
 //
-// Admission: while the cache is below capacity every key is admitted
-// immediately (a cold sweep must not pay a double-compute tax). Once full,
-// the first Put of a new key is refused and the key is remembered in the
-// doorkeeper, a FIFO set of at most doorkeeperFactor × capacity keys; a
-// Put of a remembered key is admitted, evicting the LRU entry, and leaves
-// the doorkeeper (so once evicted it must miss twice again). A
-// one-shot scan over many distinct keys therefore cannot flush the working
-// set: each scan key is refused once and forgotten FIFO, and only keys
-// that recur earn a slot (the TinyLFU doorkeeper, simplified to a set).
+// Capacity is counted in weight units. NewBounded weighs every entry 1,
+// so capacity is an entry count; NewWeighted takes a weight function, so
+// capacity can be a byte budget over values of very different sizes.
+//
+// Admission: while the new entry fits below capacity it is admitted
+// immediately (a cold sweep must not pay a double-compute tax). Once it
+// does not, the first Put of a new key is refused and the key is
+// remembered in the doorkeeper, a FIFO set of at most doorkeeperFactor ×
+// resident-entry-count keys; a Put of a remembered key is admitted,
+// evicting LRU entries until it fits, and leaves the doorkeeper (so once
+// evicted it must miss twice again). A one-shot scan over many distinct
+// keys therefore cannot flush the working set: each scan key is refused
+// once and forgotten FIFO, and only keys that recur earn a slot (the
+// TinyLFU doorkeeper, simplified to a set). An entry heavier than the
+// whole capacity is never admitted.
 //
 // The cache keeps no census of the keys it has seen beyond the doorkeeper:
 // every piece of per-key state is bounded by capacity. The caller owns
@@ -31,6 +37,8 @@ import (
 type Bounded[K comparable, V any] struct {
 	mu       sync.Mutex
 	cap      int
+	used     int         // total weight of the resident entries
+	weigh    func(V) int // nil: every entry weighs 1
 	m        map[K]*boundedEntry[K, V]
 	head     *boundedEntry[K, V] // most recently used
 	tail     *boundedEntry[K, V] // least recently used
@@ -43,11 +51,14 @@ type Bounded[K comparable, V any] struct {
 type boundedEntry[K comparable, V any] struct {
 	key        K
 	val        V
+	w          int
 	prev, next *boundedEntry[K, V]
 }
 
-// doorkeeperFactor bounds the doorkeeper to doorkeeperFactor × capacity
-// keys; beyond that the oldest remembered keys are forgotten FIFO.
+// doorkeeperFactor bounds the doorkeeper to doorkeeperFactor × the
+// resident entry count (at least one); beyond that the oldest remembered
+// keys are forgotten FIFO. With unit weights a full cache holds capacity
+// entries, so the bound is doorkeeperFactor × capacity.
 const doorkeeperFactor = 8
 
 // NewBounded creates a bounded cache holding at most capacity entries,
@@ -55,8 +66,16 @@ const doorkeeperFactor = 8
 // counters. Capacity 0 disables the cache: Get always misses and Put is a
 // no-op.
 func NewBounded[K comparable, V any](capacity int, counters *stats.CacheCounters) *Bounded[K, V] {
+	return NewWeighted[K, V](capacity, nil, counters)
+}
+
+// NewWeighted creates a bounded cache whose resident entries' weights,
+// as weigh reports them, sum to at most capacity. weigh must be a pure
+// function of the value; nil weighs every entry 1.
+func NewWeighted[K comparable, V any](capacity int, weigh func(V) int, counters *stats.CacheCounters) *Bounded[K, V] {
 	return &Bounded[K, V]{
 		cap:      capacity,
+		weigh:    weigh,
 		m:        make(map[K]*boundedEntry[K, V]),
 		door:     make(map[K]int),
 		counters: counters,
@@ -65,11 +84,11 @@ func NewBounded[K comparable, V any](capacity int, counters *stats.CacheCounters
 
 // SetCap changes the capacity. Shrinking evicts LRU entries down to the
 // new bound; capacity 0 drops everything and disables the cache. The
-// doorkeeper, sized by capacity, starts over empty.
+// doorkeeper starts over empty.
 func (b *Bounded[K, V]) SetCap(capacity int) {
 	b.mu.Lock()
 	b.cap = capacity
-	for len(b.m) > b.cap {
+	for b.used > b.cap {
 		b.evictLocked()
 	}
 	b.forgetLocked()
@@ -102,40 +121,56 @@ func (b *Bounded[K, V]) Get(k K) (V, bool) {
 }
 
 // Put offers v for caching under k and reports whether it was admitted. A
-// resident key takes the new value; below capacity a new key is admitted
-// immediately; at capacity the doorkeeper refuses a new key the first time
-// and admits it, evicting the LRU entry, once it comes back.
+// resident key takes the new value; a new key that fits below capacity is
+// admitted immediately; otherwise the doorkeeper refuses a new key the
+// first time and admits it, evicting LRU entries until it fits, once it
+// comes back. A value heavier than the capacity is refused outright, and
+// a resident key re-Put with such a value is dropped.
 func (b *Bounded[K, V]) Put(k K, v V) bool {
+	w := 1
+	if b.weigh != nil { // set once at construction; weigh runs unlocked
+		w = b.weigh(v)
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.cap <= 0 {
+	if b.cap <= 0 || w > b.cap {
+		if e, ok := b.m[k]; ok {
+			b.removeLocked(e)
+		}
 		return false
 	}
 	if e, ok := b.m[k]; ok {
-		e.val = v
+		b.used += w - e.w
+		e.val, e.w = v, w
 		b.moveFrontLocked(e)
+		for b.used > b.cap {
+			b.evictLocked()
+		}
 		return true
 	}
-	if len(b.m) >= b.cap {
+	if b.used+w > b.cap {
 		if _, ok := b.door[k]; !ok {
 			b.rememberLocked(k)
 			return false
 		}
 		delete(b.door, k)
-		b.evictLocked()
+		for b.used+w > b.cap {
+			b.evictLocked()
+		}
 	}
-	e := &boundedEntry[K, V]{key: k, val: v}
+	e := &boundedEntry[K, V]{key: k, val: v, w: w}
 	b.m[k] = e
+	b.used += w
 	b.pushFrontLocked(e)
 	return true
 }
 
 // rememberLocked records a refused key in the doorkeeper, overwriting the
-// oldest slot once the ring holds doorkeeperFactor × capacity keys. The
-// overwritten slot's key is forgotten only if that slot is still its
-// newest: a key admitted and later refused again holds a newer one.
+// oldest slot once the ring holds its bound. The overwritten slot's key is
+// forgotten only if that slot is still its newest: a key admitted and
+// later refused again holds a newer one.
 func (b *Bounded[K, V]) rememberLocked(k K) {
-	if bound := doorkeeperFactor * b.cap; len(b.doorQ) < bound {
+	if bound := doorkeeperFactor * max(len(b.m), 1); len(b.doorQ) < bound {
 		b.door[k] = len(b.doorQ)
 		b.doorQ = append(b.doorQ, k)
 		return
@@ -156,14 +191,18 @@ func (b *Bounded[K, V]) forgetLocked() {
 	b.doorNext = 0
 }
 
+// evictLocked drops the LRU entry, counting an eviction.
 func (b *Bounded[K, V]) evictLocked() {
-	e := b.tail
-	if e == nil {
-		return
+	if e := b.tail; e != nil {
+		b.removeLocked(e)
+		b.counters.Eviction()
 	}
+}
+
+func (b *Bounded[K, V]) removeLocked(e *boundedEntry[K, V]) {
 	b.unlinkLocked(e)
 	delete(b.m, e.key)
-	b.counters.Eviction()
+	b.used -= e.w
 }
 
 func (b *Bounded[K, V]) pushFrontLocked(e *boundedEntry[K, V]) {
@@ -200,6 +239,13 @@ func (b *Bounded[K, V]) moveFrontLocked(e *boundedEntry[K, V]) {
 	b.pushFrontLocked(e)
 }
 
+// Weight returns the total weight of the resident entries.
+func (b *Bounded[K, V]) Weight() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.used
+}
+
 // Len returns the number of resident entries.
 func (b *Bounded[K, V]) Len() int {
 	b.mu.Lock()
@@ -213,6 +259,7 @@ func (b *Bounded[K, V]) Reset() {
 	b.mu.Lock()
 	b.m = make(map[K]*boundedEntry[K, V])
 	b.head, b.tail = nil, nil
+	b.used = 0
 	b.forgetLocked()
 	b.mu.Unlock()
 	b.counters.Reset()

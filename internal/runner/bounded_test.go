@@ -38,7 +38,7 @@ func TestBoundedGetPutSameKey(t *testing.T) {
 	}
 }
 
-// TestBoundedDoorkeeper drives the cache the way sim.RunProgram does — Get,
+// TestBoundedDoorkeeper drives the cache the way sim.RunFamily does — Get,
 // and on a miss compute and Put — and checks the admission policy: a
 // one-shot scan at capacity leaves the working set resident without an
 // eviction, a refused key is admitted on its second miss, and the
@@ -128,4 +128,77 @@ func TestBoundedDoorkeeperRecycledSlot(t *testing.T) {
 	}
 	put("s8", false) // the ring is full: overwrites k's stale slot 0
 	put("k", true)   // k is still remembered through slot 2
+}
+
+// TestBoundedWeighted checks that a weighted cache bounds the sum of its
+// entries' weights, not their count: admission waits for room by weight,
+// an admitted heavy entry evicts as many LRU entries as it must, an entry
+// heavier than the capacity is never admitted, and shrinking the capacity
+// evicts down to the new weight bound.
+func TestBoundedWeighted(t *testing.T) {
+	counters := stats.NewCacheCounters("test/bounded-weighted")
+	b := NewWeighted[string, string](10, func(v string) int { return len(v) }, counters)
+	put := func(k, v string, want bool) {
+		t.Helper()
+		if got := b.Put(k, v); got != want {
+			t.Fatalf("Put(%s, %d bytes) admitted = %v, want %v", k, len(v), got, want)
+		}
+		if w := b.Weight(); w > b.Cap() {
+			t.Fatalf("weight %d over capacity %d after Put(%s)", w, b.Cap(), k)
+		}
+	}
+	resident := func(want ...string) {
+		t.Helper()
+		if b.Len() != len(want) {
+			t.Fatalf("Len = %d, want %d (%v)", b.Len(), len(want), want)
+		}
+		for _, k := range want {
+			if _, ok := b.m[k]; !ok {
+				t.Fatalf("%s not resident, want %v", k, want)
+			}
+		}
+	}
+	evictions := func(want int64) {
+		t.Helper()
+		if got := counters.Snapshot().Evictions; got != want {
+			t.Fatalf("evictions = %d, want %d", got, want)
+		}
+	}
+
+	put("a", "aaaa", true)
+	put("b", "bbbb", true)
+	put("c", "cccc", false) // 12 > 10: refused once, remembered
+	resident("a", "b")
+	put("c", "cccc", true) // evicts a alone: 4 + 4 fits
+	resident("b", "c")
+	evictions(1)
+
+	put("d", "ddddddddddd", false) // heavier than the whole capacity
+	put("d", "ddddddddddd", false)
+	resident("b", "c")
+
+	put("e", "eeeeeeee", false)
+	put("e", "eeeeeeee", true) // needs 8: evicts b and c
+	resident("e")
+	evictions(3)
+	if b.Weight() != 8 {
+		t.Fatalf("weight = %d, want 8", b.Weight())
+	}
+
+	// Small entries fill the remaining room without a doorkeeper round.
+	put("f", "f", true)
+	put("g", "g", true)
+	resident("e", "f", "g")
+
+	// A resident key re-Put heavier evicts LRU entries to make room.
+	put("f", "ffff", true) // 8 + 4 + 1 = 13: evicts e
+	resident("f", "g")
+	evictions(4)
+
+	b.SetCap(4)
+	resident("f")
+	evictions(5)
+	if b.Weight() != 4 {
+		t.Fatalf("weight = %d after shrinking to 4, want 4", b.Weight())
+	}
 }

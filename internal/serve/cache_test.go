@@ -12,6 +12,7 @@ import (
 
 	"igosim/internal/core"
 	"igosim/internal/runner"
+	"igosim/internal/sim"
 	"igosim/internal/stats"
 )
 
@@ -227,8 +228,11 @@ func TestResetCachesClearsServerState(t *testing.T) {
 	if n := core.LayerMemoStats().Entries; n != 0 {
 		t.Errorf("layer memo holds %d entries after ResetCaches", n)
 	}
-	if n := core.ProgramCacheLen(); n != 0 {
-		t.Errorf("program cache holds %d entries after ResetCaches", n)
+	if n := sim.ResolvedCacheStats().Entries; n != 0 {
+		t.Errorf("residency census holds %d traces after ResetCaches", n)
+	}
+	if n := sim.ResolvedCacheBytes(); n != 0 {
+		t.Errorf("residency cache pins %d bytes after ResetCaches", n)
 	}
 
 	_, again, st3 := post(t, ts.Client(), ts.URL+"/simulate", req)

@@ -374,9 +374,10 @@ func Evaluate(r resolved) *Response {
 // purpose: a memo hit would suppress the engine spans of whatever executed
 // first, making the report depend on cache state. The private sink is
 // never installed process-wide, so the runner contributes no wall-clock
-// task spans and the rendered text is a pure function of the request.
+// task spans and the rendered text is a pure function of the request. The
+// report reads only the folded metrics, so the sink keeps no events.
 func traceReport(r resolved) string {
-	sink := trace.New()
+	sink := trace.NewSummary()
 	for _, lp := range core.PlanModel(r.cfg, r.model) {
 		label := r.model.Abbr + "/" + lp.Layer.Name
 		if !r.req.Options.BackwardOnly {

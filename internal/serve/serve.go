@@ -15,7 +15,7 @@ import (
 
 // Server wires the simulation API onto an http.ServeMux. One Server owns
 // one result cache and one admission limiter; cmd/igoserved runs exactly
-// one per process so every client shares the compiled-program and
+// one per process so every client shares the resolved-trace and
 // layer-memo caches underneath.
 type Server struct {
 	opts    Options
@@ -127,8 +127,8 @@ func (s *Server) isDraining() bool {
 
 // ResetCaches returns the process to cold. It empties this server's result
 // cache (bodies and doorkeeper) and, through core.ResetCaches, every
-// simulator cache — layer memo, tuning caches, compiled programs, panels,
-// partitioned programs and resolved traces — and zeroes every registered
+// simulator cache — layer memo, tuning caches, the trace-family censuses
+// and resolved traces — and zeroes every registered
 // cache's counters, serve/result's included. In-flight computations still
 // finish and are admitted into the emptied cache.
 func (s *Server) ResetCaches() {

@@ -162,7 +162,7 @@ func (r *residency) pushFront(i int32) {
 }
 
 // CompiledEngine executes compiled programs on one NPU core; it is the
-// engine behind RunSchedules, RunProgram and ExecuteProgram. Reuse
+// engine behind RunSchedules, ResolveProgram and ExecuteProgram. Reuse
 // pattern: Init (per configuration) -> Bind (per program) -> Execute;
 // Result reads the accumulated outcome.
 type CompiledEngine struct {

@@ -226,12 +226,64 @@ func TestRunMultiKeyedConcurrent(t *testing.T) {
 	if n := emits.Load() - before; n != 0 {
 		t.Errorf("a resolved key emitted %d times", n)
 	}
-	prev := sim.SetResidencyCacheCap(0)
-	defer sim.SetResidencyCacheCap(prev)
+	prev := sim.SetResidencyCacheBytes(0)
+	defer sim.SetResidencyCacheBytes(prev)
 	before = emits.Load()
 	sim.RunMultiKeyed(cfg, sim.Options{}, key, true, emit)
 	if n := emits.Load() - before; n != 1 {
 		t.Errorf("a disabled cache emitted %d times for one call, want 1", n)
+	}
+}
+
+// TestRunFamilyConcurrent is RunMultiKeyed's test for single-core
+// families: eight goroutines look one four-member family up at once over
+// a bandwidth sweep, and every member must read exactly ExecuteProgram's
+// result for its configuration, whichever goroutine resolved it.
+// Afterwards a resolved family must replay without building a member, and
+// a disabled cache must build every member on every call.
+func TestRunFamilyConcurrent(t *testing.T) {
+	sim.ResetResolvedCache()
+	defer sim.ResetResolvedCache()
+	sets := testKernelSets()
+	names := []string{"baseline-two-kernels", "paired-interleave", "chunked-partials", "edge-tiles"}
+	type familyKey struct{ name string }
+	key := familyKey{"kernel sets"}
+	var builds atomic.Int64
+	member := func(i int) *schedule.Program {
+		builds.Add(1)
+		return sim.CompileSchedules(sets[names[i]]...)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, bw := range []float64{1e9, 3e9, 9e9, 27e9} {
+				cfg := tightCfg().WithBandwidth(bw)
+				fam := sim.RunFamily(cfg, sim.Options{}, key, len(names), member)
+				for i, name := range names {
+					want := sim.ExecuteProgram(cfg, sim.Options{}, sim.CompileSchedules(sets[name]...))
+					if got := fam.Result(i); !reflect.DeepEqual(got, want) {
+						t.Errorf("bw=%g %s: family %+v != engine %+v", bw, name, got, want)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	cfg := tightCfg().WithBandwidth(5e9)
+	before := builds.Load()
+	sim.RunFamily(cfg, sim.Options{}, key, len(names), member).Result(0)
+	if n := builds.Load() - before; n != 0 {
+		t.Errorf("a resolved family built %d members", n)
+	}
+	prev := sim.SetResidencyCacheBytes(0)
+	defer sim.SetResidencyCacheBytes(prev)
+	before = builds.Load()
+	sim.RunFamily(cfg, sim.Options{}, key, len(names), member)
+	if n := builds.Load() - before; n != int64(len(names)) {
+		t.Errorf("a disabled cache built %d members for one call, want %d", n, len(names))
 	}
 }
 

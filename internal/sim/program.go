@@ -6,21 +6,19 @@ import (
 	"igosim/internal/schedule"
 )
 
-// Retained compiled programs (DESIGN.md §3k). The pooled compiled path
+// Standalone compiled programs (DESIGN.md §3k). The pooled compiled path
 // (compiled.go) rebuilds its program from the schedule on every call and
-// deliberately keeps no reference to it — the right trade for one-shot
-// experiment grids. Long-running callers (the serving layer's shared
-// program cache) instead need to pay schedule emission and interning once
-// and replay the artifact many times, possibly under different DRAM/clock
-// timings: CompileSchedules produces a self-contained Program safe to
-// retain and share across goroutines, and RunProgram executes one against
-// a pooled engine exactly as RunSchedules would have.
+// deliberately keeps no reference to it. CompileSchedules instead produces
+// a self-contained Program that a caller can hand to RunFamily's member
+// function, ResolveProgram or ExecuteProgram; the two-phase executor keeps
+// only the resolved trace, so a program lives as long as its caller holds
+// it.
 
-// CompileSchedules lowers the given kernels into a retained, immutable
-// compiled program. Unlike the internal pooled path, the returned Program
-// owns its code, kernel and tile-table storage: callers may cache it
-// indefinitely and execute it concurrently from many goroutines (execution
-// state lives in the engine, never in the program).
+// CompileSchedules lowers the given kernels into an immutable compiled
+// program. Unlike the internal pooled path, the returned Program owns its
+// code, kernel and tile-table storage: callers may keep it and execute it
+// concurrently from many goroutines (execution state lives in the engine,
+// never in the program).
 func CompileSchedules(scheds ...schedule.Schedule) *schedule.Program {
 	comp := retainedCompilers.Get()
 	comp.Reset()
@@ -46,39 +44,70 @@ func CompileSchedules(scheds ...schedule.Schedule) *schedule.Program {
 // table (grown once to the largest program seen) is reused across the
 // thousands of candidate-program compilations a tuning sweep performs,
 // while each program's code and detached key storage remain owned by the
-// retained program.
+// program.
 var retainedCompilers = runner.NewPool(schedule.NewCompiler)
 
-// RunProgram executes a retained compiled program on a fresh single-core
-// engine, flushing the scratchpad at each kernel boundary — the compiled
-// twin of RunSchedules for a program built once with CompileSchedules. The
-// program is read-only here; concurrent RunProgram calls on the same
-// program are safe.
-//
-// Untraced calls go through two-phase execution (resolved.go): the first
-// call for a (program, SPM capacity, free-dY) key resolves the residency
-// trace, later calls replay it under whatever cost axes cfg carries —
-// bit-identical to the engine, held by the replay-equivalence proptest and
-// the replay-check gate. Traced calls, disabled caches (capacity 0) and
-// programs over maxCachedResolvedOps take ExecuteProgram's one-shot path.
-func RunProgram(cfg config.NPU, opts Options, prog *schedule.Program) Result {
-	if opts.Trace == nil && resolvedCache.Cap() > 0 && len(prog.Code) <= maxCachedResolvedOps {
-		key := resolvedKey{prog: prog, capacity: cfg.SPMBytes / 2, freeDY: opts.FreeDYOnDW}
-		if rt, ok := resolvedCache.Get(key); ok {
-			res := rt.Replay(cfg)
-			resolvedPhases.Replay()
-			countPass(res)
-			return res
-		}
-		resolvedCensus.add(key)
-		res, rt := ResolveProgram(cfg, opts, prog)
-		resolvedPhases.Resolution()
-		if rt != nil {
-			resolvedCache.Put(key, rt)
-		}
-		return res
+// Family is one lookup of a program family: the results of its member
+// programs under the lookup's cost point. A hit replays the cached traces
+// on demand, so members the caller never asks for cost nothing; a miss or
+// an uncached run already simulated every member.
+type Family struct {
+	cfg    config.NPU
+	traces []*ResolvedTrace // a hit
+	res    []Result         // a miss or an uncached run
+}
+
+// Result returns member i's result, bit-identical to executing its
+// program on the engine.
+func (f Family) Result(i int) Result {
+	if f.traces == nil {
+		return f.res[i]
 	}
-	return ExecuteProgram(cfg, opts, prog)
+	res := f.traces[i].Replay(f.cfg)
+	resolvedPhases.Replay()
+	countPass(res)
+	return res
+}
+
+// RunFamily simulates a family of n single-core programs, which member
+// builds one at a time, through the two-phase executor — the single-core
+// counterpart of RunMultiKeyed. key must be a comparable value that
+// determines, up to a renaming of tiles, every member's program; the SPM
+// residency capacity and free-dY option complete the cache key here. The
+// first lookup of a key builds, resolves and drops each member in turn,
+// keeping only the traces; later lookups replay them under cfg's cost
+// axes without calling member. member may reuse one program's storage for
+// the next: no program is referenced after the next call.
+//
+// A nil key, a traced call or a disabled cache (budget 0) executes every
+// member on the one-shot engine and keeps nothing. A family with a member
+// the compact trace cannot represent, or over maxCachedResolvedOps, is
+// resolved but not admitted.
+func RunFamily(cfg config.NPU, opts Options, key any, n int, member func(i int) *schedule.Program) Family {
+	if key == nil || opts.Trace != nil || resolvedCache.Cap() == 0 {
+		res := make([]Result, n)
+		for i := range res {
+			res[i] = ExecuteProgram(cfg, opts, member(i))
+		}
+		return Family{res: res}
+	}
+	rk := resolvedKey{key: key, capacity: cfg.SPMBytes / 2, freeDY: opts.FreeDYOnDW}
+	if traces, ok := resolvedCache.Get(rk); ok {
+		return Family{cfg: cfg, traces: traces}
+	}
+	resolvedCensus.Add(rk, n)
+	res := make([]Result, n)
+	traces := make([]*ResolvedTrace, n)
+	admit := true
+	for i := range res {
+		res[i], traces[i] = ResolveProgram(cfg, opts, member(i))
+		resolvedPhases.Resolution()
+		admit = admit && traces[i] != nil && traces[i].Ops() <= maxCachedResolvedOps
+	}
+	if admit {
+		resolvedCache.Put(rk, traces)
+	}
+	return Family{res: res}
 }
 
 // RunMultiKeyed is RunMultiPhased through the two-phase executor, for
@@ -88,32 +117,30 @@ func RunProgram(cfg config.NPU, opts Options, prog *schedule.Program) Result {
 // option complete the residency key here. The first call for a key emits,
 // compiles and resolves the phases, and nothing of them is kept but the
 // trace; later calls replay it under cfg's cost axes without calling emit.
-// Traced calls and a disabled cache (capacity 0) run RunMultiPhased, and
+// Traced calls and a disabled cache (budget 0) run RunMultiPhased, and
 // runs over maxCachedResolvedOps are resolved but not admitted.
 func RunMultiKeyed(cfg config.NPU, opts Options, key any, shared bool, emit func() [][][]schedule.Op) MultiResult {
 	if opts.Trace != nil || resolvedCache.Cap() == 0 {
 		return RunMultiPhased(cfg, opts, emit(), shared)
 	}
-	rk := resolvedKey{phases: key, capacity: cfg.SPMBytes / 2, cores: cfg.Cores, shared: shared, freeDY: opts.FreeDYOnDW}
-	if rt, ok := resolvedCache.Get(rk); ok {
-		res := rt.ReplayMulti(cfg)
+	rk := resolvedKey{key: key, capacity: cfg.SPMBytes / 2, cores: cfg.Cores, shared: shared, freeDY: opts.FreeDYOnDW}
+	if traces, ok := resolvedCache.Get(rk); ok {
+		res := traces[0].ReplayMulti(cfg)
 		resolvedPhases.Replay()
 		countMulti(res)
 		return res
 	}
-	resolvedCensus.add(rk)
+	resolvedCensus.Add(rk, 1)
 	res, rt := ResolveMulti(cfg, opts, emit(), shared)
 	resolvedPhases.Resolution()
 	if rt != nil && rt.Ops() <= maxCachedResolvedOps {
-		resolvedCache.Put(rk, rt)
+		resolvedCache.Put(rk, []*ResolvedTrace{rt})
 	}
 	return res
 }
 
 // ExecuteProgram runs prog once on a pooled single-core compiled engine and
-// keeps nothing: no resolved trace, and no reference to the program. It is
-// the path for programs that must never key the residency cache, such as
-// a tuner's transient candidates, whose pointers die with the tuning call.
+// keeps nothing: no resolved trace, and no reference to the program.
 func ExecuteProgram(cfg config.NPU, opts Options, prog *schedule.Program) Result {
 	cr := compiledPool.Get()
 	res := cr.execute(cfg, opts, prog)

@@ -2,8 +2,8 @@ package sim
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"igosim/internal/config"
 	"igosim/internal/dram"
@@ -21,17 +21,18 @@ import (
 // flattens the outcome into a ResolvedTrace — per-op transfer totals plus
 // a tile-dimension index — and Replay turns that trace plus any cost
 // point into the exact Result the engine would have produced, with no
-// maps, no LRU and no residency branching. RunProgram threads a bounded,
-// admission-controlled trace cache between the two so bandwidth/frequency
-// sweeps resolve once and replay thousands of times.
+// maps, no LRU and no residency branching. RunFamily threads a
+// byte-bounded, admission-controlled trace cache between the two so
+// bandwidth/frequency sweeps resolve once and replay thousands of times.
+// The cache is keyed by the caller's value key for what ran, never by a
+// program pointer, so no compiled program outlives its resolution.
 //
 // Multi-core runs share the argument: RunMultiPhased's residency follows a
 // round-robin merge of the core streams that no timing axis can reorder, so
 // ResolveMulti records each core's ops (phases concatenated, since pipeline
 // time carries across phase boundaries) into the same trace type, and
 // ReplayMulti prices every core with the same recurrence. RunMultiKeyed
-// caches those traces under a caller-supplied value key, so multi-core
-// programs are never retained.
+// caches those traces in the same cache.
 
 // resolvedOp is one op's residency-resolved cost coefficients: the total
 // bytes the DMA stage moves for it (fetches + final write + pressure
@@ -187,17 +188,17 @@ func replayOps(ops []resolvedOp, dimCycles []int64, chn dram.Channel, skew int64
 // may pin; larger programs stay on the engine path.
 const maxResolvedOps = 1 << 20
 
-// maxCachedResolvedOps bounds the program size RunProgram and
-// RunMultiKeyed admit to the residency cache. The entry cap bounds trace
-// count, not bytes: a grid of tiny-SPM configurations (the GPU validation
-// study) produces op streams a hundred thousand ops long, and pinning
-// hundreds of megabyte-scale traces grows the heap far faster than replays
-// repay — each such program runs once per layer memo anyway. Oversized programs take the one-shot engine
-// path, which is bit-identical (PropResolvedReplayEquivalence).
+// maxCachedResolvedOps bounds the trace size RunFamily and RunMultiKeyed
+// admit to the residency cache. A grid of tiny-SPM configurations (the GPU
+// validation study) produces op streams a hundred thousand ops long, and
+// megabyte-scale traces would crowd the byte budget far faster than
+// replays repay — each such program runs once per layer memo anyway.
+// Oversized runs are resolved but not admitted; the result is bit-identical
+// to the engine's (PropResolvedReplayEquivalence).
 const maxCachedResolvedOps = 1 << 15
 
 // ResolveProgram executes prog on a fresh single-core compiled engine
-// exactly as RunProgram would, additionally recording the residency-
+// exactly as ExecuteProgram would, additionally recording the residency-
 // resolved trace. The trace is nil when the program is not representable
 // (per-op byte/burst totals or the dimension table overflow the compact
 // encoding, or the program exceeds the trace size bound) — callers then
@@ -278,99 +279,85 @@ func (r *recorder) record(dst *[]resolvedOp, op *schedule.CompiledOp, bytes int6
 	*dst = append(*dst, resolvedOp{bytes: uint32(bytes), bursts: uint16(bursts), dim: r.dim})
 }
 
-// resolvedKey identifies one resolution: what ran, and the only axes
-// residency depends on. A single-core run is its retained program
-// (canonical pointer — CompileSchedules callers share programs through
-// identity caches); a multi-core run is its caller's value key for the
-// phases, plus the core count and SPM placement. Everything else in
-// config.NPU is replay-safe.
+// resolvedKey identifies one cache entry: what ran, named by its caller's
+// value key (a single-core program family, or one multi-core run's
+// phases), and the only axes residency depends on beyond it — SPM
+// residency capacity, core count, SPM placement and free-dY. Everything
+// else in config.NPU is replay-safe.
 type resolvedKey struct {
-	prog     *schedule.Program
-	phases   any
+	key      any
 	capacity int64
 	cores    int
 	shared   bool
 	freeDY   bool
 }
 
-// defaultResolvedCacheCap bounds the resolved-trace cache. Traces cost
-// 8 B/op plus the aggregate result, so typical programs pin a few KiB per
-// entry. The default must comfortably hold a grid's distinct-trace working
-// set — the canonical 240-point sweep needs ~1.6k (mostly partition tuning
-// candidates) and an undersized cache re-resolves instead of replaying,
-// ~8× the work — while keeping worst-case pin bounded; sweeps with wider
-// working sets raise it via SetResidencyCacheCap (-residency-cache). The
-// 1024 entries above 8192 hold multi-core traces (a sweep over 1-2 cores
-// of three models resolves ~750), so they do not push out the single-core
-// traces the tuners replay.
-const defaultResolvedCacheCap = 9216
+// defaultResolvedCacheBytes bounds what the resolved-trace cache pins.
+// Traces are its only retained cost: 8 B/op plus a small per-trace and
+// per-entry overhead (traceBytes). The budget holds a grid's whole
+// distinct-trace working set — the benchmark's serve-unique workload (five
+// edge models × three SPM sizes) ends holding 50 MiB of traces and its
+// sweep-dse workload 71 MiB, without an eviction — while a process fed an
+// open-ended stream of distinct shapes stays bounded. Sweeps with wider
+// working sets raise it via SetResidencyCacheBytes (-residency-cache, in
+// MiB).
+const defaultResolvedCacheBytes = 128 << 20
+
+// entryOverhead approximates what one cache entry pins beyond its traces:
+// the boxed caller key, the LRU entry and its map slot.
+const entryOverhead = 256
+
+// traceBytes weighs one cache entry: its traces' op and dimension tables
+// and fixed parts, plus entryOverhead.
+func traceBytes(traces []*ResolvedTrace) int {
+	n := entryOverhead + 8*cap(traces)
+	for _, t := range traces {
+		n += int(unsafe.Sizeof(*t)) +
+			cap(t.ops)*int(unsafe.Sizeof(resolvedOp{})) +
+			cap(t.dims)*int(unsafe.Sizeof(tileDim{})) +
+			cap(t.cores)*int(unsafe.Sizeof(resolvedCore{}))
+	}
+	return n
+}
 
 var (
 	resolvedCounters = stats.NewCacheCounters("sim/resolved")
-	resolvedCache    = runner.NewBounded[resolvedKey, *ResolvedTrace](defaultResolvedCacheCap, resolvedCounters)
-	resolvedCensus   = newKeyCensus(resolvedCounters)
+	resolvedCache    = runner.NewWeighted[resolvedKey, []*ResolvedTrace](defaultResolvedCacheBytes, traceBytes, resolvedCounters)
+	// resolvedCensus is the cache's distinct-key census, counted per
+	// trace (a family key counts once per member), which — unlike the
+	// hit/miss split or the surviving resident set — does not depend on
+	// worker interleaving. Manifests and the sweep benchmark's
+	// "resolutions" leaf read it as Entries. Keys are recorded on a miss
+	// only: a hit key missed before it was admitted.
+	resolvedCensus = runner.NewCensus[resolvedKey](resolvedCounters)
 	// Wall domain: under a layer-memo miss race two workers may both
 	// resolve or replay the same key, so the executed split varies with
 	// -j. The deterministic census is resolvedCensus.
 	resolvedPhases = stats.NewPhaseCounters("sim/resolved")
 )
 
-// keyCensus is the resolved-trace cache's distinct-key census: every key
-// ever looked up since the last reset, which — unlike the hit/miss split
-// or the surviving resident set — does not depend on worker interleaving.
-// It is installed as the cache counters' sizer, so manifests and the
-// sweep benchmark's "resolutions" leaf read it as Entries. RunProgram
-// records keys on a miss only: a hit key missed before it was admitted.
-type keyCensus struct {
-	mu   sync.Mutex
-	keys map[resolvedKey]struct{}
-}
-
-func newKeyCensus(counters *stats.CacheCounters) *keyCensus {
-	c := &keyCensus{keys: make(map[resolvedKey]struct{})}
-	counters.SetSizer(c.size)
-	return c
-}
-
-func (c *keyCensus) add(k resolvedKey) {
-	c.mu.Lock()
-	c.keys[k] = struct{}{}
-	c.mu.Unlock()
-}
-
-func (c *keyCensus) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.keys)
-}
-
-func (c *keyCensus) reset() {
-	c.mu.Lock()
-	c.keys = make(map[resolvedKey]struct{})
-	c.mu.Unlock()
-}
-
-// SetResidencyCacheCap sets the resolved-trace cache capacity (entries),
-// returning the previous value. Capacity 0 disables two-phase execution
-// entirely: RunProgram runs the engine for every call (the checkable slow
-// path the replay-check gate compares against).
-func SetResidencyCacheCap(n int) int {
+// SetResidencyCacheBytes sets the resolved-trace cache's byte budget,
+// returning the previous value. Budget 0 disables two-phase execution
+// entirely: every keyed run executes the engine (the checkable slow path
+// the replay-check gate compares against).
+func SetResidencyCacheBytes(n int) int {
 	prev := resolvedCache.Cap()
-	if n < 0 {
-		n = 0
-	}
-	resolvedCache.SetCap(n)
+	resolvedCache.SetCap(max(n, 0))
 	return prev
 }
 
-// ResidencyCacheCap returns the current resolved-trace cache capacity.
-func ResidencyCacheCap() int { return resolvedCache.Cap() }
+// ResidencyCacheBytes returns the resolved-trace cache's byte budget.
+func ResidencyCacheBytes() int { return resolvedCache.Cap() }
+
+// ResolvedCacheBytes returns the bytes the resident traces pin, as the
+// budget counts them.
+func ResolvedCacheBytes() int { return resolvedCache.Weight() }
 
 // ResetResolvedCache drops every cached trace, the distinct-key census and
 // the phase counters, returning two-phase execution to a cold state.
 func ResetResolvedCache() {
 	resolvedCache.Reset()
-	resolvedCensus.reset()
+	resolvedCensus.Reset()
 	resolvedPhases.Reset()
 }
 

@@ -56,7 +56,8 @@ func Active() *Sink { return active.Load() }
 // concurrent engines never contend; the sink's own mutex guards only track
 // registration and the low-frequency wall-clock events.
 type Sink struct {
-	start time.Time
+	start   time.Time
+	summary bool // tracks fold metrics but keep no events
 
 	mu      sync.Mutex
 	nextPID int64
@@ -70,6 +71,16 @@ type Sink struct {
 //lint:walldomain the sink's wall-clock origin feeds only the emitted trace file
 func New() *Sink {
 	return &Sink{start: time.Now(), nextPID: 1}
+}
+
+// NewSummary creates a sink for callers that read only Metrics: its tracks
+// fold the same stall, occupancy, spill and reuse metrics as New's but
+// append no events, so a traced run costs no event buffers. Check still
+// verifies every track reconciles; an export carries no engine events.
+func NewSummary() *Sink {
+	s := New()
+	s.summary = true
+	return s
 }
 
 // Enabled reports whether the sink collects events.
@@ -154,8 +165,9 @@ type event struct {
 // attribution, occupancy high-water mark and reuse-distance histograms are
 // folded in at emission time so the report needs no event replay.
 type Track struct {
-	pid  int64
-	name string
+	pid     int64
+	name    string
+	summary bool // metrics only: emit appends nothing
 
 	events []event
 
@@ -190,14 +202,23 @@ func (s *Sink) NewTrack(name string) *Track {
 	}
 	s.mu.Lock()
 	t := &Track{
-		pid:  s.nextPID,
-		name: name,
-		last: make(map[schedule.TileKey]int64),
+		pid:     s.nextPID,
+		name:    name,
+		summary: s.summary,
+		last:    make(map[schedule.TileKey]int64),
 	}
 	s.nextPID++
 	s.tracks = append(s.tracks, t)
 	s.mu.Unlock()
 	return t
+}
+
+// emit appends ev to the track's events unless the track keeps metrics
+// only.
+func (t *Track) emit(ev event) {
+	if !t.summary {
+		t.events = append(t.events, ev)
+	}
 }
 
 // SetCapacity records the byte capacity behind the track's occupancy
@@ -220,7 +241,7 @@ func (t *Track) Compute(kind string, start, dur int64, tm, tk, tn int) {
 	if end := start + dur; end > t.cycles {
 		t.cycles = end
 	}
-	t.events = append(t.events, event{
+	t.emit(event{
 		kind: evCompute, name: kind, ts: start, dur: dur,
 		args: [4]int64{int64(tm), int64(tk), int64(tn)},
 	})
@@ -232,7 +253,7 @@ func (t *Track) DMA(start, dur, fetchBytes, writeBytes, spillBytes int64, bursts
 	if t == nil || (dur == 0 && fetchBytes+writeBytes+spillBytes == 0) {
 		return
 	}
-	t.events = append(t.events, event{
+	t.emit(event{
 		kind: evDMA, name: "xfer", ts: start, dur: dur,
 		args: [4]int64{fetchBytes, writeBytes, spillBytes, int64(bursts)},
 	})
@@ -259,7 +280,7 @@ func (t *Track) Spill(ts, bytes int64) {
 	}
 	t.spills++
 	t.spillBytes += bytes
-	t.events = append(t.events, event{kind: evSpill, name: "spill", ts: ts, args: [4]int64{bytes}})
+	t.emit(event{kind: evSpill, name: "spill", ts: ts, args: [4]int64{bytes}})
 }
 
 // Occupancy emits an SPM occupancy counter sample, deduplicated by value.
@@ -274,7 +295,7 @@ func (t *Track) Occupancy(ts, used int64) {
 		return
 	}
 	t.lastOcc = used
-	t.events = append(t.events, event{kind: evOcc, name: "spm-used", ts: ts, args: [4]int64{used}})
+	t.emit(event{kind: evOcc, name: "spm-used", ts: ts, args: [4]int64{used}})
 }
 
 // Access records one tile access for reuse-distance accounting. No event is
@@ -303,5 +324,5 @@ func (t *Track) Phase(name string, start, end int64) {
 	if t == nil || end <= start {
 		return
 	}
-	t.events = append(t.events, event{kind: evPhase, name: name, ts: start, dur: end - start})
+	t.emit(event{kind: evPhase, name: name, ts: start, dur: end - start})
 }

@@ -5,6 +5,7 @@ package trace_test
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
@@ -143,6 +144,52 @@ func TestMultiCoreTraceReconciles(t *testing.T) {
 	}
 	if m.OccHWM <= 0 || m.OccCap != cfg.TotalSPMBytes()/2 {
 		t.Fatalf("shared SPM occupancy HWM %d / cap %d", m.OccHWM, m.OccCap)
+	}
+}
+
+// TestSummarySinkMatchesFull runs single- and multi-core schedules into a
+// full sink and a summary sink and requires the same Metrics, a passing
+// Check, and no engine events in the summary sink's export.
+func TestSummarySinkMatchesFull(t *testing.T) {
+	cfg := tinyCfg()
+	multi := cfg
+	multi.Cores = 2
+	p := core.LayerParams(tensor.Dims{M: 64, K: 48, N: 32}, 1, cfg)
+	run := func(s *trace.Sink) {
+		for _, sched := range []schedule.Schedule{core.InterleaveDXMajor(p), core.InterleaveDWMajor(p)} {
+			sim.RunSchedules(cfg, sim.Options{Trace: s, TraceLabel: sched.Name}, sched)
+		}
+		a := core.InterleaveDXMajor(p)
+		sim.RunMulti(multi, sim.Options{Trace: s, TraceLabel: "mc"}, [][]schedule.Op{a.Ops, a.Ops})
+	}
+	full, summary := trace.New(), trace.NewSummary()
+	run(full)
+	run(summary)
+	if err := summary.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := summary.Metrics(), full.Metrics(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("summary sink metrics diverged:\n got %+v\nwant %+v", got, want)
+	}
+	if got, want := summary.Metrics().Report(), full.Metrics().Report(); got != want {
+		t.Fatalf("summary sink report diverged:\n got %s\nwant %s", got, want)
+	}
+	var buf bytes.Buffer
+	if err := summary.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "M" {
+			t.Fatalf("summary sink exported a %q event", ev.Ph)
+		}
 	}
 }
 
