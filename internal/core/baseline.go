@@ -281,18 +281,27 @@ const fusedChunkShare = 0.25
 
 // FusedDXMajor emits the chunked dXmajor schedule sized for cfg.
 func FusedDXMajor(cfg config.NPU, p schedule.TileParams) schedule.Schedule {
-	perRow := int64(p.Tiling.Tm) * int64(p.Dims.K) * int64(cfg.ElemBytes)
-	share := int64(float64(cfg.SPMBytes/2) * fusedChunkShare)
-	chunk := int(share / max(perRow, 1))
-	return InterleaveDXMajorChunked(p, chunk)
+	return InterleaveDXMajorChunked(p, dxMajorChunk(cfg, p))
 }
 
 // FusedDWMajor emits the chunked dWmajor schedule sized for cfg.
 func FusedDWMajor(cfg config.NPU, p schedule.TileParams) schedule.Schedule {
+	return InterleaveDWMajorChunked(p, dwMajorChunk(cfg, p))
+}
+
+// dxMajorChunk is FusedDXMajor's chunk: the dX tile-rows whose live
+// partials fit the completing output's share of the SPM.
+func dxMajorChunk(cfg config.NPU, p schedule.TileParams) int {
+	perRow := int64(p.Tiling.Tm) * int64(p.Dims.K) * int64(cfg.ElemBytes)
+	share := int64(float64(cfg.SPMBytes/2) * fusedChunkShare)
+	return int(share / max(perRow, 1))
+}
+
+// dwMajorChunk is FusedDWMajor's chunk, in dW tile-columns.
+func dwMajorChunk(cfg config.NPU, p schedule.TileParams) int {
 	perCol := int64(p.Dims.K) * int64(p.Tiling.Tn) * int64(cfg.ElemBytes)
 	share := int64(float64(cfg.SPMBytes/2) * fusedChunkShare)
-	chunk := int(share / max(perCol, 1))
-	return InterleaveDWMajorChunked(p, chunk)
+	return int(share / max(perCol, 1))
 }
 
 // reCache holds the simulated-best access order per layer.

@@ -5,6 +5,7 @@ import (
 
 	"igosim/internal/config"
 	"igosim/internal/dram"
+	"igosim/internal/runner"
 	"igosim/internal/schedule"
 	"igosim/internal/sim"
 	"igosim/internal/tensor"
@@ -114,7 +115,9 @@ func (l *LayerOutcome) addReductions(reds []sim.ReduceResult) {
 // (the scratchpad is flushed between kernels, so dY cannot be reused across
 // them); the fused policies return a single kernel. skipDX marks the
 // network's first layer, which has no upstream to propagate into: only dW
-// is computed and interleaving does not apply (Section 6.2).
+// is computed and interleaving does not apply (Section 6.2). Single-core
+// runs build the same kernels as an order over the layer's shape code
+// (layerProgram); multi-core plans and the oracle run the emitted form.
 func BackwardKernels(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX bool) ([]schedule.Schedule, Order) {
 	if skipDX {
 		return []schedule.Schedule{TunedDWOnly(cfg, p)}, OnlyInterleave
@@ -159,26 +162,16 @@ func RearrangedWithOrder(cfg config.NPU, p schedule.TileParams, o Order) (schedu
 //
 // For PolPartition the partitioning plan is chosen empirically: the
 // rearranged layer is simulated whole and under every scheme of Figure 11
-// with 2 and 4 partitions, and the fastest wins. (The KNN-driven selection
-// the paper evaluates in Section 5 lives in SelectSchemeKNN; Figure 12 uses
-// the empirically best plan.)
+// with 2 and 4 partitions, and the fastest wins, ties going to the earlier
+// candidate. The candidates are independent simulations and run through
+// runner.Map (in order, inline, when traced: a traced run's tracks are
+// numbered as they open). (The KNN-driven selection the paper evaluates in
+// Section 5 lives in SelectSchemeKNN; Figure 12 uses the empirically best
+// plan.)
 func RunBackward(cfg config.NPU, opts sim.Options, p schedule.TileParams, pol Policy, skipDX bool) LayerOutcome {
 	if pol != PolPartition || skipDX {
-		var out LayerOutcome
-		var order Order
-		if useTraceCache(opts, p) {
-			// Untraced runs replay a shared resolved trace: emission,
-			// lowering and residency resolution happen once per (shape,
-			// policy, tuned-candidate) point, then every layer and every
-			// hardware timing that maps to it just replays.
-			res, o := runBackwardKeyed(cfg, opts, p, pol, skipDX)
-			out = outcomeFromResult(res)
-			order = o
-		} else {
-			kernels, o := BackwardKernels(cfg, p, pol, skipDX)
-			out = outcomeFromResult(sim.RunSchedules(cfg, opts, kernels...))
-			order = o
-		}
+		res, order := runLayerProgram(cfg, opts, p, pol, skipDX)
+		out := outcomeFromResult(res)
 		out.Dims = p.Dims
 		out.Policy = pol
 		out.Order = order
@@ -187,18 +180,51 @@ func RunBackward(cfg config.NPU, opts sim.Options, p schedule.TileParams, pol Po
 		return out
 	}
 
-	best := RunBackward(cfg, opts, p, PolRearrange, skipDX)
-	best.Policy = PolPartition
+	cands := []planCandidate{{scheme: NoPartition}}
 	for _, scheme := range Schemes() {
 		for _, parts := range []int{2, 4} {
-			cand, ok := runPartitionedSingle(cfg, opts, p, scheme, parts)
-			if ok && cand.Cycles < best.Cycles {
-				cand.Policy = PolPartition
-				best = cand
-			}
+			cands = append(cands, planCandidate{scheme: scheme, parts: parts})
 		}
 	}
-	return best
+	run := func(c planCandidate) planCandidate {
+		if c.scheme == NoPartition {
+			c.out, c.ok = RunBackward(cfg, opts, p, PolRearrange, skipDX), true
+		} else {
+			c.out, c.ok = runPartitionedSingle(cfg, opts, p, c.scheme, c.parts)
+		}
+		return c
+	}
+	best := mapCandidates(opts, cands, run)
+	for _, c := range best[1:] {
+		if c.ok && c.out.Cycles < best[0].out.Cycles {
+			best[0] = c
+		}
+	}
+	out := best[0].out
+	out.Policy = PolPartition
+	return out
+}
+
+// planCandidate is one plan of a partition search and, once simulated, its
+// outcome (ok is false for a plan that degenerates to one partition).
+type planCandidate struct {
+	scheme Scheme
+	parts  int
+	out    LayerOutcome
+	ok     bool
+}
+
+// mapCandidates simulates a partition search's candidates through
+// runner.Map, or in order on the caller when opts traces: trace tracks are
+// numbered in the order they open, which must not depend on scheduling.
+func mapCandidates(opts sim.Options, cands []planCandidate, run func(planCandidate) planCandidate) []planCandidate {
+	if opts.Trace == nil {
+		return runner.Map(cands, run)
+	}
+	for i, c := range cands {
+		cands[i] = run(c)
+	}
+	return cands
 }
 
 // runPartitionedSingle simulates a partitioned plan on a single core:
@@ -211,46 +237,24 @@ func runPartitionedSingle(cfg config.NPU, opts sim.Options, p schedule.TileParam
 	if len(plan.Parts) < 2 {
 		return LayerOutcome{}, false
 	}
-	// Partitions are separate kernels on one core: the scratchpad is flushed
-	// between them. Untraced in-budget runs replay a shared resolved trace
-	// (per-part orders resolved first, mirroring runBackwardKeyed);
-	// otherwise the kernels are emitted and simulated directly.
-	var out LayerOutcome
-	var orderList []Order
-	if useTraceCache(opts, p) {
-		if res, orders, ok := runPartitionedKeyed(cfg, opts, p, scheme, parts, plan); ok {
-			out = outcomeFromResult(res)
-			orderList = orders
-		}
-	}
-	if orderList == nil {
-		scheds := make([]schedule.Schedule, 0, len(plan.Parts))
-		orderList = make([]Order, 0, len(plan.Parts))
-		for _, sub := range plan.Parts {
-			sched, o := RearrangedTuned(cfg, sub)
-			orderList = append(orderList, o)
-			scheds = append(scheds, sched)
-		}
-		out = outcomeFromResult(sim.RunSchedules(cfg, opts, scheds...))
-	}
+	res, orders := runPartitionedProgram(cfg, opts, p, scheme, parts, plan)
+	out := outcomeFromResult(res)
 	out.addReductions(plan.ReduceResults(cfg))
 	out.Dims = p.Dims
 	out.Scheme = scheme
 	out.Parts = len(plan.Parts)
-	for _, o := range orderList {
-		out.Order = o // representative order (identical across equal splits)
-	}
+	out.Order = orders[len(orders)-1] // representative order (identical across equal splits)
 	return out, true
 }
 
 // RunBackwardOrder simulates one layer's backward pass with an explicitly
-// chosen access order (used by the Section 4.3 ideal-vs-Algorithm-1 study).
-// Results are memoized per layer shape.
+// chosen access order (used by the Section 4.3 ideal-vs-Algorithm-1 study):
+// the unchunked Interleaved(p, o). Results are memoized per layer shape.
 func RunBackwardOrder(cfg config.NPU, opts sim.Options, p schedule.TileParams, o Order) LayerOutcome {
 	key := layerKeyFor(cfg, p, memoBackwardOrder, opts)
 	key.order = o
 	return memoLayer(key, opts, func() LayerOutcome {
-		out := outcomeFromResult(sim.RunSchedules(cfg, opts, Interleaved(p, o)))
+		out := outcomeFromResult(sim.ExecuteProgram(cfg, opts, orderProgram(p, o)))
 		out.Dims = p.Dims
 		out.Policy = PolRearrange
 		out.Order = o
@@ -318,20 +322,24 @@ func runBackwardMulti(cfg config.NPU, opts sim.Options, p schedule.TileParams, p
 		out.Dims = p.Dims
 		return out
 	default: // PolPartition: search the inter-core distribution
-		var best LayerOutcome
-		first := true
+		var cands []planCandidate
 		for _, scheme := range Schemes() {
-			plan := PartitionLayer(p, scheme, cfg.Cores)
-			cand := runMultiPlanPolicy(cfg, opts, p, plan, PolRearrange, false, true)
-			cand.Scheme = scheme
-			if first || cand.Cycles < best.Cycles {
-				best = cand
-				first = false
+			cands = append(cands, planCandidate{scheme: scheme, parts: cfg.Cores})
+		}
+		best := mapCandidates(opts, cands, func(c planCandidate) planCandidate {
+			plan := PartitionLayer(p, c.scheme, c.parts)
+			c.out = runMultiPlanPolicy(cfg, opts, p, plan, PolRearrange, false, true)
+			return c
+		})
+		for _, c := range best[1:] {
+			if c.out.Cycles < best[0].out.Cycles {
+				best[0] = c
 			}
 		}
-		best.Policy = PolPartition
-		best.Dims = p.Dims
-		return best
+		out := best[0].out
+		out.Policy = PolPartition
+		out.Dims = p.Dims
+		return out
 	}
 }
 

@@ -53,9 +53,12 @@ func runSelectorBackward(cfg config.NPU, opts sim.Options, p schedule.TileParams
 	key := layerKeyFor(cfg, p, memoSelectorBwd, opts)
 	key.order = o
 	return memoLayer(key, opts, func() LayerOutcome {
-		sched, chosen := RearrangedWithOrder(cfg, p, o)
-		out := outcomeFromResult(sim.RunSchedules(cfg, opts, sched))
-		out.Order = chosen
+		var v ordersVal
+		if o != DXMajor && o != DWMajor {
+			o, v = OnlyInterleave, interleaveChoices(cfg, p)
+		}
+		out := outcomeFromResult(sim.ExecuteProgram(cfg, opts, layerProgram(cfg, p, PolRearrange, false, o, v)))
+		out.Order = o
 		return out
 	})
 }
@@ -65,17 +68,26 @@ func runSelectorDWOnly(cfg config.NPU, opts sim.Options, p schedule.TileParams) 
 	key := layerKeyFor(cfg, p, memoSelectorBwd, opts)
 	key.skipDX = true
 	return memoLayer(key, opts, func() LayerOutcome {
-		return outcomeFromResult(sim.RunSchedules(cfg, opts, TunedDWOnly(cfg, p)))
+		prog := layerProgram(cfg, p, PolBaseline, true, OnlyInterleave, baselineChoices(cfg, p))
+		return outcomeFromResult(sim.ExecuteProgram(cfg, opts, prog))
 	})
 }
 
 // ConcatKernels joins kernels into one schedule (no flush between them) —
-// the "single kernel that sequentially calculates dX and dW without
-// interleaving" baseline variant of the Figure 17 GPU study.
+// the emitted form of RunFusedSequential's program, kept as the oracle's
+// input.
 func ConcatKernels(kernels ...schedule.Schedule) schedule.Schedule {
 	var ops []schedule.Op
 	for _, k := range kernels {
 		ops = append(ops, k.Ops...)
 	}
 	return schedule.Schedule{Name: "fused-sequential", Ops: ops}
+}
+
+// RunFusedSequential simulates the "single kernel that sequentially
+// calculates dX and dW without interleaving" baseline variant of the
+// Figure 17 GPU study: the tuned baseline pair of TunedBaselineKernels as
+// one kernel, with no flush between them.
+func RunFusedSequential(cfg config.NPU, p schedule.TileParams) sim.Result {
+	return sim.ExecuteProgram(cfg, sim.Options{}, fusedSequentialProgram(p, baselineChoices(cfg, p)))
 }

@@ -1,0 +1,254 @@
+package core
+
+import (
+	"fmt"
+
+	"igosim/internal/config"
+	"igosim/internal/runner"
+	"igosim/internal/schedule"
+)
+
+// Programs as orders over one lowered op table (DESIGN.md §3k). Every
+// single-core backward op is a fixed function of its (m, k, n) grid point:
+// its tiles, byte sizes, classes, tile dimensions and OutFirst/OutLast
+// flags depend on the point alone, never on where the op sits in a
+// schedule. A shape's 2n backward ops are therefore lowered once — dX in
+// MK order, then dW in KN order, which fixes the tile IDs in
+// first-appearance order — and every single-core backward program of the
+// shape is a []int32 order over that table (schedule.Program.Order): the
+// baseline pair, the fusion merges, the chunked majors and every layer
+// program, partitioned plans included. The Op emitters (baseline.go,
+// order.go) stay as the refmodel oracle's input; TestShapeCodePrograms
+// holds every program built here to schedule.Compile of the emitted
+// schedule, op for op.
+
+// shapeCode is the lowered backward op table of one shape, or of a plan's
+// parts in sequence, interned through one compiler.
+type shapeCode struct {
+	code  []schedule.CompiledOp
+	table schedule.TileTable
+	grids []grid // one per lowered shape
+}
+
+// grid locates one lowered shape's ops in its shapeCode.
+type grid struct {
+	mt, kt, nt int
+	dx, dw     int32 // code index of the shape's first dX and first dW op
+}
+
+// shapeCompilers pools the interning compilers behind lowerShapes; each
+// table is detached, so the code stays valid after the compiler's reuse.
+var shapeCompilers = runner.NewPool(schedule.NewCompiler)
+
+// lowerShapes lowers the backward ops of ps, one shape after another, into
+// one table.
+func lowerShapes(ps ...schedule.TileParams) *shapeCode {
+	n := 0
+	for _, p := range ps {
+		n += 2 * p.OpCount()
+	}
+	c := shapeCompilers.Get()
+	c.Reset()
+	sc := &shapeCode{code: make([]schedule.CompiledOp, 0, n), grids: make([]grid, len(ps))}
+	for i, p := range ps {
+		g := &sc.grids[i]
+		g.mt, g.kt, g.nt = p.Tiling.Counts(p.Dims)
+		g.dx = int32(len(sc.code))
+		sc.code = c.CompileStream(sc.code, schedule.BaselineDXStream(p, schedule.DXOrderMK))
+		g.dw = int32(len(sc.code))
+		sc.code = c.CompileStream(sc.code, schedule.BaselineDWStream(p, schedule.DWOrderKN))
+	}
+	sc.table = c.DetachTable()
+	shapeCompilers.Put(c)
+	return sc
+}
+
+// program returns an empty program over sc whose order has room for ops.
+func (sc *shapeCode) program(ops int) *schedule.Program {
+	return &schedule.Program{Code: sc.code, Order: make([]int32, 0, ops), Table: sc.table}
+}
+
+// endKernel closes the kernel name that spans prog's order from start.
+func endKernel(prog *schedule.Program, name string, start int) {
+	prog.Kernels = append(prog.Kernels, schedule.Kernel{Name: name, Start: start, End: len(prog.Order)})
+}
+
+func (g grid) ops() int { return g.mt * g.kt * g.nt }
+
+// dxAt and dwAt index the dX op at grid point (mo, ko, no) and the dW op
+// at (ko, no, mo), the points schedule.TileParams.DXOp and DWOp take.
+func (g grid) dxAt(mo, ko, no int) int32 { return g.dx + int32((mo*g.kt+ko)*g.nt+no) }
+func (g grid) dwAt(ko, no, mo int) int32 { return g.dw + int32((ko*g.nt+no)*g.mt+mo) }
+
+// appendDX appends the dX stream of a tuned baseline candidate, dxMK or
+// dxKM (schedule.BaselineDXStream).
+func (g grid) appendDX(dst []int32, c dxCandidate) []int32 {
+	switch c {
+	case dxMK:
+		for i := range g.ops() {
+			dst = append(dst, g.dx+int32(i))
+		}
+	case dxKM:
+		for ko := 0; ko < g.kt; ko++ {
+			for mo := 0; mo < g.mt; mo++ {
+				for no := 0; no < g.nt; no++ {
+					dst = append(dst, g.dxAt(mo, ko, no))
+				}
+			}
+		}
+	default:
+		panic(fmt.Sprintf("core: dX candidate %d is not a tuned baseline order", c))
+	}
+	return dst
+}
+
+// appendDW appends the dW stream of a tuned baseline candidate, dwKN or
+// dwNK (schedule.BaselineDWStream).
+func (g grid) appendDW(dst []int32, c dwCandidate) []int32 {
+	switch c {
+	case dwKN:
+		for i := range g.ops() {
+			dst = append(dst, g.dw+int32(i))
+		}
+	case dwNK:
+		for no := 0; no < g.nt; no++ {
+			for ko := 0; ko < g.kt; ko++ {
+				for mo := 0; mo < g.mt; mo++ {
+					dst = append(dst, g.dwAt(ko, no, mo))
+				}
+			}
+		}
+	default:
+		panic(fmt.Sprintf("core: dW candidate %d is not a tuned baseline order", c))
+	}
+	return dst
+}
+
+// appendInterleave appends the fusion v of the two baseline streams
+// (TunedInterleave's schedule).
+func (g grid) appendInterleave(dst []int32, v ordersVal) []int32 {
+	n := g.ops()
+	buf := make([]int32, 0, 2*n)
+	dx := g.appendDX(buf, v.dx)
+	dw := g.appendDW(dx[n:n], v.dw)
+	return mergeStreams(dst, dx, dw, v.block)
+}
+
+// appendDXMajor appends the dXmajor order in chunks of chunkRows tile-rows
+// (InterleaveDXMajorChunked).
+func (g grid) appendDXMajor(dst []int32, chunkRows int) []int32 {
+	chunk := min(max(chunkRows, 1), g.mt)
+	for mc := 0; mc < g.mt; mc += chunk {
+		hi := min(mc+chunk, g.mt)
+		for no := 0; no < g.nt; no++ {
+			for mo := mc; mo < hi; mo++ {
+				for ko := 0; ko < g.kt; ko++ {
+					dst = append(dst, g.dxAt(mo, ko, no), g.dwAt(ko, no, mo))
+				}
+			}
+		}
+	}
+	return dst
+}
+
+// appendDWMajor appends the dWmajor order in chunks of chunkCols
+// tile-columns (InterleaveDWMajorChunked).
+func (g grid) appendDWMajor(dst []int32, chunkCols int) []int32 {
+	chunk := min(max(chunkCols, 1), g.nt)
+	for nc := 0; nc < g.nt; nc += chunk {
+		hi := min(nc+chunk, g.nt)
+		for mo := 0; mo < g.mt; mo++ {
+			for no := nc; no < hi; no++ {
+				for ko := 0; ko < g.kt; ko++ {
+					dst = append(dst, g.dwAt(ko, no, mo), g.dxAt(mo, ko, no))
+				}
+			}
+		}
+	}
+	return dst
+}
+
+// appendRearranged appends the rearranged kernel of order o
+// (RearrangedWithOrder's schedule): the chunked major sized for cfg, or
+// the fusion v.
+func appendRearranged(prog *schedule.Program, g grid, cfg config.NPU, p schedule.TileParams, o Order, v ordersVal) {
+	start := len(prog.Order)
+	switch o {
+	case DXMajor:
+		prog.Order = g.appendDXMajor(prog.Order, dxMajorChunk(cfg, p))
+		endKernel(prog, "interleave+dXmajor", start)
+	case DWMajor:
+		prog.Order = g.appendDWMajor(prog.Order, dwMajorChunk(cfg, p))
+		endKernel(prog, "interleave+dWmajor", start)
+	default:
+		prog.Order = g.appendInterleave(prog.Order, v)
+		endKernel(prog, "interleave", start)
+	}
+}
+
+// layerProgram builds p's single-core backward program under pol — what
+// BackwardKernels emits — from the tuned choices (o, v) tunedChoices
+// resolves.
+func layerProgram(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX bool, o Order, v ordersVal) *schedule.Program {
+	sc := lowerShapes(p)
+	g := sc.grids[0]
+	prog := sc.program(len(sc.code))
+	switch {
+	case skipDX:
+		prog.Order = g.appendDW(prog.Order, v.dw)
+		endKernel(prog, "dW-only", 0)
+	case pol == PolBaseline:
+		prog.Order = g.appendDX(prog.Order, v.dx)
+		endKernel(prog, "baseline-dX", 0)
+		start := len(prog.Order)
+		prog.Order = g.appendDW(prog.Order, v.dw)
+		endKernel(prog, "baseline-dW", start)
+	default:
+		appendRearranged(prog, g, cfg, p, o, v)
+	}
+	return prog
+}
+
+// fusedSequentialProgram builds the baseline pair v of p as one kernel
+// named "fused-sequential".
+func fusedSequentialProgram(p schedule.TileParams, v ordersVal) *schedule.Program {
+	sc := lowerShapes(p)
+	g := sc.grids[0]
+	prog := sc.program(len(sc.code))
+	prog.Order = g.appendDW(g.appendDX(prog.Order, v.dx), v.dw)
+	endKernel(prog, "fused-sequential", 0)
+	return prog
+}
+
+// orderProgram builds the unchunked rearranged program of order o
+// (Interleaved): the plain fusion, or a major order one tile-row or
+// tile-column at a time.
+func orderProgram(p schedule.TileParams, o Order) *schedule.Program {
+	sc := lowerShapes(p)
+	g := sc.grids[0]
+	prog := sc.program(len(sc.code))
+	switch o {
+	case DXMajor:
+		prog.Order = g.appendDXMajor(prog.Order, 1)
+		endKernel(prog, "interleave+dXmajor", 0)
+	case DWMajor:
+		prog.Order = g.appendDWMajor(prog.Order, 1)
+		endKernel(prog, "interleave+dWmajor", 0)
+	default:
+		prog.Order = g.appendInterleave(prog.Order, ordersVal{dx: dxMK, dw: dwKN, block: 1})
+		endKernel(prog, "interleave", 0)
+	}
+	return prog
+}
+
+// partitionedProgram builds a single-core partitioned plan's program: one
+// rearranged kernel per part, in order, part i under orders[i] and
+// tuned[i].
+func partitionedProgram(cfg config.NPU, plan Plan, orders []Order, tuned []ordersVal) *schedule.Program {
+	sc := lowerShapes(plan.Parts...)
+	prog := sc.program(len(sc.code))
+	for i, sub := range plan.Parts {
+		appendRearranged(prog, sc.grids[i], cfg, sub, orders[i], tuned[i])
+	}
+	return prog
+}

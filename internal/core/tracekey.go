@@ -59,24 +59,27 @@ func useTraceCache(opts sim.Options, p schedule.TileParams) bool {
 	return opts.Trace == nil && p.OpCount() <= panelOpBudget
 }
 
-// runBackwardKeyed simulates one layer's non-partitioned backward pass
-// through its keyed trace, sharing it across layers and hardware timings
-// that emit the same stream. The access order is resolved the same way
-// BackwardKernels resolves it.
-func runBackwardKeyed(cfg config.NPU, opts sim.Options, p schedule.TileParams, pol Policy, skipDX bool) (sim.Result, Order) {
-	np := p
-	np.Layer, np.Part = 0, 0
-	key := progKey{
-		p: np, spm: cfg.SPMBytes, elem: cfg.ElemBytes,
-		kind: memoBackward, pol: pol, skipDX: skipDX,
+// runLayerProgram simulates one layer's non-partitioned single-core
+// backward program (layerProgram). Untraced in-budget runs go through the
+// layer's keyed trace, shared across layers and hardware timings that
+// build the same program; the rest build and execute it one-shot. The
+// tuned choices are resolved first, as BackwardKernels resolves them.
+func runLayerProgram(cfg config.NPU, opts sim.Options, p schedule.TileParams, pol Policy, skipDX bool) (sim.Result, Order) {
+	o, v := tunedChoices(cfg, p, pol, skipDX)
+	var key any
+	if useTraceCache(opts, p) {
+		p.Layer, p.Part = 0, 0
+		k := progKey{
+			p: p, spm: cfg.SPMBytes, elem: cfg.ElemBytes,
+			kind: memoBackward, pol: pol, order: o, skipDX: skipDX, tuned: v,
+		}
+		progCensus.Lookup(k)
+		key = k
 	}
-	key.order, key.tuned = tunedChoices(cfg, np, pol, skipDX)
-	progCensus.Lookup(key)
 	res := sim.RunFamily(cfg, opts, key, 1, func(int) *schedule.Program {
-		kernels, _ := BackwardKernels(cfg, np, pol, skipDX)
-		return sim.CompileSchedules(kernels...)
+		return layerProgram(cfg, p, pol, skipDX, o, v)
 	}).Result(0)
-	return res, key.order
+	return res, o
 }
 
 // tunedChoices resolves the tuned choices that shape p's backward stream
@@ -120,7 +123,7 @@ func runForwardKeyed(cfg config.NPU, opts sim.Options, p schedule.TileParams) si
 // above. A tuner therefore names its whole candidate set — baseline pair,
 // fusion set, chunked majors — by one panelKey and makes ONE sim.RunFamily
 // lookup per tuning call: a bandwidth sweep's re-tuning replays the
-// family's traces, and only a miss lowers the shape's base code and builds
+// family's traces, and only a miss lowers the shape's shapeCode and builds
 // the candidates, one at a time, dropping each once resolved. (An earlier
 // revision keyed each candidate individually; boxing and hashing the wide
 // per-candidate key ~10⁴ times per request cost as much as the replays it
@@ -174,76 +177,81 @@ func tunerFamily(single config.NPU, np schedule.TileParams, fam family, n int, m
 	return sim.RunFamily(single, sim.Options{}, key, n, member)
 }
 
-// baseCode is one canonical shape's four base streams — dX MK/KM and dW
-// KN/NK, in that order — lowered once, straight from their generators,
-// through one shared compiler. The shared symbol table makes every block
-// merge of this code a valid program over the same table, so each
-// baseline and fusion candidate is a view or a merge of it, never a
-// re-emission and re-lowering.
-type baseCode struct {
-	streams [4][]schedule.CompiledOp
-	table   schedule.TileTable
-}
-
-func lowerBase(np schedule.TileParams) *baseCode {
-	c := schedule.NewCompiler()
-	n := np.OpCount() // every single-GEMM stream emits exactly n ops
-	code := make([]schedule.CompiledOp, 0, 4*n)
-	for _, s := range []schedule.OpStream{
-		schedule.BaselineDXStream(np, schedule.DXOrderMK),
-		schedule.BaselineDXStream(np, schedule.DXOrderKM),
-		schedule.BaselineDWStream(np, schedule.DWOrderKN),
-		schedule.BaselineDWStream(np, schedule.DWOrderNK),
-	} {
-		code = c.CompileStream(code, s)
-	}
-	b := &baseCode{table: c.Table()}
-	for i := range b.streams {
-		b.streams[i] = code[i*n : (i+1)*n]
-	}
-	return b
-}
-
-// program wraps code as a one-kernel program over the shared table.
-func (b *baseCode) program(code []schedule.CompiledOp) *schedule.Program {
-	return &schedule.Program{Code: code, Kernels: []schedule.Kernel{{End: len(code)}}, Table: b.table}
-}
-
 // baselineFamily runs the baseline tuner's isolated candidates, members
-// indexed dxMK, dxKM, then 2+dwKN, 2+dwNK: views of the base code.
+// indexed dxMK, dxKM, then 2+dwKN, 2+dwNK.
 func baselineFamily(single config.NPU, np schedule.TileParams) sim.Family {
-	var b *baseCode
-	return tunerFamily(single, np, famBaseline, 4, func(i int) *schedule.Program {
-		if b == nil {
-			b = lowerBase(np)
+	return tunerFamily(single, np, famBaseline, 4, baselineMembers(np))
+}
+
+// familyMembers returns a family's member builder over np's shape code,
+// lowered on the first call: build appends member i's order and kernels
+// to prog, which every member reuses, emptied, with room for ops.
+func familyMembers(np schedule.TileParams, ops int, build func(prog *schedule.Program, g grid, i int)) func(i int) *schedule.Program {
+	var sc *shapeCode
+	var prog *schedule.Program
+	return func(i int) *schedule.Program {
+		if sc == nil {
+			sc = lowerShapes(np)
+			prog = sc.program(ops)
 		}
-		return b.program(b.streams[i])
+		prog.Order, prog.Kernels = prog.Order[:0], prog.Kernels[:0]
+		build(prog, sc.grids[0], i)
+		return prog
+	}
+}
+
+// baselineMembers builds baselineFamily's members.
+func baselineMembers(np schedule.TileParams) func(i int) *schedule.Program {
+	return familyMembers(np, np.OpCount(), func(prog *schedule.Program, g grid, i int) {
+		if i < 2 {
+			prog.Order = g.appendDX(prog.Order, dxCandidate(i))
+			endKernel(prog, "baseline-dX", 0)
+			return
+		}
+		prog.Order = g.appendDW(prog.Order, dwCandidate(i-2))
+		endKernel(prog, "baseline-dW", 0)
 	})
 }
 
-// mergeFamily runs the fusion candidates vs (mergeCandidates(np)), each
-// block-merged from the base code into one reused buffer.
+// mergeFamily runs the fusion candidates vs (mergeCandidates(np)).
 func mergeFamily(single config.NPU, np schedule.TileParams, vs []ordersVal) sim.Family {
-	var b *baseCode
-	var buf []schedule.CompiledOp
-	return tunerFamily(single, np, famMerge, len(vs), func(i int) *schedule.Program {
-		if b == nil {
-			b = lowerBase(np)
+	return tunerFamily(single, np, famMerge, len(vs), mergeMembers(np, vs))
+}
+
+// mergeMembers builds mergeFamily's members, each a block merge of two of
+// the four baseline streams, which are built once.
+func mergeMembers(np schedule.TileParams, vs []ordersVal) func(i int) *schedule.Program {
+	var dx [2][]int32 // indexed by dxCandidate
+	var dw [2][]int32 // indexed by dwCandidate
+	return familyMembers(np, 2*np.OpCount(), func(prog *schedule.Program, g grid, i int) {
+		if dx[0] == nil {
+			n := g.ops()
+			buf := make([]int32, 4*n)
+			for c := range dx {
+				dx[c] = g.appendDX(buf[2*c*n:2*c*n], dxCandidate(c))
+				dw[c] = g.appendDW(buf[(2*c+1)*n:(2*c+1)*n], dwCandidate(c))
+			}
 		}
 		v := vs[i]
-		buf = mergeStreams(buf[:0], b.streams[v.dx], b.streams[2+int(v.dw)], v.block)
-		return b.program(buf)
+		prog.Order = mergeStreams(prog.Order, dx[v.dx], dw[v.dw], v.block)
+		endKernel(prog, "interleave", 0)
 	})
 }
 
 // majorFamily runs the two chunked-major rearranged candidates, dXmajor
 // then dWmajor.
 func majorFamily(single config.NPU, np schedule.TileParams) sim.Family {
-	return tunerFamily(single, np, famMajor, 2, func(i int) *schedule.Program {
-		if i == 0 {
-			return sim.CompileSchedules(FusedDXMajor(single, np))
+	return tunerFamily(single, np, famMajor, 2, majorMembers(single, np))
+}
+
+// majorMembers builds majorFamily's members, chunked for single.
+func majorMembers(single config.NPU, np schedule.TileParams) func(i int) *schedule.Program {
+	return familyMembers(np, 2*np.OpCount(), func(prog *schedule.Program, g grid, i int) {
+		o := DXMajor
+		if i == 1 {
+			o = DWMajor
 		}
-		return sim.CompileSchedules(FusedDWMajor(single, np))
+		appendRearranged(prog, g, single, np, o, ordersVal{})
 	})
 }
 
@@ -278,39 +286,38 @@ type partKey struct {
 
 var partCensus = runner.NewCensus[partKey](stats.NewCacheCounters("core/partitioned-prog"))
 
-// runPartitionedKeyed simulates one single-core partitioned plan
-// (partitions as separate kernels, scratchpad flushed between them)
-// through its keyed trace. The per-part tuned choices are resolved first
-// and folded into the key, mirroring runBackwardKeyed; plans with more
-// parts than the key holds are not keyed (ok=false).
-func runPartitionedKeyed(cfg config.NPU, opts sim.Options, p schedule.TileParams, scheme Scheme, parts int, plan Plan) (sim.Result, []Order, bool) {
-	if len(plan.Parts) > len(partKey{}.orders) {
-		return sim.Result{}, nil, false
-	}
-	np := p
-	np.Layer, np.Part = 0, 0
-	key := partKey{
-		p: np, spm: cfg.SPMBytes, elem: cfg.ElemBytes,
-		scheme: scheme, parts: len(plan.Parts),
-	}
+// runPartitionedProgram simulates one single-core partitioned plan of p
+// (partitions as separate kernels, scratchpad flushed between them;
+// partitionedProgram). The per-part tuned choices are resolved first;
+// untraced in-budget runs fold them into the plan's key and go through its
+// keyed trace, mirroring runLayerProgram, and so do plans of at most as
+// many parts as the key holds. The rest build and execute the program
+// one-shot.
+func runPartitionedProgram(cfg config.NPU, opts sim.Options, p schedule.TileParams, scheme Scheme, parts int, plan Plan) (sim.Result, []Order) {
 	orders := make([]Order, len(plan.Parts))
+	tuned := make([]ordersVal, len(plan.Parts))
 	for i, sub := range plan.Parts {
-		key.orders[i], key.tuned[i] = tunedChoices(cfg, sub, PolRearrange, false)
-		orders[i] = key.orders[i]
+		orders[i], tuned[i] = tunedChoices(cfg, sub, PolRearrange, false)
 	}
-	partCensus.Lookup(key)
-	res := sim.RunFamily(cfg, opts, key, 1, func(int) *schedule.Program {
-		// Rebuild from the normalized parent so the program's tile ids are
+	var key any
+	if useTraceCache(opts, p) && len(plan.Parts) <= len(partKey{}.orders) {
+		// Build from the normalized parent so the program's tile ids are
 		// canonical regardless of which layer resolved it first.
-		nplan := PartitionLayer(np, scheme, parts)
-		scheds := make([]schedule.Schedule, 0, len(nplan.Parts))
-		for i, sub := range nplan.Parts {
-			sched, _ := RearrangedWithOrder(cfg, sub, key.orders[i])
-			scheds = append(scheds, sched)
+		p.Layer, p.Part = 0, 0
+		plan = PartitionLayer(p, scheme, parts)
+		k := partKey{
+			p: p, spm: cfg.SPMBytes, elem: cfg.ElemBytes,
+			scheme: scheme, parts: len(plan.Parts),
 		}
-		return sim.CompileSchedules(scheds...)
+		copy(k.orders[:], orders)
+		copy(k.tuned[:], tuned)
+		partCensus.Lookup(k)
+		key = k
+	}
+	res := sim.RunFamily(cfg, opts, key, 1, func(int) *schedule.Program {
+		return partitionedProgram(cfg, plan, orders, tuned)
 	}).Result(0)
-	return res, orders, true
+	return res, orders
 }
 
 // multiKey identifies one multi-core run's phases up to tensor renaming

@@ -44,9 +44,8 @@ func Fig17() Report {
 				continue
 			}
 			// GPU baseline: best of two-kernel and fused-sequential.
-			dxK, dwK := core.TunedBaselineKernels(cfg, p)
 			two := core.RunBackwardMulti(cfg, sim.Options{}, p, core.PolBaseline, false)
-			fusedSeq := sim.RunSchedules(cfg, sim.Options{}, core.ConcatKernels(dxK, dwK))
+			fusedSeq := core.RunFusedSequential(cfg, p)
 			c.base += min(two.Cycles, fusedSeq.Cycles)
 
 			c.ilv += core.RunBackwardMulti(cfg, sim.Options{}, p, core.PolInterleave, false).Cycles

@@ -95,8 +95,9 @@ func FuzzTilingCounts(f *testing.F) {
 // bit-exact agreement with each other and the refmodel oracle in both
 // free-dY modes (CheckCompiledEquivalence), and tracing as pure
 // observation — a traced run reconciles, returns the untraced result, and
-// exports the same bytes whether the schedules are lowered per call or run
-// as a retained program.
+// exports the same bytes whether the schedules are lowered per call, run
+// as a retained program, or run as that program permuted through an
+// Order.
 func FuzzCompiledEngine(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x02, 0x41, 0x17, 0x88, 0x0c, 0x3d, 0x5e, 0x99, 0x21, 0x6f})
@@ -108,10 +109,13 @@ func FuzzCompiledEngine(f *testing.F) {
 		}
 		cfg, scheds := c.Config(), c.Schedules()
 		want := sim.RunSchedules(cfg, sim.Options{}, scheds...)
-		var dumps [2]bytes.Buffer
+		var dumps [3]bytes.Buffer
 		for i, run := range []func(sim.Options) sim.Result{
 			func(o sim.Options) sim.Result { return sim.RunSchedules(cfg, o, scheds...) },
 			func(o sim.Options) sim.Result { return sim.ExecuteProgram(cfg, o, sim.CompileSchedules(scheds...)) },
+			func(o sim.Options) sim.Result {
+				return sim.ExecuteProgram(cfg, o, permuted(sim.CompileSchedules(scheds...)))
+			},
 		} {
 			snk := trace.New()
 			if got := run(sim.Options{Trace: snk, TraceLabel: "fuzz"}); got != want {
@@ -124,8 +128,10 @@ func FuzzCompiledEngine(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		if !bytes.Equal(dumps[0].Bytes(), dumps[1].Bytes()) {
-			t.Fatalf("retained-program trace differs from RunSchedules trace\n  case: %v", c)
+		for i := 1; i < len(dumps); i++ {
+			if !bytes.Equal(dumps[0].Bytes(), dumps[i].Bytes()) {
+				t.Fatalf("path %d: retained-program trace differs from RunSchedules trace\n  case: %v", i, c)
+			}
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package proptest
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 
@@ -32,6 +33,7 @@ func Invariants() []Invariant {
 		{"multi-oracle", CheckMultiOracle},
 		{"compiled-equivalence", CheckCompiledEquivalence},
 		{"resolved-replay", CheckResolvedReplay},
+		{"permuted-program", CheckPermutedProgram},
 		{"multi-replay", CheckMultiReplay},
 		{"cycle-bounds", CheckCycleBounds},
 		{"conservation", CheckConservation},
@@ -181,6 +183,62 @@ func CheckResolvedReplay(c Case) error {
 		}
 	}
 	return nil
+}
+
+// CheckPermutedProgram is the schedule.Program.Order property: a program
+// that runs its code through an order — here permuted (the case's code
+// reversed, with unreferenced ops appended) — must match its materialized
+// copy in the engine's Result, in its resolved trace's replay at every
+// cost variant, in both dY regimes, and in the traced event stream.
+func CheckPermutedProgram(c Case) error {
+	base := c.Config()
+	flat := sim.CompileSchedules(c.Schedules()...)
+	perm := permuted(flat)
+	for _, free := range []bool{false, true} {
+		opts := sim.Options{FreeDYOnDW: free}
+		want, wantRT := sim.ResolveProgram(base, opts, flat)
+		got, rt := sim.ResolveProgram(base, opts, perm)
+		if got != want {
+			return fmt.Errorf("freeDY=%v: ordered program %+v != materialized %+v", free, got, want)
+		}
+		if rt == nil || wantRT == nil {
+			return fmt.Errorf("freeDY=%v: resolution yielded no trace", free)
+		}
+		for vi, cfg := range costVariants(base) {
+			if got, want := rt.Replay(cfg), wantRT.Replay(cfg); got != want {
+				return fmt.Errorf("freeDY=%v variant %d: ordered replay %+v != materialized %+v", free, vi, got, want)
+			}
+		}
+	}
+	var dumps [2]bytes.Buffer
+	for i, prog := range []*schedule.Program{flat, perm} {
+		snk := trace.New()
+		sim.ExecuteProgram(base, sim.Options{Trace: snk, TraceLabel: "proptest"}, prog)
+		if err := snk.WriteJSON(&dumps[i]); err != nil {
+			return err
+		}
+	}
+	if !bytes.Equal(dumps[0].Bytes(), dumps[1].Bytes()) {
+		return fmt.Errorf("ordered program's trace differs from the materialized program's")
+	}
+	return nil
+}
+
+// permuted returns a program equivalent to prog that runs through Order:
+// its code is prog's reversed, followed by decoy copies no position
+// references, and its order points each position back at its op.
+func permuted(prog *schedule.Program) *schedule.Program {
+	n := len(prog.Code)
+	code := make([]schedule.CompiledOp, n, n+2)
+	order := make([]int32, n)
+	for i, op := range prog.Code {
+		code[n-1-i] = op
+		order[i] = int32(n - 1 - i)
+	}
+	if n > 0 {
+		code = append(code, prog.Code[0], prog.Code[n-1])
+	}
+	return &schedule.Program{Code: code, Order: order, Kernels: prog.Kernels, Table: prog.Table}
 }
 
 // CheckMultiReplay is the two-phase execution property for multi-core

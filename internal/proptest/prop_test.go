@@ -41,6 +41,11 @@ func TestPropertyResolvedReplay(t *testing.T) {
 	Run(t, "resolved-replay", casesPerInvariant, CheckResolvedReplay)
 }
 
+func TestPropertyPermutedProgram(t *testing.T) {
+	t.Parallel()
+	Run(t, "permuted-program", casesPerInvariant, CheckPermutedProgram)
+}
+
 func TestPropertyMultiReplay(t *testing.T) {
 	t.Parallel()
 	Run(t, "multi-replay", casesPerInvariant, CheckMultiReplay)

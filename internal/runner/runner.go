@@ -6,10 +6,16 @@
 //
 //   - a process-wide parallelism setting (GOMAXPROCS by default, the CLIs'
 //     -j flag and igo.Parallelism override it);
-//   - Map / MapErr: indexed fan-out/fan-in over a bounded worker pool with
-//     deterministic result ordering (results land at their input index, so
-//     output is byte-identical regardless of worker count) and, for MapErr,
-//     context cancellation on the first error;
+//   - Map / MapErr: indexed fan-out/fan-in with deterministic result
+//     ordering (results land at their input index, so output is
+//     byte-identical regardless of worker count) and, for MapErr, context
+//     cancellation on the first error. Every fan-out draws on one
+//     process-wide worker budget: the caller works its own items, and each
+//     claim that leaves items unclaimed recruits a helper goroutine without
+//     blocking while fewer than Parallelism()-1 helpers run. Nested fan-outs
+//     (figures → models → layers → partition plans) therefore keep at most
+//     Parallelism() items running per root, where a pool per call would put
+//     Parallelism()^depth in flight;
 //   - Shards: deterministic partitioning of a flattened work grid into
 //     contiguous index ranges, the unit of checkpointing for resumable
 //     sweeps (internal/dse);
@@ -66,36 +72,98 @@ func SetParallelism(n int) int {
 	return prev
 }
 
-// Map applies fn to every item on up to Parallelism() workers and returns
-// the results in input order. With a width of 1 (or a single item) it runs
-// inline on the calling goroutine, making the sequential path the trivial
-// special case of the parallel one.
-func Map[T, R any](items []T, fn func(T) R) []R {
-	out := make([]R, len(items))
-	workers := min(Parallelism(), len(items))
-	sink := trace.Active() // one atomic load per Map call; nil when tracing is off
-	if workers <= 1 {
-		for i := range items {
-			out[i] = runTask(sink, 0, i, items[i], fn)
+// helpers counts the worker slots in use process-wide: the one budget
+// behind every fan-out, however deeply nested. A running helper goroutine
+// holds a slot; a fan-out's caller blocked waiting for its helpers lends
+// one back (see fanOut).
+var helpers atomic.Int64
+
+// recruit takes a helper slot without blocking, reporting whether it got
+// one. The budget is Parallelism()-1: every fan-out's caller works its own
+// items, so at most Parallelism() goroutines run items from one root.
+func recruit() bool {
+	limit := int64(Parallelism() - 1)
+	for {
+		n := helpers.Load()
+		if n >= limit {
+			return false
 		}
-		return out
+		if helpers.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+}
+
+// fanOut runs work(worker, claimed) on the caller as worker 0. work calls
+// claimed(next) after each claim, next being the index of the following
+// item; while items remain, each such call recruits a helper running
+// work too, if the budget has a free slot. fanOut returns once every
+// worker has.
+//
+// A caller left waiting for its helpers runs nothing, so it lends a slot
+// to the budget for the wait, and the last of its helpers to finish hands
+// its own slot back instead of releasing it: whoever finishes the nested
+// work keeps its share of the CPU, and the number of goroutines running
+// items from one root never exceeds Parallelism().
+func fanOut(items int, work func(worker int, claimed func(next int))) {
+	var (
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		active  int  // helpers still running
+		workers int  // helpers recruited so far
+		lent    bool // the caller lent a slot while it waits
+	)
+	var claimed func(next int)
+	claimed = func(next int) {
+		if next >= items || !recruit() {
+			return
+		}
+		mu.Lock()
+		active++
+		workers++
+		w := workers
+		mu.Unlock()
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) {
-					return
-				}
-				out[i] = runTask(sink, w, i, items[i], fn)
+			work(w, claimed)
+			mu.Lock()
+			active--
+			handBack := active == 0 && lent
+			mu.Unlock()
+			if !handBack {
+				helpers.Add(-1)
 			}
 		}()
 	}
+	work(0, claimed)
+	mu.Lock()
+	if active > 0 {
+		lent = true
+		helpers.Add(-1)
+	}
+	mu.Unlock()
 	wg.Wait()
+}
+
+// Map applies fn to every item and returns the results in input order.
+// Items run on the caller and on helpers recruited from the shared worker
+// budget (fanOut); with a width of 1 every item runs inline on the calling
+// goroutine.
+func Map[T, R any](items []T, fn func(T) R) []R {
+	out := make([]R, len(items))
+	sink := trace.Active() // one atomic load per Map call; nil when tracing is off
+	var next atomic.Int64
+	fanOut(len(items), func(w int, claimed func(int)) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(items) {
+				return
+			}
+			claimed(i + 1)
+			out[i] = runTask(sink, w, i, items[i], fn)
+		}
+	})
 	return out
 }
 
@@ -126,22 +194,7 @@ func runTask[T, R any](sink *trace.Sink, worker, index int, item T, fn func(T) R
 // the returned slice holds the results completed before cancellation.
 func MapErr[T, R any](ctx context.Context, items []T, fn func(context.Context, T) (R, error)) ([]R, error) {
 	out := make([]R, len(items))
-	workers := min(Parallelism(), len(items))
 	sink := trace.Active()
-	if workers <= 1 {
-		for i := range items {
-			if err := ctx.Err(); err != nil {
-				return out, err
-			}
-			r, err := runTaskErr(sink, 0, i, ctx, items[i], fn)
-			if err != nil {
-				return out, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
-
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -151,32 +204,30 @@ func MapErr[T, R any](ctx context.Context, items []T, fn func(context.Context, T
 		firstErr error
 		errIdx   = len(items)
 		next     atomic.Int64
-		wg       sync.WaitGroup
 	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) || ctx.Err() != nil {
-					return
-				}
-				r, err := runTaskErr(sink, w, i, ctx, items[i], fn)
-				if err != nil {
-					mu.Lock()
-					if i < errIdx {
-						firstErr, errIdx = err, i
-					}
-					mu.Unlock()
-					cancel()
-					return
-				}
-				out[i] = r
+	fanOut(len(items), func(w int, claimed func(int)) {
+		for {
+			if ctx.Err() != nil {
+				return
 			}
-		}()
-	}
-	wg.Wait()
+			i := int(next.Add(1)) - 1
+			if i >= len(items) {
+				return
+			}
+			claimed(i + 1)
+			r, err := runTaskErr(sink, w, i, ctx, items[i], fn)
+			if err != nil {
+				mu.Lock()
+				if i < errIdx {
+					firstErr, errIdx = err, i
+				}
+				mu.Unlock()
+				cancel()
+				return
+			}
+			out[i] = r
+		}
+	})
 	if firstErr != nil {
 		return out, firstErr
 	}

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // withParallelism runs the body at the given pool width, restoring the
@@ -205,4 +208,93 @@ func TestShards(t *testing.T) {
 			t.Fatalf("size %d: shards cover %d of 100", size, next)
 		}
 	}
+}
+
+// goroutineID parses the current goroutine's id from its stack header.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+// TestNestedMapSharesOneBudget nests Map three deep: whatever the width,
+// no more than Parallelism() leaf calls run at once from the one root,
+// every level's results land in input order, the budget's slots all come
+// back, and at width 1 every call runs on the caller's goroutine.
+func TestNestedMapSharesOneBudget(t *testing.T) {
+	items := []int{0, 1, 2, 3, 4}
+	for _, width := range []int{1, 2, 4, 8} {
+		withParallelism(t, width, func() {
+			root := goroutineID()
+			var cur, peak atomic.Int64
+			var offRoot atomic.Bool
+			leaf := func(v int) int {
+				n := cur.Add(1)
+				defer cur.Add(-1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				if goroutineID() != root {
+					offRoot.Store(true)
+				}
+				time.Sleep(50 * time.Microsecond)
+				return v
+			}
+			got := Map(items, func(a int) [][]int {
+				return Map(items, func(b int) []int {
+					return Map(items, func(c int) int { return leaf(100*a + 10*b + c) })
+				})
+			})
+			for a := range items {
+				for b := range items {
+					for c := range items {
+						if v := got[a][b][c]; v != 100*a+10*b+c {
+							t.Fatalf("width %d: got[%d][%d][%d] = %d", width, a, b, c, v)
+						}
+					}
+				}
+			}
+			if p := peak.Load(); p > int64(width) || (width > 1 && p < 2) {
+				t.Errorf("width %d: %d leaf calls ran at once", width, p)
+			}
+			if width == 1 && offRoot.Load() {
+				t.Error("width 1: a call ran off the caller's goroutine")
+			}
+			if n := helpers.Load(); n != 0 {
+				t.Errorf("width %d: %d helper slots still taken", width, n)
+			}
+		})
+	}
+}
+
+// TestWaitingCallerLendsItsSlot checks that a caller blocked on its
+// helpers lends its slot: at width 2 the root finishes its item once its
+// one helper has started the other, and waits while the helper works
+// that item's nested fan-out, which must then run two leaves at once.
+func TestWaitingCallerLendsItsSlot(t *testing.T) {
+	withParallelism(t, 2, func() {
+		var cur, peak atomic.Int64
+		started := make(chan struct{})
+		Map([]int{0, 1}, func(a int) int {
+			if a == 0 {
+				<-started
+				return 0
+			}
+			close(started)
+			Map(make([]int, 40), func(int) int {
+				n := cur.Add(1)
+				defer cur.Add(-1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				time.Sleep(time.Millisecond)
+				return 0
+			})
+			return 0
+		})
+		if p := peak.Load(); p != 2 {
+			t.Errorf("the nested fan-out ran %d leaves at once, want 2", p)
+		}
+		if n := helpers.Load(); n != 0 {
+			t.Errorf("%d helper slots still taken", n)
+		}
+	})
 }

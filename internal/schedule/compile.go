@@ -68,14 +68,26 @@ type TileTable struct {
 func (t TileTable) Len() int { return len(t.Keys) }
 
 // Program is a compiled schedule sequence ready for sim.CompiledEngine.
+//
+// A program with a nil Order executes Code in sequence and its kernels
+// span Code. A program with Order executes Code[Order[0]], Code[Order[1]],
+// … and its kernels span Order instead: Code is then an op table the
+// order permutes (or selects from), so many programs can share one lowered
+// table and differ only in a []int32 (DESIGN.md §3g).
 type Program struct {
 	Code    []CompiledOp
+	Order   []int32
 	Kernels []Kernel
 	Table   TileTable
 }
 
 // Ops returns the total op count.
-func (p *Program) Ops() int { return len(p.Code) }
+func (p *Program) Ops() int {
+	if p.Order != nil {
+		return len(p.Order)
+	}
+	return len(p.Code)
+}
 
 // Compiler interns tile keys and lowers ops. One compiler builds one symbol
 // space: compiling several streams through the same compiler makes their

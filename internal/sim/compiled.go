@@ -234,7 +234,9 @@ func (e *CompiledEngine) Init(cfg config.NPU, opts Options) {
 }
 
 // Bind attaches a compiled program: residency arrays are sized to its tile
-// table and the systolic cost of every op is computed once. Run state
+// table and the systolic cost of every op of its code is computed once (on
+// a program with Order, once per table entry however often the order
+// visits it). Run state
 // (residency, pipeline, counters) is preserved, so Bind only follows Init
 // or Reset on a fresh measurement.
 func (e *CompiledEngine) Bind(prog *schedule.Program) {
@@ -293,7 +295,8 @@ func (e *CompiledEngine) flushSPM() {
 }
 
 // Execute runs the bound program: kernels in order, scratchpad flushed at
-// every kernel boundary, phase spans on the trace track.
+// every kernel boundary, phase spans on the trace track. A program with
+// Order runs the code its order names.
 func (e *CompiledEngine) Execute() {
 	prog := e.prog
 	if prog == nil {
@@ -305,8 +308,14 @@ func (e *CompiledEngine) Execute() {
 			e.flushSPM()
 		}
 		start := e.compDone
-		for i := k.Start; i < k.End; i++ {
-			e.step(&prog.Code[i], e.comp[i])
+		if prog.Order == nil {
+			for i := k.Start; i < k.End; i++ {
+				e.step(&prog.Code[i], e.comp[i])
+			}
+		} else {
+			for _, j := range prog.Order[k.Start:k.End] {
+				e.step(&prog.Code[j], e.comp[j])
+			}
 		}
 		e.tr.Phase(k.Name, start, e.compDone)
 	}

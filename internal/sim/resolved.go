@@ -211,7 +211,8 @@ func ResolveProgram(cfg config.NPU, opts Options, prog *schedule.Program) (Resul
 	cr := compiledPool.Get()
 	e := &cr.eng
 	e.Init(cfg, opts)
-	e.rec.start(&ResolvedTrace{ops: make([]resolvedOp, 0, len(prog.Code))}, len(prog.Code))
+	n := prog.Ops()
+	e.rec.start(&ResolvedTrace{ops: make([]resolvedOp, 0, n)}, n)
 	e.RunProgram(prog)
 	res := e.Result()
 	var rt *ResolvedTrace
