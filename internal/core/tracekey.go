@@ -342,14 +342,16 @@ type multiKey struct {
 // runMulti simulates a plan's multi-core phases, which emit builds. key
 // carries what the parts run and their tuned choices; runMulti completes
 // it from p, plan and cfg. Untraced runs of layers within panelOpBudget go
-// through the trace cache; the rest emit and simulate every time.
+// through the trace cache; the rest pass no key, so they emit and simulate
+// every time.
 func runMulti(cfg config.NPU, opts sim.Options, p schedule.TileParams, plan Plan, key multiKey, shared bool, emit func() [][][]schedule.Op) sim.MultiResult {
-	if !useTraceCache(opts, p) {
-		return sim.RunMultiPhased(cfg, opts, emit(), shared)
+	var k any
+	if useTraceCache(opts, p) {
+		key.p = p
+		key.p.Layer, key.p.Part = 0, 0
+		key.spm, key.elem = cfg.SPMBytes, cfg.ElemBytes
+		key.scheme, key.parts = plan.Scheme, len(plan.Parts)
+		k = key
 	}
-	key.p = p
-	key.p.Layer, key.p.Part = 0, 0
-	key.spm, key.elem = cfg.SPMBytes, cfg.ElemBytes
-	key.scheme, key.parts = plan.Scheme, len(plan.Parts)
-	return sim.RunMultiKeyed(cfg, opts, key, shared, emit)
+	return sim.RunMultiKeyed(cfg, opts, k, shared, emit)
 }

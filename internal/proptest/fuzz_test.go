@@ -2,6 +2,7 @@ package proptest
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"igosim/internal/refmodel"
@@ -97,7 +98,9 @@ func FuzzTilingCounts(f *testing.F) {
 // observation — a traced run reconciles, returns the untraced result, and
 // exports the same bytes whether the schedules are lowered per call, run
 // as a retained program, or run as that program permuted through an
-// Order.
+// Order. A multi-core leg runs the case's MultiPhases on its MultiConfig:
+// the oracle agrees in both placements (CheckMultiOracle), and a traced
+// run reconciles and returns the untraced MultiResult.
 func FuzzCompiledEngine(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x02, 0x41, 0x17, 0x88, 0x0c, 0x3d, 0x5e, 0x99, 0x21, 0x6f})
@@ -131,6 +134,22 @@ func FuzzCompiledEngine(f *testing.F) {
 		for i := 1; i < len(dumps); i++ {
 			if !bytes.Equal(dumps[0].Bytes(), dumps[i].Bytes()) {
 				t.Fatalf("path %d: retained-program trace differs from RunSchedules trace\n  case: %v", i, c)
+			}
+		}
+
+		if err := CheckMultiOracle(c); err != nil {
+			t.Fatalf("multi-oracle: %v\n  case: %v", err, c)
+		}
+		mcfg, phases := c.MultiConfig(), c.MultiPhases()
+		for _, shared := range []bool{true, false} {
+			want := sim.RunMultiPhased(mcfg, sim.Options{}, phases, shared)
+			snk := trace.New()
+			got := sim.RunMultiPhased(mcfg, sim.Options{Trace: snk, TraceLabel: "fuzz"}, phases, shared)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("shared=%v: traced %+v != untraced %+v\n  case: %v", shared, got, want, c)
+			}
+			if err := snk.Check(); err != nil {
+				t.Fatalf("shared=%v: trace reconciliation: %v\n  case: %v", shared, err, c)
 			}
 		}
 	})
@@ -207,7 +226,9 @@ func TestRefmodelSmoke(t *testing.T) {
 // FuzzResolvedReplay fuzzes the two-phase execution path in case space:
 // a trace resolved at the decoded case's base hardware point must replay
 // bit-exactly at every cost variant against a fresh engine run and the
-// refmodel oracle (CheckResolvedReplay), in both dY regimes.
+// refmodel oracle, in both dY regimes — for the case's single-core
+// schedules (CheckResolvedReplay) and its multi-core phases under both
+// placements (CheckMultiReplay).
 func FuzzResolvedReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x04, 0x2e, 0x71, 0x1b, 0xc5, 0x08, 0x93, 0x60, 0x12, 0xfa})
@@ -216,6 +237,9 @@ func FuzzResolvedReplay(f *testing.F) {
 		c := GenCase(FromBytes(data))
 		if err := CheckResolvedReplay(c); err != nil {
 			t.Fatalf("resolved-replay: %v\n  case: %v", err, c)
+		}
+		if err := CheckMultiReplay(c); err != nil {
+			t.Fatalf("multi-replay: %v\n  case: %v", err, c)
 		}
 	})
 }

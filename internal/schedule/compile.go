@@ -49,12 +49,17 @@ type CompiledOp struct {
 	Flags                    OpFlags
 }
 
-// Kernel names one schedule's span [Start, End) within a program's code.
-// Kernels are separate GEMM invocations: the engine flushes the scratchpad
-// between them, exactly like sim.RunSchedules does for []Schedule.
+// Kernel names one op stream's span [Start, End) within a program's code
+// (or its Order) and the core that runs it. A core-0 kernel opens a phase;
+// the kernels after it on cores 1, 2, … run concurrently with it. Phases
+// are separate GEMM invocations: the engine flushes the scratchpad between
+// them. A program whose kernels all run on core 0 — every single-core
+// program — therefore flushes at every kernel boundary, exactly like
+// sim.RunSchedules does for []Schedule.
 type Kernel struct {
 	Name       string
 	Start, End int
+	Core       int
 }
 
 // TileTable is a program's symbol table: Keys[id] is the TileKey interned
@@ -254,13 +259,16 @@ func (c *Compiler) Lower(op *Op) CompiledOp {
 	return co
 }
 
-// CompileOps lowers a materialized op slice.
-func (c *Compiler) CompileOps(ops []Op) []CompiledOp {
-	code := make([]CompiledOp, len(ops))
+// AppendKernel lowers ops into prog as one kernel named name on core core:
+// the code extends prog.Code and the kernel prog.Kernels. Every path from
+// materialized ops to a program lowers through it; the caller sets
+// prog.Table once the last kernel is in.
+func (c *Compiler) AppendKernel(prog *Program, name string, core int, ops []Op) {
+	start := len(prog.Code)
 	for i := range ops {
-		code[i] = c.Lower(&ops[i])
+		prog.Code = append(prog.Code, c.Lower(&ops[i]))
 	}
-	return code
+	prog.Kernels = append(prog.Kernels, Kernel{Name: name, Start: start, End: len(prog.Code), Core: core})
 }
 
 // CompileStream lowers a stream without materializing it, appending the
@@ -274,24 +282,13 @@ func (c *Compiler) CompileStream(dst []CompiledOp, s OpStream) []CompiledOp {
 }
 
 // Compile lowers a schedule sequence into one program. Each schedule
-// becomes a kernel (flushed boundary); tile IDs are shared across kernels
-// so a tile's identity is its TileKey across the whole program.
+// becomes a core-0 kernel (flushed boundary); tile IDs are shared across
+// kernels so a tile's identity is its TileKey across the whole program.
 func Compile(scheds ...Schedule) Program {
 	c := NewCompiler()
-	var n int
+	var prog Program
 	for _, s := range scheds {
-		n += len(s.Ops)
-	}
-	prog := Program{
-		Code:    make([]CompiledOp, 0, n),
-		Kernels: make([]Kernel, 0, len(scheds)),
-	}
-	for _, s := range scheds {
-		start := len(prog.Code)
-		for i := range s.Ops {
-			prog.Code = append(prog.Code, c.Lower(&s.Ops[i]))
-		}
-		prog.Kernels = append(prog.Kernels, Kernel{Name: s.Name, Start: start, End: len(prog.Code)})
+		c.AppendKernel(&prog, s.Name, 0, s.Ops)
 	}
 	prog.Table = c.Table()
 	return prog

@@ -71,10 +71,11 @@ func TestCompilerReset(t *testing.T) {
 
 	c := NewCompiler()
 	// Warm with a different symbol space, then reset.
-	c.CompileOps(PartialStationaryDW(p, 2))
+	c.AppendKernel(&Program{}, "warm", 0, PartialStationaryDW(p, 2))
 	c.Reset()
-	code := c.CompileOps(BaselineBackward(p).Ops)
-	if !reflect.DeepEqual(code, want.Code) {
+	var got Program
+	c.AppendKernel(&got, "", 0, BaselineBackward(p).Ops)
+	if !reflect.DeepEqual(got.Code, want.Code) {
 		t.Fatal("post-Reset code differs from a fresh compiler's")
 	}
 	if !reflect.DeepEqual(c.Table(), want.Table) {

@@ -187,6 +187,31 @@ func TestCompiledMultiTraceParity(t *testing.T) {
 	}
 }
 
+// raceEnabled reports a -race build (race_test.go).
+var raceEnabled bool
+
+// TestWarmMultiRunAllocs holds a warm multi-core run on the pooled engine
+// to a warm single-core run's allocations plus the returned PerCore slice,
+// in both scratchpad placements: compiler, program buffers, residency
+// sets and per-core pipelines are all reused across calls.
+func TestWarmMultiRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts need sync.Pool reuse, which the race detector defeats")
+	}
+	cfg := multiCfg()
+	phases := multiPhases()
+	scheds := []schedule.Schedule{{Name: "dx", Ops: phases[0][0]}, {Name: "dw", Ops: phases[1][0]}}
+	sim.RunSchedules(cfg, sim.Options{}, scheds...)
+	single := testing.AllocsPerRun(50, func() { sim.RunSchedules(cfg, sim.Options{}, scheds...) })
+	for _, shared := range []bool{true, false} {
+		sim.RunMultiPhased(cfg, sim.Options{}, phases, shared)
+		multi := testing.AllocsPerRun(50, func() { sim.RunMultiPhased(cfg, sim.Options{}, phases, shared) })
+		if multi > single+1 {
+			t.Errorf("shared=%v: warm RunMultiPhased allocates %v times, want at most %v (RunSchedules' %v plus PerCore)", shared, multi, single+1, single)
+		}
+	}
+}
+
 // TestRunMultiKeyedConcurrent drives the value-keyed multi-core trace
 // cache from eight goroutines at once over a bandwidth sweep in both
 // scratchpad placements: every call must return exactly RunMultiPhased's

@@ -20,22 +20,20 @@ import (
 // concurrently from many goroutines (execution state lives in the engine,
 // never in the program).
 func CompileSchedules(scheds ...schedule.Schedule) *schedule.Program {
-	comp := retainedCompilers.Get()
-	comp.Reset()
 	var n int
 	for _, s := range scheds {
 		n += len(s.Ops)
 	}
-	code := make([]schedule.CompiledOp, 0, n)
-	kernels := make([]schedule.Kernel, 0, len(scheds))
-	for _, s := range scheds {
-		start := len(code)
-		for i := range s.Ops {
-			code = append(code, comp.Lower(&s.Ops[i]))
-		}
-		kernels = append(kernels, schedule.Kernel{Name: s.Name, Start: start, End: len(code)})
+	prog := &schedule.Program{
+		Code:    make([]schedule.CompiledOp, 0, n),
+		Kernels: make([]schedule.Kernel, 0, len(scheds)),
 	}
-	prog := &schedule.Program{Code: code, Kernels: kernels, Table: comp.DetachTable()}
+	comp := retainedCompilers.Get()
+	comp.Reset()
+	for _, s := range scheds {
+		comp.AppendKernel(prog, s.Name, 0, s.Ops)
+	}
+	prog.Table = comp.DetachTable()
 	retainedCompilers.Put(comp)
 	return prog
 }
@@ -84,28 +82,12 @@ func (f Family) Result(i int) Result {
 // the compact trace cannot represent, or over maxCachedResolvedOps, is
 // resolved but not admitted.
 func RunFamily(cfg config.NPU, opts Options, key any, n int, member func(i int) *schedule.Program) Family {
-	if key == nil || opts.Trace != nil || resolvedCache.Cap() == 0 {
-		res := make([]Result, n)
-		for i := range res {
-			res[i] = ExecuteProgram(cfg, opts, member(i))
-		}
-		return Family{res: res}
-	}
 	rk := resolvedKey{key: key, capacity: cfg.SPMBytes / 2, freeDY: opts.FreeDYOnDW}
-	if traces, ok := resolvedCache.Get(rk); ok {
+	res, traces := runKeyed(rk, opts, n, func(i int, record bool) (Result, *ResolvedTrace) {
+		return runSingle(cfg, opts, member(i), record)
+	})
+	if traces != nil {
 		return Family{cfg: cfg, traces: traces}
-	}
-	resolvedCensus.Add(rk, n)
-	res := make([]Result, n)
-	traces := make([]*ResolvedTrace, n)
-	admit := true
-	for i := range res {
-		res[i], traces[i] = ResolveProgram(cfg, opts, member(i))
-		resolvedPhases.Resolution()
-		admit = admit && traces[i] != nil && traces[i].Ops() <= maxCachedResolvedOps
-	}
-	if admit {
-		resolvedCache.Put(rk, traces)
 	}
 	return Family{res: res}
 }
@@ -117,34 +99,59 @@ func RunFamily(cfg config.NPU, opts Options, key any, n int, member func(i int) 
 // option complete the residency key here. The first call for a key emits,
 // compiles and resolves the phases, and nothing of them is kept but the
 // trace; later calls replay it under cfg's cost axes without calling emit.
-// Traced calls and a disabled cache (budget 0) run RunMultiPhased, and
-// runs over maxCachedResolvedOps are resolved but not admitted.
+// As with RunFamily, a nil key, a traced call or a disabled cache (budget
+// 0) runs the phases once and keeps nothing, and runs over
+// maxCachedResolvedOps are resolved but not admitted.
 func RunMultiKeyed(cfg config.NPU, opts Options, key any, shared bool, emit func() [][][]schedule.Op) MultiResult {
-	if opts.Trace != nil || resolvedCache.Cap() == 0 {
-		return RunMultiPhased(cfg, opts, emit(), shared)
-	}
 	rk := resolvedKey{key: key, capacity: cfg.SPMBytes / 2, cores: cfg.Cores, shared: shared, freeDY: opts.FreeDYOnDW}
-	if traces, ok := resolvedCache.Get(rk); ok {
-		res := traces[0].ReplayMulti(cfg)
-		resolvedPhases.Replay()
-		countMulti(res)
-		return res
+	res, traces := runKeyed(rk, opts, 1, func(_ int, record bool) (MultiResult, *ResolvedTrace) {
+		return runMulti(cfg, opts, emit(), shared, record)
+	})
+	if traces == nil {
+		return res[0]
 	}
-	resolvedCensus.Add(rk, 1)
-	res, rt := ResolveMulti(cfg, opts, emit(), shared)
-	resolvedPhases.Resolution()
-	if rt != nil && rt.Ops() <= maxCachedResolvedOps {
-		resolvedCache.Put(rk, []*ResolvedTrace{rt})
+	out := traces[0].ReplayMulti(cfg)
+	resolvedPhases.Replay()
+	countMulti(out)
+	return out
+}
+
+// runKeyed is the two-phase executor's one lookup sequence for a key of n
+// traces. A nil key, a traced call or a disabled cache runs every member
+// once without recording. Otherwise a hit returns the cached traces and
+// runs nothing; a miss counts the key into the census, runs and records
+// every member, and admits the traces when every one is representable and
+// within maxCachedResolvedOps.
+func runKeyed[R any](rk resolvedKey, opts Options, n int, run func(i int, record bool) (R, *ResolvedTrace)) ([]R, []*ResolvedTrace) {
+	cached := rk.key != nil && opts.Trace == nil && resolvedCache.Cap() > 0
+	var traces []*ResolvedTrace
+	if cached {
+		if hit, ok := resolvedCache.Get(rk); ok {
+			return nil, hit
+		}
+		resolvedCensus.Add(rk, n)
+		traces = make([]*ResolvedTrace, n)
 	}
-	return res
+	res := make([]R, n)
+	admit := cached
+	for i := range res {
+		var rt *ResolvedTrace
+		res[i], rt = run(i, cached)
+		if cached {
+			traces[i] = rt
+			resolvedPhases.Resolution()
+			admit = admit && rt != nil && rt.Ops() <= maxCachedResolvedOps
+		}
+	}
+	if admit {
+		resolvedCache.Put(rk, traces)
+	}
+	return res, nil
 }
 
 // ExecuteProgram runs prog once on a pooled single-core compiled engine and
 // keeps nothing: no resolved trace, and no reference to the program.
 func ExecuteProgram(cfg config.NPU, opts Options, prog *schedule.Program) Result {
-	cr := compiledPool.Get()
-	res := cr.execute(cfg, opts, prog)
-	compiledPool.Put(cr)
-	countPass(res)
+	res, _ := runSingle(cfg, opts, prog, false)
 	return res
 }

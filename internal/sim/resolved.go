@@ -28,11 +28,12 @@ import (
 // program pointer, so no compiled program outlives its resolution.
 //
 // Multi-core runs share the argument: RunMultiPhased's residency follows a
-// round-robin merge of the core streams that no timing axis can reorder, so
-// ResolveMulti records each core's ops (phases concatenated, since pipeline
-// time carries across phase boundaries) into the same trace type, and
-// ReplayMulti prices every core with the same recurrence. RunMultiKeyed
-// caches those traces in the same cache.
+// round-robin merge of the core streams that no timing axis can reorder.
+// ResolveProgram and ResolveMulti record through the same engine path, each
+// core at its own offset into one ops slice (its phases concatenated, since
+// pipeline time carries across phase boundaries), and ReplayMulti prices
+// every core with the same recurrence. RunMultiKeyed caches those traces in
+// the same cache, through the same lookup as RunFamily.
 
 // resolvedOp is one op's residency-resolved cost coefficients: the total
 // bytes the DMA stage moves for it (fetches + final write + pressure
@@ -135,11 +136,7 @@ func (t *ResolvedTrace) replay(cfg config.NPU, out []Result) {
 		BurstLatency:  cfg.DRAMLatency,
 	}
 	sc := replayPool.Get()
-	if cap(sc.dimCycles) >= len(t.dims) {
-		sc.dimCycles = sc.dimCycles[:len(t.dims)]
-	} else {
-		sc.dimCycles = make([]int64, len(t.dims))
-	}
+	sc.dimCycles = resize(sc.dimCycles, len(t.dims))
 	for i, d := range t.dims {
 		// Same function, same arguments as the engine's Bind-time cost
 		// table, so the per-op compute cycles match bit-for-bit.
@@ -208,23 +205,7 @@ func ResolveProgram(cfg config.NPU, opts Options, prog *schedule.Program) (Resul
 	if opts.Trace != nil {
 		panic("sim: ResolveProgram with tracing enabled")
 	}
-	cr := compiledPool.Get()
-	e := &cr.eng
-	e.Init(cfg, opts)
-	n := prog.Ops()
-	e.rec.start(&ResolvedTrace{ops: make([]resolvedOp, 0, n)}, n)
-	e.RunProgram(prog)
-	res := e.Result()
-	var rt *ResolvedTrace
-	if e.rec.ok {
-		rt = e.rec.t
-		rt.cores = []resolvedCore{{end: len(rt.ops), agg: costFree(res)}}
-	}
-	e.rec = recorder{}
-	e.prog, e.keys, e.tr = nil, nil, nil // don't retain the program view
-	compiledPool.Put(cr)
-	countPass(res)
-	return res, rt
+	return runSingle(cfg, opts, prog, true)
 }
 
 // recorder builds a ResolvedTrace while an engine runs. A nil t means the
@@ -239,16 +220,48 @@ type recorder struct {
 	dim        uint16
 }
 
-// start begins recording into t a run of ops ops, refusing runs over
-// maxResolvedOps.
-func (r *recorder) start(t *ResolvedTrace, ops int) {
-	*r = recorder{t: t, ok: ops <= maxResolvedOps, tm: -1, tk: -1, tn: -1}
+// startRecording begins recording the bound program's resolved trace. The
+// trace stores every core's ops core after core, so each core records at
+// its own precomputed offset into one ops slice. Programs over
+// maxResolvedOps record nothing.
+func (e *CompiledEngine) startRecording() {
+	// Count each core's ops into recAt, then turn the counts into offsets.
+	for _, k := range e.prog.Kernels {
+		e.pipes[k.Core].recAt += k.End - k.Start
+	}
+	n := 0
+	for ci := range e.pipes {
+		p := &e.pipes[ci]
+		p.recAt, n = n, n+p.recAt
+	}
+	if n > maxResolvedOps {
+		return
+	}
+	e.rec = recorder{t: &ResolvedTrace{ops: make([]resolvedOp, n)}, ok: true, tm: -1, tk: -1, tn: -1}
 }
 
-// record appends one op's resolved coefficients to dst.
+// finishRecording returns the recorded trace, or nil when the run recorded
+// nothing or was not representable, and stops recording.
+func (e *CompiledEngine) finishRecording() *ResolvedTrace {
+	rec := e.rec
+	e.rec = recorder{}
+	if !rec.ok {
+		return nil
+	}
+	t := rec.t
+	t.cores = make([]resolvedCore, len(e.pipes))
+	for ci := range e.pipes {
+		t.cores[ci] = resolvedCore{end: e.pipes[ci].recAt, agg: costFree(e.coreResult(ci))}
+	}
+	t.sharedHits = e.sharedHits
+	return t
+}
+
+// record stores one op's resolved coefficients at slot *at of the trace's
+// ops and advances *at.
 //
 //lint:hotpath
-func (r *recorder) record(dst *[]resolvedOp, op *schedule.CompiledOp, bytes int64, bursts int) {
+func (r *recorder) record(at *int, op *schedule.CompiledOp, bytes int64, bursts int) {
 	if !r.ok {
 		return
 	}
@@ -277,7 +290,8 @@ func (r *recorder) record(dst *[]resolvedOp, op *schedule.CompiledOp, bytes int6
 		r.tm, r.tk, r.tn = op.Tm, op.Tk, op.Tn
 		r.dim = uint16(found)
 	}
-	*dst = append(*dst, resolvedOp{bytes: uint32(bytes), bursts: uint16(bursts), dim: r.dim})
+	r.t.ops[*at] = resolvedOp{bytes: uint32(bytes), bursts: uint16(bursts), dim: r.dim}
+	*at++
 }
 
 // resolvedKey identifies one cache entry: what ran, named by its caller's

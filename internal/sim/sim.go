@@ -109,8 +109,14 @@ func splitStall(chn dram.Channel, stall, memCycles, spillBytes int64, spillBurst
 // (schedules model separate kernels), and returns the combined result. The
 // schedules are lowered into pooled buffers and run on the compiled engine.
 func RunSchedules(cfg config.NPU, opts Options, scheds ...schedule.Schedule) Result {
-	res := runSchedulesCompiled(cfg, opts, scheds)
-	countPass(res)
+	cr := compiledPool.Get()
+	prog := cr.newProgram()
+	for _, s := range scheds {
+		cr.comp.AppendKernel(prog, s.Name, 0, s.Ops)
+	}
+	prog.Table = cr.comp.Table()
+	res, _ := cr.single(cfg, opts, prog, false)
+	compiledPool.Put(cr)
 	return res
 }
 

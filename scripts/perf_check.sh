@@ -8,7 +8,7 @@
 #     get an effectively-open tolerance: CI runs one benchmark iteration,
 #     so timing is noise;
 #   - allocs/op gets a 0.1% relative tolerance: 0.1% of the engine rows'
-#     54/0 allocs is less than one, so a single new allocation on the
+#     0/0 allocs is less than one, so a single new allocation on the
 #     engine's hot path fails CI (each row runs one untimed warm pass
 #     first, so the count is the same in every process at 1x), while a
 #     row with thousands of allocs would absorb a few allocations of
