@@ -346,10 +346,3 @@ func Interleaved(p schedule.TileParams, o Order) schedule.Schedule {
 		return InterleaveOnly(p)
 	}
 }
-
-// Rearranged applies Algorithm 1 to pick the order and emits the
-// corresponding interleaved schedule — the paper's "rearrangement"
-// (interleaving + access-order change).
-func Rearranged(p schedule.TileParams) schedule.Schedule {
-	return Interleaved(p, SelectOrder(p.Dims))
-}

@@ -196,21 +196,6 @@ func (pl Plan) PartitionStreams(cfg config.NPU) [][]schedule.Op {
 	return streams
 }
 
-// BaselinePhases returns the conventional sequential backward pass of the
-// plan as synchronized kernel phases — the vanilla multi-core baseline
-// (batch-basis parallelism without any of the paper's techniques): first
-// every core's dX kernel, then every core's dW kernel.
-func (pl Plan) BaselinePhases(cfg config.NPU) [][][]schedule.Op {
-	dxPhase := make([][]schedule.Op, len(pl.Parts))
-	dwPhase := make([][]schedule.Op, len(pl.Parts))
-	for i, sub := range pl.Parts {
-		dxK, dwK := TunedBaselineKernels(cfg, sub)
-		dxPhase[i] = dxK.Ops
-		dwPhase[i] = dwK.Ops
-	}
-	return [][][]schedule.Op{dxPhase, dwPhase}
-}
-
 // ReduceResults returns the simulation cost of the plan's reductions.
 func (pl Plan) ReduceResults(cfg config.NPU) []sim.ReduceResult {
 	out := make([]sim.ReduceResult, 0, len(pl.Reductions))

@@ -110,40 +110,10 @@ func (l *LayerOutcome) addReductions(reds []sim.ReduceResult) {
 	}
 }
 
-// BackwardKernels emits the backward-pass kernels for the non-partitioned
-// policies. The baseline returns its two gradient GEMMs as separate kernels
-// (the scratchpad is flushed between kernels, so dY cannot be reused across
-// them); the fused policies return a single kernel. skipDX marks the
-// network's first layer, which has no upstream to propagate into: only dW
-// is computed and interleaving does not apply (Section 6.2). Single-core
-// runs build the same kernels as an order over the layer's shape code
-// (layerProgram); multi-core plans and the oracle run the emitted form.
-func BackwardKernels(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX bool) ([]schedule.Schedule, Order) {
-	if skipDX {
-		return []schedule.Schedule{TunedDWOnly(cfg, p)}, OnlyInterleave
-	}
-	switch pol {
-	case PolBaseline:
-		dxK, dwK := TunedBaselineKernels(cfg, p)
-		return []schedule.Schedule{dxK, dwK}, OnlyInterleave
-	case PolInterleave:
-		return []schedule.Schedule{TunedInterleave(cfg, p)}, OnlyInterleave
-	default: // PolRearrange and above
-		sched, o := RearrangedTuned(cfg, p)
-		return []schedule.Schedule{sched}, o
-	}
-}
-
 // RearrangedTuned emits the rearranged (interleaved + reordered) schedule
 // with the simulated-best access order.
 func RearrangedTuned(cfg config.NPU, p schedule.TileParams) (schedule.Schedule, Order) {
 	return RearrangedWithOrder(cfg, p, BestOrderSimulated(cfg, p))
-}
-
-// RearrangedStatic emits the rearranged schedule with the order chosen by
-// the static Algorithm 1 cost model (constant-time, dimensions only).
-func RearrangedStatic(cfg config.NPU, p schedule.TileParams) (schedule.Schedule, Order) {
-	return RearrangedWithOrder(cfg, p, SelectOrderFor(p, cfg.SPMBytes))
 }
 
 // RearrangedWithOrder emits the rearranged schedule for an explicit order.
@@ -170,13 +140,8 @@ func RearrangedWithOrder(cfg config.NPU, p schedule.TileParams, o Order) (schedu
 // plan.)
 func RunBackward(cfg config.NPU, opts sim.Options, p schedule.TileParams, pol Policy, skipDX bool) LayerOutcome {
 	if pol != PolPartition || skipDX {
-		res, order := runLayerProgram(cfg, opts, p, pol, skipDX)
-		out := outcomeFromResult(res)
-		out.Dims = p.Dims
+		out := runPlan(cfg, opts, p, PartitionLayer(p, NoPartition, 1), pol, skipDX, false, false)
 		out.Policy = pol
-		out.Order = order
-		out.Scheme = NoPartition
-		out.Parts = 1
 		return out
 	}
 
@@ -237,14 +202,7 @@ func runPartitionedSingle(cfg config.NPU, opts sim.Options, p schedule.TileParam
 	if len(plan.Parts) < 2 {
 		return LayerOutcome{}, false
 	}
-	res, orders := runPartitionedProgram(cfg, opts, p, scheme, parts, plan)
-	out := outcomeFromResult(res)
-	out.addReductions(plan.ReduceResults(cfg))
-	out.Dims = p.Dims
-	out.Scheme = scheme
-	out.Parts = len(plan.Parts)
-	out.Order = orders[len(orders)-1] // representative order (identical across equal splits)
-	return out, true
+	return runPlan(cfg, opts, p, plan, PolRearrange, false, false, false), true
 }
 
 // RunBackwardOrder simulates one layer's backward pass with an explicitly
@@ -269,15 +227,7 @@ func RunBackwardOrder(cfg config.NPU, opts sim.Options, p schedule.TileParams, o
 // the tracing fields of opts apply; schedule-shaping options are ignored.
 func RunForward(cfg config.NPU, opts sim.Options, p schedule.TileParams) LayerOutcome {
 	fopts := sim.Options{Trace: opts.Trace, TraceLabel: opts.TraceLabel}
-	var out LayerOutcome
-	if useTraceCache(fopts, p) {
-		out = outcomeFromResult(runForwardKeyed(cfg, fopts, p))
-	} else {
-		out = outcomeFromResult(sim.RunSchedules(cfg, fopts, schedule.Forward(p)))
-	}
-	out.Dims = p.Dims
-	out.Parts = 1
-	return out
+	return runForwardPlan(cfg, fopts, p, PartitionLayer(p, NoPartition, 1), false)
 }
 
 // RunBackwardMulti simulates one layer's backward pass on a multi-core NPU
@@ -308,18 +258,16 @@ func runBackwardMulti(cfg config.NPU, opts sim.Options, p schedule.TileParams, p
 		// policy; the techniques do not apply. It runs as conventional data
 		// parallelism: private buffers.
 		plan := PartitionLayer(p, WeightSharing, cfg.Cores)
-		out := runMultiPlanPolicy(cfg, opts, p, plan, PolBaseline, true, false)
+		out := runPlan(cfg, opts, p, plan, PolBaseline, true, true, false)
 		out.Policy = pol
-		out.Dims = p.Dims
 		return out
 	}
 
 	switch pol {
 	case PolBaseline, PolInterleave, PolRearrange:
 		plan := PartitionLayer(p, WeightSharing, cfg.Cores)
-		out := runMultiPlanPolicy(cfg, opts, p, plan, pol, false, false)
+		out := runPlan(cfg, opts, p, plan, pol, false, true, false)
 		out.Policy = pol
-		out.Dims = p.Dims
 		return out
 	default: // PolPartition: search the inter-core distribution
 		var cands []planCandidate
@@ -328,7 +276,7 @@ func runBackwardMulti(cfg config.NPU, opts sim.Options, p schedule.TileParams, p
 		}
 		best := mapCandidates(opts, cands, func(c planCandidate) planCandidate {
 			plan := PartitionLayer(p, c.scheme, c.parts)
-			c.out = runMultiPlanPolicy(cfg, opts, p, plan, PolRearrange, false, true)
+			c.out = runPlan(cfg, opts, p, plan, PolRearrange, false, true, true)
 			return c
 		})
 		for _, c := range best[1:] {
@@ -338,44 +286,13 @@ func runBackwardMulti(cfg config.NPU, opts sim.Options, p schedule.TileParams, p
 		}
 		out := best[0].out
 		out.Policy = PolPartition
-		out.Dims = p.Dims
 		return out
 	}
 }
 
-// runMultiPlanPolicy executes the partitions of plan (a partitioning of
-// p) concurrently, one per core, with each partition's stream generated
-// per the policy, or dW-only for the network's first layer (skipDX).
-// Kernel boundaries are synchronized across cores (data parallelism
-// launches each gradient kernel on all cores together), so the baseline
-// runs as two phases with a shared-SPM flush in between. The reported
-// order is the last partition's, as in runPartitionedSingle.
-func runMultiPlanPolicy(cfg config.NPU, opts sim.Options, p schedule.TileParams, plan Plan, pol Policy, skipDX, sharedSPM bool) LayerOutcome {
-	key := multiKey{kind: memoBackward, pol: pol, skipDX: skipDX}
-	for i, sub := range plan.Parts {
-		key.orders[i], key.tuned[i] = tunedChoices(cfg, sub, pol, skipDX)
-	}
-	mr := runMulti(cfg, opts, p, plan, key, sharedSPM, func() [][][]schedule.Op {
-		var phases [][][]schedule.Op
-		for _, sub := range plan.Parts {
-			kernels, _ := BackwardKernels(cfg, sub, pol, skipDX)
-			for k, kernel := range kernels {
-				if k >= len(phases) {
-					phases = append(phases, nil)
-				}
-				phases[k] = append(phases[k], kernel.Ops)
-			}
-		}
-		return phases
-	})
-	out := finishMulti(cfg, mr, plan)
-	out.Order = key.orders[len(plan.Parts)-1]
-	out.Scheme = plan.Scheme
-	out.Parts = len(plan.Parts)
-	return out
-}
-
-func finishMulti(cfg config.NPU, mr sim.MultiResult, plan Plan) LayerOutcome {
+// outcomeFromMulti sums a multi-core run's per-core results; the SPM
+// stats are core 0's (the shared set's, or core 0's own).
+func outcomeFromMulti(mr sim.MultiResult) LayerOutcome {
 	out := LayerOutcome{
 		Cycles:     mr.Cycles,
 		Traffic:    mr.Traffic,
@@ -389,7 +306,6 @@ func finishMulti(cfg config.NPU, mr sim.MultiResult, plan Plan) LayerOutcome {
 	if len(mr.PerCore) > 0 {
 		out.SPM = mr.PerCore[0].SPM
 	}
-	out.addReductions(plan.ReduceResults(cfg))
 	return out
 }
 
@@ -408,28 +324,13 @@ func runForwardMulti(cfg config.NPU, opts sim.Options, p schedule.TileParams) La
 	if cfg.Cores == 1 {
 		return RunForward(cfg, opts, p)
 	}
-	plan := PartitionLayer(p, WeightSharing, cfg.Cores)
 	// The forward pass runs as conventional data parallelism: private
-	// per-core buffers.
+	// per-core buffers, each part computing its rows of Y (not a partial
+	// dW).
+	plan := PartitionLayer(p, WeightSharing, cfg.Cores)
+	for i := range plan.Parts {
+		plan.Parts[i].DWPartial = false
+	}
 	fopts := sim.Options{Trace: opts.Trace, TraceLabel: opts.TraceLabel}
-	mr := runMulti(cfg, fopts, p, plan, multiKey{kind: memoForward}, false, func() [][][]schedule.Op {
-		var streams [][]schedule.Op
-		for _, sub := range plan.Parts {
-			sub.DWPartial = false // forward pass computes Y, not dW
-			streams = append(streams, schedule.Forward(sub).Ops)
-		}
-		return [][][]schedule.Op{streams}
-	})
-	out := LayerOutcome{
-		Cycles:     mr.Cycles,
-		Traffic:    mr.Traffic,
-		SharedHits: mr.SharedHits,
-		Parts:      len(plan.Parts),
-	}
-	for _, r := range mr.PerCore {
-		out.Compute += r.ComputeCycles
-		out.Mem += r.MemCycles
-	}
-	out.Dims = p.Dims
-	return out
+	return runForwardPlan(cfg, fopts, p, plan, true)
 }

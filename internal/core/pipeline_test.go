@@ -152,7 +152,7 @@ func TestMultiPlanOrderIsLastParts(t *testing.T) {
 		t.Fatalf("every part tunes to %v: the plan cannot tell which part's order is reported", first)
 	}
 	for i := 0; i < 20; i++ {
-		if got := runMultiPlanPolicy(cfg, sim.Options{}, p, plan, PolRearrange, false, true).Order; got != last {
+		if got := runPlan(cfg, sim.Options{}, p, plan, PolRearrange, false, true, true).Order; got != last {
 			t.Fatalf("run %d reports order %v, want the last part's %v", i, got, last)
 		}
 	}

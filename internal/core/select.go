@@ -70,7 +70,7 @@ func runPartitionedScheme(cfg config.NPU, opts sim.Options, p schedule.TileParam
 	plan := PartitionLayer(p, scheme, parts)
 	var out LayerOutcome
 	if cfg.Cores > 1 {
-		out = runMultiPlanPolicy(cfg, opts, p, plan, PolRearrange, false, true)
+		out = runPlan(cfg, opts, p, plan, PolRearrange, false, true, true)
 	} else if len(plan.Parts) < 2 {
 		out = RunBackward(cfg, opts, p, PolRearrange, false)
 	} else {

@@ -57,7 +57,8 @@ func runSelectorBackward(cfg config.NPU, opts sim.Options, p schedule.TileParams
 		if o != DXMajor && o != DWMajor {
 			o, v = OnlyInterleave, interleaveChoices(cfg, p)
 		}
-		out := outcomeFromResult(sim.ExecuteProgram(cfg, opts, layerProgram(cfg, p, PolRearrange, false, o, v)))
+		prog := planProgram(cfg, []schedule.TileParams{p}, PolRearrange, false, false, []Order{o}, []ordersVal{v})
+		out := outcomeFromResult(sim.ExecuteProgram(cfg, opts, prog))
 		out.Order = o
 		return out
 	})
@@ -68,7 +69,7 @@ func runSelectorDWOnly(cfg config.NPU, opts sim.Options, p schedule.TileParams) 
 	key := layerKeyFor(cfg, p, memoSelectorBwd, opts)
 	key.skipDX = true
 	return memoLayer(key, opts, func() LayerOutcome {
-		prog := layerProgram(cfg, p, PolBaseline, true, OnlyInterleave, baselineChoices(cfg, p))
+		prog := planProgram(cfg, []schedule.TileParams{p}, PolBaseline, true, false, []Order{OnlyInterleave}, []ordersVal{baselineChoices(cfg, p)})
 		return outcomeFromResult(sim.ExecuteProgram(cfg, opts, prog))
 	})
 }

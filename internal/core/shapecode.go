@@ -9,18 +9,19 @@ import (
 )
 
 // Programs as orders over one lowered op table (DESIGN.md §3k). Every
-// single-core backward op is a fixed function of its (m, k, n) grid point:
-// its tiles, byte sizes, classes, tile dimensions and OutFirst/OutLast
-// flags depend on the point alone, never on where the op sits in a
-// schedule. A shape's 2n backward ops are therefore lowered once — dX in
-// MK order, then dW in KN order, which fixes the tile IDs in
-// first-appearance order — and every single-core backward program of the
-// shape is a []int32 order over that table (schedule.Program.Order): the
-// baseline pair, the fusion merges, the chunked majors and every layer
-// program, partitioned plans included. The Op emitters (baseline.go,
-// order.go) stay as the refmodel oracle's input; TestShapeCodePrograms
-// holds every program built here to schedule.Compile of the emitted
-// schedule, op for op.
+// backward op is a fixed function of its (m, k, n) grid point: its tiles,
+// byte sizes, classes, tile dimensions and OutFirst/OutLast flags depend on
+// the point alone, never on where the op sits in a schedule. A shape's 2n
+// backward ops are therefore lowered once — dX in MK order, then dW in KN
+// order, which fixes the tile IDs in first-appearance order — and every
+// backward program is a []int32 order over that table
+// (schedule.Program.Order): the tuners' baseline pair, fusion merges and
+// chunked majors, and every plan's program (planProgram) — a whole layer,
+// a single-core partitioned plan or a multi-core plan, whose parts lower
+// one after another into one table, so a tile two parts share carries one
+// ID. The Op emitters (baseline.go, order.go) stay as the refmodel
+// oracle's input; TestShapeCodePrograms holds every program built here to
+// the emitted schedules lowered through one compiler, op for op.
 
 // shapeCode is the lowered backward op table of one shape, or of a plan's
 // parts in sequence, interned through one compiler.
@@ -68,9 +69,10 @@ func (sc *shapeCode) program(ops int) *schedule.Program {
 	return &schedule.Program{Code: sc.code, Order: make([]int32, 0, ops), Table: sc.table}
 }
 
-// endKernel closes the kernel name that spans prog's order from start.
-func endKernel(prog *schedule.Program, name string, start int) {
-	prog.Kernels = append(prog.Kernels, schedule.Kernel{Name: name, Start: start, End: len(prog.Order)})
+// endKernel closes the kernel name on core that spans prog's order from
+// start.
+func endKernel(prog *schedule.Program, name string, core, start int) {
+	prog.Kernels = append(prog.Kernels, schedule.Kernel{Name: name, Start: start, End: len(prog.Order), Core: core})
 }
 
 func (g grid) ops() int { return g.mt * g.kt * g.nt }
@@ -168,44 +170,86 @@ func (g grid) appendDWMajor(dst []int32, chunkCols int) []int32 {
 	return dst
 }
 
-// appendRearranged appends the rearranged kernel of order o
+// appendRearranged appends the rearranged kernel of order o on core
 // (RearrangedWithOrder's schedule): the chunked major sized for cfg, or
 // the fusion v.
-func appendRearranged(prog *schedule.Program, g grid, cfg config.NPU, p schedule.TileParams, o Order, v ordersVal) {
+func appendRearranged(prog *schedule.Program, g grid, cfg config.NPU, p schedule.TileParams, core int, o Order, v ordersVal) {
 	start := len(prog.Order)
 	switch o {
 	case DXMajor:
 		prog.Order = g.appendDXMajor(prog.Order, dxMajorChunk(cfg, p))
-		endKernel(prog, "interleave+dXmajor", start)
+		endKernel(prog, "interleave+dXmajor", core, start)
 	case DWMajor:
 		prog.Order = g.appendDWMajor(prog.Order, dwMajorChunk(cfg, p))
-		endKernel(prog, "interleave+dWmajor", start)
+		endKernel(prog, "interleave+dWmajor", core, start)
 	default:
 		prog.Order = g.appendInterleave(prog.Order, v)
-		endKernel(prog, "interleave", start)
+		endKernel(prog, "interleave", core, start)
 	}
 }
 
-// layerProgram builds p's single-core backward program under pol — what
-// BackwardKernels emits — from the tuned choices (o, v) tunedChoices
-// resolves.
-func layerProgram(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX bool, o Order, v ordersVal) *schedule.Program {
-	sc := lowerShapes(p)
-	g := sc.grids[0]
+// planProgram builds the backward program of a plan's parts under pol,
+// dW-only when skipDX — the tuned kernels the Op emitters produce for each
+// part — from the tuned choices (orders[i], tuned[i]) that tunedChoices
+// resolves for part i. Kernels go phase-major: kernel k of every part in
+// turn, part i's on core i when multi and on core 0 otherwise. A whole layer is a one-part
+// plan; a single-core partitioned plan runs one rearranged kernel per
+// part, in order; the multi-core baseline runs every core's dX kernel as
+// one phase, then every core's dW kernel, since data parallelism launches
+// each gradient kernel on all cores together.
+func planProgram(cfg config.NPU, parts []schedule.TileParams, pol Policy, skipDX, multi bool, orders []Order, tuned []ordersVal) *schedule.Program {
+	sc := lowerShapes(parts...)
 	prog := sc.program(len(sc.code))
-	switch {
-	case skipDX:
-		prog.Order = g.appendDW(prog.Order, v.dw)
-		endKernel(prog, "dW-only", 0)
-	case pol == PolBaseline:
-		prog.Order = g.appendDX(prog.Order, v.dx)
-		endKernel(prog, "baseline-dX", 0)
-		start := len(prog.Order)
-		prog.Order = g.appendDW(prog.Order, v.dw)
-		endKernel(prog, "baseline-dW", start)
-	default:
-		appendRearranged(prog, g, cfg, p, o, v)
+	baseline, kernels := pol == PolBaseline && !skipDX, 1
+	if baseline {
+		kernels = 2
 	}
+	for k := range kernels {
+		for i, g := range sc.grids {
+			core, start, v := 0, len(prog.Order), tuned[i]
+			if multi {
+				core = i
+			}
+			switch {
+			case skipDX:
+				prog.Order = g.appendDW(prog.Order, v.dw)
+				endKernel(prog, "dW-only", core, start)
+			case baseline && k == 0:
+				prog.Order = g.appendDX(prog.Order, v.dx)
+				endKernel(prog, "baseline-dX", core, start)
+			case baseline:
+				prog.Order = g.appendDW(prog.Order, v.dw)
+				endKernel(prog, "baseline-dW", core, start)
+			default:
+				appendRearranged(prog, g, cfg, parts[i], core, orders[i], v)
+			}
+		}
+	}
+	return prog
+}
+
+// forwardProgram lowers the forward pass of parts through one pooled
+// compiler: one kernel per part, part i's on core i when multi and on
+// core 0 otherwise.
+func forwardProgram(parts []schedule.TileParams, multi bool) *schedule.Program {
+	n := 0
+	for _, p := range parts {
+		n += p.OpCount()
+	}
+	prog := &schedule.Program{Code: make([]schedule.CompiledOp, 0, n), Kernels: make([]schedule.Kernel, 0, len(parts))}
+	c := shapeCompilers.Get()
+	c.Reset()
+	for i, p := range parts {
+		start := len(prog.Code)
+		prog.Code = c.CompileStream(prog.Code, schedule.ForwardStream(p))
+		k := schedule.Kernel{Name: "forward", Start: start, End: len(prog.Code)}
+		if multi {
+			k.Core = i
+		}
+		prog.Kernels = append(prog.Kernels, k)
+	}
+	prog.Table = c.DetachTable()
+	shapeCompilers.Put(c)
 	return prog
 }
 
@@ -216,7 +260,7 @@ func fusedSequentialProgram(p schedule.TileParams, v ordersVal) *schedule.Progra
 	g := sc.grids[0]
 	prog := sc.program(len(sc.code))
 	prog.Order = g.appendDW(g.appendDX(prog.Order, v.dx), v.dw)
-	endKernel(prog, "fused-sequential", 0)
+	endKernel(prog, "fused-sequential", 0, 0)
 	return prog
 }
 
@@ -230,25 +274,13 @@ func orderProgram(p schedule.TileParams, o Order) *schedule.Program {
 	switch o {
 	case DXMajor:
 		prog.Order = g.appendDXMajor(prog.Order, 1)
-		endKernel(prog, "interleave+dXmajor", 0)
+		endKernel(prog, "interleave+dXmajor", 0, 0)
 	case DWMajor:
 		prog.Order = g.appendDWMajor(prog.Order, 1)
-		endKernel(prog, "interleave+dWmajor", 0)
+		endKernel(prog, "interleave+dWmajor", 0, 0)
 	default:
 		prog.Order = g.appendInterleave(prog.Order, ordersVal{dx: dxMK, dw: dwKN, block: 1})
-		endKernel(prog, "interleave", 0)
-	}
-	return prog
-}
-
-// partitionedProgram builds a single-core partitioned plan's program: one
-// rearranged kernel per part, in order, part i under orders[i] and
-// tuned[i].
-func partitionedProgram(cfg config.NPU, plan Plan, orders []Order, tuned []ordersVal) *schedule.Program {
-	sc := lowerShapes(plan.Parts...)
-	prog := sc.program(len(sc.code))
-	for i, sub := range plan.Parts {
-		appendRearranged(prog, sc.grids[i], cfg, sub, orders[i], tuned[i])
+		endKernel(prog, "interleave", 0, 0)
 	}
 	return prog
 }

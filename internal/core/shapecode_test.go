@@ -39,10 +39,36 @@ func shapeCodeParams() []schedule.TileParams {
 	return []schedule.TileParams{plain, conv, dxPart, dwPart}
 }
 
+// BackwardKernels emits the backward-pass kernels for the non-partitioned
+// policies. The baseline returns its two gradient GEMMs as separate kernels
+// (the scratchpad is flushed between kernels, so dY cannot be reused across
+// them); the fused policies return a single kernel. skipDX marks the
+// network's first layer, which has no upstream to propagate into: only dW
+// is computed and interleaving does not apply (Section 6.2). Simulated runs
+// build the same kernels as an order over the plan's shape code
+// (planProgram); this emitted form is the reference the tests hold every
+// such program to.
+func BackwardKernels(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX bool) ([]schedule.Schedule, Order) {
+	if skipDX {
+		return []schedule.Schedule{TunedDWOnly(cfg, p)}, OnlyInterleave
+	}
+	switch pol {
+	case PolBaseline:
+		dxK, dwK := TunedBaselineKernels(cfg, p)
+		return []schedule.Schedule{dxK, dwK}, OnlyInterleave
+	case PolInterleave:
+		return []schedule.Schedule{TunedInterleave(cfg, p)}, OnlyInterleave
+	default: // PolRearrange and above
+		sched, o := RearrangedTuned(cfg, p)
+		return []schedule.Schedule{sched}, o
+	}
+}
+
 // sameProgram reports the first difference between got, a shape-code
-// program, and want, schedule.Compile of the emitted schedules: op count,
-// kernel bounds and names, and op by op the tiles (through each program's
-// own table), bytes, classes, tile dimensions, kind and flags.
+// program, and want, the emitted schedules lowered through one compiler:
+// op count, kernel bounds, names and cores, and op by op the tiles
+// (through each program's own table), bytes, classes, tile dimensions,
+// kind and flags.
 func sameProgram(got *schedule.Program, want schedule.Program) error {
 	if got.Ops() != want.Ops() {
 		return fmt.Errorf("%d ops, want %d", got.Ops(), want.Ops())
@@ -57,7 +83,11 @@ func sameProgram(got *schedule.Program, want schedule.Program) error {
 	}
 	gk, wk := got.Table.Keys, want.Table.Keys
 	for i := range want.Code {
-		a, b := got.Code[got.Order[i]], want.Code[i]
+		j := int32(i)
+		if got.Order != nil {
+			j = got.Order[i]
+		}
+		a, b := got.Code[j], want.Code[i]
 		if gk[a.A] != wk[b.A] || gk[a.B] != wk[b.B] || gk[a.Out] != wk[b.Out] {
 			return fmt.Errorf("op %d tiles (%v, %v -> %v), want (%v, %v -> %v)",
 				i, gk[a.A], gk[a.B], gk[a.Out], wk[b.A], wk[b.B], wk[b.Out])
@@ -71,12 +101,35 @@ func sameProgram(got *schedule.Program, want schedule.Program) error {
 	return nil
 }
 
+// phasedProgram lowers per-part kernels through one compiler phase by
+// phase, as the multi-core engine runs them: kernel k of part i becomes
+// phase k's kernel on core i.
+func phasedProgram(parts [][]schedule.Schedule) schedule.Program {
+	c := schedule.NewCompiler()
+	var prog schedule.Program
+	for k := range parts[0] {
+		for i, kernels := range parts {
+			c.AppendKernel(&prog, kernels[k].Name, i, kernels[k].Ops)
+		}
+	}
+	prog.Table = c.Table()
+	return prog
+}
+
+// onePart wraps a whole layer's parameters and tuned choices as the
+// one-part plan planProgram takes.
+func onePart(p schedule.TileParams, o Order, v ordersVal) ([]schedule.TileParams, []Order, []ordersVal) {
+	return []schedule.TileParams{p}, []Order{o}, []ordersVal{v}
+}
+
 // TestShapeCodePrograms holds every program built over a shape code to
-// schedule.Compile of the schedule the Op emitters produce for it: the
-// tuners' baseline, merge and major family members, the layer programs
-// of every policy (dW-only included, and the rearranged program under
-// each order), the unchunked order programs, the fused-sequential pair
-// and every partitioned plan's program.
+// the schedules the Op emitters produce for it, lowered through one
+// compiler: the tuners' baseline, merge and major family members, the
+// layer programs of every policy (dW-only included, and the rearranged
+// program under each order), the unchunked order programs, the
+// fused-sequential pair, every single-core partitioned plan's program,
+// every multi-core plan's program against BackwardKernels phase by phase,
+// and the forward programs on one and two cores.
 func TestShapeCodePrograms(t *testing.T) {
 	ResetCaches()
 	defer ResetCaches()
@@ -119,13 +172,15 @@ func TestShapeCodePrograms(t *testing.T) {
 			for _, skipDX := range []bool{false, true} {
 				o, v := tunedChoices(cfg, p, pol, skipDX)
 				kernels, _ := BackwardKernels(cfg, p, pol, skipDX)
-				check(fmt.Sprintf("layer %v skipDX=%v", pol, skipDX), layerProgram(cfg, p, pol, skipDX, o, v), kernels...)
+				ps, ords, vals := onePart(p, o, v)
+				check(fmt.Sprintf("layer %v skipDX=%v", pol, skipDX), planProgram(cfg, ps, pol, skipDX, false, ords, vals), kernels...)
 			}
 		}
 		for _, o := range Orders() {
 			v := interleaveChoices(cfg, p)
 			sched, _ := RearrangedWithOrder(cfg, p, o)
-			check(fmt.Sprintf("rearranged %v", o), layerProgram(cfg, p, PolRearrange, false, o, v), sched)
+			ps, ords, vals := onePart(p, o, v)
+			check(fmt.Sprintf("rearranged %v", o), planProgram(cfg, ps, PolRearrange, false, false, ords, vals), sched)
 			check(fmt.Sprintf("unchunked %v", o), orderProgram(p, o), Interleaved(p, o))
 		}
 		dxK, dwK := TunedBaselineKernels(cfg, p)
@@ -141,7 +196,45 @@ func TestShapeCodePrograms(t *testing.T) {
 					orders[i], tuned[i] = tunedChoices(cfg, sub, PolRearrange, false)
 					scheds[i], _ = RearrangedWithOrder(cfg, sub, orders[i])
 				}
-				check(fmt.Sprintf("plan %v x%d", scheme, parts), partitionedProgram(cfg, plan, orders, tuned), scheds...)
+				check(fmt.Sprintf("plan %v x%d", scheme, parts), planProgram(cfg, plan.Parts, PolRearrange, false, false, orders, tuned), scheds...)
+				multiPlans(t, cfg.WithCores(parts), p, plan)
+			}
+		}
+
+		for _, cores := range []int{1, 2} {
+			parts := []schedule.TileParams{p}
+			if cores > 1 {
+				parts = PartitionLayer(p, WeightSharing, cores).Parts
+			}
+			kernels := make([][]schedule.Schedule, len(parts))
+			for i := range parts {
+				parts[i].DWPartial = false
+				kernels[i] = []schedule.Schedule{schedule.Forward(parts[i])}
+			}
+			if err := sameProgram(forwardProgram(parts, cores > 1), phasedProgram(kernels)); err != nil {
+				t.Errorf("%v forward on %d cores: %v", p.Dims, cores, err)
+			}
+		}
+	}
+}
+
+// multiPlans holds every multi-core program of plan — under the baseline,
+// interleave and rearrange policies, with and without dX — to
+// BackwardKernels of each part, lowered phase by phase.
+func multiPlans(t *testing.T, cfg config.NPU, p schedule.TileParams, plan Plan) {
+	t.Helper()
+	for _, pol := range []Policy{PolBaseline, PolInterleave, PolRearrange} {
+		for _, skipDX := range []bool{false, true} {
+			orders := make([]Order, len(plan.Parts))
+			tuned := make([]ordersVal, len(plan.Parts))
+			kernels := make([][]schedule.Schedule, len(plan.Parts))
+			for i, sub := range plan.Parts {
+				orders[i], tuned[i] = tunedChoices(cfg, sub, pol, skipDX)
+				kernels[i], _ = BackwardKernels(cfg, sub, pol, skipDX)
+			}
+			got := planProgram(cfg, plan.Parts, pol, skipDX, true, orders, tuned)
+			if err := sameProgram(got, phasedProgram(kernels)); err != nil {
+				t.Errorf("%v multi-core plan %v x%d %v skipDX=%v: %v", p.Dims, plan.Scheme, len(plan.Parts), pol, skipDX, err)
 			}
 		}
 	}

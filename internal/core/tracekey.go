@@ -12,78 +12,140 @@ import (
 // *outcomes*, so it only helps when the full (hardware fingerprint, shape,
 // policy) point repeats. A serving workload's near-duplicate queries vary
 // exactly the timing half of the fingerprint — DRAM bandwidth, latency,
-// clock — while the emitted tile streams stay identical: op emission
-// depends on the configuration only through ElemBytes and SPMBytes (chunk
-// sizing) plus the *tuned candidate choices*, never on how fast the
-// simulated DRAM moves. Naming a run's program by that narrower value key
-// lets sim.RunFamily keep the program's resolved trace, and nothing else,
-// so a what-if bandwidth sweep pays schedule emission, lowering and
+// clock — while the programs stay identical: a program depends on the
+// configuration only through ElemBytes and SPMBytes (chunk sizing) plus
+// the *tuned candidate choices*, never on how fast the simulated DRAM
+// moves. Naming a run's program by that narrower value key lets
+// sim.RunFamily and sim.RunMultiKeyed keep the program's resolved trace,
+// and nothing else, so a what-if bandwidth sweep pays lowering and
 // residency resolution once and replays the trace under each timing.
+//
+// Every backward plan — a whole layer (a one-part plan), a single-core
+// partitioned plan or a multi-core plan — is one program (planProgram),
+// named by one planKey and run through one keyed path (runPlan);
+// runForwardPlan is the forward twin.
 //
 // Soundness: the tuned candidates ARE bandwidth-dependent (the tuner
 // simulates to pick them), so they are resolved first — through their own
 // fingerprint-keyed caches — and included in the key. Two configurations
 // that tune to different candidates get different keys; two that tune
-// alike share one. Tile ids are normalized (Layer/Part zeroed) exactly as
-// in the layer memo: a bijective renaming of tile keys cannot change
-// residency behaviour, so the shared trace's results are identical to a
-// per-layer simulation — but a trace's labels would not be, which is why
-// traced runs bypass the keys.
+// alike share one. Keys normalize the parent's tile ids (Layer/Part
+// zeroed) exactly as the layer memo does: a bijective renaming of tile
+// keys cannot change residency behaviour, so the shared trace's results
+// are identical to a per-layer simulation — but a trace's labels would
+// not be, which is why traced runs bypass the keys.
 //
-// Each key family keeps its old cache name in stats.CacheReport as a
-// census of lookups (runner.Census): Entries counts the distinct keys, at
-// first lookup, so manifests read the same numbers at any -j.
+// Single-core plans keep their old cache names in stats.CacheReport as
+// censuses of lookups (runner.Census): Entries counts the distinct keys,
+// at first lookup, so manifests read the same numbers at any -j.
 
-// progKey identifies one layer program up to tensor renaming and hardware
-// timing.
-type progKey struct {
-	p      schedule.TileParams // Layer/Part zeroed
+// planKey identifies one plan's program up to tensor renaming and hardware
+// timing: the parent shape, what every part runs (kind, policy, dW-only),
+// the plan's scheme and part count — which together fix the part shapes —
+// and each part's tuned choices: the access order, and for streams built
+// from tuned candidates (the baseline pair, or a fused interleave) the
+// candidate choice, zero otherwise. Forward keys carry no SPM or element
+// size: the forward stream depends on the tile parameters alone. sim
+// completes the key with the residency capacity, core count, placement
+// and free-dY option.
+type planKey struct {
+	p      schedule.TileParams // parent, Layer/Part zeroed
 	spm    int64               // cfg.SPMBytes: sizes baseline/fused chunks
 	elem   int                 // cfg.ElemBytes: sizes every tile transfer
 	kind   memoKind
 	pol    Policy
-	order  Order
 	skipDX bool
-	tuned  ordersVal // zero when the stream uses no tuned candidates
+	scheme Scheme
+	parts  int
+	orders [schedule.MaxPartitions]Order
+	tuned  [schedule.MaxPartitions]ordersVal
 }
 
-var progCensus = runner.NewCensus[progKey](stats.NewCacheCounters("core/compiled-prog"))
+// Whole layers count their keys under the old layer-program cache name and
+// single-core partitioned plans under the old partitioned-program one;
+// multi-core runs count in neither.
+var (
+	progCensus = runner.NewCensus[planKey](stats.NewCacheCounters("core/compiled-prog"))
+	partCensus = runner.NewCensus[planKey](stats.NewCacheCounters("core/partitioned-prog"))
+)
 
-// useTraceCache reports whether a RunBackward/RunForward call on layer p
-// can go through the keyed trace families: the run must be untraced (a
-// shared trace stands for normalized tile ids, which results are
-// invariant to but trace labels are not), and the layer's op grid must be
-// within panelOpBudget — past it a layer's traces crowd the cache faster
-// than replays repay, so those layers take the one-shot path.
+// useTraceCache reports whether a run on layer p can go through the keyed
+// trace families: the run must be untraced (a shared trace stands for
+// normalized tile ids, which results are invariant to but trace labels
+// are not), and the layer's op grid must be within panelOpBudget — past it
+// a layer's traces crowd the cache faster than replays repay, so those
+// layers take the one-shot path.
 func useTraceCache(opts sim.Options, p schedule.TileParams) bool {
 	return opts.Trace == nil && p.OpCount() <= panelOpBudget
 }
 
-// runLayerProgram simulates one layer's non-partitioned single-core
-// backward program (layerProgram). Untraced in-budget runs go through the
-// layer's keyed trace, shared across layers and hardware timings that
-// build the same program; the rest build and execute it one-shot. The
-// tuned choices are resolved first, as BackwardKernels resolves them.
-func runLayerProgram(cfg config.NPU, opts sim.Options, p schedule.TileParams, pol Policy, skipDX bool) (sim.Result, Order) {
-	o, v := tunedChoices(cfg, p, pol, skipDX)
+// runPlan simulates the backward pass of plan, a partitioning of p, under
+// pol, dW-only when skipDX: on one core, part after part with the
+// scratchpad flushed between kernels, or when multi one part per core,
+// shared placing every part's tiles in one scratchpad. The parts' tuned
+// choices are resolved first, as the emitters resolve them. The
+// outcome adds the plan's reductions and reports the last part's access
+// order (identical across equal splits).
+func runPlan(cfg config.NPU, opts sim.Options, p schedule.TileParams, plan Plan, pol Policy, skipDX, multi, shared bool) LayerOutcome {
+	n := len(plan.Parts)
+	k := planKey{
+		spm: cfg.SPMBytes, elem: cfg.ElemBytes, kind: memoBackward,
+		pol: pol, skipDX: skipDX, scheme: plan.Scheme, parts: n,
+	}
+	for i, sub := range plan.Parts {
+		k.orders[i], k.tuned[i] = tunedChoices(cfg, sub, pol, skipDX)
+	}
+	out := runKeyedPlan(cfg, opts, p, k, multi, shared, func() *schedule.Program {
+		return planProgram(cfg, plan.Parts, pol, skipDX, multi, k.orders[:n], k.tuned[:n])
+	})
+	out.addReductions(plan.ReduceResults(cfg))
+	out.Dims, out.Order, out.Scheme, out.Parts = p.Dims, k.orders[n-1], plan.Scheme, n
+	return out
+}
+
+// runForwardPlan is runPlan's forward twin: plan's parts run the forward
+// pass on one core or, when multi, one part per core on private buffers
+// (conventional data parallelism).
+func runForwardPlan(cfg config.NPU, opts sim.Options, p schedule.TileParams, plan Plan, multi bool) LayerOutcome {
+	k := planKey{kind: memoForward, scheme: plan.Scheme, parts: len(plan.Parts)}
+	out := runKeyedPlan(cfg, opts, p, k, multi, false, func() *schedule.Program {
+		return forwardProgram(plan.Parts, multi)
+	})
+	out.Dims, out.Parts = p.Dims, len(plan.Parts)
+	return out
+}
+
+// runKeyedPlan runs the program build returns for a plan of p. Untraced
+// runs of layers within panelOpBudget go through the trace keyed by k,
+// completed with the normalized parent; the rest pass no key, so they
+// build and execute the program one-shot. Single-core programs run through
+// sim.RunFamily and record the lookup in the whole-layer or partitioned
+// census; multi-core ones run through sim.RunMultiKeyed and record in
+// neither.
+func runKeyedPlan(cfg config.NPU, opts sim.Options, p schedule.TileParams, k planKey, multi, shared bool, build func() *schedule.Program) LayerOutcome {
 	var key any
 	if useTraceCache(opts, p) {
-		p.Layer, p.Part = 0, 0
-		k := progKey{
-			p: p, spm: cfg.SPMBytes, elem: cfg.ElemBytes,
-			kind: memoBackward, pol: pol, order: o, skipDX: skipDX, tuned: v,
+		k.p = p
+		k.p.Layer, k.p.Part = 0, 0
+		if !multi {
+			census := progCensus
+			if k.scheme != NoPartition {
+				census = partCensus
+			}
+			census.Lookup(k)
 		}
-		progCensus.Lookup(k)
 		key = k
 	}
-	res := sim.RunFamily(cfg, opts, key, 1, func(int) *schedule.Program {
-		return layerProgram(cfg, p, pol, skipDX, o, v)
-	}).Result(0)
-	return res, o
+	if multi {
+		return outcomeFromMulti(sim.RunMultiKeyed(cfg, opts, key, shared, build))
+	}
+	return outcomeFromResult(sim.RunFamily(cfg, opts, key, 1, func(int) *schedule.Program {
+		return build()
+	}).Result(0))
 }
 
 // tunedChoices resolves the tuned choices that shape p's backward stream
-// under pol, the same ones BackwardKernels makes: the access order, and
+// under pol, the same ones the emitters make: the access order, and
 // for streams built from tuned candidates (the baseline pair, or a fused
 // interleave) the candidate choice, zero otherwise.
 func tunedChoices(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX bool) (Order, ordersVal) {
@@ -99,20 +161,6 @@ func tunedChoices(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX bool
 		}
 		return o, ordersVal{}
 	}
-}
-
-// runForwardKeyed simulates one layer's forward pass through its keyed
-// trace. The forward schedule depends on the tile parameters alone, so
-// the key carries no configuration fields beyond the element size already
-// inside TileParams.
-func runForwardKeyed(cfg config.NPU, opts sim.Options, p schedule.TileParams) sim.Result {
-	np := p
-	np.Layer, np.Part = 0, 0
-	key := progKey{p: np, elem: np.ElemBytes, kind: memoForward}
-	progCensus.Lookup(key)
-	return sim.RunFamily(cfg, opts, key, 1, func(int) *schedule.Program {
-		return sim.CompileSchedules(schedule.Forward(np))
-	}).Result(0)
 }
 
 // Candidate families. The tuners (baselineChoices, interleaveChoices,
@@ -205,11 +253,11 @@ func baselineMembers(np schedule.TileParams) func(i int) *schedule.Program {
 	return familyMembers(np, np.OpCount(), func(prog *schedule.Program, g grid, i int) {
 		if i < 2 {
 			prog.Order = g.appendDX(prog.Order, dxCandidate(i))
-			endKernel(prog, "baseline-dX", 0)
+			endKernel(prog, "baseline-dX", 0, 0)
 			return
 		}
 		prog.Order = g.appendDW(prog.Order, dwCandidate(i-2))
-		endKernel(prog, "baseline-dW", 0)
+		endKernel(prog, "baseline-dW", 0, 0)
 	})
 }
 
@@ -234,7 +282,7 @@ func mergeMembers(np schedule.TileParams, vs []ordersVal) func(i int) *schedule.
 		}
 		v := vs[i]
 		prog.Order = mergeStreams(prog.Order, dx[v.dx], dw[v.dw], v.block)
-		endKernel(prog, "interleave", 0)
+		endKernel(prog, "interleave", 0, 0)
 	})
 }
 
@@ -251,7 +299,7 @@ func majorMembers(single config.NPU, np schedule.TileParams) func(i int) *schedu
 		if i == 1 {
 			o = DWMajor
 		}
-		appendRearranged(prog, g, single, np, o, ordersVal{})
+		appendRearranged(prog, g, single, np, 0, o, ordersVal{})
 	})
 }
 
@@ -268,90 +316,4 @@ func tuneParams(p schedule.TileParams) schedule.TileParams {
 	p.OffM, p.OffK, p.OffN = 0, 0, 0
 	p.DXPartial, p.DWPartial = false, false
 	return p
-}
-
-// partKey identifies one single-core partitioned plan's program up to
-// tensor renaming and hardware timing: the parent shape, the plan axes,
-// and the per-part tuned choices (access order, and for interleave orders
-// the fused-stream candidates) that shape each part's stream.
-type partKey struct {
-	p      schedule.TileParams // Layer/Part zeroed (parent)
-	spm    int64
-	elem   int
-	scheme Scheme
-	parts  int
-	orders [4]Order
-	tuned  [4]ordersVal
-}
-
-var partCensus = runner.NewCensus[partKey](stats.NewCacheCounters("core/partitioned-prog"))
-
-// runPartitionedProgram simulates one single-core partitioned plan of p
-// (partitions as separate kernels, scratchpad flushed between them;
-// partitionedProgram). The per-part tuned choices are resolved first;
-// untraced in-budget runs fold them into the plan's key and go through its
-// keyed trace, mirroring runLayerProgram, and so do plans of at most as
-// many parts as the key holds. The rest build and execute the program
-// one-shot.
-func runPartitionedProgram(cfg config.NPU, opts sim.Options, p schedule.TileParams, scheme Scheme, parts int, plan Plan) (sim.Result, []Order) {
-	orders := make([]Order, len(plan.Parts))
-	tuned := make([]ordersVal, len(plan.Parts))
-	for i, sub := range plan.Parts {
-		orders[i], tuned[i] = tunedChoices(cfg, sub, PolRearrange, false)
-	}
-	var key any
-	if useTraceCache(opts, p) && len(plan.Parts) <= len(partKey{}.orders) {
-		// Build from the normalized parent so the program's tile ids are
-		// canonical regardless of which layer resolved it first.
-		p.Layer, p.Part = 0, 0
-		plan = PartitionLayer(p, scheme, parts)
-		k := partKey{
-			p: p, spm: cfg.SPMBytes, elem: cfg.ElemBytes,
-			scheme: scheme, parts: len(plan.Parts),
-		}
-		copy(k.orders[:], orders)
-		copy(k.tuned[:], tuned)
-		partCensus.Lookup(k)
-		key = k
-	}
-	res := sim.RunFamily(cfg, opts, key, 1, func(int) *schedule.Program {
-		return partitionedProgram(cfg, plan, orders, tuned)
-	}).Result(0)
-	return res, orders
-}
-
-// multiKey identifies one multi-core run's phases up to tensor renaming
-// and hardware timing: the parent shape, what every part runs (kind,
-// policy, dW-only), the plan's scheme and part count — which together fix
-// the part shapes — and the per-part tuned choices, resolved first as in
-// partKey. sim.RunMultiKeyed completes it with the SPM size, core count,
-// placement and free-dY option.
-type multiKey struct {
-	p      schedule.TileParams // parent, Layer/Part zeroed
-	spm    int64
-	elem   int
-	kind   memoKind
-	pol    Policy
-	skipDX bool
-	scheme Scheme
-	parts  int
-	orders [schedule.MaxPartitions]Order
-	tuned  [schedule.MaxPartitions]ordersVal
-}
-
-// runMulti simulates a plan's multi-core phases, which emit builds. key
-// carries what the parts run and their tuned choices; runMulti completes
-// it from p, plan and cfg. Untraced runs of layers within panelOpBudget go
-// through the trace cache; the rest pass no key, so they emit and simulate
-// every time.
-func runMulti(cfg config.NPU, opts sim.Options, p schedule.TileParams, plan Plan, key multiKey, shared bool, emit func() [][][]schedule.Op) sim.MultiResult {
-	var k any
-	if useTraceCache(opts, p) {
-		key.p = p
-		key.p.Layer, key.p.Part = 0, 0
-		key.spm, key.elem = cfg.SPMBytes, cfg.ElemBytes
-		key.scheme, key.parts = plan.Scheme, len(plan.Parts)
-		k = key
-	}
-	return sim.RunMultiKeyed(cfg, opts, k, shared, emit)
 }

@@ -212,20 +212,34 @@ func TestWarmMultiRunAllocs(t *testing.T) {
 	}
 }
 
+// phasesProgram lowers phases as RunMultiPhased does: stream i of a phase
+// becomes that phase's kernel on core i.
+func phasesProgram(phases [][][]schedule.Op) *schedule.Program {
+	c := schedule.NewCompiler()
+	prog := &schedule.Program{}
+	for _, streams := range phases {
+		for ci, ops := range streams {
+			c.AppendKernel(prog, "", ci, ops)
+		}
+	}
+	prog.Table = c.Table()
+	return prog
+}
+
 // TestRunMultiKeyedConcurrent drives the value-keyed multi-core trace
 // cache from eight goroutines at once over a bandwidth sweep in both
 // scratchpad placements: every call must return exactly RunMultiPhased's
 // result for its configuration. Afterwards a resolved key must replay
-// without emitting, and a disabled cache must emit on every call.
+// without building, and a disabled cache must build on every call.
 func TestRunMultiKeyedConcurrent(t *testing.T) {
 	sim.ResetResolvedCache()
 	defer sim.ResetResolvedCache()
 	type phasesKey struct{ name string }
 	key := phasesKey{"multiPhases"}
-	var emits atomic.Int64
-	emit := func() [][][]schedule.Op {
-		emits.Add(1)
-		return multiPhases()
+	var builds atomic.Int64
+	build := func() *schedule.Program {
+		builds.Add(1)
+		return phasesProgram(multiPhases())
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -235,7 +249,7 @@ func TestRunMultiKeyedConcurrent(t *testing.T) {
 			for _, bw := range []float64{1e9, 3e9, 9e9, 27e9} {
 				cfg := multiCfg().WithBandwidth(bw)
 				for _, shared := range []bool{true, false} {
-					got := sim.RunMultiKeyed(cfg, sim.Options{}, key, shared, emit)
+					got := sim.RunMultiKeyed(cfg, sim.Options{}, key, shared, build)
 					if want := sim.RunMultiPhased(cfg, sim.Options{}, multiPhases(), shared); !reflect.DeepEqual(got, want) {
 						t.Errorf("bw=%g shared=%v: keyed %+v != engine %+v", bw, shared, got, want)
 					}
@@ -246,17 +260,39 @@ func TestRunMultiKeyedConcurrent(t *testing.T) {
 	wg.Wait()
 
 	cfg := multiCfg().WithBandwidth(5e9)
-	before := emits.Load()
-	sim.RunMultiKeyed(cfg, sim.Options{}, key, true, emit)
-	if n := emits.Load() - before; n != 0 {
-		t.Errorf("a resolved key emitted %d times", n)
+	before := builds.Load()
+	sim.RunMultiKeyed(cfg, sim.Options{}, key, true, build)
+	if n := builds.Load() - before; n != 0 {
+		t.Errorf("a resolved key built %d times", n)
 	}
 	prev := sim.SetResidencyCacheBytes(0)
 	defer sim.SetResidencyCacheBytes(prev)
-	before = emits.Load()
-	sim.RunMultiKeyed(cfg, sim.Options{}, key, true, emit)
-	if n := emits.Load() - before; n != 1 {
-		t.Errorf("a disabled cache emitted %d times for one call, want 1", n)
+	before = builds.Load()
+	sim.RunMultiKeyed(cfg, sim.Options{}, key, true, build)
+	if n := builds.Load() - before; n != 1 {
+		t.Errorf("a disabled cache built %d times for one call, want 1", n)
+	}
+}
+
+// TestRunMultiKeyedTooManyCores checks that a built program with a kernel
+// on a core the configuration lacks panics, keyed or not, instead of
+// running every core on a 1/cfg.Cores bandwidth slice it does not own.
+func TestRunMultiKeyedTooManyCores(t *testing.T) {
+	sim.ResetResolvedCache()
+	defer sim.ResetResolvedCache()
+	phases := multiPhases()
+	phases[0] = append(phases[0], phases[0][0]) // a third core
+	for _, key := range []any{nil, "three-core"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("key %v: a three-core program ran on a two-core config", key)
+				}
+			}()
+			sim.RunMultiKeyed(multiCfg(), sim.Options{}, key, true, func() *schedule.Program {
+				return phasesProgram(phases)
+			})
+		}()
 	}
 }
 

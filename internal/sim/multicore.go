@@ -78,31 +78,49 @@ func ResolveMulti(cfg config.NPU, opts Options, phases [][][]schedule.Op, shared
 }
 
 // runMulti lowers phases into a pooled runner's program — stream i of a
-// phase becomes that phase's kernel on core i — and runs it on as many
-// cores as the widest phase has streams.
+// phase becomes that phase's kernel on core i — and runs it.
 func runMulti(cfg config.NPU, opts Options, phases [][][]schedule.Op, shared, record bool) (MultiResult, *ResolvedTrace) {
 	if len(phases) == 0 {
 		panic("sim: no phases")
 	}
 	cr := compiledPool.Get()
 	prog := cr.newProgram()
-	cores := 0
 	for _, streams := range phases {
 		if len(streams) == 0 {
 			panic("sim: no op streams")
 		}
-		if len(streams) > cfg.Cores {
-			panic("sim: more op streams than cores")
-		}
-		cores = max(cores, len(streams))
 		for ci, ops := range streams {
 			cr.comp.AppendKernel(prog, "", ci, ops)
 		}
 	}
 	prog.Table = cr.comp.Table()
+	out, rt := cr.multi(cfg, opts, prog, shared, record)
+	compiledPool.Put(cr)
+	return out, rt
+}
+
+// runMultiProgram runs a built multi-core program on a pooled runner.
+func runMultiProgram(cfg config.NPU, opts Options, prog *schedule.Program, shared, record bool) (MultiResult, *ResolvedTrace) {
+	cr := compiledPool.Get()
+	out, rt := cr.multi(cfg, opts, prog, shared, record)
+	compiledPool.Put(cr)
+	return out, rt
+}
+
+// multi runs prog on as many cores as its kernels use. A program's pipes
+// are sized from its own kernels, so a kernel on a core cfg lacks is
+// caught here, not by Bind: it would otherwise run at a 1/cfg.Cores
+// bandwidth slice it does not own.
+func (cr *compiledRunner) multi(cfg config.NPU, opts Options, prog *schedule.Program, shared, record bool) (MultiResult, *ResolvedTrace) {
+	cores := 0
+	for _, k := range prog.Kernels {
+		cores = max(cores, k.Core+1)
+	}
+	if cores > cfg.Cores {
+		panic("sim: more op streams than cores")
+	}
 	rt := cr.execute(cfg, opts, prog, cores, shared, true, record)
 	out := cr.eng.multiResult()
-	compiledPool.Put(cr)
 	countMulti(out)
 	return out, rt
 }

@@ -92,20 +92,22 @@ func RunFamily(cfg config.NPU, opts Options, key any, n int, member func(i int) 
 	return Family{res: res}
 }
 
-// RunMultiKeyed is RunMultiPhased through the two-phase executor, for
-// callers that can name a multi-core run without building it. key must be
-// a comparable value that determines, up to a renaming of tiles, the
-// phases emit returns; the SPM size, core count, placement and free-dY
-// option complete the residency key here. The first call for a key emits,
-// compiles and resolves the phases, and nothing of them is kept but the
-// trace; later calls replay it under cfg's cost axes without calling emit.
-// As with RunFamily, a nil key, a traced call or a disabled cache (budget
-// 0) runs the phases once and keeps nothing, and runs over
-// maxCachedResolvedOps are resolved but not admitted.
-func RunMultiKeyed(cfg config.NPU, opts Options, key any, shared bool, emit func() [][][]schedule.Op) MultiResult {
+// RunMultiKeyed runs a multi-core program — kernels that are (phase,
+// core) ranges, on as many cores as they use — through the two-phase
+// executor, for callers that can name the run without building it. key
+// must be a comparable value that determines, up to a renaming of tiles,
+// the program build returns; the SPM size, core count, placement and
+// free-dY option complete the residency key here. The first call for a
+// key builds and resolves the program, and nothing of it is kept but the
+// trace; later calls replay it under cfg's cost axes without calling
+// build. As with RunFamily, a nil key, a traced call or a disabled cache
+// (budget 0) runs the program once and keeps nothing, and runs over
+// maxCachedResolvedOps are resolved but not admitted. A program with a
+// kernel on a core cfg does not have panics.
+func RunMultiKeyed(cfg config.NPU, opts Options, key any, shared bool, build func() *schedule.Program) MultiResult {
 	rk := resolvedKey{key: key, capacity: cfg.SPMBytes / 2, cores: cfg.Cores, shared: shared, freeDY: opts.FreeDYOnDW}
 	res, traces := runKeyed(rk, opts, 1, func(_ int, record bool) (MultiResult, *ResolvedTrace) {
-		return runMulti(cfg, opts, emit(), shared, record)
+		return runMultiProgram(cfg, opts, build(), shared, record)
 	})
 	if traces == nil {
 		return res[0]
