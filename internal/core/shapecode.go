@@ -51,13 +51,12 @@ func lowerShapes(ps ...schedule.TileParams) *shapeCode {
 	c := shapeCompilers.Get()
 	c.Reset()
 	sc := &shapeCode{code: make([]schedule.CompiledOp, 0, n), grids: make([]grid, len(ps))}
-	for i, p := range ps {
-		g := &sc.grids[i]
+	for i := range ps {
+		p, g := &ps[i], &sc.grids[i]
 		g.mt, g.kt, g.nt = p.Tiling.Counts(p.Dims)
 		g.dx = int32(len(sc.code))
-		sc.code = c.CompileStream(sc.code, schedule.BaselineDXStream(p, schedule.DXOrderMK))
-		g.dw = int32(len(sc.code))
-		sc.code = c.CompileStream(sc.code, schedule.BaselineDWStream(p, schedule.DWOrderKN))
+		g.dw = g.dx + int32(g.ops())
+		sc.code = c.LowerBackward(sc.code, p)
 	}
 	sc.table = c.DetachTable()
 	shapeCompilers.Put(c)
@@ -239,9 +238,9 @@ func forwardProgram(parts []schedule.TileParams, multi bool) *schedule.Program {
 	prog := &schedule.Program{Code: make([]schedule.CompiledOp, 0, n), Kernels: make([]schedule.Kernel, 0, len(parts))}
 	c := shapeCompilers.Get()
 	c.Reset()
-	for i, p := range parts {
+	for i := range parts {
 		start := len(prog.Code)
-		prog.Code = c.CompileStream(prog.Code, schedule.ForwardStream(p))
+		prog.Code = c.LowerForward(prog.Code, &parts[i])
 		k := schedule.Kernel{Name: "forward", Start: start, End: len(prog.Code)}
 		if multi {
 			k.Core = i

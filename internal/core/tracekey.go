@@ -32,8 +32,10 @@ import (
 // alike share one. Keys normalize the parent's tile ids (Layer/Part
 // zeroed) exactly as the layer memo does: a bijective renaming of tile
 // keys cannot change residency behaviour, so the shared trace's results
-// are identical to a per-layer simulation — but a trace's labels would
-// not be, which is why traced runs bypass the keys.
+// are identical to a per-layer simulation. Traced runs bypass the keys
+// because a resolved trace keeps per-op transfer totals, not the event
+// stream and reuse distances a trace sink needs: only the engine can
+// serve them.
 //
 // Single-core plans keep their old cache names in stats.CacheReport as
 // censuses of lookups (runner.Census): Entries counts the distinct keys,
@@ -70,9 +72,9 @@ var (
 )
 
 // useTraceCache reports whether a run on layer p can go through the keyed
-// trace families: the run must be untraced (a shared trace stands for
-// normalized tile ids, which results are invariant to but trace labels
-// are not), and the layer's op grid must be within panelOpBudget — past it
+// trace families: the run must be untraced (a resolved trace carries no
+// event stream, so a traced run executes on the engine), and the layer's
+// op grid must be within panelOpBudget — past it
 // a layer's traces crowd the cache faster than replays repay, so those
 // layers take the one-shot path.
 func useTraceCache(opts sim.Options, p schedule.TileParams) bool {

@@ -64,7 +64,8 @@ type Kernel struct {
 
 // TileTable is a program's symbol table: Keys[id] is the TileKey interned
 // as TileID id. The engine only needs its length (to size the residency
-// arrays); the keys themselves serve tracing and debugging.
+// arrays and the trace tracks' reuse bookkeeping); the keys themselves
+// serve tests and debugging.
 type TileTable struct {
 	Keys []TileKey
 }
@@ -108,6 +109,15 @@ type Compiler struct {
 	keys  []TileKey
 	table []int32 // open-addressed; index into keys, or freeSlot
 	mask  uint32
+
+	// The grid LowerBackward or LowerForward is lowering: its parameters,
+	// tile counts, per-axis tile extents, and one slot per tile of each
+	// tensor, filled on the tile's first use (a zero slot is unfilled).
+	params TileParams
+	grid   point
+	ext    [3][]int32
+	slots  [numTensors][]loweredTile
+	buf    []loweredTile // backs slots
 }
 
 // freeSlot marks an empty interning-table slot.
@@ -131,6 +141,9 @@ const maxRetainedTable = 1 << 15
 // without allocating.
 func (c *Compiler) Reset() {
 	c.keys = c.keys[:0]
+	if cap(c.buf) > maxRetainedTable {
+		c.buf = nil
+	}
 	if len(c.table) > maxRetainedTable {
 		c.table = nil
 		c.rehash(2048)
@@ -225,38 +238,172 @@ func (c *Compiler) DetachTable() TileTable {
 	return t
 }
 
-// Lower compiles a single op.
-func (c *Compiler) Lower(op *Op) CompiledOp {
+// loweredTile is an operand as a compiled op carries it: its interned ID,
+// tensor class and transfer size.
+type loweredTile struct {
+	bytes int64
+	id    TileID
+	class dram.Class
+}
+
+// lowerTile interns t.
+func (c *Compiler) lowerTile(t Tile) loweredTile {
+	return loweredTile{bytes: t.Bytes, id: c.Intern(t.Key), class: t.Key.Class}
+}
+
+// compiledOp assembles one lowered op from its operands, tile GEMM extents
+// and accumulation position, folding the protocol and free-dY flags.
+func compiledOp(kind Kind, a, b, out loweredTile, tm, tk, tn int32, first, last bool) CompiledOp {
 	co := CompiledOp{
-		ABytes:   op.A.Bytes,
-		BBytes:   op.B.Bytes,
-		OutBytes: op.Out.Bytes,
-		A:        c.Intern(op.A.Key),
-		B:        c.Intern(op.B.Key),
-		Out:      c.Intern(op.Out.Key),
-		Tm:       int32(op.Tm),
-		Tk:       int32(op.Tk),
-		Tn:       int32(op.Tn),
-		AClass:   op.A.Key.Class,
-		BClass:   op.B.Key.Class,
-		OutClass: op.Out.Key.Class,
-		Kind:     op.Kind,
+		ABytes:   a.bytes,
+		BBytes:   b.bytes,
+		OutBytes: out.bytes,
+		A:        a.id,
+		B:        b.id,
+		Out:      out.id,
+		Tm:       tm,
+		Tk:       tk,
+		Tn:       tn,
+		AClass:   a.class,
+		BClass:   b.class,
+		OutClass: out.class,
+		Kind:     kind,
 	}
-	if op.OutFirst {
+	if first {
 		co.Flags |= FlagOutFirst
 	}
-	if op.OutLast {
+	if last {
 		co.Flags |= FlagOutLast
 	}
-	if op.Kind == KindDW {
-		if op.A.Key.Class == dram.ClassDY {
+	if kind == KindDW {
+		if a.class == dram.ClassDY {
 			co.Flags |= FlagFreeDYA
 		}
-		if op.B.Key.Class == dram.ClassDY {
+		if b.class == dram.ClassDY {
 			co.Flags |= FlagFreeDYB
 		}
 	}
 	return co
+}
+
+// Lower compiles a single op, interning A, B and Out in that order.
+func (c *Compiler) Lower(op *Op) CompiledOp {
+	a := c.lowerTile(op.A)
+	b := c.lowerTile(op.B)
+	out := c.lowerTile(op.Out)
+	return compiledOp(op.Kind, a, b, out, int32(op.Tm), int32(op.Tk), int32(op.Tn), op.OutFirst, op.OutLast)
+}
+
+// LowerBackward appends p's backward ops to dst: its dX ops in
+// BaselineDXStream's MK order, then its dW ops in BaselineDWStream's KN
+// order. The code, the TileIDs and the interning order are exactly those
+// of lowering the two streams op by op, but each tile is built and
+// interned once, on its first use, where Lower builds and hashes three
+// tiles per op. Lowering several shapes through one compiler gives a tile
+// they share one ID, as Lower does.
+func (c *Compiler) LowerBackward(dst []CompiledOp, p *TileParams) []CompiledOp {
+	c.startGrid(p)
+	dst = c.lowerGEMM(dst, &dxGEMM, dxMKOrder)
+	return c.lowerGEMM(dst, &dwGEMM, dwKNOrder)
+}
+
+// LowerForward appends p's forward ops to dst in ForwardStream's order, as
+// LowerBackward does for the backward ones.
+func (c *Compiler) LowerForward(dst []CompiledOp, p *TileParams) []CompiledOp {
+	c.startGrid(p)
+	return c.lowerGEMM(dst, &fwdGEMM, fwdOrder)
+}
+
+// startGrid empties the per-grid lowering state and sizes it for p.
+func (c *Compiler) startGrid(p *TileParams) {
+	c.params = *p
+	c.grid = p.counts()
+	for a := range c.ext {
+		c.ext[a] = resize(c.ext[a], c.grid[a])
+		for i := range c.ext[a] {
+			c.ext[a][i] = int32(p.extent(axis(a), i))
+		}
+	}
+	n := 0
+	for _, ax := range tensorAxes {
+		n += c.grid[ax[0]] * c.grid[ax[1]]
+	}
+	c.buf = resize(c.buf, n)
+	clear(c.buf)
+	rest := c.buf
+	for t, ax := range tensorAxes {
+		n := c.grid[ax[0]] * c.grid[ax[1]]
+		c.slots[t], rest = rest[:n:n], rest[n:]
+	}
+}
+
+// resize returns s with length n, reusing its array when n fits; the
+// contents are stale either way.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// lowerGEMM appends g's ops over the current grid to dst, its loops nested
+// in order.
+//
+//lint:hotpath
+func (c *Compiler) lowerGEMM(dst []CompiledOp, g *gemm, order loopOrder) []CompiledOp {
+	cnt := c.grid
+	steps := cnt[g.dims[1]]
+	em, ek, en := c.ext[g.dims[0]], c.ext[g.dims[1]], c.ext[g.dims[2]]
+	a, b, out := c.operand(g.a), c.operand(g.b), c.operand(g.out)
+	var pt point
+	for pt[order[0]] = 0; pt[order[0]] < cnt[order[0]]; pt[order[0]]++ {
+		for pt[order[1]] = 0; pt[order[1]] < cnt[order[1]]; pt[order[1]]++ {
+			for pt[order[2]] = 0; pt[order[2]] < cnt[order[2]]; pt[order[2]]++ {
+				// Fill in A, B, Out order, the order Lower interns in.
+				ta, tb, tout := a.at(&pt), b.at(&pt), out.at(&pt)
+				if ta.bytes == 0 {
+					c.fill(ta, a.t, &pt)
+				}
+				if tb.bytes == 0 {
+					c.fill(tb, b.t, &pt)
+				}
+				if tout.bytes == 0 {
+					c.fill(tout, out.t, &pt)
+				}
+				red := pt[g.dims[1]]
+				dst = append(dst, compiledOp(g.kind, *ta, *tb, *tout,
+					em[pt[g.dims[0]]], ek[red], en[pt[g.dims[2]]], red == 0, red == steps-1))
+			}
+		}
+	}
+	return dst
+}
+
+// gridOperand is one tensor's slots on the current grid: the slot of the
+// tile at pt is slots[pt[row]*cols+pt[col]].
+type gridOperand struct {
+	slots    []loweredTile
+	row, col axis
+	cols     int
+	t        layerTensor
+}
+
+func (c *Compiler) operand(t layerTensor) gridOperand {
+	ax := tensorAxes[t]
+	return gridOperand{slots: c.slots[t], row: ax[0], col: ax[1], cols: c.grid[ax[1]], t: t}
+}
+
+// at returns the slot of o's tile at pt.
+func (o *gridOperand) at(pt *point) *loweredTile {
+	return &o.slots[pt[o.row]*o.cols+pt[o.col]]
+}
+
+// fill builds and interns the tile of tensor t at pt into its slot, on
+// the tile's first use. Every tile has at least one byte; were one empty,
+// its slot would just be filled again, and re-interning returns the same
+// ID.
+func (c *Compiler) fill(s *loweredTile, t layerTensor, pt *point) {
+	*s = c.lowerTile(c.params.tile(t, *pt))
 }
 
 // AppendKernel lowers ops into prog as one kernel named name on core core:
@@ -269,16 +416,6 @@ func (c *Compiler) AppendKernel(prog *Program, name string, core int, ops []Op) 
 		prog.Code = append(prog.Code, c.Lower(&ops[i]))
 	}
 	prog.Kernels = append(prog.Kernels, Kernel{Name: name, Start: start, End: len(prog.Code), Core: core})
-}
-
-// CompileStream lowers a stream without materializing it, appending the
-// code to dst: the only allocation is dst's growth, none if it has room.
-func (c *Compiler) CompileStream(dst []CompiledOp, s OpStream) []CompiledOp {
-	s(func(op *Op) bool {
-		dst = append(dst, c.Lower(op))
-		return true
-	})
-	return dst
 }
 
 // Compile lowers a schedule sequence into one program. Each schedule

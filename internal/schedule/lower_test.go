@@ -1,0 +1,129 @@
+package schedule
+
+import (
+	"reflect"
+	"testing"
+
+	"igosim/internal/dram"
+	"igosim/internal/tensor"
+)
+
+// lowerStream is the reference lowering: every op of s through Lower, which
+// builds and interns A, B and Out per op.
+func lowerStream(c *Compiler, dst []CompiledOp, s OpStream) []CompiledOp {
+	s(func(op *Op) bool {
+		dst = append(dst, c.Lower(op))
+		return true
+	})
+	return dst
+}
+
+// lowerCases are the plans the per-grid lowering is checked on, each a
+// list of parts lowered through one compiler: edge tiles on every axis,
+// X factors of 0.3 and 0.5, partial dX and dW outputs, non-zero offsets,
+// layer and part, and two K-split parts that share every dY tile.
+func lowerCases() []lowerCase {
+	tl := Tiling{Tm: 4, Tk: 3, Tn: 5}
+	edges := testParams(tensor.Dims{M: 14, K: 11, N: 13}, tl)
+	x3 := edges
+	x3.XFactor = 0.3
+	x5 := testParams(tensor.Dims{M: 9, K: 7, N: 12}, tl)
+	x5.XFactor = 0.5
+	dxPart := testParams(tensor.Dims{M: 10, K: 8, N: 9}, tl)
+	dxPart.Layer, dxPart.Part, dxPart.DXPartial = 6, 3, true
+	dxPart.OffM, dxPart.OffK, dxPart.OffN = 2, 1, 3
+	dwPart := testParams(tensor.Dims{M: 11, K: 9, N: 7}, tl)
+	dwPart.Layer, dwPart.Part, dwPart.DWPartial = 9, 1, true
+	dwPart.OffM, dwPart.XFactor = 4, 0.5
+	k0 := testParams(tensor.Dims{M: 13, K: 6, N: 11}, tl)
+	k1 := k0
+	k1.Dims.K, k1.OffK, k1.Part = 5, 2, 1
+	m0 := testParams(tensor.Dims{M: 8, K: 10, N: 9}, tl)
+	m0.DWPartial = true
+	m1 := m0
+	m1.Dims.M, m1.OffM, m1.Part = 7, 2, 1
+	return []lowerCase{
+		{"edges", []TileParams{edges}},
+		{"xfactor-0.3", []TileParams{x3}},
+		{"xfactor-0.5", []TileParams{x5}},
+		{"dx-partial", []TileParams{dxPart}},
+		{"dw-partial", []TileParams{dwPart}},
+		{"k-split-shared", []TileParams{k0, k1}},
+		{"m-split", []TileParams{m0, m1}},
+	}
+}
+
+type lowerCase struct {
+	name  string
+	parts []TileParams
+}
+
+// TestLowerMatchesStreams holds LowerBackward and LowerForward to lowering
+// the stream generators op by op through one compiler: the same code, op
+// for op, and the same symbol table, so every TileID agrees. One pooled
+// compiler lowers every case in turn after a Reset, so per-grid state left
+// from an earlier grid would show.
+func TestLowerMatchesStreams(t *testing.T) {
+	pooled := NewCompiler()
+	for _, lc := range lowerCases() {
+		name, parts := lc.name, lc.parts
+		ref := NewCompiler()
+		var want []CompiledOp
+		for _, p := range parts {
+			want = lowerStream(ref, want, BaselineDXStream(p, DXOrderMK))
+			want = lowerStream(ref, want, BaselineDWStream(p, DWOrderKN))
+		}
+		pooled.Reset()
+		var got []CompiledOp
+		for i := range parts {
+			got = pooled.LowerBackward(got, &parts[i])
+		}
+		checkLowered(t, name+"/backward", got, want, pooled.Table(), ref.Table())
+
+		ref = NewCompiler()
+		want = want[:0]
+		for _, p := range parts {
+			want = lowerStream(ref, want, ForwardStream(p))
+		}
+		pooled.Reset()
+		got = got[:0]
+		for i := range parts {
+			got = pooled.LowerForward(got, &parts[i])
+		}
+		checkLowered(t, name+"/forward", got, want, pooled.Table(), ref.Table())
+	}
+}
+
+func checkLowered(t *testing.T, name string, got, want []CompiledOp, gotTab, wantTab TileTable) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s: %d ops, want %d", name, len(got), len(want))
+		return
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("%s: op %d = %+v, want %+v", name, i, got[i], want[i])
+			return
+		}
+	}
+	if !reflect.DeepEqual(gotTab.Keys, wantTab.Keys) {
+		t.Errorf("%s: tile table differs from the streams' (%d vs %d keys)", name, gotTab.Len(), wantTab.Len())
+	}
+}
+
+// TestLowerSharesTilesAcrossParts checks that the k-split case does share
+// its dY tiles: the second part's dX ops read dY IDs the first part
+// interned, so TestLowerMatchesStreams covers tiles shared across grids.
+func TestLowerSharesTilesAcrossParts(t *testing.T) {
+	parts := lowerCases()[5].parts
+	c := NewCompiler()
+	code := c.LowerBackward(nil, &parts[0])
+	seen := c.NumTiles()
+	code = c.LowerBackward(code, &parts[1])
+	second := code[2*parts[0].OpCount():]
+	for _, op := range second {
+		if op.AClass == dram.ClassDY && int(op.A) >= seen {
+			t.Fatalf("second part's dY tile %d is new, want one of the first part's %d", op.A, seen)
+		}
+	}
+}

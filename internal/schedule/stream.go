@@ -51,25 +51,18 @@ func (p TileParams) OpCount() int {
 	return mt * kt * nt
 }
 
-// ForwardStream is the stream form of Forward.
-func ForwardStream(p TileParams) OpStream {
+// gemmStream yields g's ops over p's whole tile grid, its loops nested in
+// order.
+func gemmStream(p TileParams, g *gemm, order loopOrder) OpStream {
 	return func(yield func(*Op) bool) {
-		mt, kt, nt := p.Tiling.Counts(p.Dims)
+		cnt := p.counts()
+		steps := cnt[g.dims[1]]
+		var pt point
 		var op Op // one per stream, so yielding &op does not allocate per op
-		for mo := 0; mo < mt; mo++ {
-			for no := 0; no < nt; no++ {
-				for ko := 0; ko < kt; ko++ {
-					op = Op{
-						A:        p.XTile(mo, ko),
-						B:        p.WTile(ko, no),
-						Out:      p.YTile(mo, no),
-						Tm:       clip(mo, p.Tiling.Tm, p.Dims.M),
-						Tk:       clip(ko, p.Tiling.Tk, p.Dims.K),
-						Tn:       clip(no, p.Tiling.Tn, p.Dims.N),
-						OutFirst: ko == 0,
-						OutLast:  ko == kt-1,
-						Kind:     KindFwd,
-					}
+		for pt[order[0]] = 0; pt[order[0]] < cnt[order[0]]; pt[order[0]]++ {
+			for pt[order[1]] = 0; pt[order[1]] < cnt[order[1]]; pt[order[1]]++ {
+				for pt[order[2]] = 0; pt[order[2]] < cnt[order[2]]; pt[order[2]]++ {
+					op = p.op(g, pt, steps)
 					if !yield(&op) {
 						return
 					}
@@ -79,66 +72,23 @@ func ForwardStream(p TileParams) OpStream {
 	}
 }
 
+// ForwardStream is the stream form of Forward.
+func ForwardStream(p TileParams) OpStream { return gemmStream(p, &fwdGEMM, fwdOrder) }
+
 // BaselineDXStream is the stream form of BaselineDXOrdered.
 func BaselineDXStream(p TileParams, order DXLoopOrder) OpStream {
-	return func(yield func(*Op) bool) {
-		mt, kt, nt := p.Tiling.Counts(p.Dims)
-		var op Op // one per stream, so yielding &op does not allocate per op
-		if order == DXOrderMK {
-			for mo := 0; mo < mt; mo++ {
-				for ko := 0; ko < kt; ko++ {
-					for no := 0; no < nt; no++ {
-						op = p.DXOp(mo, ko, no, nt)
-						if !yield(&op) {
-							return
-						}
-					}
-				}
-			}
-			return
-		}
-		for ko := 0; ko < kt; ko++ {
-			for mo := 0; mo < mt; mo++ {
-				for no := 0; no < nt; no++ {
-					op = p.DXOp(mo, ko, no, nt)
-					if !yield(&op) {
-						return
-					}
-				}
-			}
-		}
+	if order == DXOrderMK {
+		return gemmStream(p, &dxGEMM, dxMKOrder)
 	}
+	return gemmStream(p, &dxGEMM, dxKMOrder)
 }
 
 // BaselineDWStream is the stream form of BaselineDWOrdered.
 func BaselineDWStream(p TileParams, order DWLoopOrder) OpStream {
-	return func(yield func(*Op) bool) {
-		mt, kt, nt := p.Tiling.Counts(p.Dims)
-		var op Op // one per stream, so yielding &op does not allocate per op
-		if order == DWOrderKN {
-			for ko := 0; ko < kt; ko++ {
-				for no := 0; no < nt; no++ {
-					for mo := 0; mo < mt; mo++ {
-						op = p.DWOp(ko, no, mo, mt)
-						if !yield(&op) {
-							return
-						}
-					}
-				}
-			}
-			return
-		}
-		for no := 0; no < nt; no++ {
-			for ko := 0; ko < kt; ko++ {
-				for mo := 0; mo < mt; mo++ {
-					op = p.DWOp(ko, no, mo, mt)
-					if !yield(&op) {
-						return
-					}
-				}
-			}
-		}
+	if order == DWOrderKN {
+		return gemmStream(p, &dwGEMM, dwKNOrder)
 	}
+	return gemmStream(p, &dwGEMM, dwNKOrder)
 }
 
 // BaselineBackwardStream is the stream form of BaselineBackwardOrdered: the

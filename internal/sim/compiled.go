@@ -183,7 +183,6 @@ type CompiledEngine struct {
 	sets      []residency
 	liveBytes []int64 // active partial-sum bytes per tile ID (0 = not live)
 	loadedBy  []int32 // core that last placed each resident tile (cross runs only)
-	keys      []schedule.TileKey
 	comp      []int64 // per-op systolic cycles, precomputed at Bind
 	prog      *schedule.Program
 
@@ -264,7 +263,7 @@ func (e *CompiledEngine) setup(cfg config.NPU, opts Options, cores int, shared, 
 	if opts.Trace != nil {
 		e.newTracks(opts, capacity)
 	}
-	e.prog, e.keys = nil, nil
+	e.prog = nil
 	e.rec = recorder{}
 	e.sharedHits = 0
 }
@@ -323,7 +322,9 @@ func (e *CompiledEngine) newTracks(opts Options, capacity int64) {
 // visits it). Run state (residency, pipelines, counters) is preserved, so
 // Bind only follows Init or Reset on a fresh measurement. Within each
 // phase the kernels must run on cores 0, 1, … in order, on cores the
-// engine was set up for.
+// engine was set up for. On a traced engine Bind also sizes the core
+// tracks' reuse bookkeeping to the tile table; a track records one
+// program, so a traced engine binds once per Init.
 func (e *CompiledEngine) Bind(prog *schedule.Program) {
 	pos := 0
 	for _, k := range prog.Kernels {
@@ -346,7 +347,9 @@ func (e *CompiledEngine) Bind(prog *schedule.Program) {
 		e.loadedBy = resize(e.loadedBy, n)
 	}
 	e.clearSets()
-	e.keys = prog.Table.Keys
+	for ci := range e.pipes {
+		e.pipes[ci].tr.Bind(n)
+	}
 	e.prog = prog
 
 	e.comp = resize(e.comp, len(prog.Code))
@@ -563,12 +566,12 @@ func (e *CompiledEngine) step(p *corePipe, op *schedule.CompiledOp, compCycles i
 		e.insert(p, out, op.OutBytes, &spillBytes, &spillBursts)
 	}
 	if p.tr != nil {
-		p.tr.Access(e.keys[out])
+		p.tr.Access(int32(out), op.OutClass)
 	}
 
 	// Operand tiles. A hit on a tile another core placed is a shared hit.
 	if p.tr != nil {
-		p.tr.Access(e.keys[op.A])
+		p.tr.Access(int32(op.A), op.AClass)
 	}
 	if set.touch(op.A) {
 		if e.cross && e.loadedBy[op.A] != p.core {
@@ -583,7 +586,7 @@ func (e *CompiledEngine) step(p *corePipe, op *schedule.CompiledOp, compCycles i
 		e.insert(p, op.A, op.ABytes, &spillBytes, &spillBursts)
 	}
 	if p.tr != nil {
-		p.tr.Access(e.keys[op.B])
+		p.tr.Access(int32(op.B), op.BClass)
 	}
 	if set.touch(op.B) {
 		if e.cross && e.loadedBy[op.B] != p.core {
@@ -701,8 +704,9 @@ func (cr *compiledRunner) execute(cfg config.NPU, opts Options, prog *schedule.P
 	}
 	e.Execute()
 	rt := e.finishRecording()
-	e.prog, e.keys = nil, nil
+	e.prog = nil
 	for ci := range e.pipes {
+		e.pipes[ci].tr.Release()
 		e.pipes[ci].tr, e.pipes[ci].spm = nil, nil
 	}
 	return rt

@@ -27,12 +27,12 @@
 package trace
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"igosim/internal/dram"
-	"igosim/internal/schedule"
 	"igosim/internal/stats"
 )
 
@@ -184,9 +184,13 @@ type Track struct {
 	lastOcc     int64
 
 	// Reuse-distance bookkeeping: distance = tile accesses between
-	// successive touches of the same tile key, per tensor class.
+	// successive touches of the same tile, per tensor class. A track
+	// records one program, so its tile IDs name tiles: last[id] is one
+	// past the access index of tile id's latest touch (0: not touched
+	// yet), sized by Bind and dropped by Release.
 	accIdx     int64
-	last       map[schedule.TileKey]int64
+	last       []int64
+	bound      bool
 	reuse      [dram.NumClasses]stats.Histogram
 	firstTouch int64
 }
@@ -205,7 +209,6 @@ func (s *Sink) NewTrack(name string) *Track {
 		pid:     s.nextPID,
 		name:    name,
 		summary: s.summary,
-		last:    make(map[schedule.TileKey]int64),
 	}
 	s.nextPID++
 	s.tracks = append(s.tracks, t)
@@ -298,24 +301,46 @@ func (t *Track) Occupancy(ts, used int64) {
 	t.emit(event{kind: evOcc, name: "spm-used", ts: ts, args: [4]int64{used}})
 }
 
-// Access records one tile access for reuse-distance accounting. No event is
-// emitted; re-touches land in the class's histogram with the distance (in
-// tile accesses) since the previous touch of the same key.
-func (t *Track) Access(k schedule.TileKey) {
+// Bind sizes the track's reuse bookkeeping for the one program it
+// records, whose tile IDs run below tiles. It panics on a second Bind: tile
+// IDs from two programs would name different tiles alike.
+func (t *Track) Bind(tiles int) {
 	if t == nil {
 		return
 	}
-	idx := t.accIdx
+	if t.bound {
+		panic(fmt.Sprintf("trace: track %q is bound to a second program", t.name))
+	}
+	t.bound = true
+	t.last = make([]int64, tiles)
+}
+
+// Release drops the reuse bookkeeping once the track's program has run;
+// the folded metrics stay.
+func (t *Track) Release() {
+	if t == nil {
+		return
+	}
+	t.last = nil
+}
+
+// Access records one access to tile id, of tensor class c, for
+// reuse-distance accounting. No event is emitted; re-touches land in the
+// class's histogram with the distance (in tile accesses) since the
+// previous touch of the same tile.
+func (t *Track) Access(id int32, c dram.Class) {
+	if t == nil {
+		return
+	}
 	t.accIdx++
-	if prev, ok := t.last[k]; ok {
-		c := int(k.Class)
-		if c < len(t.reuse) {
-			t.reuse[c].Add(idx - prev)
+	if prev := t.last[id]; prev != 0 {
+		if int(c) < len(t.reuse) {
+			t.reuse[c].Add(t.accIdx - prev)
 		}
 	} else {
 		t.firstTouch++
 	}
-	t.last[k] = idx
+	t.last[id] = t.accIdx
 }
 
 // Phase emits a kernel/GEMM phase span (for example "interleave+dXmajor" or

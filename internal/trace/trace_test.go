@@ -5,6 +5,7 @@ package trace_test
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"igosim/internal/runner"
 	"igosim/internal/schedule"
 	"igosim/internal/sim"
+	"igosim/internal/stats"
 	"igosim/internal/tensor"
 	"igosim/internal/trace"
 )
@@ -36,7 +38,6 @@ func tinyCfg() config.NPU {
 func TestDisabledPathZeroAllocs(t *testing.T) {
 	var s *trace.Sink
 	var tr *trace.Track
-	key := schedule.TileKey{Class: dram.ClassDY}
 	allocs := testing.AllocsPerRun(1000, func() {
 		if s.Enabled() {
 			t.Fatal("nil sink reports enabled")
@@ -50,7 +51,9 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 		tr.Stall(2, 1)
 		tr.Spill(0, 256)
 		tr.Occupancy(0, 512)
-		tr.Access(key)
+		tr.Bind(64)
+		tr.Access(3, dram.ClassDY)
+		tr.Release()
 		tr.Phase("kernel", 0, 5)
 		s.Task(0, 0, time.Time{}, time.Time{})
 		s.MemoHit("cache", "label")
@@ -193,6 +196,70 @@ func TestSummarySinkMatchesFull(t *testing.T) {
 	}
 }
 
+// TestReuseByIDMatchesKeyed feeds one random access stream to a track by
+// TileID and to a reference that keeps its last-touch map by TileKey, the
+// way tracks once did: the per-class histograms and the first-touch count
+// must agree exactly.
+func TestReuseByIDMatchesKeyed(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	c := schedule.NewCompiler()
+	var pool []schedule.TileKey
+	for i := 0; i < 300; i++ {
+		k := schedule.TileKey{Class: dram.Class(rng.IntN(dram.NumClasses)), Tensor: uint16(rng.IntN(4)), Row: int32(rng.IntN(9)), Col: int32(rng.IntN(9))}
+		if int(c.Intern(k)) == len(pool) {
+			pool = append(pool, k)
+		}
+	}
+	sink := trace.NewSummary()
+	tr := sink.NewTrack("ids")
+	tr.Bind(c.NumTiles())
+
+	var want [dram.NumClasses]stats.Histogram
+	var wantFirst int64
+	last := map[schedule.TileKey]int64{}
+	for idx := int64(0); idx < 20000; idx++ {
+		// Mostly a hot working set, sometimes the whole pool, so distances
+		// span short and long reuse.
+		n := len(pool)
+		if rng.IntN(4) != 0 {
+			n = 16
+		}
+		k := pool[rng.IntN(n)]
+		tr.Access(int32(c.Intern(k)), k.Class)
+		if prev, ok := last[k]; ok {
+			want[k.Class].Add(idx - prev)
+		} else {
+			wantFirst++
+		}
+		last[k] = idx
+	}
+	tr.Release()
+	m := sink.Metrics()
+	if m.FirstTouches != wantFirst {
+		t.Errorf("first touches = %d, want %d", m.FirstTouches, wantFirst)
+	}
+	for cl := range want {
+		if m.Reuse[cl] != want[cl] {
+			t.Errorf("class %v: reuse histogram diverged from the keyed reference", dram.Class(cl))
+		}
+	}
+}
+
+// TestTrackBindsOneProgram checks that a track refuses a second program:
+// its tile IDs would name other tiles.
+func TestTrackBindsOneProgram(t *testing.T) {
+	tr := trace.NewSummary().NewTrack("once")
+	tr.Bind(4)
+	tr.Access(2, dram.ClassDY)
+	tr.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Bind did not panic")
+		}
+	}()
+	tr.Bind(4)
+}
+
 // TestMemoHitEmitted verifies that a layer simulation served from the memo
 // cache records a memo-hit wall event instead of engine spans.
 func TestMemoHitEmitted(t *testing.T) {
@@ -325,13 +392,12 @@ func TestReportRenders(t *testing.T) {
 // fast path (should be a handful of predicted branches).
 func BenchmarkDisabledTraceCalls(b *testing.B) {
 	var tr *trace.Track
-	key := schedule.TileKey{Class: dram.ClassDY}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.DMA(0, 3, 256, 0, 0, 1)
 		tr.Compute("dx", 0, 5, 8, 8, 8)
 		tr.Stall(2, 1)
-		tr.Access(key)
+		tr.Access(3, dram.ClassDY)
 		tr.Occupancy(0, 512)
 	}
 }
