@@ -3,13 +3,17 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json vet lint lint-sarif lint-check ci golden trace-check fuzz-short cover sweep-check replay-check perf-check manifest-check serve-check
+.PHONY: build test race bench bench-json vet fmt-check lint lint-sarif lint-check ci golden trace-check fuzz-short cover sweep-check replay-check perf-check manifest-check serve-check
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file must be gofmt-clean; lists the offenders and fails if any.
+fmt-check:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -123,7 +127,7 @@ cover:
 	$(GO) test -coverprofile=coverage.out -coverpkg=./... ./...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-ci: vet build race bench perf-check serve-check bench-json trace-check lint lint-check manifest-check sweep-check replay-check cover fuzz-short
+ci: fmt-check vet build race bench perf-check serve-check bench-json trace-check lint lint-check manifest-check sweep-check replay-check cover fuzz-short
 
 # Full-suite determinism check: regenerates every figure twice (cold at
 # -j 8, warm at -j 1) and demands byte-identical reports. Takes minutes.

@@ -241,9 +241,9 @@ func BenchmarkSweepPruned(b *testing.B) {
 func BenchmarkEngineStep(b *testing.B) {
 	cfg := config.LargeNPU()
 	p := core.LayerParams(tensor.Dims{M: 1024, K: 1024, N: 1024}, 1, cfg)
-	prog := schedule.Compile(schedule.BaselineBackward(p))
+	prog := sim.CompileSchedules(schedule.BaselineBackward(p))
 	e := sim.NewCompiledEngine(cfg, sim.Options{})
-	e.Bind(&prog)
+	e.Bind(prog)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Reset()

@@ -196,13 +196,13 @@ func FloorsOf(cfg config.NPU, p schedule.TileParams) Floors {
 	arr := systolic.New(cfg)
 	mt, kt, nt := t.Counts(d)
 	f := Floors{
-		X:   tensorFloor(d.M, t.Tm, d.K, t.Tk, func(i, j int) schedule.Tile { return p.XTile(i, j) }),
-		W:   tensorFloor(d.K, t.Tk, d.N, t.Tn, func(i, j int) schedule.Tile { return p.WTile(i, j) }),
-		Y:   tensorFloor(d.M, t.Tm, d.N, t.Tn, func(i, j int) schedule.Tile { return p.YTile(i, j) }),
-		DY:  tensorFloor(d.M, t.Tm, d.N, t.Tn, func(i, j int) schedule.Tile { return p.DYTile(i, j) }),
-		DX:  tensorFloor(d.M, t.Tm, d.K, t.Tk, func(i, j int) schedule.Tile { return p.DXTile(i, j) }),
-		DW:  tensorFloor(d.K, t.Tk, d.N, t.Tn, func(i, j int) schedule.Tile { return p.DWTile(i, j) }),
-		Mt:  int64(mt), Kt: int64(kt), Nt: int64(nt),
+		X:  tensorFloor(d.M, t.Tm, d.K, t.Tk, func(i, j int) schedule.Tile { return p.XTile(i, j) }),
+		W:  tensorFloor(d.K, t.Tk, d.N, t.Tn, func(i, j int) schedule.Tile { return p.WTile(i, j) }),
+		Y:  tensorFloor(d.M, t.Tm, d.N, t.Tn, func(i, j int) schedule.Tile { return p.YTile(i, j) }),
+		DY: tensorFloor(d.M, t.Tm, d.N, t.Tn, func(i, j int) schedule.Tile { return p.DYTile(i, j) }),
+		DX: tensorFloor(d.M, t.Tm, d.K, t.Tk, func(i, j int) schedule.Tile { return p.DXTile(i, j) }),
+		DW: tensorFloor(d.K, t.Tk, d.N, t.Tn, func(i, j int) schedule.Tile { return p.DWTile(i, j) }),
+		Mt: int64(mt), Kt: int64(kt), Nt: int64(nt),
 		Ops: int64(mt) * int64(kt) * int64(nt),
 	}
 	// Op tile-GEMM extents per kind (see DXOp/DWOp: the reduction dimension

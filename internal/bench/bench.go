@@ -94,15 +94,15 @@ func (w Workload) Pass() func(*testing.B) {
 // lowered once outside the loop, execution only inside it.
 func (w Workload) Steady() func(*testing.B) {
 	return func(b *testing.B) {
-		progs := make([]schedule.Program, len(w.Model))
+		progs := make([]*schedule.Program, len(w.Model))
 		for i, kernels := range w.Model {
-			progs[i] = schedule.Compile(kernels...)
+			progs[i] = sim.CompileSchedules(kernels...)
 		}
 		e := sim.NewCompiledEngine(w.Cfg, sim.Options{})
 		pass := func() {
 			for pi := range progs {
 				e.Reset()
-				e.RunProgram(&progs[pi])
+				e.RunProgram(progs[pi])
 				if e.Result().Ops == 0 {
 					b.Fatal("empty result")
 				}

@@ -11,31 +11,26 @@ import (
 
 // The evaluation baseline "includes relevant prior DNN scheduling
 // techniques" (Section 6.1): a production scheduler explores loop orders
-// and multi-level tilings per GEMM and keeps the fastest. We reproduce
-// that by simulating four candidate schedules for each gradient GEMM in
-// isolation — the two reduction-inner loop orders plus the two chunked
-// partial-stationary orders of the multi-level tiling studies — and
-// caching the winner per (configuration, layer shape).
+// per GEMM and keeps the fastest. We reproduce that by simulating the two
+// reduction-inner loop orders of each gradient GEMM in isolation and
+// caching the winner per (configuration, layer shape). The chunked
+// partial-stationary orders of the multi-level tiling studies park partial
+// sums in the SPM, which conventional accelerators do not, so they are not
+// baseline candidates (see baselineChoices).
 
 // dxCandidate / dwCandidate index the baseline schedule candidates.
 type dxCandidate uint8
 
 const (
-	dxMK       dxCandidate = iota // m outer, k middle, reduction inner
-	dxKM                          // k outer, m middle, reduction inner
-	dxRowChunk                    // row-chunked partial-stationary
-	dxColChunk                    // column-chunked partial-stationary
-	numDXCandidates
+	dxMK dxCandidate = iota // m outer, k middle, reduction inner
+	dxKM                    // k outer, m middle, reduction inner
 )
 
 type dwCandidate uint8
 
 const (
-	dwKN       dwCandidate = iota // k outer, n middle, reduction inner
-	dwNK                          // n outer, k middle, reduction inner
-	dwRowChunk                    // row-chunked partial-stationary (over K)
-	dwColChunk                    // column-chunked partial-stationary (over N)
-	numDWCandidates
+	dwKN dwCandidate = iota // k outer, n middle, reduction inner
+	dwNK                    // n outer, k middle, reduction inner
 )
 
 // ordersKey keys the per-shape tuning caches: the hardware fingerprint
@@ -69,54 +64,20 @@ func keyFor(cfg config.NPU, p schedule.TileParams) ordersKey {
 	}
 }
 
-// baselineChunkShare is the fraction of the SPM streaming half a baseline
-// partial-stationary chunk may occupy (the rest carries operand bands).
-const baselineChunkShare = 0.5
-
-func chunkFor(spmBytes int64, perUnitBytes int64) int {
-	if perUnitBytes <= 0 {
-		return 1
-	}
-	share := int64(float64(spmBytes/2) * baselineChunkShare)
-	c := int(share / perUnitBytes)
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
 // baselineDXOps emits the dX candidate schedule.
-func baselineDXOps(cfg config.NPU, p schedule.TileParams, c dxCandidate) []schedule.Op {
-	e := int64(cfg.ElemBytes)
-	switch c {
-	case dxKM:
+func baselineDXOps(p schedule.TileParams, c dxCandidate) []schedule.Op {
+	if c == dxKM {
 		return schedule.BaselineDXOrdered(p, schedule.DXOrderKM)
-	case dxRowChunk:
-		perRow := int64(p.Tiling.Tm) * int64(p.Dims.K) * e
-		return schedule.PartialStationaryDX(p, chunkFor(cfg.SPMBytes, perRow))
-	case dxColChunk:
-		perCol := int64(p.Dims.M) * int64(p.Tiling.Tk) * e
-		return schedule.PartialStationaryDXCols(p, chunkFor(cfg.SPMBytes, perCol))
-	default:
-		return schedule.BaselineDXOrdered(p, schedule.DXOrderMK)
 	}
+	return schedule.BaselineDXOrdered(p, schedule.DXOrderMK)
 }
 
 // baselineDWOps emits the dW candidate schedule.
-func baselineDWOps(cfg config.NPU, p schedule.TileParams, c dwCandidate) []schedule.Op {
-	e := int64(cfg.ElemBytes)
-	switch c {
-	case dwNK:
+func baselineDWOps(p schedule.TileParams, c dwCandidate) []schedule.Op {
+	if c == dwNK {
 		return schedule.BaselineDWOrdered(p, schedule.DWOrderNK)
-	case dwRowChunk:
-		perRow := int64(p.Tiling.Tk) * int64(p.Dims.N) * e
-		return schedule.PartialStationaryDW(p, chunkFor(cfg.SPMBytes, perRow))
-	case dwColChunk:
-		perCol := int64(p.Dims.K) * int64(p.Tiling.Tn) * e
-		return schedule.PartialStationaryDWCols(p, chunkFor(cfg.SPMBytes, perCol))
-	default:
-		return schedule.BaselineDWOrdered(p, schedule.DWOrderKN)
 	}
+	return schedule.BaselineDWOrdered(p, schedule.DWOrderKN)
 }
 
 // baselineChoices returns the tuned candidate for each gradient GEMM,
@@ -166,8 +127,8 @@ func baselineChoices(cfg config.NPU, p schedule.TileParams) ordersVal {
 // from DRAM twice.
 func TunedBaselineKernels(cfg config.NPU, p schedule.TileParams) (dxK, dwK schedule.Schedule) {
 	v := baselineChoices(cfg, p)
-	dxK = schedule.Schedule{Name: "baseline-dX", Ops: baselineDXOps(cfg, p, v.dx)}
-	dwK = schedule.Schedule{Name: "baseline-dW", Ops: baselineDWOps(cfg, p, v.dw)}
+	dxK = schedule.Schedule{Name: "baseline-dX", Ops: baselineDXOps(p, v.dx)}
+	dwK = schedule.Schedule{Name: "baseline-dW", Ops: baselineDWOps(p, v.dw)}
 	return dxK, dwK
 }
 
@@ -175,7 +136,7 @@ func TunedBaselineKernels(cfg config.NPU, p schedule.TileParams) (dxK, dwK sched
 // first layer (no dX needed).
 func TunedDWOnly(cfg config.NPU, p schedule.TileParams) schedule.Schedule {
 	v := baselineChoices(cfg, p)
-	return schedule.Schedule{Name: "dW-only", Ops: baselineDWOps(cfg, p, v.dw)}
+	return schedule.Schedule{Name: "dW-only", Ops: baselineDWOps(p, v.dw)}
 }
 
 // ilvTuned is the joint tuner's winning combination and its makespan,
@@ -269,8 +230,8 @@ func mergeStreams[T any](dst, dx, dw []T, block int) []T {
 // traditional access order, with the pair chosen jointly for the fusion.
 func TunedInterleave(cfg config.NPU, p schedule.TileParams) schedule.Schedule {
 	v := interleaveChoices(cfg, p)
-	dx := baselineDXOps(cfg, p, v.dx)
-	dw := baselineDWOps(cfg, p, v.dw)
+	dx := baselineDXOps(p, v.dx)
+	dw := baselineDWOps(p, v.dw)
 	return schedule.Schedule{Name: "interleave", Ops: mergeStreams(nil, dx, dw, v.block)}
 }
 

@@ -47,13 +47,13 @@ func (o *oracle) baseline(cfg config.NPU, p schedule.TileParams) ordersVal {
 	var v ordersVal
 	best := int64(-1)
 	for _, c := range []dxCandidate{dxMK, dxKM} {
-		if cyc := oracleCycles(single, baselineDXOps(single, np, c)); best < 0 || cyc < best {
+		if cyc := oracleCycles(single, baselineDXOps(np, c)); best < 0 || cyc < best {
 			best, v.dx = cyc, c
 		}
 	}
 	best = -1
 	for _, c := range []dwCandidate{dwKN, dwNK} {
-		if cyc := oracleCycles(single, baselineDWOps(single, np, c)); best < 0 || cyc < best {
+		if cyc := oracleCycles(single, baselineDWOps(np, c)); best < 0 || cyc < best {
 			best, v.dw = cyc, c
 		}
 	}
@@ -70,7 +70,7 @@ func (o *oracle) interleave(cfg config.NPU, p schedule.TileParams) ilvTuned {
 	}
 	best := ilvTuned{cycles: -1}
 	for _, v := range mergeCandidates(np) {
-		ops := mergeStreams(nil, baselineDXOps(single, np, v.dx), baselineDWOps(single, np, v.dw), v.block)
+		ops := mergeStreams(nil, baselineDXOps(np, v.dx), baselineDWOps(np, v.dw), v.block)
 		if cyc := oracleCycles(single, ops); best.cycles < 0 || cyc < best.cycles {
 			best = ilvTuned{v: v, cycles: cyc}
 		}
@@ -99,7 +99,7 @@ func (o *oracle) bestOrder(cfg config.NPU, p schedule.TileParams) Order {
 // interleaved emits the interleave-only schedule from the oracle's choice.
 func (o *oracle) interleaved(cfg config.NPU, p schedule.TileParams) schedule.Schedule {
 	v := o.interleave(cfg, p).v
-	return schedule.Schedule{Ops: mergeStreams(nil, baselineDXOps(cfg, p, v.dx), baselineDWOps(cfg, p, v.dw), v.block)}
+	return schedule.Schedule{Ops: mergeStreams(nil, baselineDXOps(p, v.dx), baselineDWOps(p, v.dw), v.block)}
 }
 
 // rearranged mirrors RearrangedTuned.
@@ -135,10 +135,10 @@ func (o *oracle) backward(cfg config.NPU, p schedule.TileParams, pol Policy, ski
 		order := OnlyInterleave
 		switch {
 		case skipDX:
-			scheds = []schedule.Schedule{{Ops: baselineDWOps(cfg, p, o.baseline(cfg, p).dw)}}
+			scheds = []schedule.Schedule{{Ops: baselineDWOps(p, o.baseline(cfg, p).dw)}}
 		case pol == PolBaseline:
 			v := o.baseline(cfg, p)
-			scheds = []schedule.Schedule{{Ops: baselineDXOps(cfg, p, v.dx)}, {Ops: baselineDWOps(cfg, p, v.dw)}}
+			scheds = []schedule.Schedule{{Ops: baselineDXOps(p, v.dx)}, {Ops: baselineDWOps(p, v.dw)}}
 		case pol == PolInterleave:
 			scheds = []schedule.Schedule{o.interleaved(cfg, p)}
 		default:

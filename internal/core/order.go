@@ -216,28 +216,12 @@ func SelectOrderFor(p schedule.TileParams, spmBytes int64) Order {
 }
 
 // InterleaveOnly fuses the two gradient GEMMs at tile granularity
-// (Figure 8b) using the default baseline loop orders. See
-// InterleaveOnlyOrdered for explicit orders.
+// (Figure 8b): the i-th tile op of the conventional dX stream alternates
+// with the i-th tile op of the conventional dW stream, each in its default
+// loop order, so the fusion is a pure reordering of the baseline's op
+// multiset.
 func InterleaveOnly(p schedule.TileParams) schedule.Schedule {
-	return InterleaveOnlyOrdered(p, schedule.DXOrderMK, schedule.DWOrderKN)
-}
-
-// InterleaveOnlyOrdered fuses the two gradient GEMMs at tile granularity:
-// the i-th tile op of the conventional dX stream alternates with the i-th
-// tile op of the conventional dW stream. Both streams keep their
-// traditional access orders, so the fusion is a pure reordering of the
-// baseline's op multiset.
-func InterleaveOnlyOrdered(p schedule.TileParams, dxo schedule.DXLoopOrder, dwo schedule.DWLoopOrder) schedule.Schedule {
-	dx := schedule.BaselineDXOrdered(p, dxo)
-	dw := schedule.BaselineDWOrdered(p, dwo)
-	if len(dx) != len(dw) {
-		// Both streams enumerate the same (mo, ko, no) grid.
-		panic(fmt.Sprintf("core: interleave stream mismatch %d vs %d", len(dx), len(dw)))
-	}
-	ops := make([]schedule.Op, 0, len(dx)+len(dw))
-	for i := range dx {
-		ops = append(ops, dx[i], dw[i])
-	}
+	ops := mergeStreams(nil, schedule.BaselineDX(p), schedule.BaselineDW(p), 1)
 	return schedule.Schedule{Name: "interleave", Ops: ops}
 }
 
@@ -248,17 +232,7 @@ func InterleaveOnlyOrdered(p schedule.TileParams, dxo schedule.DXLoopOrder, dwo 
 // sum for the entire M sweep, and the engine charges any overflow of those
 // partials as the "additional memory traffic" of Section 4.3.
 func InterleaveDXMajor(p schedule.TileParams) schedule.Schedule {
-	mt, kt, nt := p.Tiling.Counts(p.Dims)
-	ops := make([]schedule.Op, 0, 2*mt*kt*nt)
-	for mo := 0; mo < mt; mo++ {
-		for no := 0; no < nt; no++ {
-			for ko := 0; ko < kt; ko++ {
-				ops = append(ops, p.DXOp(mo, ko, no, nt))
-				ops = append(ops, p.DWOp(ko, no, mo, mt))
-			}
-		}
-	}
-	return schedule.Schedule{Name: "interleave+dXmajor", Ops: ops}
+	return InterleaveDXMajorChunked(p, 1)
 }
 
 // InterleaveDWMajor emits the Interleaving+dWmajor schedule (Figure 10c):
@@ -266,17 +240,7 @@ func InterleaveDXMajor(p schedule.TileParams) schedule.Schedule {
 // column-band while every dX output tile stays a partial sum for the entire
 // N sweep.
 func InterleaveDWMajor(p schedule.TileParams) schedule.Schedule {
-	mt, kt, nt := p.Tiling.Counts(p.Dims)
-	ops := make([]schedule.Op, 0, 2*mt*kt*nt)
-	for no := 0; no < nt; no++ {
-		for mo := 0; mo < mt; mo++ {
-			for ko := 0; ko < kt; ko++ {
-				ops = append(ops, p.DWOp(ko, no, mo, mt))
-				ops = append(ops, p.DXOp(mo, ko, no, nt))
-			}
-		}
-	}
-	return schedule.Schedule{Name: "interleave+dWmajor", Ops: ops}
+	return InterleaveDWMajorChunked(p, 1)
 }
 
 // InterleaveDXMajorChunked is the dXmajor order with the dX row sweep
@@ -287,51 +251,13 @@ func InterleaveDWMajor(p schedule.TileParams) schedule.Schedule {
 //	for each chunk of dX tile-rows:
 //	    for no: for mo in chunk: for ko: dX op; dW op
 func InterleaveDXMajorChunked(p schedule.TileParams, chunkRows int) schedule.Schedule {
-	mt, kt, nt := p.Tiling.Counts(p.Dims)
-	if chunkRows < 1 {
-		chunkRows = 1
-	}
-	if chunkRows > mt {
-		chunkRows = mt
-	}
-	ops := make([]schedule.Op, 0, 2*mt*kt*nt)
-	for mc := 0; mc < mt; mc += chunkRows {
-		hi := min(mc+chunkRows, mt)
-		for no := 0; no < nt; no++ {
-			for mo := mc; mo < hi; mo++ {
-				for ko := 0; ko < kt; ko++ {
-					ops = append(ops, p.DXOp(mo, ko, no, nt))
-					ops = append(ops, p.DWOp(ko, no, mo, mt))
-				}
-			}
-		}
-	}
-	return schedule.Schedule{Name: "interleave+dXmajor", Ops: ops}
+	return schedule.Schedule{Name: "interleave+dXmajor", Ops: schedule.DXMajorOps(p, chunkRows)}
 }
 
 // InterleaveDWMajorChunked is the dWmajor order with the dW column sweep
 // processed in chunks of chunkCols tile-columns.
 func InterleaveDWMajorChunked(p schedule.TileParams, chunkCols int) schedule.Schedule {
-	mt, kt, nt := p.Tiling.Counts(p.Dims)
-	if chunkCols < 1 {
-		chunkCols = 1
-	}
-	if chunkCols > nt {
-		chunkCols = nt
-	}
-	ops := make([]schedule.Op, 0, 2*mt*kt*nt)
-	for nc := 0; nc < nt; nc += chunkCols {
-		hi := min(nc+chunkCols, nt)
-		for mo := 0; mo < mt; mo++ {
-			for no := nc; no < hi; no++ {
-				for ko := 0; ko < kt; ko++ {
-					ops = append(ops, p.DWOp(ko, no, mo, mt))
-					ops = append(ops, p.DXOp(mo, ko, no, nt))
-				}
-			}
-		}
-	}
-	return schedule.Schedule{Name: "interleave+dWmajor", Ops: ops}
+	return schedule.Schedule{Name: "interleave+dWmajor", Ops: schedule.DWMajorOps(p, chunkCols)}
 }
 
 // Interleaved dispatches on the access order (unchunked variants; the tuned

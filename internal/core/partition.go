@@ -183,19 +183,6 @@ func PartitionLayer(p schedule.TileParams, scheme Scheme, parts int) Plan {
 	}
 }
 
-// PartitionStreams returns one rearranged op stream per partition,
-// selecting the access order per partition shape (Section 5: "the optimal
-// memory access order within a single core changes according to the
-// layer's dimensions").
-func (pl Plan) PartitionStreams(cfg config.NPU) [][]schedule.Op {
-	streams := make([][]schedule.Op, len(pl.Parts))
-	for i, sub := range pl.Parts {
-		sched, _ := RearrangedTuned(cfg, sub)
-		streams[i] = sched.Ops
-	}
-	return streams
-}
-
 // ReduceResults returns the simulation cost of the plan's reductions.
 func (pl Plan) ReduceResults(cfg config.NPU) []sim.ReduceResult {
 	out := make([]sim.ReduceResult, 0, len(pl.Reductions))

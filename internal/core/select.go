@@ -34,26 +34,6 @@ func SchemeFeatures(d tensor.Dims) []float64 {
 // DefaultSchemeK is the KNN neighbourhood size used by the selector.
 const DefaultSchemeK = 3
 
-// BestSchemeEmpirical simulates the three partitioning schemes of Figure 11
-// (each with `parts` partitions, rearranged per partition) and returns the
-// fastest, mirroring how the paper labels its KNN training set
-// ("we empirically determine the most efficient data partitioning scheme
-// ... for each layer in the training set").
-func BestSchemeEmpirical(cfg config.NPU, opts sim.Options, p schedule.TileParams, parts int) (Scheme, LayerOutcome) {
-	var bestScheme Scheme
-	var best LayerOutcome
-	first := true
-	for _, scheme := range Schemes() {
-		cand := RunPartitionedScheme(cfg, opts, p, scheme, parts)
-		if first || cand.Cycles < best.Cycles {
-			best = cand
-			bestScheme = scheme
-			first = false
-		}
-	}
-	return bestScheme, best
-}
-
 // RunPartitionedScheme simulates one specific scheme with `parts`
 // partitions: concurrently across cores on a multi-core configuration,
 // sequentially on a single core. Plans that degenerate to one partition

@@ -45,21 +45,6 @@ func TestTrainSchemeSelectorPredicts(t *testing.T) {
 	}
 }
 
-func TestBestSchemeEmpiricalReturnsBest(t *testing.T) {
-	cfg := tinyCfg()
-	p := LayerParams(tensor.Dims{M: 96, K: 48, N: 48}, 1, cfg)
-	best, out := BestSchemeEmpirical(cfg, sim.Options{}, p, 2)
-	for _, sch := range Schemes() {
-		cand := RunPartitionedScheme(cfg, sim.Options{}, p, sch, 2)
-		if cand.Cycles < out.Cycles {
-			t.Fatalf("scheme %v (%d cycles) beats reported best %v (%d)", sch, cand.Cycles, best, out.Cycles)
-		}
-	}
-	if out.Policy != PolPartition {
-		t.Fatalf("outcome policy = %v", out.Policy)
-	}
-}
-
 func TestRunPartitionedSchemeDegenerate(t *testing.T) {
 	cfg := tinyCfg()
 	// K too small to split: ifmap-sharing degenerates to whole-layer run.

@@ -82,7 +82,7 @@ func (g grid) dxAt(mo, ko, no int) int32 { return g.dx + int32((mo*g.kt+ko)*g.nt
 func (g grid) dwAt(ko, no, mo int) int32 { return g.dw + int32((ko*g.nt+no)*g.mt+mo) }
 
 // appendDX appends the dX stream of a tuned baseline candidate, dxMK or
-// dxKM (schedule.BaselineDXStream).
+// dxKM (schedule.BaselineDXOrdered).
 func (g grid) appendDX(dst []int32, c dxCandidate) []int32 {
 	switch c {
 	case dxMK:
@@ -104,7 +104,7 @@ func (g grid) appendDX(dst []int32, c dxCandidate) []int32 {
 }
 
 // appendDW appends the dW stream of a tuned baseline candidate, dwKN or
-// dwNK (schedule.BaselineDWStream).
+// dwNK (schedule.BaselineDWOrdered).
 func (g grid) appendDW(dst []int32, c dwCandidate) []int32 {
 	switch c {
 	case dwKN:

@@ -144,7 +144,7 @@ func TestShapeCodePrograms(t *testing.T) {
 		}
 		check := func(what string, got *schedule.Program, want ...schedule.Schedule) {
 			t.Helper()
-			if err := sameProgram(got, schedule.Compile(want...)); err != nil {
+			if err := sameProgram(got, *sim.CompileSchedules(want...)); err != nil {
 				t.Errorf("%v %s: %v", p.Dims, what, err)
 			}
 		}
@@ -152,16 +152,16 @@ func TestShapeCodePrograms(t *testing.T) {
 		base := baselineMembers(p)
 		for c := dxMK; c <= dxKM; c++ {
 			check(fmt.Sprintf("baseline dX %d", c), base(int(c)),
-				schedule.Schedule{Name: "baseline-dX", Ops: baselineDXOps(cfg, p, c)})
+				schedule.Schedule{Name: "baseline-dX", Ops: baselineDXOps(p, c)})
 		}
 		for c := dwKN; c <= dwNK; c++ {
 			check(fmt.Sprintf("baseline dW %d", c), base(2+int(c)),
-				schedule.Schedule{Name: "baseline-dW", Ops: baselineDWOps(cfg, p, c)})
+				schedule.Schedule{Name: "baseline-dW", Ops: baselineDWOps(p, c)})
 		}
 		vs := mergeCandidates(p)
 		merge := mergeMembers(p, vs)
 		for i, v := range vs {
-			ops := mergeStreams(nil, baselineDXOps(cfg, p, v.dx), baselineDWOps(cfg, p, v.dw), v.block)
+			ops := mergeStreams(nil, baselineDXOps(p, v.dx), baselineDWOps(p, v.dw), v.block)
 			check(fmt.Sprintf("merge %+v", v), merge(i), schedule.Schedule{Name: "interleave", Ops: ops})
 		}
 		major := majorMembers(cfg, p)

@@ -269,7 +269,7 @@ func TestSkippedRows(t *testing.T) {
 func TestParetoCanonical(t *testing.T) {
 	rows := []Row{
 		{Index: 0, Status: StatusSimulated, IgoCycles: 100, Traffic: 100, Reduction: 0.1},
-		{Index: 1, Status: StatusSimulated, IgoCycles: 90, Traffic: 80, Reduction: 0.1},    // frontier
+		{Index: 1, Status: StatusSimulated, IgoCycles: 90, Traffic: 80, Reduction: 0.1},   // frontier
 		{Index: 2, Status: StatusSimulated, IgoCycles: 100, Traffic: 100, Reduction: 0.1}, // dup of 0
 		{Index: 3, Status: StatusSimulated, IgoCycles: 80, Traffic: 90, Reduction: 0.2},   // beats 0, 2
 		{Index: 4, Status: StatusPruned, IgoCycles: 1, Traffic: 1, Reduction: 1},          // not simulated

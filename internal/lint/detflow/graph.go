@@ -46,11 +46,11 @@ import (
 type Kind uint8
 
 const (
-	KindWallclock Kind = iota // time.Now/Since/Sleep/After/Tick/NewTimer/NewTicker
-	KindRand                  // math/rand, math/rand/v2, crypto/rand, maphash.MakeSeed
-	KindMapOrder              // map iteration order reaching emitted output
-	KindGlobalWrite           // unsynchronized write to a package-level variable
-	KindUnknown               // call through an unresolvable function value
+	KindWallclock   Kind = iota // time.Now/Since/Sleep/After/Tick/NewTimer/NewTicker
+	KindRand                    // math/rand, math/rand/v2, crypto/rand, maphash.MakeSeed
+	KindMapOrder                // map iteration order reaching emitted output
+	KindGlobalWrite             // unsynchronized write to a package-level variable
+	KindUnknown                 // call through an unresolvable function value
 	numKinds
 )
 

@@ -29,9 +29,9 @@ var clockFuncs = map[string]bool{
 // randPkgs are packages whose every function is an ambient-randomness
 // source.
 var randPkgs = map[string]bool{
-	"math/rand":   true,
+	"math/rand":    true,
 	"math/rand/v2": true,
-	"crypto/rand": true,
+	"crypto/rand":  true,
 }
 
 // externalSource classifies a standard-library function as a taint source.

@@ -99,7 +99,7 @@ func CheckMultiOracle(c Case) error {
 // CheckCompiledEquivalence holds the engine's entry points together and to
 // the oracle (DESIGN.md §3g): for every generated case and both free-dY
 // modes, RunSchedules (pooled lowering), ExecuteProgram on a retained
-// CompileSchedules program, and a CompiledEngine bound to schedule.Compile
+// CompileSchedules program, and a CompiledEngine bound to a second one
 // must produce identical Results, and the refmodel oracle must agree with
 // them on every counter. The entry-point comparison is full-struct
 // equality; the oracle comparison reuses refmodel's field-by-field diff
@@ -108,7 +108,7 @@ func CheckCompiledEquivalence(c Case) error {
 	cfg := c.Config()
 	scheds := c.Schedules()
 	retained := sim.CompileSchedules(scheds...)
-	prog := schedule.Compile(scheds...)
+	prog := sim.CompileSchedules(scheds...)
 	for _, free := range []bool{false, true} {
 		opts := sim.Options{FreeDYOnDW: free}
 		pooled := sim.RunSchedules(cfg, opts, scheds...)
@@ -116,7 +116,7 @@ func CheckCompiledEquivalence(c Case) error {
 			return fmt.Errorf("freeDY=%v: retained program %+v != RunSchedules %+v", free, got, pooled)
 		}
 		e := sim.NewCompiledEngine(cfg, opts)
-		e.RunProgram(&prog)
+		e.RunProgram(prog)
 		if got := e.Result(); !reflect.DeepEqual(got, pooled) {
 			return fmt.Errorf("freeDY=%v: bound engine %+v != RunSchedules %+v", free, got, pooled)
 		}

@@ -8,8 +8,7 @@ package schedule
 // These orders complete each output tile only after the full reduction, so
 // they emit exactly the same op multiset as the reduction-inner orders.
 //
-// The loop nests live in the stream generators (stream.go); the functions
-// here materialize them for callers that need a slice.
+// Each order is one walk over the tile grid with one axis chunked.
 
 // clampChunk bounds a chunk size (in tiles) to [1, total].
 func clampChunk(chunk, total int) int {
@@ -30,26 +29,44 @@ func clampChunk(chunk, total int) int {
 // dY is read once per layer, W once per chunk; the live partials are
 // chunkRows x K.
 func PartialStationaryDX(p TileParams, chunkRows int) []Op {
-	return Collect(PartialStationaryDXStream(p, chunkRows), p.OpCount())
+	return walk(p, loopOrder{axN, axM, axK}, axM, chunkRows, &dxGEMM)
 }
 
 // PartialStationaryDXCols generates the dX GEMM with column-chunked
 // partials (chunks over K): W is read once per layer, dY once per chunk;
 // the live partials are M x chunkCols.
 func PartialStationaryDXCols(p TileParams, chunkCols int) []Op {
-	return Collect(PartialStationaryDXColsStream(p, chunkCols), p.OpCount())
+	return walk(p, loopOrder{axN, axK, axM}, axK, chunkCols, &dxGEMM)
 }
 
 // PartialStationaryDW generates the dW GEMM with row-chunked partials
 // (chunks over K): X is read once per layer, dY once per chunk; the live
 // partials are chunkRows x N.
 func PartialStationaryDW(p TileParams, chunkRows int) []Op {
-	return Collect(PartialStationaryDWStream(p, chunkRows), p.OpCount())
+	return walk(p, loopOrder{axM, axK, axN}, axK, chunkRows, &dwGEMM)
 }
 
 // PartialStationaryDWCols generates the dW GEMM with column-chunked
 // partials (chunks over N): dY is read once per layer, X once per chunk;
 // the live partials are K x chunkCols.
 func PartialStationaryDWCols(p TileParams, chunkCols int) []Op {
-	return Collect(PartialStationaryDWColsStream(p, chunkCols), p.OpCount())
+	return walk(p, loopOrder{axM, axN, axK}, axN, chunkCols, &dwGEMM)
+}
+
+// DXMajorOps is the fused Interleaving+dXmajor order (Figure 10b): the
+// row-chunked partial-stationary dX walk, emitting each point's dX op and
+// then its dW op, so each dY tile feeds both gradients back to back and dY
+// is read once. dX completes chunkRows tile-rows at a time; every dW tile
+// stays a partial sum for the whole M sweep.
+func DXMajorOps(p TileParams, chunkRows int) []Op {
+	return walk(p, loopOrder{axN, axM, axK}, axM, chunkRows, &dxGEMM, &dwGEMM)
+}
+
+// DWMajorOps is the fused Interleaving+dWmajor order (Figure 10c): the
+// column-chunked partial-stationary dW walk, emitting each point's dW op
+// and then its dX op, so each dY tile feeds both gradients back to back
+// and dY is read once. dW completes chunkCols tile-columns at a time;
+// every dX tile stays a partial sum for the whole N sweep.
+func DWMajorOps(p TileParams, chunkCols int) []Op {
+	return walk(p, loopOrder{axM, axN, axK}, axN, chunkCols, &dwGEMM, &dxGEMM)
 }

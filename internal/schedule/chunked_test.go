@@ -90,8 +90,8 @@ func TestPartialStationaryChunkExtremes(t *testing.T) {
 		}
 	}
 
-	// Combined dx+dw streams across mismatched chunk sizes must still form
-	// a valid backward pass.
+	// Combined dx+dw streams across mismatched chunk sizes, and the fused
+	// majors, must still form a valid backward pass.
 	for _, chunk := range []int{-1, 0, 1, 2, mt, kt, nt, mt + kt + nt} {
 		for _, combo := range []struct {
 			name string
@@ -100,6 +100,8 @@ func TestPartialStationaryChunkExtremes(t *testing.T) {
 			{"rows", append(PartialStationaryDX(p, chunk), PartialStationaryDW(p, chunk)...)},
 			{"cols", append(PartialStationaryDXCols(p, chunk), PartialStationaryDWCols(p, chunk)...)},
 			{"mixed", append(PartialStationaryDX(p, chunk), PartialStationaryDWCols(p, chunk)...)},
+			{"dx-major", DXMajorOps(p, chunk)},
+			{"dw-major", DWMajorOps(p, chunk)},
 		} {
 			if err := VerifyBackward(p, combo.ops, false); err != nil {
 				t.Errorf("%s chunk %d: %v", combo.name, chunk, err)

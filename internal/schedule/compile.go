@@ -224,7 +224,7 @@ func (c *Compiler) Intern(k TileKey) TileID {
 func (c *Compiler) NumTiles() int { return len(c.keys) }
 
 // Table snapshots the symbol table. Valid for all code compiled so far;
-// take it after the last Compile*/Intern call.
+// take it after the last lowering or Intern call.
 func (c *Compiler) Table() TileTable { return TileTable{Keys: c.keys} }
 
 // DetachTable returns the symbol table and transfers ownership of the key
@@ -295,9 +295,9 @@ func (c *Compiler) Lower(op *Op) CompiledOp {
 }
 
 // LowerBackward appends p's backward ops to dst: its dX ops in
-// BaselineDXStream's MK order, then its dW ops in BaselineDWStream's KN
+// BaselineDXOrdered's MK order, then its dW ops in BaselineDWOrdered's KN
 // order. The code, the TileIDs and the interning order are exactly those
-// of lowering the two streams op by op, but each tile is built and
+// of lowering those ops one by one, but each tile is built and
 // interned once, on its first use, where Lower builds and hashes three
 // tiles per op. Lowering several shapes through one compiler gives a tile
 // they share one ID, as Lower does.
@@ -307,7 +307,7 @@ func (c *Compiler) LowerBackward(dst []CompiledOp, p *TileParams) []CompiledOp {
 	return c.lowerGEMM(dst, &dwGEMM, dwKNOrder)
 }
 
-// LowerForward appends p's forward ops to dst in ForwardStream's order, as
+// LowerForward appends p's forward ops to dst in Forward's order, as
 // LowerBackward does for the backward ones.
 func (c *Compiler) LowerForward(dst []CompiledOp, p *TileParams) []CompiledOp {
 	c.startGrid(p)
@@ -416,17 +416,4 @@ func (c *Compiler) AppendKernel(prog *Program, name string, core int, ops []Op) 
 		prog.Code = append(prog.Code, c.Lower(&ops[i]))
 	}
 	prog.Kernels = append(prog.Kernels, Kernel{Name: name, Start: start, End: len(prog.Code), Core: core})
-}
-
-// Compile lowers a schedule sequence into one program. Each schedule
-// becomes a core-0 kernel (flushed boundary); tile IDs are shared across
-// kernels so a tile's identity is its TileKey across the whole program.
-func Compile(scheds ...Schedule) Program {
-	c := NewCompiler()
-	var prog Program
-	for _, s := range scheds {
-		c.AppendKernel(&prog, s.Name, 0, s.Ops)
-	}
-	prog.Table = c.Table()
-	return prog
 }

@@ -17,6 +17,18 @@ func compileParams() TileParams {
 	}
 }
 
+// compile lowers each schedule into a core-0 kernel of one program through
+// one fresh compiler.
+func compile(scheds ...Schedule) Program {
+	c := NewCompiler()
+	var prog Program
+	for _, s := range scheds {
+		c.AppendKernel(&prog, s.Name, 0, s.Ops)
+	}
+	prog.Table = c.Table()
+	return prog
+}
+
 // TestInternDenseFirstAppearance locks the ID assignment contract: dense,
 // in first-appearance order, stable on re-interning.
 func TestInternDenseFirstAppearance(t *testing.T) {
@@ -67,7 +79,7 @@ func TestInternSurvivesRehash(t *testing.T) {
 // reproduce a fresh compiler's program exactly.
 func TestCompilerReset(t *testing.T) {
 	p := compileParams()
-	want := Compile(BaselineBackward(p))
+	want := compile(BaselineBackward(p))
 
 	c := NewCompiler()
 	// Warm with a different symbol space, then reset.
@@ -135,7 +147,7 @@ func TestCompileKernelBounds(t *testing.T) {
 	p := compileParams()
 	dx := Schedule{Name: "dx", Ops: BaselineDX(p)}
 	dw := Schedule{Name: "dw", Ops: BaselineDW(p)}
-	prog := Compile(dx, dw)
+	prog := compile(dx, dw)
 
 	if prog.Ops() != len(dx.Ops)+len(dw.Ops) {
 		t.Fatalf("Ops = %d, want %d", prog.Ops(), len(dx.Ops)+len(dw.Ops))

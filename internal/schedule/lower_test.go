@@ -8,13 +8,12 @@ import (
 	"igosim/internal/tensor"
 )
 
-// lowerStream is the reference lowering: every op of s through Lower, which
-// builds and interns A, B and Out per op.
-func lowerStream(c *Compiler, dst []CompiledOp, s OpStream) []CompiledOp {
-	s(func(op *Op) bool {
-		dst = append(dst, c.Lower(op))
-		return true
-	})
+// lowerOps is the reference lowering: every op through Lower, which builds
+// and interns A, B and Out per op.
+func lowerOps(c *Compiler, dst []CompiledOp, ops []Op) []CompiledOp {
+	for i := range ops {
+		dst = append(dst, c.Lower(&ops[i]))
+	}
 	return dst
 }
 
@@ -58,20 +57,20 @@ type lowerCase struct {
 	parts []TileParams
 }
 
-// TestLowerMatchesStreams holds LowerBackward and LowerForward to lowering
-// the stream generators op by op through one compiler: the same code, op
+// TestLowerMatchesEmitters holds LowerBackward and LowerForward to lowering
+// the emitters' ops one by one through one compiler: the same code, op
 // for op, and the same symbol table, so every TileID agrees. One pooled
 // compiler lowers every case in turn after a Reset, so per-grid state left
 // from an earlier grid would show.
-func TestLowerMatchesStreams(t *testing.T) {
+func TestLowerMatchesEmitters(t *testing.T) {
 	pooled := NewCompiler()
 	for _, lc := range lowerCases() {
 		name, parts := lc.name, lc.parts
 		ref := NewCompiler()
 		var want []CompiledOp
 		for _, p := range parts {
-			want = lowerStream(ref, want, BaselineDXStream(p, DXOrderMK))
-			want = lowerStream(ref, want, BaselineDWStream(p, DWOrderKN))
+			want = lowerOps(ref, want, BaselineDXOrdered(p, DXOrderMK))
+			want = lowerOps(ref, want, BaselineDWOrdered(p, DWOrderKN))
 		}
 		pooled.Reset()
 		var got []CompiledOp
@@ -83,7 +82,7 @@ func TestLowerMatchesStreams(t *testing.T) {
 		ref = NewCompiler()
 		want = want[:0]
 		for _, p := range parts {
-			want = lowerStream(ref, want, ForwardStream(p))
+			want = lowerOps(ref, want, Forward(p).Ops)
 		}
 		pooled.Reset()
 		got = got[:0]
@@ -107,13 +106,13 @@ func checkLowered(t *testing.T, name string, got, want []CompiledOp, gotTab, wan
 		}
 	}
 	if !reflect.DeepEqual(gotTab.Keys, wantTab.Keys) {
-		t.Errorf("%s: tile table differs from the streams' (%d vs %d keys)", name, gotTab.Len(), wantTab.Len())
+		t.Errorf("%s: tile table differs from the emitters' (%d vs %d keys)", name, gotTab.Len(), wantTab.Len())
 	}
 }
 
 // TestLowerSharesTilesAcrossParts checks that the k-split case does share
 // its dY tiles: the second part's dX ops read dY IDs the first part
-// interned, so TestLowerMatchesStreams covers tiles shared across grids.
+// interned, so TestLowerMatchesEmitters covers tiles shared across grids.
 func TestLowerSharesTilesAcrossParts(t *testing.T) {
 	parts := lowerCases()[5].parts
 	c := NewCompiler()

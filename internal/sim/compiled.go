@@ -12,7 +12,7 @@ import (
 	"igosim/internal/trace"
 )
 
-// Compiled execution (DESIGN.md §3g). schedule.Compile lowers a kernel
+// Compiled execution (DESIGN.md §3g). The schedule compiler lowers a kernel
 // sequence into a dense program — tile keys interned to int32 IDs, byte
 // sizes, classes and protocol flags resolved per op — and CompiledEngine
 // executes it on 1..N cores against array-indexed residency state: an

@@ -46,7 +46,7 @@ func testKernelSets() map[string][]schedule.Schedule {
 			{Name: "dw", Ops: schedule.BaselineDW(p)},
 		},
 		"paired-interleave": {
-			{Name: "fused", Ops: sim.PairedBackward(p)},
+			{Name: "fused", Ops: schedule.DXMajorOps(p, 1)},
 		},
 		"chunked-partials": {
 			{Name: "dx", Ops: schedule.PartialStationaryDX(p, 2)},
@@ -55,7 +55,7 @@ func testKernelSets() map[string][]schedule.Schedule {
 		"edge-tiles": {
 			{Name: "dx", Ops: schedule.PartialStationaryDXCols(pe, 2)},
 			{Name: "dw", Ops: schedule.PartialStationaryDW(pe, 2)},
-			{Name: "fused", Ops: sim.PairedBackward(pe)},
+			{Name: "fused", Ops: schedule.DXMajorOps(pe, 1)},
 		},
 	}
 }
@@ -355,15 +355,15 @@ func TestCompiledEngineReuse(t *testing.T) {
 	small := testKernelSets()["baseline-two-kernels"]
 
 	fresh := sim.NewCompiledEngine(tightCfg(), sim.Options{})
-	progSmall := schedule.Compile(small...)
-	fresh.RunProgram(&progSmall)
+	progSmall := sim.CompileSchedules(small...)
+	fresh.RunProgram(progSmall)
 	want := fresh.Result()
 
 	reused := sim.NewCompiledEngine(burstCfg(), sim.Options{FreeDYOnDW: true})
-	progBig := schedule.Compile(big...)
-	reused.RunProgram(&progBig)
+	progBig := sim.CompileSchedules(big...)
+	reused.RunProgram(progBig)
 	reused.Init(tightCfg(), sim.Options{})
-	reused.RunProgram(&progSmall)
+	reused.RunProgram(progSmall)
 	if got := reused.Result(); !reflect.DeepEqual(got, want) {
 		t.Errorf("reused engine %+v != fresh engine %+v", got, want)
 	}

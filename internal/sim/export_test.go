@@ -5,9 +5,8 @@ import "igosim/internal/schedule"
 // Helpers the external test files (package sim_test) share with the
 // in-package tests.
 var (
-	TestCfg        = testCfg
-	Params         = params
-	PairedBackward = pairedBackward
+	TestCfg = testCfg
+	Params  = params
 )
 
 // The external FuzzResidency drives a residency set through these.

@@ -28,13 +28,6 @@ func (r MultiResult) Seconds(cfg config.NPU) float64 {
 	return float64(r.Cycles) / cfg.FrequencyHz
 }
 
-// RunMulti executes one op stream per core with deliberate shared-SPM
-// placement (the paper's inter-core distribution). See RunMultiPhased for
-// the phase semantics; RunMulti is the single-phase shared case.
-func RunMulti(cfg config.NPU, opts Options, streams [][]schedule.Op) MultiResult {
-	return RunMultiPhased(cfg, opts, [][][]schedule.Op{streams}, true)
-}
-
 // RunMultiPhased executes phases of concurrent per-core op streams on an
 // NPU whose cores share the scratchpad: residency is simulated on the
 // combined SPM over a round-robin merge of each phase's streams, so a tile

@@ -13,7 +13,7 @@ func TestRunMultiMakespanIsMaxCore(t *testing.T) {
 	p := params(tensor.Dims{M: 16, K: 16, N: 16}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
 	long := schedule.BaselineDX(p)
 	short := long[:4]
-	r := RunMulti(cfg, Options{}, [][]schedule.Op{long, short})
+	r := RunMultiPhased(cfg, Options{}, [][][]schedule.Op{{long, short}}, true)
 	if len(r.PerCore) != 2 {
 		t.Fatalf("per-core results: %d", len(r.PerCore))
 	}
@@ -64,7 +64,7 @@ func TestMultiMatchesSingleForOneCore(t *testing.T) {
 	p := params(tensor.Dims{M: 16, K: 16, N: 16}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
 	ops := schedule.BaselineBackward(p).Ops
 	single := RunSchedules(cfg, Options{}, schedule.Schedule{Ops: ops})
-	multi := RunMulti(cfg, Options{}, [][]schedule.Op{ops})
+	multi := RunMultiPhased(cfg, Options{}, [][][]schedule.Op{{ops}}, true)
 	if single.Cycles != multi.Cycles {
 		t.Fatalf("single %d vs multi-1 %d cycles", single.Cycles, multi.Cycles)
 	}
@@ -82,7 +82,7 @@ func TestTooManyStreamsPanics(t *testing.T) {
 			t.Fatal("expected panic for more streams than cores")
 		}
 	}()
-	RunMulti(cfg, Options{}, [][]schedule.Op{ops, ops})
+	RunMultiPhased(cfg, Options{}, [][][]schedule.Op{{ops, ops}}, true)
 }
 
 func TestEmptyPhasesPanics(t *testing.T) {
@@ -99,8 +99,8 @@ func TestMultiDeterminism(t *testing.T) {
 	p := params(tensor.Dims{M: 32, K: 16, N: 16}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
 	ops := schedule.BaselineBackward(p).Ops
 	streams := [][]schedule.Op{ops[:30], ops[30:60], ops[60:90], ops[90:]}
-	a := RunMulti(cfg, Options{}, streams)
-	b := RunMulti(cfg, Options{}, streams)
+	a := RunMultiPhased(cfg, Options{}, [][][]schedule.Op{streams}, true)
+	b := RunMultiPhased(cfg, Options{}, [][][]schedule.Op{streams}, true)
 	if a.Cycles != b.Cycles || a.Traffic != b.Traffic || a.SharedHits != b.SharedHits {
 		t.Fatal("multi-core simulation is not deterministic")
 	}

@@ -23,21 +23,6 @@ func params(d tensor.Dims, tl schedule.Tiling) schedule.TileParams {
 	return schedule.TileParams{Dims: d, Tiling: tl, ElemBytes: 4, Layer: 1}
 }
 
-// pairedBackward builds a dXmajor-style fused stream: each dY tile feeds
-// its dX op and its dW op back to back.
-func pairedBackward(p schedule.TileParams) []schedule.Op {
-	mt, kt, nt := p.Tiling.Counts(p.Dims)
-	var ops []schedule.Op
-	for mo := 0; mo < mt; mo++ {
-		for no := 0; no < nt; no++ {
-			for ko := 0; ko < kt; ko++ {
-				ops = append(ops, p.DXOp(mo, ko, no, nt), p.DWOp(ko, no, mo, mt))
-			}
-		}
-	}
-	return ops
-}
-
 func TestSequentialBaselineReadsDYTwice(t *testing.T) {
 	p := params(tensor.Dims{M: 16, K: 16, N: 16}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
 	dxK := schedule.Schedule{Ops: schedule.BaselineDX(p)}
@@ -55,7 +40,7 @@ func TestPairedInterleaveReadsDYOnce(t *testing.T) {
 	// K is kept small so the carried dW partials fit in the scratchpad —
 	// the regime where the paper's dXmajor order is profitable.
 	p := params(tensor.Dims{M: 32, K: 8, N: 16}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
-	r := RunSchedules(testCfg(), Options{}, schedule.Schedule{Ops: pairedBackward(p)})
+	r := RunSchedules(testCfg(), Options{}, schedule.Schedule{Ops: schedule.DXMajorOps(p, 1)})
 
 	dyBytes := int64(32 * 16 * 4)
 	if r.Traffic.Read[dram.ClassDY] != dyBytes {
@@ -66,7 +51,7 @@ func TestPairedInterleaveReadsDYOnce(t *testing.T) {
 	// NPUs) the single dY pass must beat the flushed sequential baseline.
 	starved := testCfg()
 	starved.DRAMBandwidth = 2e9
-	fused := RunSchedules(starved, Options{}, schedule.Schedule{Ops: pairedBackward(p)})
+	fused := RunSchedules(starved, Options{}, schedule.Schedule{Ops: schedule.DXMajorOps(p, 1)})
 	base := RunSchedules(starved, Options{},
 		schedule.Schedule{Ops: schedule.BaselineDX(p)},
 		schedule.Schedule{Ops: schedule.BaselineDW(p)})
@@ -79,9 +64,9 @@ func TestFlushForcesRefetch(t *testing.T) {
 	p := params(tensor.Dims{M: 8, K: 8, N: 8}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
 	dx := schedule.BaselineDX(p)
 	reads := func(kernels ...schedule.Schedule) int64 {
-		prog := schedule.Compile(kernels...)
+		prog := CompileSchedules(kernels...)
 		e := NewCompiledEngine(testCfg(), Options{})
-		e.RunProgram(&prog)
+		e.RunProgram(prog)
 		return e.Result().Traffic.TotalRead()
 	}
 	once := reads(schedule.Schedule{Ops: dx})
@@ -127,16 +112,7 @@ func TestSpillAccounting(t *testing.T) {
 	cfg.SPMBytes = 1024 // 512 B residency, tiles are 64 B
 	d := tensor.Dims{M: 16, K: 16, N: 16}
 	p := params(d, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
-	mt, kt, nt := p.Tiling.Counts(d)
-	var ops []schedule.Op
-	for no := 0; no < nt; no++ {
-		for mo := 0; mo < mt; mo++ {
-			for ko := 0; ko < kt; ko++ {
-				ops = append(ops, p.DWOp(ko, no, mo, mt), p.DXOp(mo, ko, no, nt))
-			}
-		}
-	}
-	r := RunSchedules(cfg, Options{}, schedule.Schedule{Ops: ops})
+	r := RunSchedules(cfg, Options{}, schedule.Schedule{Ops: schedule.DWMajorOps(p, 1)})
 	if r.Spills == 0 {
 		t.Fatal("expected partial-sum spills on a tiny SPM")
 	}
@@ -173,9 +149,9 @@ func TestBurstLatencyCharged(t *testing.T) {
 
 func TestEngineReset(t *testing.T) {
 	p := params(tensor.Dims{M: 8, K: 8, N: 8}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
-	prog := schedule.Compile(schedule.Schedule{Ops: schedule.BaselineDX(p)})
+	prog := CompileSchedules(schedule.Schedule{Ops: schedule.BaselineDX(p)})
 	e := NewCompiledEngine(testCfg(), Options{})
-	e.RunProgram(&prog)
+	e.RunProgram(prog)
 	e.Reset()
 	r := e.Result()
 	if r != (Result{}) {

@@ -130,7 +130,7 @@ func TestMultiCoreTraceReconciles(t *testing.T) {
 	p := core.LayerParams(tensor.Dims{M: 64, K: 48, N: 32}, 1, cfg)
 	a := core.InterleaveDXMajor(p)
 	sink := trace.New()
-	mr := sim.RunMulti(cfg, sim.Options{Trace: sink, TraceLabel: "mc"}, [][]schedule.Op{a.Ops, a.Ops})
+	mr := sim.RunMultiPhased(cfg, sim.Options{Trace: sink, TraceLabel: "mc"}, [][][]schedule.Op{{a.Ops, a.Ops}}, true)
 	if err := sink.Check(); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestSummarySinkMatchesFull(t *testing.T) {
 			sim.RunSchedules(cfg, sim.Options{Trace: s, TraceLabel: sched.Name}, sched)
 		}
 		a := core.InterleaveDXMajor(p)
-		sim.RunMulti(multi, sim.Options{Trace: s, TraceLabel: "mc"}, [][]schedule.Op{a.Ops, a.Ops})
+		sim.RunMultiPhased(multi, sim.Options{Trace: s, TraceLabel: "mc"}, [][][]schedule.Op{{a.Ops, a.Ops}}, true)
 	}
 	full, summary := trace.New(), trace.NewSummary()
 	run(full)
