@@ -40,10 +40,13 @@ bench-json:
 	$(GO) run ./cmd/benchjson -benchtime $(BENCHTIME) -o BENCH_compiled.json -sweep-o BENCH_sweep.json -serve-o BENCH_serve.json
 
 # Observability gate: the disabled trace path must not allocate or change
-# results, and the Chrome-trace export must match the goldens byte for byte
-# (regenerate with `go test ./internal/trace/ -run Golden -update`).
+# results, the Chrome-trace export must match the goldens byte for byte
+# (regenerate with `go test ./internal/trace/ -run Golden -update`), and
+# reports served by the summary-trace memo must equal a full sink's,
+# whichever runs warmed the memo.
 trace-check:
 	$(GO) test ./internal/trace/ -run 'TestDisabledPathZeroAllocs|TestTracingDoesNotChangeResults|TestGoldenTraceJSON' -count=1
+	$(GO) test ./internal/core/ -run 'TestSummaryMemoReportsMatchFull|TestSummaryMemoKeysSeparateRuns' -count=1
 
 # Project-specific static analysis (see DESIGN.md §3e, §3j): determinism
 # and zero-overhead invariants checked at compile time by cmd/igolint,

@@ -105,6 +105,7 @@ func LayerMemoStats() stats.CacheSnapshot { return layerMemo.Stats() }
 // unaffected (cached and recomputed values are identical).
 func ResetCaches() {
 	layerMemo.Reset()
+	summaryMemo.Reset()
 	ordersCache.Reset()
 	ilvCache.Reset()
 	reCache.Reset()

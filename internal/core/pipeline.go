@@ -135,9 +135,11 @@ func RearrangedWithOrder(cfg config.NPU, p schedule.TileParams, o Order) (schedu
 // with 2 and 4 partitions, and the fastest wins, ties going to the earlier
 // candidate. The candidates are independent simulations and run through
 // runner.Map (in order, inline, when traced: a traced run's tracks are
-// numbered as they open). (The KNN-driven selection the paper evaluates in
-// Section 5 lives in SelectSchemeKNN; Figure 12 uses the empirically best
-// plan.)
+// numbered as they open). A run traced into a summary sink traces every
+// candidate too, but each candidate plan simulates only the first time:
+// later runs append its folded tracks from the summary memo. (The
+// KNN-driven selection the paper evaluates in Section 5 lives in
+// SelectSchemeKNN; Figure 12 uses the empirically best plan.)
 func RunBackward(cfg config.NPU, opts sim.Options, p schedule.TileParams, pol Policy, skipDX bool) LayerOutcome {
 	if pol != PolPartition || skipDX {
 		out := runPlan(cfg, opts, p, PartitionLayer(p, NoPartition, 1), pol, skipDX, false, false)
@@ -182,6 +184,8 @@ type planCandidate struct {
 // mapCandidates simulates a partition search's candidates through
 // runner.Map, or in order on the caller when opts traces: trace tracks are
 // numbered in the order they open, which must not depend on scheduling.
+// Summary-traced candidates served by the summary memo append their
+// stored tracks in that same order.
 func mapCandidates(opts sim.Options, cands []planCandidate, run func(planCandidate) planCandidate) []planCandidate {
 	if opts.Trace == nil {
 		return runner.Map(cands, run)

@@ -35,7 +35,8 @@ import (
 // are identical to a per-layer simulation. Traced runs bypass the keys
 // because a resolved trace keeps per-op transfer totals, not the event
 // stream and reuse distances a trace sink needs: only the engine can
-// serve them.
+// serve them. Runs into a summary sink, which keeps only folded metrics,
+// have their own memo keyed by the same plan key (summarymemo.go).
 //
 // Single-core plans keep their old cache names in stats.CacheReport as
 // censuses of lookups (runner.Census): Entries counts the distinct keys,
@@ -119,16 +120,20 @@ func runForwardPlan(cfg config.NPU, opts sim.Options, p schedule.TileParams, pla
 
 // runKeyedPlan runs the program build returns for a plan of p. Untraced
 // runs of layers within panelOpBudget go through the trace keyed by k,
-// completed with the normalized parent; the rest pass no key, so they
-// build and execute the program one-shot. Single-core programs run through
-// sim.RunFamily and record the lookup in the whole-layer or partitioned
-// census; multi-core ones run through sim.RunMultiKeyed and record in
-// neither.
+// completed with the normalized parent, and runs traced into a summary
+// sink through the summary memo under the same key; the rest pass no
+// key, so they build and execute the program one-shot. Single-core
+// programs run through sim.RunFamily and record the lookup in the
+// whole-layer or partitioned census; multi-core ones run through
+// sim.RunMultiKeyed and record in neither.
 func runKeyedPlan(cfg config.NPU, opts sim.Options, p schedule.TileParams, k planKey, multi, shared bool, build func() *schedule.Program) LayerOutcome {
+	k.p = p
+	k.p.Layer, k.p.Part = 0, 0
+	if useSummaryMemo(opts, k) {
+		return memoSummaryRun(cfg, opts, k, multi, shared, build)
+	}
 	var key any
 	if useTraceCache(opts, p) {
-		k.p = p
-		k.p.Layer, k.p.Part = 0, 0
 		if !multi {
 			census := progCensus
 			if k.scheme != NoPartition {
@@ -138,6 +143,13 @@ func runKeyedPlan(cfg config.NPU, opts sim.Options, p schedule.TileParams, k pla
 		}
 		key = k
 	}
+	return runProgram(cfg, opts, key, multi, shared, build)
+}
+
+// runProgram runs the program build returns under key (nil: one-shot),
+// on one core through sim.RunFamily or, when multi, through
+// sim.RunMultiKeyed.
+func runProgram(cfg config.NPU, opts sim.Options, key any, multi, shared bool, build func() *schedule.Program) LayerOutcome {
 	if multi {
 		return outcomeFromMulti(sim.RunMultiKeyed(cfg, opts, key, shared, build))
 	}

@@ -278,7 +278,7 @@ func TestResetEndpoint(t *testing.T) {
 
 // TestServersRegisterOneResultCache builds several servers in one process
 // and checks the stats cache report still lists exactly the process's
-// eleven caches, serve/result once: the benchmark's per-layer probes and
+// twelve caches, serve/result once: the benchmark's per-layer probes and
 // the run manifests key on these names. Counters the unit tests above
 // register for their private caches (serve/test-*) are left out.
 func TestServersRegisterOneResultCache(t *testing.T) {
@@ -289,7 +289,7 @@ func TestServersRegisterOneResultCache(t *testing.T) {
 		"core/baseline-panel", "core/baseline-tune", "core/compiled-prog",
 		"core/interleave-tune", "core/layer-sim", "core/major-panel",
 		"core/merge-panel", "core/order-tune", "core/partitioned-prog",
-		"serve/result", "sim/resolved",
+		"core/summary-trace", "serve/result", "sim/resolved",
 	}
 	var got []string
 	for _, snap := range stats.CacheReport() {

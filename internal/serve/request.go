@@ -370,12 +370,17 @@ func Evaluate(r resolved) *Response {
 }
 
 // traceReport re-runs the model's layers sequentially on a private sink
-// and renders the trace report. The memoized entry points are bypassed on
-// purpose: a memo hit would suppress the engine spans of whatever executed
-// first, making the report depend on cache state. The private sink is
-// never installed process-wide, so the runner contributes no wall-clock
-// task spans and the rendered text is a pure function of the request. The
-// report reads only the folded metrics, so the sink keeps no events.
+// and renders the trace report. The layer-memoized entry points are
+// bypassed on purpose: a layer-memo hit would suppress the engine spans
+// of whatever executed first, making the report depend on cache state.
+// The private sink is never installed process-wide, so the runner
+// contributes no wall-clock task spans and the rendered text is a pure
+// function of the request. The report reads only the folded metrics, so
+// the sink is a summary sink: it keeps no events, and every plan the
+// passes run is served by core's summary-trace memo once it has run —
+// the memo appends the plan's folded tracks exactly as the engine would
+// fold them, keyed by the plan, the hardware fingerprint and placement,
+// so a repeated report costs lookups, not simulations.
 func traceReport(r resolved) string {
 	sink := trace.NewSummary()
 	for _, lp := range core.PlanModel(r.cfg, r.model) {

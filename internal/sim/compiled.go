@@ -283,18 +283,12 @@ func resize[T any](s []T, n int) []T {
 // one per residency set for occupancy: the scratchpad is a separate
 // component the cores share, so its samples get their own track.
 func (e *CompiledEngine) newTracks(opts Options, capacity int64) {
-	label := opts.TraceLabel
+	label := opts.TrackPrefix(e.multi)
 	if !e.multi {
-		if label == "" {
-			label = "engine"
-		}
 		tr := opts.Trace.NewTrack(label)
 		tr.SetCapacity(capacity)
 		e.pipes[0].tr, e.pipes[0].spm = tr, tr
 		return
-	}
-	if label == "" {
-		label = "multicore"
 	}
 	for ci := range e.pipes {
 		e.pipes[ci].tr = opts.Trace.NewTrack(label + "/core" + strconv.Itoa(ci))

@@ -34,6 +34,22 @@ type Options struct {
 	TraceLabel string
 }
 
+// TrackPrefix returns what the name of every trace track a run under o
+// opens begins with: TraceLabel, or when it is empty "engine" for a
+// single-core run and "multicore" for a multi-core one. A single-core
+// run's one track is named the prefix; a multi-core run's are the prefix
+// followed by "/coreN" and "/spm" or "/spmN".
+func (o Options) TrackPrefix(multi bool) string {
+	switch {
+	case o.TraceLabel != "":
+		return o.TraceLabel
+	case multi:
+		return "multicore"
+	default:
+		return "engine"
+	}
+}
+
 // Result aggregates the outcome of simulated tile streams.
 type Result struct {
 	// Cycles is the pipelined makespan.

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -62,6 +63,42 @@ func (h *Histogram) Merge(o *Histogram) {
 	h.n += o.n
 	h.sum += o.sum
 }
+
+// PackedHistogram is a Histogram trimmed to the span of its used buckets,
+// for holding many histograms at rest: a reuse-distance histogram fills a
+// handful of its 64 buckets. Unpack restores the histogram exactly.
+type PackedHistogram struct {
+	counts   []int64 // buckets lo .. lo+len(counts)-1
+	lo       int
+	n, sum   int64
+	min, max int64
+}
+
+// Pack returns h trimmed to the span from its first to its last non-empty
+// bucket.
+func (h *Histogram) Pack() PackedHistogram {
+	lo, hi := 0, len(h.counts)
+	for lo < hi && h.counts[lo] == 0 {
+		lo++
+	}
+	for hi > lo && h.counts[hi-1] == 0 {
+		hi--
+	}
+	return PackedHistogram{
+		counts: slices.Clone(h.counts[lo:hi]), lo: lo,
+		n: h.n, sum: h.sum, min: h.min, max: h.max,
+	}
+}
+
+// Unpack returns the histogram p was packed from.
+func (p *PackedHistogram) Unpack() Histogram {
+	h := Histogram{n: p.n, sum: p.sum, min: p.min, max: p.max}
+	copy(h.counts[p.lo:], p.counts)
+	return h
+}
+
+// Buckets returns the number of buckets p holds.
+func (p *PackedHistogram) Buckets() int { return len(p.counts) }
 
 // Reset returns the histogram to the empty state, as if freshly declared:
 // Count, Sum, Min, Max, Mean and Quantile all report 0 again afterwards.

@@ -150,3 +150,39 @@ func TestHistogramMerge(t *testing.T) {
 		t.Fatalf("merge into empty wrong: %s", empty.String())
 	}
 }
+
+func TestHistogramPackRoundTrip(t *testing.T) {
+	for _, vs := range [][]int64{
+		nil,
+		{0},
+		{-3, 0},
+		{5, 9, 9, 12},
+		{1, 1 << 40, 7},
+		{1<<63 - 1},
+	} {
+		var h Histogram
+		for _, v := range vs {
+			h.Add(v)
+		}
+		p := h.Pack()
+		if got := p.Unpack(); got != h {
+			t.Errorf("%v: unpacked %s, want %s", vs, got.String(), h.String())
+		}
+		used := 0
+		if len(vs) > 0 {
+			first, last := -1, 0
+			for i, c := range h.counts {
+				if c != 0 {
+					if first < 0 {
+						first = i
+					}
+					last = i
+				}
+			}
+			used = last - first + 1
+		}
+		if p.Buckets() != used {
+			t.Errorf("%v: packed %d buckets, want the %d from first to last used", vs, p.Buckets(), used)
+		}
+	}
+}

@@ -73,8 +73,14 @@ func (s *Sink) Metrics() Metrics {
 		m.Spills += t.spills
 		m.SpillBytes += t.spillBytes
 		m.FirstTouches += t.firstTouch
-		for c := range t.reuse {
-			m.Reuse[c].Merge(&t.reuse[c])
+		if t.reuse != nil {
+			for c := range t.reuse {
+				m.Reuse[c].Merge(&t.reuse[c])
+			}
+		}
+		for _, r := range t.packed {
+			h := r.h.Unpack()
+			m.Reuse[r.class].Merge(&h)
 		}
 		if t.occHWM > m.OccHWM {
 			m.OccHWM = t.occHWM

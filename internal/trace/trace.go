@@ -86,6 +86,14 @@ func NewSummary() *Sink {
 // Enabled reports whether the sink collects events.
 func (s *Sink) Enabled() bool { return s != nil }
 
+// Summary reports whether the sink folds metrics only (NewSummary).
+func (s *Sink) Summary() bool {
+	if s == nil {
+		return false
+	}
+	return s.summary
+}
+
 // wallEvent is one wall-clock-domain event on the sink's global track.
 type wallEvent struct {
 	kind    wallKind
@@ -171,7 +179,27 @@ type Track struct {
 
 	events []event
 
-	// Cycle-domain metrics.
+	folded
+	lastOcc int64
+
+	// Reuse-distance bookkeeping: distance = tile accesses between
+	// successive touches of the same tile, per tensor class. A track
+	// records one program, so its tile IDs name tiles: last[id] is one
+	// past the access index of tile id's latest touch (0: not touched
+	// yet), sized by Bind and dropped by Release. Bind allocates the
+	// histograms; a track appended from a record (Sink.Append) has none
+	// and carries the record's packed histograms instead.
+	accIdx int64
+	last   []int64
+	bound  bool
+	reuse  *[dram.NumClasses]stats.Histogram
+	packed []classReuse
+}
+
+// folded holds a track's cycle-domain counters, folded in at emission
+// time: with the reuse histograms, everything Metrics and Check read of a
+// track besides its events.
+type folded struct {
 	cycles      int64 // final compute completion (the track's makespan)
 	computeBusy int64
 	stallDMA    int64
@@ -181,18 +209,7 @@ type Track struct {
 	ops         int64
 	occHWM      int64
 	occCap      int64
-	lastOcc     int64
-
-	// Reuse-distance bookkeeping: distance = tile accesses between
-	// successive touches of the same tile, per tensor class. A track
-	// records one program, so its tile IDs name tiles: last[id] is one
-	// past the access index of tile id's latest touch (0: not touched
-	// yet), sized by Bind and dropped by Release.
-	accIdx     int64
-	last       []int64
-	bound      bool
-	reuse      [dram.NumClasses]stats.Histogram
-	firstTouch int64
+	firstTouch  int64
 }
 
 // classList fixes the tensor-class order of the reuse histograms.
@@ -313,6 +330,7 @@ func (t *Track) Bind(tiles int) {
 	}
 	t.bound = true
 	t.last = make([]int64, tiles)
+	t.reuse = new([dram.NumClasses]stats.Histogram)
 }
 
 // Release drops the reuse bookkeeping once the track's program has run;

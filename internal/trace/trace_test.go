@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"math/rand/v2"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -193,6 +194,54 @@ func TestSummarySinkMatchesFull(t *testing.T) {
 		if ev.Ph != "M" {
 			t.Fatalf("summary sink exported a %q event", ev.Ph)
 		}
+	}
+}
+
+// TestFoldAppendRoundTrip folds a summary sink's tracks and appends them
+// to fresh sinks: under the prefix they were folded with, the metrics and
+// report must equal the original's; under another, only the track names
+// move. Every sink must pass Check.
+func TestFoldAppendRoundTrip(t *testing.T) {
+	cfg := tinyCfg()
+	multi := cfg
+	multi.Cores = 2
+	p := core.LayerParams(tensor.Dims{M: 64, K: 48, N: 32}, 1, cfg)
+	src := trace.NewSummary()
+	dx, dw := core.TunedBaselineKernels(cfg, p)
+	sim.RunSchedules(cfg, sim.Options{Trace: src, TraceLabel: "L/baseline"}, dx, dw)
+	sim.RunSchedules(cfg, sim.Options{Trace: src, TraceLabel: "L/dwmajor"}, core.InterleaveDWMajor(p))
+	a := core.InterleaveDXMajor(p)
+	sim.RunMultiPhased(multi, sim.Options{Trace: src, TraceLabel: "L/mc"}, [][][]schedule.Op{{a.Ops, a.Ops}}, false)
+	want := src.Metrics()
+	if want.Tracks != 6 || want.FirstTouches == 0 {
+		t.Fatalf("source sink: %d tracks, %d first touches", want.Tracks, want.FirstTouches)
+	}
+
+	recs := src.Fold("L")
+	same := trace.NewSummary()
+	same.Append("L", recs)
+	if err := same.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if got := same.Metrics(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("appended metrics diverged:\n got %+v\nwant %+v", got, want)
+	}
+	if got := same.Metrics().Report(); got != want.Report() {
+		t.Fatalf("appended report diverged:\n got %s\nwant %s", got, want.Report())
+	}
+
+	moved := trace.NewSummary()
+	moved.Append("M", recs)
+	moved.Append("M", recs)
+	got := moved.Metrics()
+	if got.Tracks != 2*want.Tracks || got.Cycles != 2*want.Cycles || got.Reuse[0].Count() != 2*want.Reuse[0].Count() {
+		t.Fatalf("twice-appended metrics: %+v", got)
+	}
+	if got.OccTrack != "M"+strings.TrimPrefix(want.OccTrack, "L") {
+		t.Fatalf("occupancy track %q, folded from %q", got.OccTrack, want.OccTrack)
+	}
+	if err := moved.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 
