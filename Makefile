@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json vet fmt-check lint lint-sarif lint-check ci golden trace-check fuzz-short cover sweep-check replay-check perf-check manifest-check serve-check
+.PHONY: build test race bench bench-json vet fmt-check lint lint-sarif lint-check ci golden trace-check fuzz-short cover sweep-check replay-check perf-check manifest-check serve-check loc
 
 build:
 	$(GO) build ./...
@@ -136,3 +136,10 @@ ci: fmt-check vet build race bench perf-check serve-check bench-json trace-check
 # -j 8, warm at -j 1) and demands byte-identical reports. Takes minutes.
 golden:
 	IGOSIM_GOLDEN_ALL=1 $(GO) test -run TestAllByteIdenticalAcrossParallelism -timeout 30m -v ./internal/experiments/
+
+# Non-test Go line counts of the simulator's core packages, the size
+# figure simplicity changes report.
+loc:
+	@for d in schedule core sim trace; do \
+		printf '%-9s %6d\n' "$$d" "$$(cat $$(ls internal/$$d/*.go | grep -v '_test\.go$$') | wc -l)"; \
+	done

@@ -45,7 +45,6 @@ type memoKind uint8
 const (
 	memoForward memoKind = iota
 	memoBackward
-	memoBackwardOrder   // RunBackwardOrder: Interleaved(p, o)
 	memoSelectorBwd     // order-selector study: RearrangedWithOrder(cfg, p, o)
 	memoPartitionScheme // RunPartitionedScheme: one scheme, fixed parts
 )

@@ -84,28 +84,43 @@ type layerPair struct {
 	fwd, bwd LayerOutcome
 }
 
-// RunTraining simulates one training step of the model: the forward pass
-// (always baseline — the techniques only transform the backward pass) and
-// the backward pass under the given policy. Multi-core configurations are
-// handled transparently. Layers are independent simulations, so they fan
-// out over the runner's worker pool; outcomes are folded back in network
-// order, keeping results identical to the sequential walk.
-func RunTraining(cfg config.NPU, opts sim.Options, m workload.Model, pol Policy) ModelRun {
+// runModel simulates one training step of m: each layer's forward pass
+// when fwd (always baseline — the techniques only transform the backward
+// pass), and its backward pass through bwd, which gets the layer's trace
+// options. Layers are independent simulations, so they fan out over the
+// runner's worker pool; outcomes are folded back in network order,
+// keeping results identical to the sequential walk.
+func runModel(cfg config.NPU, opts sim.Options, m workload.Model, pol Policy, fwd bool, bwd func(sim.Options, LayerPlan) LayerOutcome) ModelRun {
 	run := ModelRun{Model: m.Abbr, Config: cfg.Name, Policy: pol}
 	outs := runner.Map(PlanModel(cfg, m), func(lp LayerPlan) layerPair {
-		fwd := RunForwardMulti(cfg, traceOpts(opts, m.Abbr, lp.Layer.Name, "fwd"), lp.Params)
-		fwd.Name = lp.Layer.Name
-		bwd := RunBackwardMulti(cfg, traceOpts(opts, m.Abbr, lp.Layer.Name, "bwd"), lp.Params, pol, lp.Layer.SkipDX)
-		bwd.Name = lp.Layer.Name
-		return layerPair{fwd: fwd, bwd: bwd}
+		var o layerPair
+		if fwd {
+			o.fwd = RunForwardMulti(cfg, traceOpts(opts, m.Abbr, lp.Layer.Name, "fwd"), lp.Params)
+			o.fwd.Name = lp.Layer.Name
+		}
+		o.bwd = bwd(traceOpts(opts, m.Abbr, lp.Layer.Name, "bwd"), lp)
+		o.bwd.Name = lp.Layer.Name
+		return o
 	})
 	for _, o := range outs {
-		run.Fwd = append(run.Fwd, o.fwd)
-		run.FwdCycles += o.fwd.Cycles
+		if fwd {
+			run.Fwd = append(run.Fwd, o.fwd)
+			run.FwdCycles += o.fwd.Cycles
+		}
 		run.Bwd = append(run.Bwd, o.bwd)
 		run.BwdCycles += o.bwd.Cycles
 		run.BwdTraffic.Merge(o.bwd.Traffic)
 	}
+	return run
+}
+
+// RunTraining simulates one training step of the model: the forward pass
+// and the backward pass under the given policy. Multi-core configurations
+// are handled transparently.
+func RunTraining(cfg config.NPU, opts sim.Options, m workload.Model, pol Policy) ModelRun {
+	run := runModel(cfg, opts, m, pol, true, func(o sim.Options, lp LayerPlan) LayerOutcome {
+		return RunBackwardMulti(cfg, o, lp.Params, pol, lp.Layer.SkipDX)
+	})
 	countModelRun(run)
 	return run
 }
@@ -114,17 +129,9 @@ func RunTraining(cfg config.NPU, opts sim.Options, m workload.Model, pol Policy)
 // given policy (used by the Figure 17 GPU study, which measures only the
 // backward pass).
 func RunBackwardOnly(cfg config.NPU, opts sim.Options, m workload.Model, pol Policy) ModelRun {
-	run := ModelRun{Model: m.Abbr, Config: cfg.Name, Policy: pol}
-	outs := runner.Map(PlanModel(cfg, m), func(lp LayerPlan) LayerOutcome {
-		bwd := RunBackwardMulti(cfg, traceOpts(opts, m.Abbr, lp.Layer.Name, "bwd"), lp.Params, pol, lp.Layer.SkipDX)
-		bwd.Name = lp.Layer.Name
-		return bwd
+	run := runModel(cfg, opts, m, pol, false, func(o sim.Options, lp LayerPlan) LayerOutcome {
+		return RunBackwardMulti(cfg, o, lp.Params, pol, lp.Layer.SkipDX)
 	})
-	for _, bwd := range outs {
-		run.Bwd = append(run.Bwd, bwd)
-		run.BwdCycles += bwd.Cycles
-		run.BwdTraffic.Merge(bwd.Traffic)
-	}
 	countModelRun(run)
 	return run
 }

@@ -132,14 +132,12 @@ func RearrangedWithOrder(cfg config.NPU, p schedule.TileParams, o Order) (schedu
 //
 // For PolPartition the partitioning plan is chosen empirically: the
 // rearranged layer is simulated whole and under every scheme of Figure 11
-// with 2 and 4 partitions, and the fastest wins, ties going to the earlier
-// candidate. The candidates are independent simulations and run through
-// runner.Map (in order, inline, when traced: a traced run's tracks are
-// numbered as they open). A run traced into a summary sink traces every
-// candidate too, but each candidate plan simulates only the first time:
-// later runs append its folded tracks from the summary memo. (The
-// KNN-driven selection the paper evaluates in Section 5 lives in
-// SelectSchemeKNN; Figure 12 uses the empirically best plan.)
+// with 2 and 4 partitions, and the fastest wins (searchPlans). A run
+// traced into a summary sink traces every candidate too, but each
+// candidate plan simulates only the first time: later runs append its
+// folded tracks from the summary memo. (The KNN-driven selection the paper
+// evaluates in Section 5 lives in SelectSchemeKNN; Figure 12 uses the
+// empirically best plan.)
 func RunBackward(cfg config.NPU, opts sim.Options, p schedule.TileParams, pol Policy, skipDX bool) LayerOutcome {
 	if pol != PolPartition || skipDX {
 		out := runPlan(cfg, opts, p, PartitionLayer(p, NoPartition, 1), pol, skipDX, false, false)
@@ -153,27 +151,23 @@ func RunBackward(cfg config.NPU, opts sim.Options, p schedule.TileParams, pol Po
 			cands = append(cands, planCandidate{scheme: scheme, parts: parts})
 		}
 	}
-	run := func(c planCandidate) planCandidate {
+	out := searchPlans(opts, cands, func(c planCandidate) (LayerOutcome, bool) {
 		if c.scheme == NoPartition {
-			c.out, c.ok = RunBackward(cfg, opts, p, PolRearrange, skipDX), true
-		} else {
-			c.out, c.ok = runPartitionedSingle(cfg, opts, p, c.scheme, c.parts)
+			return RunBackward(cfg, opts, p, PolRearrange, skipDX), true
 		}
-		return c
-	}
-	best := mapCandidates(opts, cands, run)
-	for _, c := range best[1:] {
-		if c.ok && c.out.Cycles < best[0].out.Cycles {
-			best[0] = c
+		// A plan that degenerates to one partition is not a candidate.
+		plan := PartitionLayer(p, c.scheme, c.parts)
+		if len(plan.Parts) < 2 {
+			return LayerOutcome{}, false
 		}
-	}
-	out := best[0].out
+		return runPlan(cfg, opts, p, plan, PolRearrange, false, false, false), true
+	})
 	out.Policy = PolPartition
 	return out
 }
 
 // planCandidate is one plan of a partition search and, once simulated, its
-// outcome (ok is false for a plan that degenerates to one partition).
+// outcome (ok is false for a plan that is no candidate).
 type planCandidate struct {
 	scheme Scheme
 	parts  int
@@ -181,49 +175,32 @@ type planCandidate struct {
 	ok     bool
 }
 
-// mapCandidates simulates a partition search's candidates through
-// runner.Map, or in order on the caller when opts traces: trace tracks are
-// numbered in the order they open, which must not depend on scheduling.
-// Summary-traced candidates served by the summary memo append their
-// stored tracks in that same order.
-func mapCandidates(opts sim.Options, cands []planCandidate, run func(planCandidate) planCandidate) []planCandidate {
+// searchPlans simulates a partition search's candidates and returns the
+// fastest outcome, ties going to the earlier candidate. The candidates
+// are independent simulations and run through runner.Map, or in order on
+// the caller when opts traces: trace tracks are numbered in the order they
+// open, which must not depend on scheduling. Summary-traced candidates
+// served by the summary memo append their stored tracks in that same
+// order. The first candidate must be ok.
+func searchPlans(opts sim.Options, cands []planCandidate, run func(planCandidate) (LayerOutcome, bool)) LayerOutcome {
+	simulate := func(c planCandidate) planCandidate {
+		c.out, c.ok = run(c)
+		return c
+	}
 	if opts.Trace == nil {
-		return runner.Map(cands, run)
+		cands = runner.Map(cands, simulate)
+	} else {
+		for i, c := range cands {
+			cands[i] = simulate(c)
+		}
 	}
-	for i, c := range cands {
-		cands[i] = run(c)
+	best := cands[0].out
+	for _, c := range cands[1:] {
+		if c.ok && c.out.Cycles < best.Cycles {
+			best = c.out
+		}
 	}
-	return cands
-}
-
-// runPartitionedSingle simulates a partitioned plan on a single core:
-// partitions execute one after another (Section 5: "processed one partition
-// at a time on a single-core NPU over time"), followed by the reduction
-// phases the scheme requires. ok is false when the plan degenerates to a
-// single partition.
-func runPartitionedSingle(cfg config.NPU, opts sim.Options, p schedule.TileParams, scheme Scheme, parts int) (LayerOutcome, bool) {
-	plan := PartitionLayer(p, scheme, parts)
-	if len(plan.Parts) < 2 {
-		return LayerOutcome{}, false
-	}
-	return runPlan(cfg, opts, p, plan, PolRearrange, false, false, false), true
-}
-
-// RunBackwardOrder simulates one layer's backward pass with an explicitly
-// chosen access order (used by the Section 4.3 ideal-vs-Algorithm-1 study):
-// the unchunked Interleaved(p, o). Results are memoized per layer shape.
-func RunBackwardOrder(cfg config.NPU, opts sim.Options, p schedule.TileParams, o Order) LayerOutcome {
-	key := layerKeyFor(cfg, p, memoBackwardOrder, opts)
-	key.order = o
-	return memoLayer(key, opts, func() LayerOutcome {
-		out := outcomeFromResult(sim.ExecuteProgram(cfg, opts, orderProgram(p, o)))
-		out.Dims = p.Dims
-		out.Policy = PolRearrange
-		out.Order = o
-		out.Scheme = NoPartition
-		out.Parts = 1
-		return out
-	})
+	return best
 }
 
 // RunForward simulates one layer's forward pass (always the baseline
@@ -278,17 +255,9 @@ func runBackwardMulti(cfg config.NPU, opts sim.Options, p schedule.TileParams, p
 		for _, scheme := range Schemes() {
 			cands = append(cands, planCandidate{scheme: scheme, parts: cfg.Cores})
 		}
-		best := mapCandidates(opts, cands, func(c planCandidate) planCandidate {
-			plan := PartitionLayer(p, c.scheme, c.parts)
-			c.out = runPlan(cfg, opts, p, plan, PolRearrange, false, true, true)
-			return c
+		out := searchPlans(opts, cands, func(c planCandidate) (LayerOutcome, bool) {
+			return runPlan(cfg, opts, p, PartitionLayer(p, c.scheme, c.parts), PolRearrange, false, true, true), true
 		})
-		for _, c := range best[1:] {
-			if c.out.Cycles < best[0].out.Cycles {
-				best[0] = c
-			}
-		}
-		out := best[0].out
 		out.Policy = PolPartition
 		return out
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"igosim/internal/config"
@@ -217,6 +218,43 @@ func TestRunTrainingSelectorMatchesIdeal(t *testing.T) {
 	rea := RunTraining(cfg, sim.Options{}, ncf, PolRearrange)
 	if ideal.BwdCycles != rea.BwdCycles {
 		t.Fatalf("selector(ideal) %d != PolRearrange %d", ideal.BwdCycles, rea.BwdCycles)
+	}
+}
+
+// TestSelectorRunsMatchEngine holds the selector study's backward runs to
+// their programs executed once on the engine: for each order forced on
+// every layer of NCF, the dW-only first layer included, at two bandwidths
+// so that the second run replays the first's resolved traces, each
+// layer's outcome must equal sim.ExecuteProgram on the same planProgram,
+// bit for bit.
+func TestSelectorRunsMatchEngine(t *testing.T) {
+	ResetCaches()
+	defer ResetCaches()
+	ncf, _ := workload.ByAbbr(workload.ServerSuite(), "ncf")
+	fast := tinyCfg()
+	for i, cfg := range []config.NPU{fast, fast.WithBandwidth(fast.DRAMBandwidth / 2)} {
+		replays := sim.ResolvedPhaseStats().Replays
+		for _, o := range Orders() {
+			run := RunTrainingSelector(cfg, sim.Options{}, ncf, func(config.NPU, schedule.TileParams) Order { return o })
+			for j, lp := range PlanModel(cfg, ncf) {
+				order, v := o, ordersVal{}
+				switch {
+				case lp.Layer.SkipDX:
+					order, v = OnlyInterleave, baselineChoices(cfg, lp.Params)
+				case o == OnlyInterleave:
+					v = interleaveChoices(cfg, lp.Params)
+				}
+				prog := planProgram(cfg, []schedule.TileParams{lp.Params}, PolRearrange, lp.Layer.SkipDX, false, []Order{order}, []ordersVal{v})
+				want := outcomeFromResult(sim.ExecuteProgram(cfg, sim.Options{}, prog))
+				want.Name, want.Dims, want.Policy, want.Order, want.Parts = lp.Layer.Name, lp.Params.Dims, PolRearrange, order, 1
+				if got := run.Bwd[j]; !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %v %s: %+v, want %+v", cfg.Name, o, lp.Layer.Name, got, want)
+				}
+			}
+		}
+		if i == 1 && sim.ResolvedPhaseStats().Replays == replays {
+			t.Fatal("the second bandwidth replayed no resolved trace")
+		}
 	}
 }
 

@@ -41,7 +41,7 @@ const DefaultSchemeK = 3
 func RunPartitionedScheme(cfg config.NPU, opts sim.Options, p schedule.TileParams, scheme Scheme, parts int) LayerOutcome {
 	key := layerKeyFor(cfg, p, memoPartitionScheme, opts)
 	key.scheme, key.parts = scheme, parts
-	return layerMemo.GetOrCompute(key, func() LayerOutcome {
+	return memoLayer(key, opts, func() LayerOutcome {
 		return runPartitionedScheme(cfg, opts, p, scheme, parts)
 	})
 }
@@ -49,16 +49,13 @@ func RunPartitionedScheme(cfg config.NPU, opts sim.Options, p schedule.TileParam
 func runPartitionedScheme(cfg config.NPU, opts sim.Options, p schedule.TileParams, scheme Scheme, parts int) LayerOutcome {
 	plan := PartitionLayer(p, scheme, parts)
 	var out LayerOutcome
-	if cfg.Cores > 1 {
+	switch {
+	case cfg.Cores > 1:
 		out = runPlan(cfg, opts, p, plan, PolRearrange, false, true, true)
-	} else if len(plan.Parts) < 2 {
+	case len(plan.Parts) < 2:
 		out = RunBackward(cfg, opts, p, PolRearrange, false)
-	} else {
-		var ok bool
-		out, ok = runPartitionedSingle(cfg, opts, p, scheme, parts)
-		if !ok {
-			out = RunBackward(cfg, opts, p, PolRearrange, false)
-		}
+	default:
+		out = runPlan(cfg, opts, p, plan, PolRearrange, false, false, false)
 	}
 	out.Scheme = scheme
 	out.Dims = p.Dims

@@ -2,7 +2,6 @@ package core
 
 import (
 	"igosim/internal/config"
-	"igosim/internal/runner"
 	"igosim/internal/schedule"
 	"igosim/internal/sim"
 	"igosim/internal/workload"
@@ -15,62 +14,37 @@ type OrderSelector func(cfg config.NPU, p schedule.TileParams) Order
 
 // RunTrainingSelector simulates one single-core training step with the
 // backward pass rearranged per the given order selector (used by the
-// Section 4.3 Algorithm-1-vs-ideal study). Layers fan out over the runner
-// pool and each (shape, chosen order) simulation is memoized, so the four
-// selector variants of the study mostly re-use each other's results.
+// Section 4.3 Algorithm-1-vs-ideal study). Each (shape, chosen order)
+// simulation is memoized, so the four selector variants of the study
+// mostly re-use each other's results; dW-only layers run as RunTraining's
+// do under PolRearrange. Unlike RunTraining it does not count model runs:
+// core_model_runs_total counts the policy-level training steps that run
+// manifests embed, and a selector variant is not one of them.
 func RunTrainingSelector(cfg config.NPU, opts sim.Options, m workload.Model, sel OrderSelector) ModelRun {
-	run := ModelRun{Model: m.Abbr, Config: cfg.Name, Policy: PolRearrange}
-	outs := runner.Map(PlanModel(cfg, m), func(lp LayerPlan) layerPair {
-		fwd := RunForwardMulti(cfg, traceOpts(opts, m.Abbr, lp.Layer.Name, "fwd"), lp.Params)
-		fwd.Name = lp.Layer.Name
-
-		bopts := traceOpts(opts, m.Abbr, lp.Layer.Name, "bwd")
-		var bwd LayerOutcome
+	return runModel(cfg, opts, m, PolRearrange, true, func(o sim.Options, lp LayerPlan) LayerOutcome {
 		if lp.Layer.SkipDX {
-			bwd = runSelectorDWOnly(cfg, bopts, lp.Params)
-		} else {
-			bwd = runSelectorBackward(cfg, bopts, lp.Params, sel(cfg, lp.Params))
+			return RunBackwardMulti(cfg, o, lp.Params, PolRearrange, true)
 		}
-		bwd.Name = lp.Layer.Name
-		bwd.Dims = lp.Params.Dims
-		bwd.Policy = PolRearrange
-		bwd.Parts = 1
-		return layerPair{fwd: fwd, bwd: bwd}
+		return runSelectorBackward(cfg, o, lp.Params, sel(cfg, lp.Params))
 	})
-	for _, o := range outs {
-		run.Fwd = append(run.Fwd, o.fwd)
-		run.FwdCycles += o.fwd.Cycles
-		run.Bwd = append(run.Bwd, o.bwd)
-		run.BwdCycles += o.bwd.Cycles
-		run.BwdTraffic.Merge(o.bwd.Traffic)
-	}
-	return run
 }
 
-// runSelectorBackward simulates the rearranged backward pass under an
-// explicit order choice, memoized per (shape, order).
+// runSelectorBackward simulates the whole layer's rearranged backward pass
+// under order o, memoized per (shape, order): the plan RunBackward runs
+// under PolRearrange, with o in place of the tuned order.
 func runSelectorBackward(cfg config.NPU, opts sim.Options, p schedule.TileParams, o Order) LayerOutcome {
 	key := layerKeyFor(cfg, p, memoSelectorBwd, opts)
 	key.order = o
 	return memoLayer(key, opts, func() LayerOutcome {
-		var v ordersVal
-		if o != DXMajor && o != DWMajor {
-			o, v = OnlyInterleave, interleaveChoices(cfg, p)
+		k := planKey{pol: PolRearrange}
+		if o == DXMajor || o == DWMajor {
+			k.orders[0] = o
+		} else {
+			k.orders[0], k.tuned[0] = OnlyInterleave, interleaveChoices(cfg, p)
 		}
-		prog := planProgram(cfg, []schedule.TileParams{p}, PolRearrange, false, false, []Order{o}, []ordersVal{v})
-		out := outcomeFromResult(sim.ExecuteProgram(cfg, opts, prog))
-		out.Order = o
+		out := runChosenPlan(cfg, opts, p, PartitionLayer(p, NoPartition, 1), k, false, false)
+		out.Policy = PolRearrange
 		return out
-	})
-}
-
-// runSelectorDWOnly simulates the dW-only first layer, memoized per shape.
-func runSelectorDWOnly(cfg config.NPU, opts sim.Options, p schedule.TileParams) LayerOutcome {
-	key := layerKeyFor(cfg, p, memoSelectorBwd, opts)
-	key.skipDX = true
-	return memoLayer(key, opts, func() LayerOutcome {
-		prog := planProgram(cfg, []schedule.TileParams{p}, PolBaseline, true, false, []Order{OnlyInterleave}, []ordersVal{baselineChoices(cfg, p)})
-		return outcomeFromResult(sim.ExecuteProgram(cfg, opts, prog))
 	})
 }
 

@@ -262,24 +262,3 @@ func fusedSequentialProgram(p schedule.TileParams, v ordersVal) *schedule.Progra
 	endKernel(prog, "fused-sequential", 0, 0)
 	return prog
 }
-
-// orderProgram builds the unchunked rearranged program of order o
-// (Interleaved): the plain fusion, or a major order one tile-row or
-// tile-column at a time.
-func orderProgram(p schedule.TileParams, o Order) *schedule.Program {
-	sc := lowerShapes(p)
-	g := sc.grids[0]
-	prog := sc.program(len(sc.code))
-	switch o {
-	case DXMajor:
-		prog.Order = g.appendDXMajor(prog.Order, 1)
-		endKernel(prog, "interleave+dXmajor", 0, 0)
-	case DWMajor:
-		prog.Order = g.appendDWMajor(prog.Order, 1)
-		endKernel(prog, "interleave+dWmajor", 0, 0)
-	default:
-		prog.Order = g.appendInterleave(prog.Order, ordersVal{dx: dxMK, dw: dwKN, block: 1})
-		endKernel(prog, "interleave", 0, 0)
-	}
-	return prog
-}

@@ -126,8 +126,7 @@ func onePart(p schedule.TileParams, o Order, v ordersVal) ([]schedule.TileParams
 // the schedules the Op emitters produce for it, lowered through one
 // compiler: the tuners' baseline, merge and major family members, the
 // layer programs of every policy (dW-only included, and the rearranged
-// program under each order), the unchunked order programs, the
-// fused-sequential pair, every single-core partitioned plan's program,
+// program under each order), the fused-sequential pair, every single-core partitioned plan's program,
 // every multi-core plan's program against BackwardKernels phase by phase,
 // and the forward programs on one and two cores.
 func TestShapeCodePrograms(t *testing.T) {
@@ -181,7 +180,6 @@ func TestShapeCodePrograms(t *testing.T) {
 			sched, _ := RearrangedWithOrder(cfg, p, o)
 			ps, ords, vals := onePart(p, o, v)
 			check(fmt.Sprintf("rearranged %v", o), planProgram(cfg, ps, PolRearrange, false, false, ords, vals), sched)
-			check(fmt.Sprintf("unchunked %v", o), orderProgram(p, o), Interleaved(p, o))
 		}
 		dxK, dwK := TunedBaselineKernels(cfg, p)
 		check("fused-sequential", fusedSequentialProgram(p, baselineChoices(cfg, p)), ConcatKernels(dxK, dwK))
@@ -270,14 +268,14 @@ func TestTracedRunBackwardMatchesSchedules(t *testing.T) {
 			}
 		}
 	}
-	got := dump(func(opts sim.Options) {
-		if _, ok := runPartitionedSingle(cfg, opts, p, WeightSharing, 4); !ok {
-			t.Fatal("plan degenerated")
-		}
-	})
+	plan := PartitionLayer(p, WeightSharing, 4)
+	if len(plan.Parts) < 2 {
+		t.Fatal("plan degenerated")
+	}
+	got := dump(func(opts sim.Options) { runPlan(cfg, opts, p, plan, PolRearrange, false, false, false) })
 	want := dump(func(opts sim.Options) {
 		var scheds []schedule.Schedule
-		for _, sub := range PartitionLayer(p, WeightSharing, 4).Parts {
+		for _, sub := range plan.Parts {
 			s, _ := RearrangedTuned(cfg, sub)
 			scheds = append(scheds, s)
 		}

@@ -23,8 +23,9 @@ import (
 // (trace.FoldedTrack), so a repeated summary-traced run appends the
 // stored tracks to the caller's sink and returns the outcome without
 // lowering or executing anything: a serve trace report re-runs the same
-// few plans many times. The key leaves out the plan's tuned choices,
-// which the fingerprint and the part shapes determine.
+// few plans many times. The key keeps the parts' access orders, which a
+// selector may force (runChosenPlan), and leaves out the candidate
+// choices, which the fingerprint and the orders determine.
 //
 // Full sinks (trace.New: the CLIs' -trace and -report, the trace goldens)
 // never consult the memo: their event streams exist only if the engine
@@ -36,8 +37,9 @@ import (
 // reuse histogram.
 
 // summaryKey identifies one summary-traced plan run: a planKey's parent
-// (normalized), kind, policy, skipDX and split, the hardware fingerprint,
-// and the options and placement that complete the residency key.
+// (normalized), kind, policy, skipDX, split and orders, the hardware
+// fingerprint, and the options and placement that complete the residency
+// key.
 type summaryKey struct {
 	p             schedule.TileParams
 	fp            config.Fingerprint
@@ -46,6 +48,7 @@ type summaryKey struct {
 	skipDX        bool
 	scheme        Scheme
 	parts         uint8
+	orders        [schedule.MaxPartitions]Order
 	freeDY        bool
 	multi, shared bool
 }
@@ -98,7 +101,7 @@ func useSummaryMemo(opts sim.Options, k planKey) bool {
 func memoSummaryRun(cfg config.NPU, opts sim.Options, k planKey, multi, shared bool, build func() *schedule.Program) LayerOutcome {
 	key := summaryKey{
 		p: k.p, fp: cfg.Fingerprint(), kind: k.kind, pol: k.pol, skipDX: k.skipDX,
-		scheme: k.scheme, parts: uint8(k.parts), freeDY: opts.FreeDYOnDW, multi: multi, shared: shared,
+		scheme: k.scheme, parts: uint8(k.parts), orders: k.orders, freeDY: opts.FreeDYOnDW, multi: multi, shared: shared,
 	}
 	prefix := opts.TrackPrefix(multi)
 	r, ok := summaryMemo.Get(key)

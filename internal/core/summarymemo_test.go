@@ -127,8 +127,9 @@ func TestSummaryMemoReportsMatchFull(t *testing.T) {
 // then reports on another that shares its layer shapes but must not share
 // its plans: the same configuration at half the DRAM bandwidth (stall
 // attribution depends on timing), every layer whole after every layer
-// dW-only, and with dY reads charged after a run with them free. The
-// report must equal a full sink's.
+// dW-only, with dY reads charged after a run with them free, and each
+// layer under an order a selector forces after its tuned run (the
+// selector study's runs). The report must equal a full sink's.
 func TestSummaryMemoKeysSeparateRuns(t *testing.T) {
 	small := config.SmallNPU()
 	slow := small.WithBandwidth(small.DRAMBandwidth / 2)
@@ -142,6 +143,14 @@ func TestSummaryMemoKeysSeparateRuns(t *testing.T) {
 	freeDY := func(cfg config.NPU, sink *trace.Sink, label string, lp LayerPlan, pol Policy) {
 		RunBackward(cfg, sim.Options{Trace: sink, TraceLabel: label, FreeDYOnDW: true}, lp.Params, pol, lp.Layer.SkipDX)
 	}
+	// forced runs each layer's backward pass as the selector study does,
+	// under an order other than the tuned one.
+	forced := func(cfg config.NPU, sink *trace.Sink, label string, lp LayerPlan, _ Policy) {
+		if !lp.Layer.SkipDX {
+			o := (BestOrderSimulated(cfg, lp.Params) + 1) % Order(len(Orders()))
+			runSelectorBackward(cfg, sim.Options{Trace: sink, TraceLabel: label}, lp.Params, o)
+		}
+	}
 	cases := []struct {
 		name      string
 		warm, cfg config.NPU
@@ -153,6 +162,7 @@ func TestSummaryMemoKeysSeparateRuns(t *testing.T) {
 		{"dW-only", small, small, dwOnly(singleCoreLeg), singleCoreLeg, PolBaseline},
 		{"four-core-dW-only", four, four, dwOnly(multiCoreLeg), multiCoreLeg, PolBaseline},
 		{"free-dY", small, small, freeDY, singleCoreLeg, PolRearrange},
+		{"selector-forced", small, small, singleCoreLeg, forced, PolRearrange},
 	}
 	defer ResetCaches()
 	for _, m := range []workload.Model{workload.MobileNet(), workload.NCF()} {

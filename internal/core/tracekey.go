@@ -22,8 +22,9 @@ import (
 //
 // Every backward plan — a whole layer (a one-part plan), a single-core
 // partitioned plan or a multi-core plan — is one program (planProgram),
-// named by one planKey and run through one keyed path (runPlan);
-// runForwardPlan is the forward twin.
+// named by one planKey and run through one keyed path (runPlan, or
+// runChosenPlan for an order a selector forces); runForwardPlan is the
+// forward twin.
 //
 // Soundness: the tuned candidates ARE bandwidth-dependent (the tuner
 // simulates to pick them), so they are resolved first — through their own
@@ -86,20 +87,24 @@ func useTraceCache(opts sim.Options, p schedule.TileParams) bool {
 // pol, dW-only when skipDX: on one core, part after part with the
 // scratchpad flushed between kernels, or when multi one part per core,
 // shared placing every part's tiles in one scratchpad. The parts' tuned
-// choices are resolved first, as the emitters resolve them. The
-// outcome adds the plan's reductions and reports the last part's access
-// order (identical across equal splits).
+// choices are resolved first, as the emitters resolve them.
 func runPlan(cfg config.NPU, opts sim.Options, p schedule.TileParams, plan Plan, pol Policy, skipDX, multi, shared bool) LayerOutcome {
-	n := len(plan.Parts)
-	k := planKey{
-		spm: cfg.SPMBytes, elem: cfg.ElemBytes, kind: memoBackward,
-		pol: pol, skipDX: skipDX, scheme: plan.Scheme, parts: n,
-	}
+	k := planKey{pol: pol, skipDX: skipDX}
 	for i, sub := range plan.Parts {
 		k.orders[i], k.tuned[i] = tunedChoices(cfg, sub, pol, skipDX)
 	}
+	return runChosenPlan(cfg, opts, p, plan, k, multi, shared)
+}
+
+// runChosenPlan runs plan under the policy, dW-only flag and per-part
+// choices k carries (runPlan's tuned ones, or an order a selector forces);
+// it completes the rest of k. The outcome adds the plan's reductions and
+// reports the last part's access order (identical across equal splits).
+func runChosenPlan(cfg config.NPU, opts sim.Options, p schedule.TileParams, plan Plan, k planKey, multi, shared bool) LayerOutcome {
+	n := len(plan.Parts)
+	k.spm, k.elem, k.kind, k.scheme, k.parts = cfg.SPMBytes, cfg.ElemBytes, memoBackward, plan.Scheme, n
 	out := runKeyedPlan(cfg, opts, p, k, multi, shared, func() *schedule.Program {
-		return planProgram(cfg, plan.Parts, pol, skipDX, multi, k.orders[:n], k.tuned[:n])
+		return planProgram(cfg, plan.Parts, k.pol, k.skipDX, multi, k.orders[:n], k.tuned[:n])
 	})
 	out.addReductions(plan.ReduceResults(cfg))
 	out.Dims, out.Order, out.Scheme, out.Parts = p.Dims, k.orders[n-1], plan.Scheme, n

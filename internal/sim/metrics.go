@@ -39,10 +39,20 @@ func countPass(res Result) {
 	mTrafficWrite.Add(res.Traffic.TotalWrite())
 }
 
-// countMulti publishes one completed multi-core pass.
+// countMulti publishes one completed multi-core pass: evictions of the
+// core-0 residency set (the shared set, or core 0's own), the SPM stats a
+// MultiResult reports, and every core's spills.
 func countMulti(res MultiResult) {
 	mPasses.Inc()
 	mPassCycles.Add(res.Cycles)
+	if len(res.PerCore) > 0 {
+		mEvictions.Add(res.PerCore[0].SPM.Evictions)
+	}
+	var spills int64
+	for _, r := range res.PerCore {
+		spills += r.Spills
+	}
+	mSpills.Add(spills)
 	mTrafficRead.Add(res.Traffic.TotalRead())
 	mTrafficWrite.Add(res.Traffic.TotalWrite())
 }

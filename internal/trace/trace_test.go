@@ -310,18 +310,19 @@ func TestTrackBindsOneProgram(t *testing.T) {
 }
 
 // TestMemoHitEmitted verifies that a layer simulation served from the memo
-// cache records a memo-hit wall event instead of engine spans.
+// cache records a memo-hit wall event instead of engine spans, here on the
+// Section 5 scheme study's entry point.
 func TestMemoHitEmitted(t *testing.T) {
 	cfg := tinyCfg()
 	core.ResetCaches()
 	p := core.LayerParams(tensor.Dims{M: 48, K: 32, N: 48}, 7, cfg)
 	sink := trace.New()
 	opts := sim.Options{Trace: sink, TraceLabel: "memo-test"}
-	core.RunBackwardOrder(cfg, opts, p, core.DXMajor) // cold: simulates, no hit
+	core.RunPartitionedScheme(cfg, opts, p, core.IfmapSharing, 2) // cold: simulates, no hit
 	if hits := sink.Metrics().MemoHits; hits != 0 {
 		t.Fatalf("cold run recorded %d memo hits", hits)
 	}
-	core.RunBackwardOrder(cfg, opts, p, core.DXMajor) // warm: served
+	core.RunPartitionedScheme(cfg, opts, p, core.IfmapSharing, 2) // warm: served
 	if hits := sink.Metrics().MemoHits; hits != 1 {
 		t.Fatalf("warm run recorded %d memo hits, want 1", hits)
 	}
