@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json vet fmt-check lint lint-sarif lint-check ci golden trace-check fuzz-short cover sweep-check replay-check perf-check manifest-check serve-check loc
+.PHONY: build test race bench bench-json bench-module vet fmt-check lint lint-sarif lint-check ci golden trace-check fuzz-short cover sweep-check replay-check perf-check manifest-check serve-check loc
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,14 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
+
+# The benchmark harness is its own module (benchmark/go.mod), outside the
+# root module's ./..., and calls into the simulator's internal packages:
+# vet and test it here so an API change that breaks it fails the gate
+# rather than the benchmark pipeline.
+bench-module:
+	$(GO) vet -C benchmark .
+	$(GO) test -C benchmark -count=1 .
 
 # Machine-readable perf trajectory (DESIGN.md §3g): BENCH_compiled.json
 # records ns/op, allocs/op and simulated-DRAM MB/s for the compiled
@@ -130,16 +138,18 @@ cover:
 	$(GO) test -coverprofile=coverage.out -coverpkg=./... ./...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-ci: fmt-check vet build race bench perf-check serve-check bench-json trace-check lint lint-check manifest-check sweep-check replay-check cover fuzz-short
+ci: fmt-check vet build race bench bench-module perf-check serve-check bench-json trace-check lint lint-check manifest-check sweep-check replay-check cover fuzz-short
 
 # Full-suite determinism check: regenerates every figure twice (cold at
 # -j 8, warm at -j 1) and demands byte-identical reports. Takes minutes.
 golden:
 	IGOSIM_GOLDEN_ALL=1 $(GO) test -run TestAllByteIdenticalAcrossParallelism -timeout 30m -v ./internal/experiments/
 
-# Non-test Go line counts of the simulator's core packages, the size
-# figure simplicity changes report.
+# Non-test Go line counts of the simulator's core packages and of the
+# oracle-side packages that drive them, plus their total: the size figure
+# simplicity changes report, net of callers moved between packages.
 loc:
-	@for d in schedule core sim trace; do \
-		printf '%-9s %6d\n' "$$d" "$$(cat $$(ls internal/$$d/*.go | grep -v '_test\.go$$') | wc -l)"; \
-	done
+	@total=0; for d in schedule core sim trace proptest validate refmodel; do \
+		n=$$(cat $$(ls internal/$$d/*.go | grep -v '_test\.go$$') | wc -l); \
+		printf '%-9s %6d\n' "$$d" "$$n"; total=$$((total + n)); \
+	done; printf '%-9s %6d\n' total "$$total"

@@ -96,10 +96,10 @@ func memoLayer(key layerKey, opts sim.Options, compute func() LayerOutcome) Laye
 // LayerMemoStats returns the layer memo cache's hit/miss snapshot.
 func LayerMemoStats() stats.CacheSnapshot { return layerMemo.Stats() }
 
-// ResetCaches drops the layer memo and every schedule-tuning cache,
-// returning the simulator to a cold state, and zeroes the hit/miss counters
-// of every cache registered with the stats registry (including caches owned
-// by other packages, such as the KNN feature cache). Benchmarks and
+// ResetCaches drops the layer and summary memos, every tuning cache and
+// census, and sim's resolved traces, returning the simulator to a cold
+// state, and zeroes the hit/miss counters of every cache registered with
+// the stats registry (serve's result cache included). Benchmarks and
 // determinism tests use it to measure uncached behaviour; results are
 // unaffected (cached and recomputed values are identical).
 func ResetCaches() {

@@ -126,26 +126,30 @@ func outcomeFromCounts(c refmodel.Counts) LayerOutcome {
 	return out
 }
 
-// backward mirrors RunBackward: the policy's kernels (BackwardKernels)
-// replayed whole, and for PolPartition the fastest of the rearranged layer
-// and every partitioned plan (runPartitionedSingle).
+// kernels emits p's kernels under pol, dW-only when skipDX, from the
+// oracle's choices, as BackwardKernels emits the tuned ones, with the
+// access order they report.
+func (o *oracle) kernels(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX bool) ([]schedule.Schedule, Order) {
+	switch {
+	case skipDX:
+		return []schedule.Schedule{{Ops: baselineDWOps(p, o.baseline(cfg, p).dw)}}, OnlyInterleave
+	case pol == PolBaseline:
+		v := o.baseline(cfg, p)
+		return []schedule.Schedule{{Ops: baselineDXOps(p, v.dx)}, {Ops: baselineDWOps(p, v.dw)}}, OnlyInterleave
+	case pol == PolInterleave:
+		return []schedule.Schedule{o.interleaved(cfg, p)}, OnlyInterleave
+	default:
+		s, order := o.rearranged(cfg, p)
+		return []schedule.Schedule{s}, order
+	}
+}
+
+// backward mirrors RunBackward: the policy's kernels replayed whole, and
+// for PolPartition the fastest of the rearranged layer and every
+// partitioned plan (runPartitionedSingle).
 func (o *oracle) backward(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX bool) LayerOutcome {
 	if pol != PolPartition || skipDX {
-		var scheds []schedule.Schedule
-		order := OnlyInterleave
-		switch {
-		case skipDX:
-			scheds = []schedule.Schedule{{Ops: baselineDWOps(p, o.baseline(cfg, p).dw)}}
-		case pol == PolBaseline:
-			v := o.baseline(cfg, p)
-			scheds = []schedule.Schedule{{Ops: baselineDXOps(p, v.dx)}, {Ops: baselineDWOps(p, v.dw)}}
-		case pol == PolInterleave:
-			scheds = []schedule.Schedule{o.interleaved(cfg, p)}
-		default:
-			var s schedule.Schedule
-			s, order = o.rearranged(cfg, p)
-			scheds = []schedule.Schedule{s}
-		}
+		scheds, order := o.kernels(cfg, p, pol, skipDX)
 		out := outcomeFromCounts(oracleCounts(cfg, scheds...))
 		out.Dims, out.Policy, out.Order, out.Scheme, out.Parts = p.Dims, pol, order, NoPartition, 1
 		return out
@@ -172,4 +176,52 @@ func (o *oracle) backward(cfg config.NPU, p schedule.TileParams, pol Policy, ski
 		}
 	}
 	return best
+}
+
+// backwardMulti mirrors runBackwardMulti on a multi-core cfg: dW-only
+// layers and the baseline, interleave and rearrange policies run a
+// weight-sharing data-parallel plan on private buffers, and PolPartition
+// takes the fastest of the three schemes on a shared scratchpad, ties
+// going to the earlier scheme.
+func (o *oracle) backwardMulti(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX bool) LayerOutcome {
+	if skipDX || pol != PolPartition {
+		kpol := pol
+		if skipDX {
+			kpol = PolBaseline
+		}
+		out := o.multiPlan(cfg, p, PartitionLayer(p, WeightSharing, cfg.Cores), kpol, skipDX, false)
+		out.Policy = pol
+		return out
+	}
+	var best LayerOutcome
+	for i, scheme := range Schemes() {
+		cand := o.multiPlan(cfg, p, PartitionLayer(p, scheme, cfg.Cores), PolRearrange, false, true)
+		if i == 0 || cand.Cycles < best.Cycles {
+			best = cand
+		}
+	}
+	best.Policy = PolPartition
+	return best
+}
+
+// multiPlan mirrors runChosenPlan's multi-core run: part i's kernels from
+// the oracle's choices on core i, kernel k of every part as phase k,
+// replayed by refmodel.ReplayMulti, plus the plan's reductions.
+func (o *oracle) multiPlan(cfg config.NPU, p schedule.TileParams, plan Plan, pol Policy, skipDX, shared bool) LayerOutcome {
+	parts := make([][]schedule.Schedule, len(plan.Parts))
+	var order Order
+	for i, sub := range plan.Parts {
+		parts[i], order = o.kernels(cfg, sub, pol, skipDX)
+	}
+	mc := refmodel.ReplayMulti(cfg, refmodel.Options{}, partPhases(parts), shared)
+	out := LayerOutcome{Cycles: mc.Cycles, Traffic: mc.Traffic, SharedHits: mc.SharedHits}
+	for _, c := range mc.PerCore {
+		out.Compute += c.ComputeCycles
+		out.Mem += c.MemCycles
+		out.Spills += c.Spills
+	}
+	out.SPM.Hits, out.SPM.Misses, out.SPM.Evictions = mc.PerCore[0].Hits, mc.PerCore[0].Misses, mc.PerCore[0].Evictions
+	out.addReductions(plan.ReduceResults(cfg))
+	out.Dims, out.Order, out.Scheme, out.Parts = p.Dims, order, plan.Scheme, len(plan.Parts)
+	return out
 }

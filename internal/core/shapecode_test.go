@@ -101,19 +101,27 @@ func sameProgram(got *schedule.Program, want schedule.Program) error {
 	return nil
 }
 
-// phasedProgram lowers per-part kernels through one compiler phase by
-// phase, as the multi-core engine runs them: kernel k of part i becomes
-// phase k's kernel on core i.
-func phasedProgram(parts [][]schedule.Schedule) schedule.Program {
-	c := schedule.NewCompiler()
-	var prog schedule.Program
-	for k := range parts[0] {
+// partPhases transposes per-part kernels into the phases a multi-core
+// plan runs: kernel k of part i is phase k's stream on core i.
+func partPhases(parts [][]schedule.Schedule) [][][]schedule.Op {
+	phases := make([][][]schedule.Op, len(parts[0]))
+	for k := range phases {
+		phases[k] = make([][]schedule.Op, len(parts))
 		for i, kernels := range parts {
-			c.AppendKernel(&prog, kernels[k].Name, i, kernels[k].Ops)
+			phases[k][i] = kernels[k].Ops
 		}
 	}
-	prog.Table = c.Table()
-	return prog
+	return phases
+}
+
+// multiProgram lowers per-part kernels phase by phase (partPhases) with
+// sim.CompilePhases and names each kernel after its schedule.
+func multiProgram(parts [][]schedule.Schedule) schedule.Program {
+	prog := sim.CompilePhases(partPhases(parts))
+	for j := range prog.Kernels {
+		prog.Kernels[j].Name = parts[j%len(parts)][j/len(parts)].Name
+	}
+	return *prog
 }
 
 // onePart wraps a whole layer's parameters and tuned choices as the
@@ -209,7 +217,7 @@ func TestShapeCodePrograms(t *testing.T) {
 				parts[i].DWPartial = false
 				kernels[i] = []schedule.Schedule{schedule.Forward(parts[i])}
 			}
-			if err := sameProgram(forwardProgram(parts, cores > 1), phasedProgram(kernels)); err != nil {
+			if err := sameProgram(forwardProgram(parts, cores > 1), multiProgram(kernels)); err != nil {
 				t.Errorf("%v forward on %d cores: %v", p.Dims, cores, err)
 			}
 		}
@@ -231,7 +239,7 @@ func multiPlans(t *testing.T, cfg config.NPU, p schedule.TileParams, plan Plan) 
 				kernels[i], _ = BackwardKernels(cfg, sub, pol, skipDX)
 			}
 			got := planProgram(cfg, plan.Parts, pol, skipDX, true, orders, tuned)
-			if err := sameProgram(got, phasedProgram(kernels)); err != nil {
+			if err := sameProgram(got, multiProgram(kernels)); err != nil {
 				t.Errorf("%v multi-core plan %v x%d %v skipDX=%v: %v", p.Dims, plan.Scheme, len(plan.Parts), pol, skipDX, err)
 			}
 		}

@@ -46,6 +46,54 @@ func TestProgramCacheBitEquivalent(t *testing.T) {
 	}
 }
 
+// TestRunBackwardMultiMatchesOracle holds the programs runBackwardMulti
+// builds to the refmodel oracle at two and four cores: for every policy
+// and dW-only flag, RunBackwardMulti must equal the oracle's mirror
+// (backwardMulti), which emits each part's kernels with the Op emitters
+// from its own tuning, replays them phase by phase through
+// refmodel.ReplayMulti and adds plan.ReduceResults. That covers the
+// weight-sharing data-parallel plans on private buffers (the baseline's
+// two phases, interleave, rearrange and dW-only layers) and the partition
+// policy's search; every scheme of that search on the shared scratchpad
+// is also compared on its own (RunPartitionedScheme).
+func TestRunBackwardMultiMatchesOracle(t *testing.T) {
+	ResetCaches()
+	defer ResetCaches()
+	var sharedHits int64
+	var majors int
+	for _, cores := range []int{2, 4} {
+		cfg := config.SmallNPU().WithCores(cores)
+		o := newOracle()
+		for li, d := range []tensor.Dims{{M: 96, K: 384, N: 160}, {M: 4096, K: 64, N: 64}, {M: 64, K: 64, N: 4096}} {
+			p := LayerParams(d, uint16(li+1), cfg)
+			for _, pol := range Policies() {
+				for _, skipDX := range []bool{false, true} {
+					got := RunBackwardMulti(cfg, sim.Options{}, p, pol, skipDX)
+					if want := o.backwardMulti(cfg, p, pol, skipDX); got != want {
+						t.Errorf("%d cores %v %v skipDX=%v: diverged from the oracle:\n got %+v\nwant %+v",
+							cores, d, pol, skipDX, got, want)
+					}
+					if pol == PolRearrange && !skipDX && got.Order != OnlyInterleave {
+						majors++
+					}
+				}
+			}
+			for _, scheme := range Schemes() {
+				got := RunPartitionedScheme(cfg, sim.Options{}, p, scheme, cores)
+				want := o.multiPlan(cfg, p, PartitionLayer(p, scheme, cores), PolRearrange, false, true)
+				want.Policy = PolPartition
+				if got != want {
+					t.Errorf("%d cores %v %v: diverged from the oracle:\n got %+v\nwant %+v", cores, d, scheme, got, want)
+				}
+				sharedHits += got.SharedHits
+			}
+		}
+	}
+	if sharedHits == 0 || majors == 0 {
+		t.Fatalf("%d shared hits, %d rearranged layers on a major order: the comparison must cover both", sharedHits, majors)
+	}
+}
+
 // TestProgramCacheSharesAcrossTimings proves the point of the keys: two
 // configurations that differ only in DRAM bandwidth (a timing fact the
 // emitted tile streams cannot see) share one layer-program key and its

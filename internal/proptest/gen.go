@@ -311,7 +311,7 @@ func (c Case) MultiConfig() config.NPU {
 }
 
 // MultiPhases materialises the case's multi-core workload, the shape
-// sim.RunMultiPhased executes: the layer partitioned under Scheme into at
+// sim.CompilePhases lowers and refmodel.ReplayMulti replays: the layer partitioned under Scheme into at
 // most Cores parts, each part's variant schedule (kernels concatenated)
 // one core's stream. Phase k gives core i part (i+k) mod n, so a second
 // phase reruns every part on a different core after the phase-boundary

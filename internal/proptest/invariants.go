@@ -77,7 +77,7 @@ func CheckOracle(c Case) error {
 }
 
 // CheckMultiOracle holds the multi-core engine to the oracle: on the case's
-// multi-core workload (MultiPhases), sim.RunMultiPhased must equal
+// multi-core workload (MultiPhases), a one-shot run (runPhases) must equal
 // refmodel.ReplayMulti on every counter — makespan, cross-core hits,
 // aggregate traffic and each core's result — for shared and private
 // scratchpad placement in both dY regimes.
@@ -86,7 +86,7 @@ func CheckMultiOracle(c Case) error {
 	phases := c.MultiPhases()
 	for _, shared := range []bool{true, false} {
 		for _, free := range []bool{false, true} {
-			got := sim.RunMultiPhased(cfg, sim.Options{FreeDYOnDW: free}, phases, shared)
+			got := runPhases(cfg, sim.Options{FreeDYOnDW: free}, phases, shared)
 			want := refmodel.ReplayMulti(cfg, refmodel.Options{FreeDYOnDW: free}, phases, shared)
 			if err := refmodel.CompareMulti(got, want); err != nil {
 				return fmt.Errorf("shared=%v freeDY=%v: %w", shared, free, err)
@@ -94,6 +94,12 @@ func CheckMultiOracle(c Case) error {
 		}
 	}
 	return nil
+}
+
+// runPhases lowers phases with sim.CompilePhases and runs the program
+// once through sim.RunMultiKeyed, without a key.
+func runPhases(cfg config.NPU, opts sim.Options, phases [][][]schedule.Op, shared bool) sim.MultiResult {
+	return sim.RunMultiKeyed(cfg, opts, nil, shared, func() *schedule.Program { return sim.CompilePhases(phases) })
 }
 
 // CheckCompiledEquivalence holds the engine's entry points together and to
@@ -242,31 +248,41 @@ func permuted(prog *schedule.Program) *schedule.Program {
 }
 
 // CheckMultiReplay is the two-phase execution property for multi-core
-// runs: a trace sim.ResolveMulti records at the case's base point must
-// replay at every cost variant to exactly what RunMultiPhased produces
-// there — full MultiResult equality — and agree with the refmodel oracle,
-// for shared and private placement in both dY regimes. This is what lets
-// core replay a multi-core plan's trace across a bandwidth sweep.
+// runs, on the trace cache production uses: the case's program runs
+// through sim.RunMultiKeyed at the base point and every cost variant
+// under a key no other run shares, so the base point resolves the trace
+// and every variant must replay it — building the program once per
+// placement and dY regime — to exactly what a one-shot run produces there
+// (full MultiResult equality), agreeing with the refmodel oracle. This is
+// what lets core replay a multi-core plan's trace across a bandwidth
+// sweep.
 func CheckMultiReplay(c Case) error {
 	base := c.MultiConfig()
 	phases := c.MultiPhases()
+	key := new(byte) // a pointer no other run holds; the cache's reference keeps it unique
+	var builds int
+	build := func() *schedule.Program {
+		builds++
+		return sim.CompilePhases(phases)
+	}
+	points := append([]config.NPU{base}, costVariants(base)...)
 	for _, shared := range []bool{true, false} {
 		for _, free := range []bool{false, true} {
 			opts := sim.Options{FreeDYOnDW: free}
-			_, rt := sim.ResolveMulti(base, opts, phases, shared)
-			if rt == nil {
-				return fmt.Errorf("shared=%v freeDY=%v: resolution yielded no trace", shared, free)
-			}
-			for vi, cfg := range costVariants(base) {
-				replayed := rt.ReplayMulti(cfg)
-				engine := sim.RunMultiPhased(cfg, opts, phases, shared)
+			builds = 0
+			for vi, cfg := range points {
+				replayed := sim.RunMultiKeyed(cfg, opts, key, shared, build)
+				engine := runPhases(cfg, opts, phases, shared)
 				if !reflect.DeepEqual(replayed, engine) {
-					return fmt.Errorf("shared=%v freeDY=%v variant %d: replay %+v != engine %+v", shared, free, vi, replayed, engine)
+					return fmt.Errorf("shared=%v freeDY=%v point %d: replay %+v != engine %+v", shared, free, vi, replayed, engine)
 				}
 				want := refmodel.ReplayMulti(cfg, refmodel.Options{FreeDYOnDW: free}, phases, shared)
 				if err := refmodel.CompareMulti(replayed, want); err != nil {
-					return fmt.Errorf("shared=%v freeDY=%v variant %d: replay vs oracle: %w", shared, free, vi, err)
+					return fmt.Errorf("shared=%v freeDY=%v point %d: replay vs oracle: %w", shared, free, vi, err)
 				}
+			}
+			if builds != 1 {
+				return fmt.Errorf("shared=%v freeDY=%v: %d builds over %d cost points, want 1: the replays missed the trace cache", shared, free, builds, len(points))
 			}
 		}
 	}

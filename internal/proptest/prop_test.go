@@ -160,7 +160,7 @@ func TestGenCaseReachesMultiCoreRegimes(t *testing.T) {
 		c := GenCase(NewSource(uint64(i)))
 		cores[c.Cores]++
 		phases[c.Phases]++
-		r := sim.RunMultiPhased(c.MultiConfig(), sim.Options{}, c.MultiPhases(), true)
+		r := runPhases(c.MultiConfig(), sim.Options{}, c.MultiPhases(), true)
 		if r.SharedHits > 0 {
 			shared++
 		}

@@ -17,8 +17,9 @@
 // Every counter the two produce must agree bit-exactly on every op stream,
 // single-core (ReplaySchedules against sim.RunSchedules) and multi-core
 // with shared or private scratchpad placement (ReplayMulti against
-// sim.RunMultiPhased): internal/proptest asserts this on hundreds of random
-// cases per run, and `validate -refcheck` on every golden workload. The
+// sim.RunMultiKeyed on sim.CompilePhases of the same phases): proptest
+// asserts this on hundreds of random cases per run, and
+// `validate -refcheck` on every golden workload. The
 // implementations are kept structurally different on purpose: the engine
 // threads accounting through an incremental step function, an intrusive-list
 // LRU over interned tile IDs and a per-tile loaded-by table, while the
@@ -239,13 +240,14 @@ type MultiCounts struct {
 }
 
 // ReplayMulti replays phases of concurrent per-core op streams — the
-// oracle twin of sim.RunMultiPhased. Each core owns its pipeline and its
-// per-core slice of DRAM bandwidth. With shared placement one residency set
-// spans the whole scratchpad (TotalSPMBytes/2), so a tile one core placed
-// hits for every other core; with private placement each core owns a set
-// over its own slice (SPMBytes/2). Within a phase the streams are serviced
-// in rotating round-robin order (see roundRobin); between phases every set
-// is flushed while pipeline time carries across.
+// oracle twin of sim.RunMultiKeyed on sim.CompilePhases(phases). Each core
+// owns its pipeline and its per-core slice of DRAM bandwidth. With shared
+// placement one residency set spans the whole scratchpad
+// (TotalSPMBytes/2), so a tile one core placed hits for every other core;
+// with private placement each core owns a set over its own slice
+// (SPMBytes/2). Within a phase the streams are serviced in rotating
+// round-robin order (see roundRobin); between phases every set is flushed
+// while pipeline time carries across.
 func ReplayMulti(cfg config.NPU, opts Options, phases [][][]schedule.Op, shared bool) MultiCounts {
 	m := newMachine(cfg, opts)
 	cores := 0

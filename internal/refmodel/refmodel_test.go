@@ -209,8 +209,14 @@ func multiPhases(p schedule.TileParams, cores int) [][][]schedule.Op {
 	return [][][]schedule.Op{dx[:cores], dw[:cores]}
 }
 
-// TestMultiAgreesWithEngine holds ReplayMulti to sim.RunMultiPhased on
-// every counter: one to three cores, shared and private placement, roomy
+// runPhases runs phases once through sim.RunMultiKeyed, without a key.
+func runPhases(cfg config.NPU, opts sim.Options, phases [][][]schedule.Op, shared bool) sim.MultiResult {
+	return sim.RunMultiKeyed(cfg, opts, nil, shared, func() *schedule.Program { return sim.CompilePhases(phases) })
+}
+
+// TestMultiAgreesWithEngine holds ReplayMulti to a one-shot
+// sim.RunMultiKeyed run of the program sim.CompilePhases lowers on every
+// counter: one to three cores, shared and private placement, roomy
 // and pressure-tight scratchpads, both dY regimes.
 func TestMultiAgreesWithEngine(t *testing.T) {
 	var sharedHits, spills int64
@@ -221,7 +227,7 @@ func TestMultiAgreesWithEngine(t *testing.T) {
 				cfg := testCfg(spm).WithCores(cores)
 				for _, shared := range []bool{true, false} {
 					for _, free := range []bool{false, true} {
-						got := sim.RunMultiPhased(cfg, sim.Options{FreeDYOnDW: free}, multiPhases(p, cores), shared)
+						got := runPhases(cfg, sim.Options{FreeDYOnDW: free}, multiPhases(p, cores), shared)
 						want := ReplayMulti(cfg, Options{FreeDYOnDW: free}, multiPhases(p, cores), shared)
 						if err := CompareMulti(got, want); err != nil {
 							t.Fatalf("%v spm=%d cores=%d shared=%v free=%v: %v", d, spm, cores, shared, free, err)
@@ -270,7 +276,7 @@ func TestMultiSharedHitsHandComputed(t *testing.T) {
 func TestCompareMultiReportsEveryDivergence(t *testing.T) {
 	cfg := testCfg(1024).WithCores(2)
 	p := params(tensor.Dims{M: 16, K: 16, N: 16}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
-	res := sim.RunMultiPhased(cfg, sim.Options{}, multiPhases(p, 2), true)
+	res := runPhases(cfg, sim.Options{}, multiPhases(p, 2), true)
 	want := ReplayMulti(cfg, Options{}, multiPhases(p, 2), true)
 	if err := CompareMulti(res, want); err != nil {
 		t.Fatalf("clean comparison failed: %v", err)

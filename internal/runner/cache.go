@@ -76,9 +76,8 @@ func (c *Cache[K, V]) Put(k K, v V) {
 // a miss. compute runs outside the shard lock, so under a miss race both
 // workers compute; the first to store wins and the loser adopts its value.
 // Every caller therefore sees one canonical value per key at any
-// parallelism — the property identity caches need when the cached value's
-// pointer is itself a cache key (e.g. a *schedule.Program keying the
-// resolved-trace cache).
+// parallelism, even when the value holds pointers whose identity differs
+// between the racing computations.
 func (c *Cache[K, V]) GetOrCompute(k K, compute func() V) V {
 	if v, ok := c.Get(k); ok {
 		return v

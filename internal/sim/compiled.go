@@ -675,15 +675,6 @@ var compiledPool = runner.NewPool(func() *compiledRunner {
 	return &compiledRunner{comp: schedule.NewCompiler()}
 })
 
-// newProgram empties the runner's compiler and program buffers for a
-// program the caller lowers with cr.comp.AppendKernel; the caller sets
-// its table with cr.comp.Table() once done.
-func (cr *compiledRunner) newProgram() *schedule.Program {
-	cr.comp.Reset()
-	cr.prog.Code, cr.prog.Kernels = cr.prog.Code[:0], cr.prog.Kernels[:0]
-	return &cr.prog
-}
-
 // execute runs prog on the runner's engine, set up for cores cores under
 // the given placement (multi selects the multi-core trace layout), and
 // returns its resolved trace when record is set and the run is

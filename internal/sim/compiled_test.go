@@ -156,7 +156,7 @@ func TestCompiledMultiMatchesInterpreter(t *testing.T) {
 	cfg := multiCfg()
 	for _, shared := range []bool{true, false} {
 		for _, free := range []bool{false, true} {
-			got := sim.RunMultiPhased(cfg, sim.Options{FreeDYOnDW: free}, multiPhases(), shared)
+			got := sim.RunPhases(cfg, sim.Options{FreeDYOnDW: free}, multiPhases(), shared)
 			want := refmodel.ReplayMulti(cfg, refmodel.Options{FreeDYOnDW: free}, multiPhases(), shared)
 			if err := refmodel.CompareMulti(got, want); err != nil {
 				t.Errorf("shared=%v freeDY=%v: %v", shared, free, err)
@@ -175,9 +175,9 @@ func TestCompiledMultiMatchesInterpreter(t *testing.T) {
 func TestCompiledMultiTraceParity(t *testing.T) {
 	cfg := multiCfg()
 	for _, shared := range []bool{true, false} {
-		want := sim.RunMultiPhased(cfg, sim.Options{}, multiPhases(), shared)
+		want := sim.RunPhases(cfg, sim.Options{}, multiPhases(), shared)
 		sink := trace.New()
-		got := sim.RunMultiPhased(cfg, sim.Options{Trace: sink, TraceLabel: "mparity"}, multiPhases(), shared)
+		got := sim.RunPhases(cfg, sim.Options{Trace: sink, TraceLabel: "mparity"}, multiPhases(), shared)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("shared=%v: traced %+v != untraced %+v", shared, got, want)
 		}
@@ -190,45 +190,34 @@ func TestCompiledMultiTraceParity(t *testing.T) {
 // raceEnabled reports a -race build (race_test.go).
 var raceEnabled bool
 
-// TestWarmMultiRunAllocs holds a warm multi-core run on the pooled engine
-// to a warm single-core run's allocations plus the returned PerCore slice,
-// in both scratchpad placements: compiler, program buffers, residency
-// sets and per-core pipelines are all reused across calls.
+// TestWarmMultiRunAllocs holds a warm one-shot multi-core run — a nil-key
+// RunMultiKeyed on a retained program — to a warm single-core run's
+// allocations plus the returned PerCore slice, in both scratchpad
+// placements: the engine's residency sets and per-core pipelines are
+// reused across calls, and the one-shot path keeps no result slice.
 func TestWarmMultiRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts need sync.Pool reuse, which the race detector defeats")
 	}
 	cfg := multiCfg()
 	phases := multiPhases()
-	scheds := []schedule.Schedule{{Name: "dx", Ops: phases[0][0]}, {Name: "dw", Ops: phases[1][0]}}
-	sim.RunSchedules(cfg, sim.Options{}, scheds...)
-	single := testing.AllocsPerRun(50, func() { sim.RunSchedules(cfg, sim.Options{}, scheds...) })
+	single := sim.CompileSchedules(schedule.Schedule{Name: "dx", Ops: phases[0][0]}, schedule.Schedule{Name: "dw", Ops: phases[1][0]})
+	sim.ExecuteProgram(cfg, sim.Options{}, single)
+	want := testing.AllocsPerRun(50, func() { sim.ExecuteProgram(cfg, sim.Options{}, single) })
+	prog := sim.CompilePhases(phases)
+	build := func() *schedule.Program { return prog }
 	for _, shared := range []bool{true, false} {
-		sim.RunMultiPhased(cfg, sim.Options{}, phases, shared)
-		multi := testing.AllocsPerRun(50, func() { sim.RunMultiPhased(cfg, sim.Options{}, phases, shared) })
-		if multi > single+1 {
-			t.Errorf("shared=%v: warm RunMultiPhased allocates %v times, want at most %v (RunSchedules' %v plus PerCore)", shared, multi, single+1, single)
+		sim.RunMultiKeyed(cfg, sim.Options{}, nil, shared, build)
+		multi := testing.AllocsPerRun(50, func() { sim.RunMultiKeyed(cfg, sim.Options{}, nil, shared, build) })
+		if multi > want+1 {
+			t.Errorf("shared=%v: warm one-shot RunMultiKeyed allocates %v times, want at most %v (ExecuteProgram's %v plus PerCore)", shared, multi, want+1, want)
 		}
 	}
-}
-
-// phasesProgram lowers phases as RunMultiPhased does: stream i of a phase
-// becomes that phase's kernel on core i.
-func phasesProgram(phases [][][]schedule.Op) *schedule.Program {
-	c := schedule.NewCompiler()
-	prog := &schedule.Program{}
-	for _, streams := range phases {
-		for ci, ops := range streams {
-			c.AppendKernel(prog, "", ci, ops)
-		}
-	}
-	prog.Table = c.Table()
-	return prog
 }
 
 // TestRunMultiKeyedConcurrent drives the value-keyed multi-core trace
 // cache from eight goroutines at once over a bandwidth sweep in both
-// scratchpad placements: every call must return exactly RunMultiPhased's
+// scratchpad placements: every call must return exactly a one-shot run's
 // result for its configuration. Afterwards a resolved key must replay
 // without building, and a disabled cache must build on every call.
 func TestRunMultiKeyedConcurrent(t *testing.T) {
@@ -239,7 +228,7 @@ func TestRunMultiKeyedConcurrent(t *testing.T) {
 	var builds atomic.Int64
 	build := func() *schedule.Program {
 		builds.Add(1)
-		return phasesProgram(multiPhases())
+		return sim.CompilePhases(multiPhases())
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -250,7 +239,7 @@ func TestRunMultiKeyedConcurrent(t *testing.T) {
 				cfg := multiCfg().WithBandwidth(bw)
 				for _, shared := range []bool{true, false} {
 					got := sim.RunMultiKeyed(cfg, sim.Options{}, key, shared, build)
-					if want := sim.RunMultiPhased(cfg, sim.Options{}, multiPhases(), shared); !reflect.DeepEqual(got, want) {
+					if want := sim.RunPhases(cfg, sim.Options{}, multiPhases(), shared); !reflect.DeepEqual(got, want) {
 						t.Errorf("bw=%g shared=%v: keyed %+v != engine %+v", bw, shared, got, want)
 					}
 				}
@@ -290,7 +279,7 @@ func TestRunMultiKeyedTooManyCores(t *testing.T) {
 				}
 			}()
 			sim.RunMultiKeyed(multiCfg(), sim.Options{}, key, true, func() *schedule.Program {
-				return phasesProgram(phases)
+				return sim.CompilePhases(phases)
 			})
 		}()
 	}

@@ -5,8 +5,9 @@ import "igosim/internal/schedule"
 // Helpers the external test files (package sim_test) share with the
 // in-package tests.
 var (
-	TestCfg = testCfg
-	Params  = params
+	TestCfg   = testCfg
+	Params    = params
+	RunPhases = runPhases
 )
 
 // The external FuzzResidency drives a residency set through these.

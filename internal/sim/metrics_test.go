@@ -20,7 +20,7 @@ func TestMultiPassCountsEvictionsAndSpills(t *testing.T) {
 	q.Layer = 2
 	for _, shared := range []bool{false, true} {
 		ev, sp := metrics.Value("sim_spm_evictions_total"), metrics.Value("sim_spill_tiles_total")
-		r := RunMultiPhased(cfg, Options{}, [][][]schedule.Op{{ops, schedule.DXMajorOps(q, 1)}}, shared)
+		r := runPhases(cfg, Options{}, [][][]schedule.Op{{ops, schedule.DXMajorOps(q, 1)}}, shared)
 		wantEv, wantSp := r.PerCore[0].SPM.Evictions, r.PerCore[0].Spills+r.PerCore[1].Spills
 		if wantEv == 0 || r.PerCore[1].Spills == 0 {
 			t.Fatalf("shared=%v: the pass neither evicts nor spills on core 1 (%+v): the check proves nothing", shared, r.PerCore)

@@ -16,7 +16,7 @@ import (
 )
 
 // TestMultiSingleStreamMatchesEngine pins the degenerate multi-core case:
-// one core, one stream through RunMultiPhased must be bit-identical to the
+// one core, one stream through RunMultiKeyed must be bit-identical to the
 // single-core engine on every counter — the round-robin merge, shared
 // residency set and per-core pipe bookkeeping must all collapse to exactly
 // the plain pipeline.
@@ -26,12 +26,12 @@ func TestMultiSingleStreamMatchesEngine(t *testing.T) {
 		cfg := c.Config() // Cores == 1 by construction
 		for _, s := range c.Schedules() {
 			want := sim.RunSchedules(cfg, sim.Options{}, s)
-			got := sim.RunMultiPhased(cfg, sim.Options{}, [][][]schedule.Op{{s.Ops}}, true)
+			got := sim.RunPhases(cfg, sim.Options{}, [][][]schedule.Op{{s.Ops}}, true)
 			if len(got.PerCore) != 1 {
 				t.Fatalf("seed %d: %d per-core results, want 1", seed, len(got.PerCore))
 			}
 			if got.PerCore[0] != want {
-				t.Fatalf("seed %d %s: single-stream RunMultiPhased diverges from engine\n  multi:  %+v\n  engine: %+v",
+				t.Fatalf("seed %d %s: single-stream multi-core run diverges from engine\n  multi:  %+v\n  engine: %+v",
 					seed, s.Name, got.PerCore[0], want)
 			}
 			if got.Cycles != want.Cycles || got.Traffic != want.Traffic {
@@ -115,7 +115,7 @@ func TestUnevenPartitionCoverage(t *testing.T) {
 
 			cfg := config.SmallNPU()
 			cfg.Cores = len(streams)
-			res := sim.RunMultiPhased(cfg, sim.Options{}, [][][]schedule.Op{streams}, true)
+			res := sim.RunPhases(cfg, sim.Options{}, [][][]schedule.Op{streams}, true)
 			var ops int64
 			for _, r := range res.PerCore {
 				ops += r.Ops
@@ -146,7 +146,7 @@ func TestPartitionSpillsAccountedUnderPressure(t *testing.T) {
 	cfg := config.SmallNPU()
 	cfg.Cores = len(streams)
 	cfg.SPMBytes = 1 << 10 // ~0.5 KiB residency half per core: forces spills
-	res := sim.RunMultiPhased(cfg, sim.Options{}, [][][]schedule.Op{streams}, true)
+	res := sim.RunPhases(cfg, sim.Options{}, [][][]schedule.Op{streams}, true)
 
 	var spills int64
 	for _, r := range res.PerCore {

@@ -3,17 +3,24 @@ package sim
 import (
 	"testing"
 
+	"igosim/internal/config"
 	"igosim/internal/dram"
 	"igosim/internal/schedule"
 	"igosim/internal/tensor"
 )
+
+// runPhases runs phases of per-core op streams once through RunMultiKeyed,
+// without a key.
+func runPhases(cfg config.NPU, opts Options, phases [][][]schedule.Op, shared bool) MultiResult {
+	return RunMultiKeyed(cfg, opts, nil, shared, func() *schedule.Program { return CompilePhases(phases) })
+}
 
 func TestRunMultiMakespanIsMaxCore(t *testing.T) {
 	cfg := testCfg().WithCores(2)
 	p := params(tensor.Dims{M: 16, K: 16, N: 16}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
 	long := schedule.BaselineDX(p)
 	short := long[:4]
-	r := RunMultiPhased(cfg, Options{}, [][][]schedule.Op{{long, short}}, true)
+	r := runPhases(cfg, Options{}, [][][]schedule.Op{{long, short}}, true)
 	if len(r.PerCore) != 2 {
 		t.Fatalf("per-core results: %d", len(r.PerCore))
 	}
@@ -29,8 +36,8 @@ func TestSharedSPMDeduplicatesSharedTensor(t *testing.T) {
 	// placement W is fetched once; with private placement twice.
 	p := params(tensor.Dims{M: 8, K: 8, N: 8}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
 	stream := schedule.BaselineDX(p) // reads dY + W
-	shared := RunMultiPhased(cfg, Options{}, [][][]schedule.Op{{stream, stream}}, true)
-	private := RunMultiPhased(cfg, Options{}, [][][]schedule.Op{{stream, stream}}, false)
+	shared := runPhases(cfg, Options{}, [][][]schedule.Op{{stream, stream}}, true)
+	private := runPhases(cfg, Options{}, [][][]schedule.Op{{stream, stream}}, false)
 
 	if shared.Traffic.Read[dram.ClassW] != 8*8*4 {
 		t.Fatalf("shared W reads = %d, want one copy", shared.Traffic.Read[dram.ClassW])
@@ -51,9 +58,9 @@ func TestPhasesFlushSharedBuffer(t *testing.T) {
 	p := params(tensor.Dims{M: 8, K: 8, N: 8}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
 	dx := schedule.BaselineDX(p)
 
-	onePhase := RunMultiPhased(cfg, Options{}, [][][]schedule.Op{{dx}, {dx}}, true)
+	onePhase := runPhases(cfg, Options{}, [][][]schedule.Op{{dx}, {dx}}, true)
 	// Second phase reloads everything after the flush: total reads double.
-	single := RunMultiPhased(cfg, Options{}, [][][]schedule.Op{{dx}}, true)
+	single := runPhases(cfg, Options{}, [][][]schedule.Op{{dx}}, true)
 	if onePhase.Traffic.TotalRead() != 2*single.Traffic.TotalRead() {
 		t.Fatalf("phased reads = %d, want %d", onePhase.Traffic.TotalRead(), 2*single.Traffic.TotalRead())
 	}
@@ -64,7 +71,7 @@ func TestMultiMatchesSingleForOneCore(t *testing.T) {
 	p := params(tensor.Dims{M: 16, K: 16, N: 16}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
 	ops := schedule.BaselineBackward(p).Ops
 	single := RunSchedules(cfg, Options{}, schedule.Schedule{Ops: ops})
-	multi := RunMultiPhased(cfg, Options{}, [][][]schedule.Op{{ops}}, true)
+	multi := runPhases(cfg, Options{}, [][][]schedule.Op{{ops}}, true)
 	if single.Cycles != multi.Cycles {
 		t.Fatalf("single %d vs multi-1 %d cycles", single.Cycles, multi.Cycles)
 	}
@@ -82,7 +89,7 @@ func TestTooManyStreamsPanics(t *testing.T) {
 			t.Fatal("expected panic for more streams than cores")
 		}
 	}()
-	RunMultiPhased(cfg, Options{}, [][][]schedule.Op{{ops, ops}}, true)
+	runPhases(cfg, Options{}, [][][]schedule.Op{{ops, ops}}, true)
 }
 
 func TestEmptyPhasesPanics(t *testing.T) {
@@ -91,7 +98,7 @@ func TestEmptyPhasesPanics(t *testing.T) {
 			t.Fatal("expected panic for zero phases")
 		}
 	}()
-	RunMultiPhased(testCfg(), Options{}, nil, true)
+	runPhases(testCfg(), Options{}, nil, true)
 }
 
 func TestMultiDeterminism(t *testing.T) {
@@ -99,8 +106,8 @@ func TestMultiDeterminism(t *testing.T) {
 	p := params(tensor.Dims{M: 32, K: 16, N: 16}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
 	ops := schedule.BaselineBackward(p).Ops
 	streams := [][]schedule.Op{ops[:30], ops[30:60], ops[60:90], ops[90:]}
-	a := RunMultiPhased(cfg, Options{}, [][][]schedule.Op{streams}, true)
-	b := RunMultiPhased(cfg, Options{}, [][][]schedule.Op{streams}, true)
+	a := runPhases(cfg, Options{}, [][][]schedule.Op{streams}, true)
+	b := runPhases(cfg, Options{}, [][][]schedule.Op{streams}, true)
 	if a.Cycles != b.Cycles || a.Traffic != b.Traffic || a.SharedHits != b.SharedHits {
 		t.Fatal("multi-core simulation is not deterministic")
 	}

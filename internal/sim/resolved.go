@@ -27,13 +27,13 @@ import (
 // The cache is keyed by the caller's value key for what ran, never by a
 // program pointer, so no compiled program outlives its resolution.
 //
-// Multi-core runs share the argument: RunMultiPhased's residency follows a
+// Multi-core runs share the argument: RunMultiKeyed's residency follows a
 // round-robin merge of the core streams that no timing axis can reorder.
-// ResolveProgram and ResolveMulti record through the same engine path, each
-// core at its own offset into one ops slice (its phases concatenated, since
-// pipeline time carries across phase boundaries), and ReplayMulti prices
-// every core with the same recurrence. RunMultiKeyed caches those traces in
-// the same cache, through the same lookup as RunFamily.
+// ResolveProgram and RunMultiKeyed record through the same engine path,
+// each core at its own offset into one ops slice (its phases concatenated,
+// since pipeline time carries across phase boundaries), and replayMulti
+// prices every core with the same recurrence. RunMultiKeyed caches those
+// traces in the same cache, through the same lookup as RunFamily.
 
 // resolvedOp is one op's residency-resolved cost coefficients: the total
 // bytes the DMA stage moves for it (fetches + final write + pressure
@@ -116,10 +116,11 @@ func (t *ResolvedTrace) Replay(cfg config.NPU) Result {
 	return out[0]
 }
 
-// ReplayMulti prices a trace from ResolveMulti under cfg's cost axes and
-// returns the exact MultiResult RunMultiPhased would produce, as long as
-// cfg agrees with the resolution on SPM size and core count.
-func (t *ResolvedTrace) ReplayMulti(cfg config.NPU) MultiResult {
+// replayMulti prices a multi-core trace RunMultiKeyed resolved under
+// cfg's cost axes and returns the exact MultiResult the engine would
+// produce, as long as cfg agrees with the resolution on SPM size and core
+// count.
+func (t *ResolvedTrace) replayMulti(cfg config.NPU) MultiResult {
 	perCore := make([]Result, len(t.cores))
 	t.replay(cfg, perCore)
 	return multiResult(perCore, t.sharedHits)

@@ -126,7 +126,9 @@ func splitStall(chn dram.Channel, stall, memCycles, spillBytes int64, spillBurst
 // schedules are lowered into pooled buffers and run on the compiled engine.
 func RunSchedules(cfg config.NPU, opts Options, scheds ...schedule.Schedule) Result {
 	cr := compiledPool.Get()
-	prog := cr.newProgram()
+	cr.comp.Reset()
+	prog := &cr.prog
+	prog.Code, prog.Kernels = prog.Code[:0], prog.Kernels[:0]
 	for _, s := range scheds {
 		cr.comp.AppendKernel(prog, s.Name, 0, s.Ops)
 	}

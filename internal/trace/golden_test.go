@@ -59,7 +59,7 @@ func TestGoldenTraceJSON(t *testing.T) {
 			name = "multi_shared"
 		}
 		sink := trace.New()
-		res := sim.RunMultiPhased(mcfg, sim.Options{Trace: sink, TraceLabel: "golden/" + name}, goldenMultiPhases(), shared)
+		res := runPhases(mcfg, sim.Options{Trace: sink, TraceLabel: "golden/" + name}, goldenMultiPhases(), shared)
 		if shared && res.SharedHits == 0 {
 			t.Fatalf("%s: golden workload no longer hits across cores", name)
 		}

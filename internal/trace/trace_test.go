@@ -123,6 +123,12 @@ func TestReconciliation(t *testing.T) {
 	}
 }
 
+// runPhases runs phases once through sim.RunMultiKeyed, without a key
+// (traced runs never resolve one).
+func runPhases(cfg config.NPU, opts sim.Options, phases [][][]schedule.Op, shared bool) sim.MultiResult {
+	return sim.RunMultiKeyed(cfg, opts, nil, shared, func() *schedule.Program { return sim.CompilePhases(phases) })
+}
+
 // TestMultiCoreTraceReconciles exercises the shared-SPM multi-core path:
 // per-core tracks plus one scratchpad occupancy track, each reconciling.
 func TestMultiCoreTraceReconciles(t *testing.T) {
@@ -131,7 +137,7 @@ func TestMultiCoreTraceReconciles(t *testing.T) {
 	p := core.LayerParams(tensor.Dims{M: 64, K: 48, N: 32}, 1, cfg)
 	a := core.InterleaveDXMajor(p)
 	sink := trace.New()
-	mr := sim.RunMultiPhased(cfg, sim.Options{Trace: sink, TraceLabel: "mc"}, [][][]schedule.Op{{a.Ops, a.Ops}}, true)
+	mr := runPhases(cfg, sim.Options{Trace: sink, TraceLabel: "mc"}, [][][]schedule.Op{{a.Ops, a.Ops}}, true)
 	if err := sink.Check(); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +170,7 @@ func TestSummarySinkMatchesFull(t *testing.T) {
 			sim.RunSchedules(cfg, sim.Options{Trace: s, TraceLabel: sched.Name}, sched)
 		}
 		a := core.InterleaveDXMajor(p)
-		sim.RunMultiPhased(multi, sim.Options{Trace: s, TraceLabel: "mc"}, [][][]schedule.Op{{a.Ops, a.Ops}}, true)
+		runPhases(multi, sim.Options{Trace: s, TraceLabel: "mc"}, [][][]schedule.Op{{a.Ops, a.Ops}}, true)
 	}
 	full, summary := trace.New(), trace.NewSummary()
 	run(full)
@@ -211,7 +217,7 @@ func TestFoldAppendRoundTrip(t *testing.T) {
 	sim.RunSchedules(cfg, sim.Options{Trace: src, TraceLabel: "L/baseline"}, dx, dw)
 	sim.RunSchedules(cfg, sim.Options{Trace: src, TraceLabel: "L/dwmajor"}, core.InterleaveDWMajor(p))
 	a := core.InterleaveDXMajor(p)
-	sim.RunMultiPhased(multi, sim.Options{Trace: src, TraceLabel: "L/mc"}, [][][]schedule.Op{{a.Ops, a.Ops}}, false)
+	runPhases(multi, sim.Options{Trace: src, TraceLabel: "L/mc"}, [][][]schedule.Op{{a.Ops, a.Ops}}, false)
 	want := src.Metrics()
 	if want.Tracks != 6 || want.FirstTouches == 0 {
 		t.Fatalf("source sink: %d tracks, %d first touches", want.Tracks, want.FirstTouches)

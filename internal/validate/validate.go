@@ -199,7 +199,7 @@ func validateModel(cfg config.NPU, opts Options, m workload.Model) (modelReport,
 			rep.checks++
 			if opts.RefCheck && len(phase) == 2 {
 				phases := [][][]schedule.Op{phase}
-				res := sim.RunMultiPhased(mcfg, sim.Options{}, phases, true)
+				res := sim.RunMultiKeyed(mcfg, sim.Options{}, nil, true, func() *schedule.Program { return sim.CompilePhases(phases) })
 				if opts.CorruptMulti != nil {
 					opts.CorruptMulti(&res)
 				}
