@@ -147,7 +147,8 @@ func writeServe(path string) error {
 
 // writeSweep runs the canonical pruned design-space sweep once and records
 // its throughput and pruned fraction — the numbers BenchmarkSweepPruned
-// reports, tracked across PRs as BENCH_sweep.json.
+// reports — with its resolve/replay split and the bytes its traces pin,
+// tracked across PRs as BENCH_sweep.json.
 //
 //lint:walldomain benchmark wall time is the measurement itself
 func writeSweep(path string) error {
@@ -161,9 +162,9 @@ func writeSweep(path string) error {
 	if wall > 0 {
 		res.PointsPerSec = float64(res.Points) / wall
 	}
-	fmt.Printf("%-28s %6d points %6d simulated %5.1f%% pruned %8.1f points/s  %d resolve %d replay (%.1fx reuse)\n",
+	fmt.Printf("%-28s %6d points %6d simulated %5.1f%% pruned %8.1f points/s  %d resolve %d replay (%.1fx reuse) %d trace bytes\n",
 		"SweepPruned", res.Points, res.Simulated, 100*res.PrunedFrac, res.PointsPerSec,
-		res.Resolutions, res.Replays, res.ReuseRatio)
+		res.Resolutions, res.Replays, res.ReuseRatio, res.TraceBytes)
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		return err

@@ -37,11 +37,13 @@ func Analyze(cfg Config, l Layer) LayerAnalytic {
 func Variants() []Model { return workload.Variants() }
 
 // SelfCheck runs a small deterministic slice of the simulator's property
-// suite — the single- and multi-core differential-oracle, conservation,
-// cycle-envelope and partition invariants over generated cases — and
-// returns the first violation, or nil. It is an embedding sanity check: a library user (or a
-// CI job without the repository's test files) can prove the simulator
-// behaves on their platform in about a second.
+// suite — the single-core differential oracle, the multi-core replay
+// property (which holds both the one-shot and the replayed multi-core run
+// to the oracle), conservation, cycle-envelope and partition invariants
+// over generated cases — and returns the first violation, or nil. It is
+// an embedding sanity check: a library user (or a CI job without the
+// repository's test files) can prove the simulator behaves on their
+// platform in about a second.
 func SelfCheck() error {
 	const casesPerInvariant = 25
 	for _, inv := range proptest.Invariants() {

@@ -71,7 +71,10 @@ func rootN(x float64, n int) float64 {
 // exactly. Replays counts replay events, which can lose a few to
 // miss races under -j (two workers resolving one key), so it is gated as
 // wall. ReuseRatio is replays per resolution — the factor the residency
-// cache saves on the grid.
+// cache saves on the grid. TraceBytes is what the resident traces pin at
+// the end of the sweep, as the cache's byte budget weighs them
+// (sim.ResolvedCacheBytes): the grid's traces all fit, so it is the sum
+// over the census and gated exactly.
 type SweepResult struct {
 	Points       int     `json:"points"`
 	Simulated    int     `json:"simulated"`
@@ -82,6 +85,7 @@ type SweepResult struct {
 	Resolutions  int64   `json:"resolutions"`
 	Replays      int64   `json:"replays"`
 	ReuseRatio   float64 `json:"reuse_ratio"`
+	TraceBytes   int64   `json:"trace_bytes"`
 }
 
 // RunSweep executes the canonical sweep once with pruning at the default
@@ -104,6 +108,7 @@ func RunSweep(wallSeconds float64) (SweepResult, error) {
 		FrontierSize: len(res.Frontier),
 		Resolutions:  sim.ResolvedCacheStats().Entries,
 		Replays:      after.Replays - before.Replays,
+		TraceBytes:   int64(sim.ResolvedCacheBytes()),
 	}
 	if out.Resolutions > 0 {
 		out.ReuseRatio = float64(out.Replays) / float64(out.Resolutions)

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
 	"igosim/internal/config"
 	"igosim/internal/runner"
+	"igosim/internal/schedule"
 	"igosim/internal/sim"
 	"igosim/internal/workload"
 )
@@ -133,4 +135,73 @@ func TestLayerMemoHitRate(t *testing.T) {
 			100*snap.HitRate(), snap.Hits, snap.Lookups())
 	}
 	t.Logf("layer memo on ResNet: %s", snap)
+}
+
+// TestOpTablesRecycleConcurrently runs every layer of a model, whole on
+// one core and data-parallel on two, under three policies and two
+// bandwidths, from 4 goroutines at once against cold caches and with the
+// trace cache disabled, so that every run and every tuner family lowers
+// its program and hands its op table back to opTables. The goroutines walk
+// the runs from different starting points, so a table one shape recycles
+// is redrawn, stale, by another shape's lowering on another goroutine.
+// Every outcome must equal a sequential run's. Run with -race: a table
+// recycled while a run still reads it is a data race.
+func TestOpTablesRecycleConcurrently(t *testing.T) {
+	base := config.SmallNPU()
+	m := workload.MobileNet()
+	type job struct {
+		cfg   config.NPU
+		p     schedule.TileParams
+		pol   Policy
+		multi bool
+	}
+	var jobs []job
+	for _, bw := range []float64{8e9, 64e9} {
+		cfg := base
+		cfg.DRAMBandwidth = bw
+		for _, lp := range PlanModel(base, m) {
+			for _, pol := range []Policy{PolBaseline, PolInterleave, PolRearrange} {
+				jobs = append(jobs, job{cfg, lp.Params, pol, false}, job{cfg.WithCores(2), lp.Params, pol, true})
+			}
+		}
+	}
+	run := func(j job) LayerOutcome {
+		if j.multi {
+			return runPlan(j.cfg, sim.Options{}, j.p, PartitionLayer(j.p, WeightSharing, 2), j.pol, false, true, false)
+		}
+		return runPlan(j.cfg, sim.Options{}, j.p, PartitionLayer(j.p, NoPartition, 1), j.pol, false, false, false)
+	}
+	prevBytes := sim.SetResidencyCacheBytes(0)
+	defer sim.SetResidencyCacheBytes(prevBytes)
+	defer ResetCaches()
+
+	ResetCaches()
+	ref := make([]LayerOutcome, len(jobs))
+	for i, j := range jobs {
+		ref[i] = run(j)
+	}
+
+	ResetCaches()
+	const goroutines = 4
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	errs := make([]string, goroutines)
+	for g := range goroutines {
+		go func() {
+			defer wg.Done()
+			for n := range jobs {
+				i := (n + g*len(jobs)/goroutines) % len(jobs)
+				if got := run(jobs[i]); !reflect.DeepEqual(got, ref[i]) {
+					errs[g] = fmt.Sprintf("goroutine %d run %d: %+v, want %+v", g, i, got, ref[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, e := range errs {
+		if e != "" {
+			t.Fatal(e)
+		}
+	}
 }

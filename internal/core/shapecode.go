@@ -41,6 +41,37 @@ type grid struct {
 // table is detached, so the code stays valid after the compiler's reuse.
 var shapeCompilers = runner.NewPool(schedule.NewCompiler)
 
+// opTables recycles the op tables of finished programs. sim.RunFamily and
+// sim.RunMultiKeyed keep only resolved traces, so once runProgram or
+// tunerFamily returns nothing references its program's table, and the
+// next lowering draws it from here instead of allocating 56 B per op.
+var opTables = runner.NewPool(func() []schedule.CompiledOp { return nil })
+
+// maxPooledOps bounds the tables opTables keeps: the keyed plans and
+// families stay within it, while the one-shot programs of oversized
+// layers, rare and megabytes each, are left to the collector.
+const maxPooledOps = 2 * panelOpBudget
+
+// opTable returns an empty op table with room for n ops, recycled when a
+// pooled one is large enough.
+func opTable(n int) []schedule.CompiledOp {
+	if n > maxPooledOps {
+		return make([]schedule.CompiledOp, 0, n)
+	}
+	if code := opTables.Get(); cap(code) >= n {
+		return code[:0]
+	}
+	return make([]schedule.CompiledOp, 0, n)
+}
+
+// recycle hands the op table of prog, a finished program no one else
+// references, back to opTables. A nil prog (nothing was built) is a no-op.
+func recycle(prog *schedule.Program) {
+	if prog != nil && cap(prog.Code) <= maxPooledOps {
+		opTables.Put(prog.Code[:0])
+	}
+}
+
 // lowerShapes lowers the backward ops of ps, one shape after another, into
 // one table.
 func lowerShapes(ps ...schedule.TileParams) *shapeCode {
@@ -50,7 +81,7 @@ func lowerShapes(ps ...schedule.TileParams) *shapeCode {
 	}
 	c := shapeCompilers.Get()
 	c.Reset()
-	sc := &shapeCode{code: make([]schedule.CompiledOp, 0, n), grids: make([]grid, len(ps))}
+	sc := &shapeCode{code: opTable(n), grids: make([]grid, len(ps))}
 	for i := range ps {
 		p, g := &ps[i], &sc.grids[i]
 		g.mt, g.kt, g.nt = p.Tiling.Counts(p.Dims)
@@ -235,7 +266,7 @@ func forwardProgram(parts []schedule.TileParams, multi bool) *schedule.Program {
 	for _, p := range parts {
 		n += p.OpCount()
 	}
-	prog := &schedule.Program{Code: make([]schedule.CompiledOp, 0, n), Kernels: make([]schedule.Kernel, 0, len(parts))}
+	prog := &schedule.Program{Code: opTable(n), Kernels: make([]schedule.Kernel, 0, len(parts))}
 	c := shapeCompilers.Get()
 	c.Reset()
 	for i := range parts {

@@ -153,14 +153,23 @@ func runKeyedPlan(cfg config.NPU, opts sim.Options, p schedule.TileParams, k pla
 
 // runProgram runs the program build returns under key (nil: one-shot),
 // on one core through sim.RunFamily or, when multi, through
-// sim.RunMultiKeyed.
+// sim.RunMultiKeyed, then recycles the program's op table if it built one.
 func runProgram(cfg config.NPU, opts sim.Options, key any, multi, shared bool, build func() *schedule.Program) LayerOutcome {
-	if multi {
-		return outcomeFromMulti(sim.RunMultiKeyed(cfg, opts, key, shared, build))
+	var prog *schedule.Program
+	built := func() *schedule.Program {
+		prog = build()
+		return prog
 	}
-	return outcomeFromResult(sim.RunFamily(cfg, opts, key, 1, func(int) *schedule.Program {
-		return build()
-	}).Result(0))
+	var out LayerOutcome
+	if multi {
+		out = outcomeFromMulti(sim.RunMultiKeyed(cfg, opts, key, shared, built))
+	} else {
+		out = outcomeFromResult(sim.RunFamily(cfg, opts, key, 1, func(int) *schedule.Program {
+			return built()
+		}).Result(0))
+	}
+	recycle(prog)
+	return out
 }
 
 // tunedChoices resolves the tuned choices that shape p's backward stream
@@ -234,6 +243,7 @@ const panelOpBudget = 1 << 13
 
 // tunerFamily runs one shape's candidate family under single, whose n
 // members member builds, keyed within panelOpBudget and one-shot above it.
+// The members share one op table (familyMembers), recycled at the end.
 func tunerFamily(single config.NPU, np schedule.TileParams, fam family, n int, member func(i int) *schedule.Program) sim.Family {
 	var key any
 	if np.OpCount() <= panelOpBudget {
@@ -241,7 +251,13 @@ func tunerFamily(single config.NPU, np schedule.TileParams, fam family, n int, m
 		panelCensus[fam].Lookup(k)
 		key = k
 	}
-	return sim.RunFamily(single, sim.Options{}, key, n, member)
+	var last *schedule.Program
+	f := sim.RunFamily(single, sim.Options{}, key, n, func(i int) *schedule.Program {
+		last = member(i)
+		return last
+	})
+	recycle(last)
+	return f
 }
 
 // baselineFamily runs the baseline tuner's isolated candidates, members

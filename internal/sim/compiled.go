@@ -186,8 +186,8 @@ type CompiledEngine struct {
 	comp      []int64 // per-op systolic cycles, precomputed at Bind
 	prog      *schedule.Program
 
-	// Trace recording (resolved.go): while rec is recording, step captures
-	// each op's resolved transfer totals and tile-dimension index.
+	// Trace recording (resolved.go): while rec is on, step codes each op's
+	// resolved transfer totals and tile-dimension index.
 	rec recorder
 
 	sharedHits int64
@@ -210,7 +210,7 @@ type corePipe struct {
 
 	next, end  int   // round-robin cursor in the current phase
 	phaseStart int64 // compDone when the current phase began (traced runs)
-	recAt      int   // next slot of the recorded trace's ops
+	recAt      int   // next slot of the recorded trace's codes
 	_          cacheLine
 }
 
@@ -264,7 +264,7 @@ func (e *CompiledEngine) setup(cfg config.NPU, opts Options, cores int, shared, 
 		e.newTracks(opts, capacity)
 	}
 	e.prog = nil
-	e.rec = recorder{}
+	e.rec.stop()
 	e.sharedHits = 0
 }
 
@@ -608,7 +608,7 @@ func (e *CompiledEngine) step(p *corePipe, op *schedule.CompiledOp, compCycles i
 
 	memCycles := e.chn.TransferCycles(fetchBytes+writeBytes+spillBytes, bursts+spillBursts)
 
-	if e.rec.t != nil {
+	if e.rec.on {
 		e.rec.record(&p.recAt, op, fetchBytes+writeBytes+spillBytes, bursts+spillBursts)
 	}
 

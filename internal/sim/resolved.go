@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -18,36 +19,44 @@ import (
 // residency capacity, free-dY option): DRAM bandwidth, burst latency,
 // frequency and the systolic timing axes merely re-price the same access
 // trace. ResolveProgram runs the full residency/LRU machinery once and
-// flattens the outcome into a ResolvedTrace — per-op transfer totals plus
-// a tile-dimension index — and Replay turns that trace plus any cost
-// point into the exact Result the engine would have produced, with no
-// maps, no LRU and no residency branching. RunFamily threads a
-// byte-bounded, admission-controlled trace cache between the two so
-// bandwidth/frequency sweeps resolve once and replay thousands of times.
+// flattens the outcome into a ResolvedTrace — one byte per op naming its
+// cost class, a class's transfer totals plus a tile-dimension index — and
+// Replay turns that trace plus any cost point into the exact Result the
+// engine would have produced, with no maps, no LRU and no residency
+// branching. RunFamily threads a byte-bounded, admission-controlled trace
+// cache between the two so bandwidth/frequency sweeps resolve once and
+// replay thousands of times.
 // The cache is keyed by the caller's value key for what ran, never by a
 // program pointer, so no compiled program outlives its resolution.
 //
 // Multi-core runs share the argument: RunMultiKeyed's residency follows a
 // round-robin merge of the core streams that no timing axis can reorder.
 // ResolveProgram and RunMultiKeyed record through the same engine path,
-// each core at its own offset into one ops slice (its phases concatenated,
-// since pipeline time carries across phase boundaries), and replayMulti
-// prices every core with the same recurrence. RunMultiKeyed caches those
-// traces in the same cache, through the same lookup as RunFamily.
+// each core at its own offset into one code slice (its phases
+// concatenated, since pipeline time carries across phase boundaries) over
+// one class table, and replayMulti prices every core with the same
+// recurrence. RunMultiKeyed caches those traces in the same cache, through
+// the same lookup as RunFamily.
 
-// resolvedOp is one op's residency-resolved cost coefficients: the total
-// bytes the DMA stage moves for it (fetches + final write + pressure
-// spills), the burst count those bytes arrive in, and an index into the
-// trace's tile-dimension table for the compute-stage cost. 8 bytes/op.
+// resolvedOp is one cost class of a trace: an op's residency-resolved
+// cost coefficients — the total bytes the DMA stage moves for it (fetches
+// + final write + pressure spills), the burst count those bytes arrive in,
+// and an index into the trace's tile-dimension table for the compute-stage
+// cost. Ops repeat a few dozen classes at most (interior and edge tiles,
+// each hit or missed a few ways), so a trace stores each class once and
+// one byte per op naming it.
 type resolvedOp struct {
 	bytes  uint32
 	bursts uint16
 	dim    uint16
 }
 
-// tileDim is one distinct (Tm, Tk, Tn) tile shape of a program. Programs
-// have a handful (interior tiles plus edge remainders), so a uint16 index
-// per op suffices and replay prices each shape exactly once.
+// maxClasses bounds a trace's class table: a code is one byte. A run with
+// more distinct classes is not representable and stays on the engine.
+const maxClasses = 256
+
+// tileDim is one distinct (Tm, Tk, Tn) tile shape of a program. Every
+// dimension belongs to some class, so a trace has at most maxClasses.
 type tileDim struct {
 	tm, tk, tn int32
 }
@@ -55,17 +64,19 @@ type tileDim struct {
 // ResolvedTrace is the residency-resolved form of one compiled program
 // (or of one multi-core run's phases) under one residency key. It is
 // immutable after resolution and safe to replay concurrently from many
-// goroutines. ops holds every core's ops in execution order, core after
-// core; a single-core trace has one core.
+// goroutines. codes holds every core's ops in execution order, core after
+// core, each the index of its class in classes; a single-core trace has
+// one core.
 type ResolvedTrace struct {
-	ops        []resolvedOp
+	codes      []uint8
+	classes    []resolvedOp
 	dims       []tileDim
 	cores      []resolvedCore
 	sharedHits int64
 }
 
 // resolvedCore is one core's share of a trace: the end of its run in the
-// trace's ops, and the cost-independent half of its Result (traffic by
+// trace's codes, and the cost-independent half of its Result (traffic by
 // class, SPM hit/miss stats, spill and op counts). The cycle fields are
 // recomputed per replay.
 type resolvedCore struct {
@@ -80,7 +91,7 @@ func costFree(r Result) Result {
 }
 
 // Ops returns the number of resolved ops (the program's op count).
-func (t *ResolvedTrace) Ops() int { return len(t.ops) }
+func (t *ResolvedTrace) Ops() int { return len(t.codes) }
 
 // replaySkew is a test hook: extra cycles added to every replayed op's
 // compute time, so the replay-check gate can prove it distinguishes replay
@@ -94,10 +105,11 @@ var replaySkew atomic.Int64
 // gates. Never set outside tests and the replay-check harness.
 func SetReplaySkew(cycles int64) int64 { return replaySkew.Swap(cycles) }
 
-// replayScratch holds a replay call's per-dimension compute-cycle table,
-// pooled so steady-state replays allocate nothing.
+// replayScratch holds a replay call's per-class cycle tables, pooled so
+// steady-state replays neither allocate nor clear them: replay writes
+// every entry the trace's codes can name before reading it.
 type replayScratch struct {
-	dimCycles []int64
+	mem, comp [maxClasses]int64
 }
 
 var replayPool = runner.NewPool(func() *replayScratch { return &replayScratch{} })
@@ -126,7 +138,8 @@ func (t *ResolvedTrace) replayMulti(cfg config.NPU) MultiResult {
 	return multiResult(perCore, t.sharedHits)
 }
 
-// replay prices every core's ops under cfg into out, one Result per core.
+// replay prices every core's ops under cfg into out, one Result per core:
+// each class once, then every op by its code.
 func (t *ResolvedTrace) replay(cfg config.NPU, out []Result) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -136,35 +149,35 @@ func (t *ResolvedTrace) replay(cfg config.NPU, out []Result) {
 		BytesPerCycle: cfg.BytesPerCycle(),
 		BurstLatency:  cfg.DRAMLatency,
 	}
-	sc := replayPool.Get()
-	sc.dimCycles = resize(sc.dimCycles, len(t.dims))
-	for i, d := range t.dims {
-		// Same function, same arguments as the engine's Bind-time cost
-		// table, so the per-op compute cycles match bit-for-bit.
-		sc.dimCycles[i] = arr.TileCycles(int(d.tm), int(d.tk), int(d.tn))
-	}
 	skew := replaySkew.Load()
+	sc := replayPool.Get()
+	for c, cl := range t.classes {
+		// Same functions, same arguments as the engine's step and its
+		// Bind-time cost table, so the per-op cycles match bit-for-bit.
+		d := t.dims[cl.dim]
+		sc.mem[c] = chn.TransferCycles(int64(cl.bytes), int(cl.bursts))
+		sc.comp[c] = arr.TileCycles(int(d.tm), int(d.tk), int(d.tn)) + skew
+	}
 	start := 0
 	for ci := range t.cores {
 		c := &t.cores[ci]
 		res := c.agg
-		res.Cycles, res.ComputeCycles, res.MemCycles = replayOps(t.ops[start:c.end], sc.dimCycles, chn, skew)
+		res.Cycles, res.ComputeCycles, res.MemCycles = replayOps(t.codes[start:c.end], &sc.mem, &sc.comp)
 		out[ci] = res
 		start = c.end
 	}
 	replayPool.Put(sc)
 }
 
-// replayOps advances the double-buffered pipeline over the resolved ops —
-// the same recurrence as CompiledEngine.step, minus all residency work.
+// replayOps advances the double-buffered pipeline over the coded ops,
+// priced by class in mem and comp — the same recurrence as
+// CompiledEngine.step, minus all residency work.
 //
 //lint:hotpath
-func replayOps(ops []resolvedOp, dimCycles []int64, chn dram.Channel, skew int64) (cycles, compSum, memSum int64) {
+func replayOps(codes []uint8, mem, comp *[maxClasses]int64) (cycles, compSum, memSum int64) {
 	var memDone, compDone, prevCompEnd int64
-	for i := range ops {
-		op := &ops[i]
-		memCycles := chn.TransferCycles(int64(op.bytes), int(op.bursts))
-		compCycles := dimCycles[op.dim] + skew
+	for _, c := range codes {
+		memCycles, compCycles := mem[c], comp[c]
 
 		// Prefetch depth 2: the DMA runs at most one op ahead of compute.
 		memStart := max(memDone, prevCompEnd)
@@ -182,7 +195,7 @@ func replayOps(ops []resolvedOp, dimCycles []int64, chn dram.Channel, skew int64
 	return compDone, compSum, memSum
 }
 
-// maxResolvedOps bounds the per-trace memory (8 B/op) a cached resolution
+// maxResolvedOps bounds the per-trace memory (1 B/op) a cached resolution
 // may pin; larger programs stay on the engine path.
 const maxResolvedOps = 1 << 20
 
@@ -198,10 +211,10 @@ const maxCachedResolvedOps = 1 << 15
 // ResolveProgram executes prog on a fresh single-core compiled engine
 // exactly as ExecuteProgram would, additionally recording the residency-
 // resolved trace. The trace is nil when the program is not representable
-// (per-op byte/burst totals or the dimension table overflow the compact
-// encoding, or the program exceeds the trace size bound) — callers then
-// simply keep using the engine path. Tracing is unsupported here: traces
-// carry no event stream, so traced runs must resolve nothing.
+// (per-op byte/burst totals overflow the compact encoding, the program has
+// more than maxClasses cost classes, or it exceeds the trace size bound)
+// — callers then simply keep using the engine path. Tracing is unsupported
+// here: traces carry no event stream, so traced runs must resolve nothing.
 func ResolveProgram(cfg config.NPU, opts Options, prog *schedule.Program) (Result, *ResolvedTrace) {
 	if opts.Trace != nil {
 		panic("sim: ResolveProgram with tracing enabled")
@@ -209,21 +222,43 @@ func ResolveProgram(cfg config.NPU, opts Options, prog *schedule.Program) (Resul
 	return runSingle(cfg, opts, prog, true)
 }
 
-// recorder builds a ResolvedTrace while an engine runs. A nil t means the
-// engine is not recording; ok turns false, discarding the trace, when an
-// op's totals or the dimension table overflow the compact encoding. The
-// run's Result is unaffected either way. tm/tk/tn/dim are a last-value
-// cache over the dimension table.
+// recorder builds a ResolvedTrace while an engine runs. While on, record
+// codes each op into codes, assigning the classes in first-appearance
+// order; on turns false, discarding the trace, when an op's totals
+// overflow the compact encoding or a class past maxClasses appears. The
+// run's Result is unaffected either way. classes and dims are scratch the
+// engine reuses across recordings (finishRecording copies them into the
+// trace); tm/tk/tn/dim are a last-value cache over dims, and slots hash
+// the classes recorded under the current gen by their packed key.
 type recorder struct {
-	t          *ResolvedTrace
-	ok         bool
+	on         bool
+	codes      []uint8
+	classes    []resolvedOp
+	dims       []tileDim
 	tm, tk, tn int32
 	dim        uint16
+	gen        uint32
+	slots      [classSlots]classSlot
+}
+
+// classSlots sizes the recorder's open-addressing class table: twice
+// maxClasses, so a probe always reaches a free slot.
+const (
+	classSlotBits = 9
+	classSlots    = 1 << classSlotBits
+)
+
+// classSlot is one class table slot, holding a class's packed key and its
+// code when gen matches the recorder's.
+type classSlot struct {
+	key  uint64
+	gen  uint32
+	code uint8
 }
 
 // startRecording begins recording the bound program's resolved trace. The
 // trace stores every core's ops core after core, so each core records at
-// its own precomputed offset into one ops slice. Programs over
+// its own precomputed offset into one code slice. Programs over
 // maxResolvedOps record nothing.
 func (e *CompiledEngine) startRecording() {
 	// Count each core's ops into recAt, then turn the counts into offsets.
@@ -238,61 +273,90 @@ func (e *CompiledEngine) startRecording() {
 	if n > maxResolvedOps {
 		return
 	}
-	e.rec = recorder{t: &ResolvedTrace{ops: make([]resolvedOp, n)}, ok: true, tm: -1, tk: -1, tn: -1}
+	r := &e.rec
+	r.on, r.codes = true, make([]uint8, n)
+	r.classes, r.dims = r.classes[:0], r.dims[:0]
+	r.tm, r.tk, r.tn = -1, -1, -1
+	if r.gen++; r.gen == 0 {
+		// Wrapped: stale slots would look current.
+		r.slots = [classSlots]classSlot{}
+		r.gen = 1
+	}
 }
 
 // finishRecording returns the recorded trace, or nil when the run recorded
 // nothing or was not representable, and stops recording.
 func (e *CompiledEngine) finishRecording() *ResolvedTrace {
-	rec := e.rec
-	e.rec = recorder{}
-	if !rec.ok {
+	r := &e.rec
+	if !r.on {
+		r.stop()
 		return nil
 	}
-	t := rec.t
-	t.cores = make([]resolvedCore, len(e.pipes))
+	t := &ResolvedTrace{
+		codes:      r.codes,
+		classes:    slices.Clone(r.classes),
+		dims:       slices.Clone(r.dims),
+		cores:      make([]resolvedCore, len(e.pipes)),
+		sharedHits: e.sharedHits,
+	}
 	for ci := range e.pipes {
 		t.cores[ci] = resolvedCore{end: e.pipes[ci].recAt, agg: costFree(e.coreResult(ci))}
 	}
-	t.sharedHits = e.sharedHits
+	r.stop()
 	return t
 }
 
-// record stores one op's resolved coefficients at slot *at of the trace's
-// ops and advances *at.
+// stop ends recording and drops the reference to the trace's codes.
+func (r *recorder) stop() { r.on, r.codes = false, nil }
+
+// record codes one op's resolved coefficients at slot *at of the trace's
+// codes and advances *at.
 //
 //lint:hotpath
 func (r *recorder) record(at *int, op *schedule.CompiledOp, bytes int64, bursts int) {
-	if !r.ok {
-		return
-	}
 	if bytes < 0 || bytes > math.MaxUint32 || bursts < 0 || bursts > math.MaxUint16 {
-		r.ok = false
+		r.on = false
 		return
 	}
 	if op.Tm != r.tm || op.Tk != r.tk || op.Tn != r.tn {
-		t := r.t
 		found := -1
-		for i := range t.dims {
-			d := &t.dims[i]
+		for i := range r.dims {
+			d := &r.dims[i]
 			if d.tm == op.Tm && d.tk == op.Tk && d.tn == op.Tn {
 				found = i
 				break
 			}
 		}
 		if found < 0 {
-			if len(t.dims) >= math.MaxUint16 {
-				r.ok = false
-				return
-			}
-			t.dims = append(t.dims, tileDim{tm: op.Tm, tk: op.Tk, tn: op.Tn})
-			found = len(t.dims) - 1
+			// At most maxClasses+1 dimensions appear before the class
+			// table overflows, so the index fits a uint16.
+			r.dims = append(r.dims, tileDim{tm: op.Tm, tk: op.Tk, tn: op.Tn})
+			found = len(r.dims) - 1
 		}
 		r.tm, r.tk, r.tn = op.Tm, op.Tk, op.Tn
 		r.dim = uint16(found)
 	}
-	r.t.ops[*at] = resolvedOp{bytes: uint32(bytes), bursts: uint16(bursts), dim: r.dim}
-	*at++
+	cl := resolvedOp{bytes: uint32(bytes), bursts: uint16(bursts), dim: r.dim}
+	key := uint64(cl.bytes) | uint64(cl.bursts)<<32 | uint64(cl.dim)<<48
+	// Fibonacci hashing into classSlots, then linear probing.
+	h := (key * 0x9E3779B97F4A7C15) >> (64 - classSlotBits)
+	for {
+		s := &r.slots[h]
+		if s.gen != r.gen {
+			if len(r.classes) == maxClasses {
+				r.on = false
+				return
+			}
+			*s = classSlot{key: key, gen: r.gen, code: uint8(len(r.classes))}
+			r.classes = append(r.classes, cl)
+		} else if s.key != key {
+			h = (h + 1) % classSlots
+			continue
+		}
+		r.codes[*at] = s.code
+		*at++
+		return
+	}
 }
 
 // resolvedKey identifies one cache entry: what ran, named by its caller's
@@ -309,11 +373,12 @@ type resolvedKey struct {
 }
 
 // defaultResolvedCacheBytes bounds what the resolved-trace cache pins.
-// Traces are its only retained cost: 8 B/op plus a small per-trace and
-// per-entry overhead (traceBytes). The budget holds a grid's whole
+// Traces are its only retained cost: 1 B/op plus each trace's class and
+// dimension tables and a small per-trace and per-entry overhead
+// (traceBytes). The budget holds a grid's whole
 // distinct-trace working set — the benchmark's serve-unique workload (five
-// edge models × three SPM sizes) ends holding 50 MiB of traces and its
-// sweep-dse workload 71 MiB, without an eviction — while a process fed an
+// edge models × three SPM sizes) ends holding 11 MiB of traces and its
+// sweep-dse workload 15 MiB, without an eviction — while a process fed an
 // open-ended stream of distinct shapes stays bounded. Sweeps with wider
 // working sets raise it via SetResidencyCacheBytes (-residency-cache, in
 // MiB).
@@ -323,13 +388,13 @@ const defaultResolvedCacheBytes = 128 << 20
 // the boxed caller key, the LRU entry and its map slot.
 const entryOverhead = 256
 
-// traceBytes weighs one cache entry: its traces' op and dimension tables
-// and fixed parts, plus entryOverhead.
+// traceBytes weighs one cache entry: its traces' codes, class and
+// dimension tables and fixed parts, plus entryOverhead.
 func traceBytes(traces []*ResolvedTrace) int {
 	n := entryOverhead + 8*cap(traces)
 	for _, t := range traces {
-		n += int(unsafe.Sizeof(*t)) +
-			cap(t.ops)*int(unsafe.Sizeof(resolvedOp{})) +
+		n += int(unsafe.Sizeof(*t)) + cap(t.codes) +
+			cap(t.classes)*int(unsafe.Sizeof(resolvedOp{})) +
 			cap(t.dims)*int(unsafe.Sizeof(tileDim{})) +
 			cap(t.cores)*int(unsafe.Sizeof(resolvedCore{}))
 	}

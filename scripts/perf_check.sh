@@ -14,7 +14,8 @@
 #     row with thousands of allocs would absorb a few allocations of
 #     runner-pool and GC bookkeeping that land nondeterministically;
 #   - everything else — sweep point/simulated/frontier counts, pruned
-#     fraction — gates at exactly zero. Move a number deliberately by
+#     fraction, the bytes the sweep's resolved traces pin — gates at
+#     exactly zero. Move a number deliberately by
 #     regenerating the baseline (`make bench-json`) in the same change.
 #
 # The negative path is checked too: a baseline with one extra allocation
