@@ -147,9 +147,13 @@ golden:
 
 # Non-test Go line counts of the simulator's core packages and of the
 # oracle-side packages that drive them, plus their total: the size figure
-# simplicity changes report, net of callers moved between packages.
+# simplicity changes report, net of callers moved between packages. The
+# api column counts each package's exported funcs, methods and types (the
+# `go doc -all` lines that start with func or type).
 loc:
-	@total=0; for d in schedule core sim trace proptest validate refmodel; do \
+	@total=0; apis=0; printf '%-9s %6s %5s\n' package lines api; \
+	for d in schedule core sim trace proptest validate refmodel; do \
 		n=$$(cat $$(ls internal/$$d/*.go | grep -v '_test\.go$$') | wc -l); \
-		printf '%-9s %6d\n' "$$d" "$$n"; total=$$((total + n)); \
-	done; printf '%-9s %6d\n' total "$$total"
+		a=$$($(GO) doc -all ./internal/$$d | grep -cE '^(func|type)'); \
+		printf '%-9s %6d %5d\n' "$$d" "$$n" "$$a"; total=$$((total + n)); apis=$$((apis + a)); \
+	done; printf '%-9s %6d %5d\n' total "$$total" "$$apis"

@@ -61,9 +61,9 @@ func main() {
 	if *batch > 0 {
 		cfg = cfg.WithBatch(*batch)
 	}
-	pol, err := resolvePolicy(*polName)
-	if err != nil {
-		fatal(err)
+	pol, ok := core.ParsePolicy(*polName)
+	if !ok {
+		fatal(fmt.Errorf("unknown policy %q", *polName))
 	}
 
 	models := suite
@@ -175,32 +175,17 @@ func printLayers(base, run core.ModelRun) {
 	}
 }
 
+// resolveConfig returns the preset name spells and the suite run on it:
+// the server suite on the large NPU, the edge suite otherwise.
 func resolveConfig(name string) (config.NPU, []workload.Model, error) {
-	switch name {
-	case "small", "edge":
-		return config.SmallNPU(), workload.EdgeSuite(), nil
-	case "large", "server":
-		return config.LargeNPU(), workload.ServerSuite(), nil
-	case "gpu":
-		return config.GPULike(), workload.EdgeSuite(), nil
-	default:
+	cfg, ok := config.Preset(name)
+	if !ok {
 		return config.NPU{}, nil, fmt.Errorf("unknown config %q (want small, large, gpu)", name)
 	}
-}
-
-func resolvePolicy(name string) (core.Policy, error) {
-	switch name {
-	case "baseline":
-		return core.PolBaseline, nil
-	case "interleave", "interleaving":
-		return core.PolInterleave, nil
-	case "rearrange", "rearrangement":
-		return core.PolRearrange, nil
-	case "partition", "partitioning":
-		return core.PolPartition, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q", name)
+	if cfg.Name == config.LargeNPU().Name {
+		return cfg, workload.ServerSuite(), nil
 	}
+	return cfg, workload.EdgeSuite(), nil
 }
 
 func fmtBytes(b int64) string {

@@ -123,9 +123,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		base, err := basePreset(*npuName)
-		if err != nil {
-			fatal(err)
+		base, ok := config.Preset(*npuName)
+		if !ok {
+			fatal(fmt.Errorf("unknown -npu preset %q (want small, large or gpu)", *npuName))
 		}
 		space = dse.Space{Model: model, Base: base}
 		if space.BWGBs, err = parseFloatAxis("-bw", *bwList); err != nil {
@@ -262,18 +262,6 @@ func main() {
 	}
 }
 
-func basePreset(name string) (config.NPU, error) {
-	switch name {
-	case "small":
-		return config.SmallNPU(), nil
-	case "large":
-		return config.LargeNPU(), nil
-	case "gpu":
-		return config.GPULike(), nil
-	}
-	return config.NPU{}, fmt.Errorf("unknown -npu preset %q (want small, large or gpu)", name)
-}
-
 // parseIntAxis parses a comma-separated integer axis strictly: "2.7" is
 // rejected with a clear error instead of being truncated to 2.
 func parseIntAxis(flagName, s string, lo int) ([]int, error) {
@@ -356,20 +344,16 @@ func parseRange(s string) ([]float64, error) {
 func parsePolicies(s string) ([]core.Policy, error) {
 	var out []core.Policy
 	for _, p := range strings.Split(s, ",") {
-		switch strings.TrimSpace(p) {
-		case "baseline":
-			out = append(out, core.PolBaseline)
-		case "interleave":
-			out = append(out, core.PolInterleave)
-		case "rearrange":
-			out = append(out, core.PolRearrange)
-		case "partition":
-			out = append(out, core.PolPartition)
-		case "all":
+		name := strings.TrimSpace(p)
+		if name == "all" {
 			out = append(out, core.Policies()...)
-		default:
+			continue
+		}
+		pol, ok := core.ParsePolicy(name)
+		if !ok {
 			return nil, fmt.Errorf("-policy: unknown policy %q (want baseline, interleave, rearrange, partition or all)", p)
 		}
+		out = append(out, pol)
 	}
 	return out, nil
 }

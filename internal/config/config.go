@@ -9,6 +9,7 @@ package config
 import (
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // Dataflow selects the systolic-array mapping used by the timing model.
@@ -225,6 +226,20 @@ func LargeNPU() NPU {
 		Batch:         8,
 		Dataflow:      OutputStationary,
 	}
+}
+
+// Preset returns the preset a name spells, ignoring case: small or edge,
+// large or server, gpu or gpu-like.
+func Preset(name string) (NPU, bool) {
+	switch strings.ToLower(name) {
+	case "small", "edge":
+		return SmallNPU(), true
+	case "large", "server":
+		return LargeNPU(), true
+	case "gpu", "gpu-like":
+		return GPULike(), true
+	}
+	return NPU{}, false
 }
 
 // GPULike backs the Figure 17 validation study. The paper runs its

@@ -123,3 +123,28 @@ func TestDataflowString(t *testing.T) {
 		t.Fatal("unknown dataflow should include its value")
 	}
 }
+
+// TestPresetSpellings pins every preset spelling the service, the igosim
+// CLI and the sweep CLI accept, in any case, and a few they reject.
+func TestPresetSpellings(t *testing.T) {
+	want := map[string]NPU{
+		"small":    SmallNPU(),
+		"edge":     SmallNPU(),
+		"large":    LargeNPU(),
+		"server":   LargeNPU(),
+		"gpu":      GPULike(),
+		"gpu-like": GPULike(),
+	}
+	for name, cfg := range want {
+		for _, s := range []string{name, strings.ToUpper(name), strings.ToUpper(name[:1]) + name[1:]} {
+			if got, ok := Preset(s); !ok || got != cfg {
+				t.Errorf("Preset(%q) = %q, %v; want %q", s, got.Name, ok, cfg.Name)
+			}
+		}
+	}
+	for _, s := range []string{"", "medium", "small-npu", "gpu like", " large"} {
+		if got, ok := Preset(s); ok {
+			t.Errorf("Preset(%q) = %q, want rejected", s, got.Name)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"igosim/internal/config"
 	"igosim/internal/dram"
@@ -42,6 +43,22 @@ func (p Policy) String() string {
 	default:
 		return fmt.Sprintf("policy(%d)", uint8(p))
 	}
+}
+
+// ParsePolicy maps a policy name, in any case, to its level: its String
+// form or a short spelling (interleave, rearrange(ment), partition(ing)).
+func ParsePolicy(name string) (Policy, bool) {
+	switch strings.ToLower(name) {
+	case "baseline":
+		return PolBaseline, true
+	case "interleave", "interleaving":
+		return PolInterleave, true
+	case "rearrange", "rearrangement", "+rearrangement":
+		return PolRearrange, true
+	case "partition", "partitioning", "+datapartitioning":
+		return PolPartition, true
+	}
+	return 0, false
 }
 
 // Policies lists the four cumulative policy levels.

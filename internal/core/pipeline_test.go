@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"igosim/internal/config"
@@ -263,5 +264,38 @@ func TestConcatKernels(t *testing.T) {
 	b := schedule.Schedule{Ops: make([]schedule.Op, 2)}
 	if got := len(ConcatKernels(a, b).Ops); got != 5 {
 		t.Fatalf("concat ops = %d", got)
+	}
+}
+
+// TestParsePolicySpellings pins every policy spelling the service, the
+// igosim CLI and the sweep CLI accept, in any case, and a few they reject.
+func TestParsePolicySpellings(t *testing.T) {
+	want := map[string]Policy{
+		"baseline":          PolBaseline,
+		"interleave":        PolInterleave,
+		"interleaving":      PolInterleave,
+		"rearrange":         PolRearrange,
+		"rearrangement":     PolRearrange,
+		"+rearrangement":    PolRearrange,
+		"partition":         PolPartition,
+		"partitioning":      PolPartition,
+		"+datapartitioning": PolPartition,
+	}
+	for name, pol := range want {
+		for _, s := range []string{name, strings.ToUpper(name), strings.ToUpper(name[:2]) + name[2:]} {
+			if got, ok := ParsePolicy(s); !ok || got != pol {
+				t.Errorf("ParsePolicy(%q) = %v, %v; want %v", s, got, ok, pol)
+			}
+		}
+	}
+	for _, pol := range Policies() {
+		if got, ok := ParsePolicy(pol.String()); !ok || got != pol {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", pol.String(), got, ok, pol)
+		}
+	}
+	for _, s := range []string{"", "all", "partitions", " baseline", "datapartitioning"} {
+		if got, ok := ParsePolicy(s); ok {
+			t.Errorf("ParsePolicy(%q) = %v, want rejected", s, got)
+		}
 	}
 }

@@ -27,7 +27,7 @@ import (
 // parts in sequence, interned through one compiler.
 type shapeCode struct {
 	code  []schedule.CompiledOp
-	table schedule.TileTable
+	tiles int
 	grids []grid // one per lowered shape
 }
 
@@ -36,10 +36,6 @@ type grid struct {
 	mt, kt, nt int
 	dx, dw     int32 // code index of the shape's first dX and first dW op
 }
-
-// shapeCompilers pools the interning compilers behind lowerShapes; each
-// table is detached, so the code stays valid after the compiler's reuse.
-var shapeCompilers = runner.NewPool(schedule.NewCompiler)
 
 // opTables recycles the op tables of finished programs. sim.RunFamily and
 // sim.RunMultiKeyed keep only resolved traces, so once runProgram or
@@ -76,27 +72,21 @@ func recycle(prog *schedule.Program) {
 // one table.
 func lowerShapes(ps ...schedule.TileParams) *shapeCode {
 	n := 0
-	for _, p := range ps {
-		n += 2 * p.OpCount()
-	}
-	c := shapeCompilers.Get()
-	c.Reset()
-	sc := &shapeCode{code: opTable(n), grids: make([]grid, len(ps))}
-	for i := range ps {
-		p, g := &ps[i], &sc.grids[i]
+	sc := &shapeCode{grids: make([]grid, len(ps))}
+	for i, p := range ps {
+		g := &sc.grids[i]
 		g.mt, g.kt, g.nt = p.Tiling.Counts(p.Dims)
-		g.dx = int32(len(sc.code))
+		g.dx = int32(n)
 		g.dw = g.dx + int32(g.ops())
-		sc.code = c.LowerBackward(sc.code, p)
+		n += 2 * g.ops()
 	}
-	sc.table = c.DetachTable()
-	shapeCompilers.Put(c)
+	sc.code, sc.tiles = schedule.LowerShapes(opTable(n), false, ps...)
 	return sc
 }
 
 // program returns an empty program over sc whose order has room for ops.
 func (sc *shapeCode) program(ops int) *schedule.Program {
-	return &schedule.Program{Code: sc.code, Order: make([]int32, 0, ops), Table: sc.table}
+	return &schedule.Program{Code: sc.code, Order: make([]int32, 0, ops), Tiles: sc.tiles}
 }
 
 // endKernel closes the kernel name on core that spans prog's order from
@@ -258,28 +248,22 @@ func planProgram(cfg config.NPU, parts []schedule.TileParams, pol Policy, skipDX
 	return prog
 }
 
-// forwardProgram lowers the forward pass of parts through one pooled
-// compiler: one kernel per part, part i's on core i when multi and on
-// core 0 otherwise.
+// forwardProgram lowers the forward pass of parts through one compiler:
+// one kernel per part, part i's on core i when multi and on core 0
+// otherwise.
 func forwardProgram(parts []schedule.TileParams, multi bool) *schedule.Program {
 	n := 0
-	for _, p := range parts {
+	prog := &schedule.Program{Kernels: make([]schedule.Kernel, len(parts))}
+	for i, p := range parts {
+		k := &prog.Kernels[i]
+		k.Name, k.Start = "forward", n
 		n += p.OpCount()
-	}
-	prog := &schedule.Program{Code: opTable(n), Kernels: make([]schedule.Kernel, 0, len(parts))}
-	c := shapeCompilers.Get()
-	c.Reset()
-	for i := range parts {
-		start := len(prog.Code)
-		prog.Code = c.LowerForward(prog.Code, &parts[i])
-		k := schedule.Kernel{Name: "forward", Start: start, End: len(prog.Code)}
+		k.End = n
 		if multi {
 			k.Core = i
 		}
-		prog.Kernels = append(prog.Kernels, k)
 	}
-	prog.Table = c.DetachTable()
-	shapeCompilers.Put(c)
+	prog.Code, prog.Tiles = schedule.LowerShapes(opTable(n), true, parts...)
 	return prog
 }
 

@@ -64,30 +64,78 @@ func BackwardKernels(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX b
 	}
 }
 
+// keyed is a program with the tile keys its TileIDs stand for: keys[id]
+// is the key interned as id.
+type keyed struct {
+	prog *schedule.Program
+	keys []schedule.TileKey
+}
+
+// tileKeys interns the tiles of streams in first-appearance order, the way
+// lowering numbers them: A, B and Out of each op in turn.
+func tileKeys(streams ...[]schedule.Op) []schedule.TileKey {
+	seen := map[schedule.TileKey]bool{}
+	var keys []schedule.TileKey
+	for _, ops := range streams {
+		for _, op := range ops {
+			for _, k := range [...]schedule.TileKey{op.A.Key, op.B.Key, op.Out.Key} {
+				if !seen[k] {
+					seen[k] = true
+					keys = append(keys, k)
+				}
+			}
+		}
+	}
+	return keys
+}
+
+// shapeKeys are the keys of lowerShapes(parts...)'s code: the parts'
+// canonical dX-MK and dW-KN streams, interned in order.
+// TestLowerMatchesEmitters ties the grid lowering to these streams.
+func shapeKeys(parts ...schedule.TileParams) []schedule.TileKey {
+	var streams [][]schedule.Op
+	for _, p := range parts {
+		streams = append(streams, schedule.BaselineDXOrdered(p, schedule.DXOrderMK), schedule.BaselineDWOrdered(p, schedule.DWOrderKN))
+	}
+	return tileKeys(streams...)
+}
+
+// compiled lowers scheds with sim.CompileSchedules, keyed by their ops.
+func compiled(scheds ...schedule.Schedule) keyed {
+	streams := make([][]schedule.Op, len(scheds))
+	for i, s := range scheds {
+		streams[i] = s.Ops
+	}
+	return keyed{sim.CompileSchedules(scheds...), tileKeys(streams...)}
+}
+
 // sameProgram reports the first difference between got, a shape-code
 // program, and want, the emitted schedules lowered through one compiler:
-// op count, kernel bounds, names and cores, and op by op the tiles
-// (through each program's own table), bytes, classes, tile dimensions,
-// kind and flags.
-func sameProgram(got *schedule.Program, want schedule.Program) error {
-	if got.Ops() != want.Ops() {
-		return fmt.Errorf("%d ops, want %d", got.Ops(), want.Ops())
+// tile count, op count, kernel bounds, names and cores, and op by op the
+// tiles (through each side's keys), bytes, classes, tile dimensions, kind
+// and flags.
+func sameProgram(got, want keyed) error {
+	if got.prog.Tiles != len(got.keys) || want.prog.Tiles != len(want.keys) {
+		return fmt.Errorf("%d and %d tiles, want %d and %d", got.prog.Tiles, want.prog.Tiles, len(got.keys), len(want.keys))
 	}
-	if len(got.Kernels) != len(want.Kernels) {
-		return fmt.Errorf("%d kernels, want %d", len(got.Kernels), len(want.Kernels))
+	if got.prog.Ops() != want.prog.Ops() {
+		return fmt.Errorf("%d ops, want %d", got.prog.Ops(), want.prog.Ops())
 	}
-	for i, k := range want.Kernels {
-		if got.Kernels[i] != k {
-			return fmt.Errorf("kernel %d is %+v, want %+v", i, got.Kernels[i], k)
+	if len(got.prog.Kernels) != len(want.prog.Kernels) {
+		return fmt.Errorf("%d kernels, want %d", len(got.prog.Kernels), len(want.prog.Kernels))
+	}
+	for i, k := range want.prog.Kernels {
+		if got.prog.Kernels[i] != k {
+			return fmt.Errorf("kernel %d is %+v, want %+v", i, got.prog.Kernels[i], k)
 		}
 	}
-	gk, wk := got.Table.Keys, want.Table.Keys
-	for i := range want.Code {
+	gk, wk := got.keys, want.keys
+	for i := range want.prog.Code {
 		j := int32(i)
-		if got.Order != nil {
-			j = got.Order[i]
+		if got.prog.Order != nil {
+			j = got.prog.Order[i]
 		}
-		a, b := got.Code[j], want.Code[i]
+		a, b := got.prog.Code[j], want.prog.Code[i]
 		if gk[a.A] != wk[b.A] || gk[a.B] != wk[b.B] || gk[a.Out] != wk[b.Out] {
 			return fmt.Errorf("op %d tiles (%v, %v -> %v), want (%v, %v -> %v)",
 				i, gk[a.A], gk[a.B], gk[a.Out], wk[b.A], wk[b.B], wk[b.Out])
@@ -115,13 +163,19 @@ func partPhases(parts [][]schedule.Schedule) [][][]schedule.Op {
 }
 
 // multiProgram lowers per-part kernels phase by phase (partPhases) with
-// sim.CompilePhases and names each kernel after its schedule.
-func multiProgram(parts [][]schedule.Schedule) schedule.Program {
-	prog := sim.CompilePhases(partPhases(parts))
+// sim.CompilePhases, names each kernel after its schedule, and keys it by
+// its streams in that order.
+func multiProgram(parts [][]schedule.Schedule) keyed {
+	phases := partPhases(parts)
+	var streams [][]schedule.Op
+	for _, ph := range phases {
+		streams = append(streams, ph...)
+	}
+	prog := sim.CompilePhases(phases)
 	for j := range prog.Kernels {
 		prog.Kernels[j].Name = parts[j%len(parts)][j/len(parts)].Name
 	}
-	return *prog
+	return keyed{prog, tileKeys(streams...)}
 }
 
 // onePart wraps a whole layer's parameters and tuned choices as the
@@ -149,9 +203,10 @@ func TestShapeCodePrograms(t *testing.T) {
 		if c := dwMajorChunk(cfg, p); c <= 1 || c >= nt {
 			t.Fatalf("%v: dWmajor chunk %d not strictly inside (1, %d)", p.Dims, c, nt)
 		}
+		keys := shapeKeys(p)
 		check := func(what string, got *schedule.Program, want ...schedule.Schedule) {
 			t.Helper()
-			if err := sameProgram(got, *sim.CompileSchedules(want...)); err != nil {
+			if err := sameProgram(keyed{got, keys}, compiled(want...)); err != nil {
 				t.Errorf("%v %s: %v", p.Dims, what, err)
 			}
 		}
@@ -202,7 +257,10 @@ func TestShapeCodePrograms(t *testing.T) {
 					orders[i], tuned[i] = tunedChoices(cfg, sub, PolRearrange, false)
 					scheds[i], _ = RearrangedWithOrder(cfg, sub, orders[i])
 				}
-				check(fmt.Sprintf("plan %v x%d", scheme, parts), planProgram(cfg, plan.Parts, PolRearrange, false, false, orders, tuned), scheds...)
+				got := keyed{planProgram(cfg, plan.Parts, PolRearrange, false, false, orders, tuned), shapeKeys(plan.Parts...)}
+				if err := sameProgram(got, compiled(scheds...)); err != nil {
+					t.Errorf("%v plan %v x%d: %v", p.Dims, scheme, parts, err)
+				}
 				multiPlans(t, cfg.WithCores(parts), p, plan)
 			}
 		}
@@ -213,11 +271,14 @@ func TestShapeCodePrograms(t *testing.T) {
 				parts = PartitionLayer(p, WeightSharing, cores).Parts
 			}
 			kernels := make([][]schedule.Schedule, len(parts))
+			streams := make([][]schedule.Op, len(parts))
 			for i := range parts {
 				parts[i].DWPartial = false
 				kernels[i] = []schedule.Schedule{schedule.Forward(parts[i])}
+				streams[i] = kernels[i][0].Ops
 			}
-			if err := sameProgram(forwardProgram(parts, cores > 1), multiProgram(kernels)); err != nil {
+			got := keyed{forwardProgram(parts, cores > 1), tileKeys(streams...)}
+			if err := sameProgram(got, multiProgram(kernels)); err != nil {
 				t.Errorf("%v forward on %d cores: %v", p.Dims, cores, err)
 			}
 		}
@@ -238,7 +299,7 @@ func multiPlans(t *testing.T, cfg config.NPU, p schedule.TileParams, plan Plan) 
 				orders[i], tuned[i] = tunedChoices(cfg, sub, pol, skipDX)
 				kernels[i], _ = BackwardKernels(cfg, sub, pol, skipDX)
 			}
-			got := planProgram(cfg, plan.Parts, pol, skipDX, true, orders, tuned)
+			got := keyed{planProgram(cfg, plan.Parts, pol, skipDX, true, orders, tuned), shapeKeys(plan.Parts...)}
 			if err := sameProgram(got, multiProgram(kernels)); err != nil {
 				t.Errorf("%v multi-core plan %v x%d %v skipDX=%v: %v", p.Dims, plan.Scheme, len(plan.Parts), pol, skipDX, err)
 			}

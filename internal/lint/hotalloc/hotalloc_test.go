@@ -11,6 +11,6 @@ func TestHotalloc(t *testing.T) {
 	analysistest.Run(t, "testdata", hotalloc.Analyzer,
 		"hotalloctest",             // //lint:hotpath marker semantics
 		"igosim/internal/sim",      // CompiledEngine/residency hot paths stay clean
-		"igosim/internal/schedule", // Compiler.Intern stays clean
+		"igosim/internal/schedule", // compiler.intern stays clean
 	)
 }

@@ -247,7 +247,7 @@ func permuted(prog *schedule.Program) *schedule.Program {
 	if n > 0 {
 		code = append(code, prog.Code[0], prog.Code[n-1])
 	}
-	return &schedule.Program{Code: code, Order: order, Kernels: prog.Kernels, Table: prog.Table}
+	return &schedule.Program{Code: code, Order: order, Kernels: prog.Kernels, Tiles: prog.Tiles}
 }
 
 // CheckMultiReplay is the two-phase execution property for multi-core

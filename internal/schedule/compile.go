@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"fmt"
+	"sync"
 
 	"igosim/internal/dram"
 )
@@ -62,29 +63,20 @@ type Kernel struct {
 	Core       int
 }
 
-// TileTable is a program's symbol table: Keys[id] is the TileKey interned
-// as TileID id. The engine only needs its length (to size the residency
-// arrays and the trace tracks' reuse bookkeeping); the keys themselves
-// serve tests and debugging.
-type TileTable struct {
-	Keys []TileKey
-}
-
-// Len returns the number of interned tiles.
-func (t TileTable) Len() int { return len(t.Keys) }
-
 // Program is a compiled schedule sequence ready for sim.CompiledEngine.
 //
 // A program with a nil Order executes Code in sequence and its kernels
 // span Code. A program with Order executes Code[Order[0]], Code[Order[1]],
 // … and its kernels span Order instead: Code is then an op table the
 // order permutes (or selects from), so many programs can share one lowered
-// table and differ only in a []int32 (DESIGN.md §3g).
+// table and differ only in a []int32 (DESIGN.md §3g). Tiles is the number
+// of TileIDs the code uses, 0 … Tiles-1: the engine sizes its residency
+// arrays and trace tracks by it.
 type Program struct {
 	Code    []CompiledOp
 	Order   []int32
 	Kernels []Kernel
-	Table   TileTable
+	Tiles   int
 }
 
 // Ops returns the total op count.
@@ -95,24 +87,26 @@ func (p *Program) Ops() int {
 	return len(p.Code)
 }
 
-// Compiler interns tile keys and lowers ops. One compiler builds one symbol
-// space: compiling several streams through the same compiler makes their
-// TileIDs consistent, which is what the shared-scratchpad multi-core path
-// needs (a dY tile loaded by one core must carry the same ID in every
+// compiler interns tile keys and lowers ops. One compiler builds one
+// symbol space: compiling several streams through the same compiler makes
+// their TileIDs consistent, which is what the shared-scratchpad multi-core
+// path needs (a dY tile loaded by one core must carry the same ID in every
 // core's stream).
 //
 // Interning runs on an open-addressed hash table instead of a Go map: the
-// table is a flat []int32 that survives Reset, so a pooled compiler interns
-// with zero allocations and no rehashing once warm — compilation is on the
-// per-layer hot path of every simulation.
-type Compiler struct {
+// table is a flat []int32 into the keys arena, and both survive reset, so
+// a pooled compiler interns with zero allocations and no rehashing once
+// warm — compilation is on the per-layer hot path of every simulation.
+// Only the package's two entry points, LowerShapes and LowerKernels, hold
+// a compiler, drawn from one pool.
+type compiler struct {
 	keys  []TileKey
 	table []int32 // open-addressed; index into keys, or freeSlot
 	mask  uint32
 
-	// The grid LowerBackward or LowerForward is lowering: its parameters,
-	// tile counts, per-axis tile extents, and one slot per tile of each
-	// tensor, filled on the tile's first use (a zero slot is unfilled).
+	// The grid lowerShape is lowering: its parameters, tile counts,
+	// per-axis tile extents, and one slot per tile of each tensor, filled
+	// on the tile's first use (a zero slot is unfilled).
 	params TileParams
 	grid   point
 	ext    [3][]int32
@@ -123,24 +117,74 @@ type Compiler struct {
 // freeSlot marks an empty interning-table slot.
 const freeSlot = int32(-1)
 
-// NewCompiler returns an empty compiler.
-func NewCompiler() *Compiler {
-	c := &Compiler{}
+// newCompiler returns an empty compiler.
+func newCompiler() *compiler {
+	c := &compiler{}
 	c.rehash(2048)
 	return c
 }
 
-// maxRetainedTable caps the probe-table size a pooled compiler keeps
-// across Reset. Clearing the table is O(len(table)), so one giant program
-// must not tax every later small compilation with a multi-MiB clear —
-// oversized tables are dropped and regrown on demand instead.
+// compilers pools the compilers behind LowerShapes and LowerKernels. Each
+// goes back reset, so a taken compiler starts an empty symbol space.
+var compilers = sync.Pool{New: func() any { return newCompiler() }}
+
+// LowerShapes appends the ops of ps, one shape after another, to dst
+// through one pooled compiler, and returns the code and its tile count: each
+// shape's backward ops — its dX ops in BaselineDXOrdered's MK order, then
+// its dW ops in BaselineDWOrdered's KN order — or, when forward, its ops in
+// Forward's order. The code, the TileIDs and the interning order are
+// exactly those of LowerKernels over those emitted ops, but each tile is
+// built and interned once, on its first use, where the per-op lowering
+// builds and hashes three tiles per op. A tile two shapes share carries
+// one ID.
+func LowerShapes(dst []CompiledOp, forward bool, ps ...TileParams) ([]CompiledOp, int) {
+	c := compilers.Get().(*compiler)
+	for i := range ps {
+		dst = c.lowerShape(dst, &ps[i], forward)
+	}
+	tiles := len(c.keys)
+	c.reset()
+	compilers.Put(c)
+	return dst, tiles
+}
+
+// LowerKernels lowers op streams into prog through one pooled compiler,
+// one stream per kernel: prog.Kernels names each kernel and its core, and
+// kernel i's ops are ops(i). The code replaces prog.Code, reusing its
+// storage, each kernel's span is set to where its ops land, and prog.Tiles
+// to the tile count. Ops intern A, B and Out in that order, so a tile
+// several streams share carries one ID.
+func LowerKernels(prog *Program, ops func(i int) []Op) {
+	c := compilers.Get().(*compiler)
+	prog.Code = prog.Code[:0]
+	for i := range prog.Kernels {
+		k, stream := &prog.Kernels[i], ops(i)
+		k.Start = len(prog.Code)
+		for j := range stream {
+			prog.Code = append(prog.Code, c.lower(&stream[j]))
+		}
+		k.End = len(prog.Code)
+	}
+	prog.Tiles = len(c.keys)
+	c.reset()
+	compilers.Put(c)
+}
+
+// maxRetainedTable caps the probe-table size and the key arena a pooled
+// compiler keeps across reset. Clearing the table is O(len(table)), so one
+// giant program must not tax every later small compilation with a
+// multi-MiB clear — oversized tables and arenas are dropped and regrown on
+// demand instead.
 const maxRetainedTable = 1 << 15
 
-// Reset empties the symbol table while keeping its capacity (up to
+// reset empties the symbol table while keeping its capacity (up to
 // maxRetainedTable), so a pooled compiler reinterns a same-sized program
 // without allocating.
-func (c *Compiler) Reset() {
+func (c *compiler) reset() {
 	c.keys = c.keys[:0]
+	if cap(c.keys) > maxRetainedTable {
+		c.keys = nil
+	}
 	if cap(c.buf) > maxRetainedTable {
 		c.buf = nil
 	}
@@ -154,7 +198,7 @@ func (c *Compiler) Reset() {
 	}
 }
 
-func (c *Compiler) rehash(size int) {
+func (c *compiler) rehash(size int) {
 	if cap(c.table) >= size {
 		c.table = c.table[:size]
 	} else {
@@ -187,11 +231,11 @@ func hashTileKey(k TileKey) uint32 {
 	return uint32(x)
 }
 
-// Intern returns the TileID for k, assigning the next dense ID on first
+// intern returns the TileID for k, assigning the next dense ID on first
 // appearance.
 //
 //lint:hotpath
-func (c *Compiler) Intern(k TileKey) TileID {
+func (c *compiler) intern(k TileKey) TileID {
 	h := hashTileKey(k) & c.mask
 	for {
 		idx := c.table[h]
@@ -220,24 +264,6 @@ func (c *Compiler) Intern(k TileKey) TileID {
 	return TileID(id)
 }
 
-// NumTiles returns the number of tiles interned so far.
-func (c *Compiler) NumTiles() int { return len(c.keys) }
-
-// Table snapshots the symbol table. Valid for all code compiled so far;
-// take it after the last lowering or Intern call.
-func (c *Compiler) Table() TileTable { return TileTable{Keys: c.keys} }
-
-// DetachTable returns the symbol table and transfers ownership of the key
-// storage to the caller: the compiler forgets its keys, so a pooled
-// compiler can hand a retained program its table without aliasing. The
-// probe table still references the detached keys until the next Reset,
-// which every pooled reuse performs first.
-func (c *Compiler) DetachTable() TileTable {
-	t := TileTable{Keys: c.keys}
-	c.keys = nil
-	return t
-}
-
 // loweredTile is an operand as a compiled op carries it: its interned ID,
 // tensor class and transfer size.
 type loweredTile struct {
@@ -247,8 +273,8 @@ type loweredTile struct {
 }
 
 // lowerTile interns t.
-func (c *Compiler) lowerTile(t Tile) loweredTile {
-	return loweredTile{bytes: t.Bytes, id: c.Intern(t.Key), class: t.Key.Class}
+func (c *compiler) lowerTile(t Tile) loweredTile {
+	return loweredTile{bytes: t.Bytes, id: c.intern(t.Key), class: t.Key.Class}
 }
 
 // compiledOp assembles one lowered op from its operands, tile GEMM extents
@@ -286,36 +312,26 @@ func compiledOp(kind Kind, a, b, out loweredTile, tm, tk, tn int32, first, last 
 	return co
 }
 
-// Lower compiles a single op, interning A, B and Out in that order.
-func (c *Compiler) Lower(op *Op) CompiledOp {
+// lower compiles a single op, interning A, B and Out in that order.
+func (c *compiler) lower(op *Op) CompiledOp {
 	a := c.lowerTile(op.A)
 	b := c.lowerTile(op.B)
 	out := c.lowerTile(op.Out)
 	return compiledOp(op.Kind, a, b, out, int32(op.Tm), int32(op.Tk), int32(op.Tn), op.OutFirst, op.OutLast)
 }
 
-// LowerBackward appends p's backward ops to dst: its dX ops in
-// BaselineDXOrdered's MK order, then its dW ops in BaselineDWOrdered's KN
-// order. The code, the TileIDs and the interning order are exactly those
-// of lowering those ops one by one, but each tile is built and
-// interned once, on its first use, where Lower builds and hashes three
-// tiles per op. Lowering several shapes through one compiler gives a tile
-// they share one ID, as Lower does.
-func (c *Compiler) LowerBackward(dst []CompiledOp, p *TileParams) []CompiledOp {
+// lowerShape appends p's backward ops, or its forward ops when forward,
+// to dst, as LowerShapes describes.
+func (c *compiler) lowerShape(dst []CompiledOp, p *TileParams, forward bool) []CompiledOp {
 	c.startGrid(p)
-	dst = c.lowerGEMM(dst, &dxGEMM, dxMKOrder)
-	return c.lowerGEMM(dst, &dwGEMM, dwKNOrder)
-}
-
-// LowerForward appends p's forward ops to dst in Forward's order, as
-// LowerBackward does for the backward ones.
-func (c *Compiler) LowerForward(dst []CompiledOp, p *TileParams) []CompiledOp {
-	c.startGrid(p)
-	return c.lowerGEMM(dst, &fwdGEMM, fwdOrder)
+	if forward {
+		return c.lowerGEMM(dst, &fwdGEMM, fwdOrder)
+	}
+	return c.lowerGEMM(c.lowerGEMM(dst, &dxGEMM, dxMKOrder), &dwGEMM, dwKNOrder)
 }
 
 // startGrid empties the per-grid lowering state and sizes it for p.
-func (c *Compiler) startGrid(p *TileParams) {
+func (c *compiler) startGrid(p *TileParams) {
 	c.params = *p
 	c.grid = p.counts()
 	for a := range c.ext {
@@ -350,7 +366,7 @@ func resize[T any](s []T, n int) []T {
 // in order.
 //
 //lint:hotpath
-func (c *Compiler) lowerGEMM(dst []CompiledOp, g *gemm, order loopOrder) []CompiledOp {
+func (c *compiler) lowerGEMM(dst []CompiledOp, g *gemm, order loopOrder) []CompiledOp {
 	cnt := c.grid
 	steps := cnt[g.dims[1]]
 	em, ek, en := c.ext[g.dims[0]], c.ext[g.dims[1]], c.ext[g.dims[2]]
@@ -359,7 +375,7 @@ func (c *Compiler) lowerGEMM(dst []CompiledOp, g *gemm, order loopOrder) []Compi
 	for pt[order[0]] = 0; pt[order[0]] < cnt[order[0]]; pt[order[0]]++ {
 		for pt[order[1]] = 0; pt[order[1]] < cnt[order[1]]; pt[order[1]]++ {
 			for pt[order[2]] = 0; pt[order[2]] < cnt[order[2]]; pt[order[2]]++ {
-				// Fill in A, B, Out order, the order Lower interns in.
+				// Fill in A, B, Out order, the order lower interns in.
 				ta, tb, tout := a.at(&pt), b.at(&pt), out.at(&pt)
 				if ta.bytes == 0 {
 					c.fill(ta, a.t, &pt)
@@ -388,7 +404,7 @@ type gridOperand struct {
 	t        layerTensor
 }
 
-func (c *Compiler) operand(t layerTensor) gridOperand {
+func (c *compiler) operand(t layerTensor) gridOperand {
 	ax := tensorAxes[t]
 	return gridOperand{slots: c.slots[t], row: ax[0], col: ax[1], cols: c.grid[ax[1]], t: t}
 }
@@ -402,18 +418,6 @@ func (o *gridOperand) at(pt *point) *loweredTile {
 // the tile's first use. Every tile has at least one byte; were one empty,
 // its slot would just be filled again, and re-interning returns the same
 // ID.
-func (c *Compiler) fill(s *loweredTile, t layerTensor, pt *point) {
+func (c *compiler) fill(s *loweredTile, t layerTensor, pt *point) {
 	*s = c.lowerTile(c.params.tile(t, *pt))
-}
-
-// AppendKernel lowers ops into prog as one kernel named name on core core:
-// the code extends prog.Code and the kernel prog.Kernels. Every path from
-// materialized ops to a program lowers through it; the caller sets
-// prog.Table once the last kernel is in.
-func (c *Compiler) AppendKernel(prog *Program, name string, core int, ops []Op) {
-	start := len(prog.Code)
-	for i := range ops {
-		prog.Code = append(prog.Code, c.Lower(&ops[i]))
-	}
-	prog.Kernels = append(prog.Kernels, Kernel{Name: name, Start: start, End: len(prog.Code), Core: core})
 }

@@ -17,81 +17,76 @@ func compileParams() TileParams {
 	}
 }
 
-// compile lowers each schedule into a core-0 kernel of one program through
-// one fresh compiler.
+// compile lowers each schedule into a core-0 kernel of one program.
 func compile(scheds ...Schedule) Program {
-	c := NewCompiler()
 	var prog Program
 	for _, s := range scheds {
-		c.AppendKernel(&prog, s.Name, 0, s.Ops)
+		prog.Kernels = append(prog.Kernels, Kernel{Name: s.Name})
 	}
-	prog.Table = c.Table()
+	LowerKernels(&prog, func(i int) []Op { return scheds[i].Ops })
 	return prog
 }
 
 // TestInternDenseFirstAppearance locks the ID assignment contract: dense,
 // in first-appearance order, stable on re-interning.
 func TestInternDenseFirstAppearance(t *testing.T) {
-	c := NewCompiler()
+	c := newCompiler()
 	keys := []TileKey{
 		{Class: dram.ClassDY, Tensor: 9, Row: 0, Col: 0},
 		{Class: dram.ClassW, Tensor: 10, Row: 3, Col: 7},
 		{Class: dram.ClassDY, Tensor: 9, Row: 0, Col: 1},
 	}
 	for i, k := range keys {
-		if id := c.Intern(k); id != TileID(i) {
-			t.Fatalf("Intern(%v) = %d, want %d", k, id, i)
+		if id := c.intern(k); id != TileID(i) {
+			t.Fatalf("intern(%v) = %d, want %d", k, id, i)
 		}
 	}
 	for i, k := range keys {
-		if id := c.Intern(k); id != TileID(i) {
-			t.Fatalf("re-Intern(%v) = %d, want %d", k, id, i)
+		if id := c.intern(k); id != TileID(i) {
+			t.Fatalf("re-intern(%v) = %d, want %d", k, id, i)
 		}
 	}
-	if c.NumTiles() != len(keys) {
-		t.Fatalf("NumTiles = %d, want %d", c.NumTiles(), len(keys))
-	}
-	if got := c.Table().Keys; !reflect.DeepEqual(got, keys) {
-		t.Fatalf("Table.Keys = %v, want %v", got, keys)
+	if !reflect.DeepEqual(c.keys, keys) {
+		t.Fatalf("keys = %v, want %v", c.keys, keys)
 	}
 }
 
 // TestInternSurvivesRehash pushes the interner far past its initial table
 // size; every previously assigned ID must still resolve afterwards.
 func TestInternSurvivesRehash(t *testing.T) {
-	c := NewCompiler()
+	c := newCompiler()
 	const n = 10_000
 	keys := make([]TileKey, n)
 	for i := range keys {
 		keys[i] = TileKey{Class: dram.Class(i % 7), Tensor: uint16(i % 31), Row: int32(i), Col: int32(i / 3)}
-		if id := c.Intern(keys[i]); id != TileID(i) {
-			t.Fatalf("Intern #%d = %d", i, id)
+		if id := c.intern(keys[i]); id != TileID(i) {
+			t.Fatalf("intern #%d = %d", i, id)
 		}
 	}
 	for i := range keys {
-		if id := c.Intern(keys[i]); id != TileID(i) {
-			t.Fatalf("after rehash: Intern #%d = %d", i, id)
+		if id := c.intern(keys[i]); id != TileID(i) {
+			t.Fatalf("after rehash: intern #%d = %d", i, id)
 		}
 	}
 }
 
-// TestCompilerReset checks pooled reuse: after Reset the compiler must
-// reproduce a fresh compiler's program exactly.
+// TestCompilerReset checks pooled reuse: after reset the compiler must
+// reproduce a fresh compiler's code and keys exactly.
 func TestCompilerReset(t *testing.T) {
 	p := compileParams()
-	want := compile(BaselineBackward(p))
+	ops := BaselineBackward(p).Ops
+	fresh := newCompiler()
+	want := lowerOps(fresh, nil, ops)
 
-	c := NewCompiler()
+	c := newCompiler()
 	// Warm with a different symbol space, then reset.
-	c.AppendKernel(&Program{}, "warm", 0, PartialStationaryDW(p, 2))
-	c.Reset()
-	var got Program
-	c.AppendKernel(&got, "", 0, BaselineBackward(p).Ops)
-	if !reflect.DeepEqual(got.Code, want.Code) {
-		t.Fatal("post-Reset code differs from a fresh compiler's")
+	lowerOps(c, nil, PartialStationaryDW(p, 2))
+	c.reset()
+	if got := lowerOps(c, nil, ops); !reflect.DeepEqual(got, want) {
+		t.Fatal("post-reset code differs from a fresh compiler's")
 	}
-	if !reflect.DeepEqual(c.Table(), want.Table) {
-		t.Fatal("post-Reset table differs from a fresh compiler's")
+	if !reflect.DeepEqual(c.keys, fresh.keys) {
+		t.Fatal("post-reset keys differ from a fresh compiler's")
 	}
 }
 
@@ -99,10 +94,10 @@ func TestCompilerReset(t *testing.T) {
 func TestLowerFlags(t *testing.T) {
 	p := compileParams()
 	mt, kt, nt := p.Tiling.Counts(p.Dims)
-	c := NewCompiler()
+	c := newCompiler()
 
 	first := p.DXOp(0, 0, 0, nt)
-	co := c.Lower(&first)
+	co := c.lower(&first)
 	if co.Flags&FlagOutFirst == 0 || co.Flags&FlagOutLast != 0 {
 		t.Errorf("dX first accumulation flags = %b", co.Flags)
 	}
@@ -114,7 +109,7 @@ func TestLowerFlags(t *testing.T) {
 	}
 
 	last := p.DWOp(kt-1, nt-1, mt-1, mt)
-	cw := c.Lower(&last)
+	cw := c.lower(&last)
 	if cw.Flags&FlagOutLast == 0 {
 		t.Errorf("dW final accumulation flags = %b", cw.Flags)
 	}
@@ -131,12 +126,11 @@ func TestLowerFlags(t *testing.T) {
 		t.Errorf("free-dY flag marks a %v operand", wantFree)
 	}
 
-	// Byte sizes and IDs must round-trip through the table.
+	// Byte sizes and IDs must round-trip through the keys.
 	if co.ABytes != first.A.Bytes || co.BBytes != first.B.Bytes || co.OutBytes != first.Out.Bytes {
 		t.Errorf("byte sizes not preserved: %+v vs %+v", co, first)
 	}
-	tbl := c.Table()
-	if tbl.Keys[co.A] != first.A.Key || tbl.Keys[co.B] != first.B.Key || tbl.Keys[co.Out] != first.Out.Key {
+	if c.keys[co.A] != first.A.Key || c.keys[co.B] != first.B.Key || c.keys[co.Out] != first.Out.Key {
 		t.Error("interned IDs do not resolve back to the op's keys")
 	}
 }

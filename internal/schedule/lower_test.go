@@ -8,11 +8,11 @@ import (
 	"igosim/internal/tensor"
 )
 
-// lowerOps is the reference lowering: every op through Lower, which builds
+// lowerOps is the reference lowering: every op through lower, which builds
 // and interns A, B and Out per op.
-func lowerOps(c *Compiler, dst []CompiledOp, ops []Op) []CompiledOp {
+func lowerOps(c *compiler, dst []CompiledOp, ops []Op) []CompiledOp {
 	for i := range ops {
-		dst = append(dst, c.Lower(&ops[i]))
+		dst = append(dst, c.lower(&ops[i]))
 	}
 	return dst
 }
@@ -57,43 +57,49 @@ type lowerCase struct {
 	parts []TileParams
 }
 
-// TestLowerMatchesEmitters holds LowerBackward and LowerForward to lowering
-// the emitters' ops one by one through one compiler: the same code, op
-// for op, and the same symbol table, so every TileID agrees. One pooled
-// compiler lowers every case in turn after a Reset, so per-grid state left
-// from an earlier grid would show.
+// TestLowerMatchesEmitters holds LowerShapes, backward and forward, to
+// lowering the emitters' ops one by one through one compiler: the same
+// code, op for op, and the same tile count; and holds the grid lowering's
+// keys to the reference's, so every TileID agrees. One compiler lowers
+// every case in turn after a reset, so per-grid state left from an
+// earlier grid would show.
 func TestLowerMatchesEmitters(t *testing.T) {
-	pooled := NewCompiler()
+	pooled := newCompiler()
 	for _, lc := range lowerCases() {
 		name, parts := lc.name, lc.parts
-		ref := NewCompiler()
-		var want []CompiledOp
-		for _, p := range parts {
-			want = lowerOps(ref, want, BaselineDXOrdered(p, DXOrderMK))
-			want = lowerOps(ref, want, BaselineDWOrdered(p, DWOrderKN))
+		for _, forward := range []bool{false, true} {
+			pass := name + "/backward"
+			if forward {
+				pass = name + "/forward"
+			}
+			ref := newCompiler()
+			var want []CompiledOp
+			for _, p := range parts {
+				if forward {
+					want = lowerOps(ref, want, Forward(p).Ops)
+				} else {
+					want = lowerOps(ref, want, BaselineDXOrdered(p, DXOrderMK))
+					want = lowerOps(ref, want, BaselineDWOrdered(p, DWOrderKN))
+				}
+			}
+			pooled.reset()
+			var got []CompiledOp
+			for i := range parts {
+				got = pooled.lowerShape(got, &parts[i], forward)
+			}
+			checkLowered(t, pass, got, want, pooled.keys, ref.keys)
+			code, tiles := LowerShapes(nil, forward, parts...)
+			checkLowered(t, pass+"/LowerShapes", code, want, nil, nil)
+			if tiles != len(ref.keys) {
+				t.Errorf("%s/LowerShapes: %d tiles, want %d", pass, tiles, len(ref.keys))
+			}
 		}
-		pooled.Reset()
-		var got []CompiledOp
-		for i := range parts {
-			got = pooled.LowerBackward(got, &parts[i])
-		}
-		checkLowered(t, name+"/backward", got, want, pooled.Table(), ref.Table())
-
-		ref = NewCompiler()
-		want = want[:0]
-		for _, p := range parts {
-			want = lowerOps(ref, want, Forward(p).Ops)
-		}
-		pooled.Reset()
-		got = got[:0]
-		for i := range parts {
-			got = pooled.LowerForward(got, &parts[i])
-		}
-		checkLowered(t, name+"/forward", got, want, pooled.Table(), ref.Table())
 	}
 }
 
-func checkLowered(t *testing.T, name string, got, want []CompiledOp, gotTab, wantTab TileTable) {
+// checkLowered compares got with want op for op, and the key tables
+// gotKeys and wantKeys.
+func checkLowered(t *testing.T, name string, got, want []CompiledOp, gotKeys, wantKeys []TileKey) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Errorf("%s: %d ops, want %d", name, len(got), len(want))
@@ -105,8 +111,8 @@ func checkLowered(t *testing.T, name string, got, want []CompiledOp, gotTab, wan
 			return
 		}
 	}
-	if !reflect.DeepEqual(gotTab.Keys, wantTab.Keys) {
-		t.Errorf("%s: tile table differs from the emitters' (%d vs %d keys)", name, gotTab.Len(), wantTab.Len())
+	if !reflect.DeepEqual(gotKeys, wantKeys) {
+		t.Errorf("%s: tile keys differ from the emitters' (%d vs %d keys)", name, len(gotKeys), len(wantKeys))
 	}
 }
 
@@ -115,10 +121,10 @@ func checkLowered(t *testing.T, name string, got, want []CompiledOp, gotTab, wan
 // interned, so TestLowerMatchesEmitters covers tiles shared across grids.
 func TestLowerSharesTilesAcrossParts(t *testing.T) {
 	parts := lowerCases()[5].parts
-	c := NewCompiler()
-	code := c.LowerBackward(nil, &parts[0])
-	seen := c.NumTiles()
-	code = c.LowerBackward(code, &parts[1])
+	c := newCompiler()
+	code := c.lowerShape(nil, &parts[0], false)
+	seen := len(c.keys)
+	code = c.lowerShape(code, &parts[1], false)
 	second := code[2*parts[0].OpCount():]
 	for _, op := range second {
 		if op.AClass == dram.ClassDY && int(op.A) >= seen {

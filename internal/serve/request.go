@@ -170,34 +170,6 @@ type resolved struct {
 	policy core.Policy
 }
 
-// policyByName maps accepted policy spellings to levels.
-func policyByName(s string) (core.Policy, bool) {
-	switch strings.ToLower(s) {
-	case "", "partition", "+datapartitioning":
-		return core.PolPartition, true
-	case "baseline":
-		return core.PolBaseline, true
-	case "interleave", "interleaving":
-		return core.PolInterleave, true
-	case "rearrange", "rearrangement", "+rearrangement":
-		return core.PolRearrange, true
-	}
-	return 0, false
-}
-
-// presetByName maps accepted preset spellings to configurations.
-func presetByName(s string) (config.NPU, bool) {
-	switch strings.ToLower(s) {
-	case "small", "edge":
-		return config.SmallNPU(), true
-	case "large", "server":
-		return config.LargeNPU(), true
-	case "gpu", "gpu-like":
-		return config.GPULike(), true
-	}
-	return config.NPU{}, false
-}
-
 // canonicalize validates a request and fills every default, returning the
 // resolved simulation point or a structured error. The returned resolved
 // request is what gets fingerprinted: requests differing only in
@@ -226,7 +198,10 @@ func canonicalize(req Request) (resolved, *Error) {
 			req.Workload, suite, workload.Abbrs(models))
 	}
 
-	pol, ok := policyByName(req.Policy)
+	pol, ok := core.PolPartition, true
+	if req.Policy != "" {
+		pol, ok = core.ParsePolicy(req.Policy)
+	}
 	if !ok {
 		return r, badRequest(CodeBadRequest,
 			"unknown policy %q (want baseline, interleave, rearrange or partition)", req.Policy)
@@ -243,7 +218,7 @@ func canonicalize(req Request) (resolved, *Error) {
 		if name == "" {
 			name = "large"
 		}
-		cfg, ok = presetByName(name)
+		cfg, ok = config.Preset(name)
 		if !ok {
 			return r, badRequest(CodeBadRequest, "unknown npu preset %q (want small, large or gpu)", req.NPU)
 		}

@@ -310,14 +310,14 @@ func (e *CompiledEngine) newTracks(opts Options, capacity int64) {
 	}
 }
 
-// Bind attaches a compiled program: residency arrays are sized to its tile
-// table and the systolic cost of every op of its code is computed once (on
+// Bind attaches a compiled program: residency arrays are sized to its
+// Tiles and the systolic cost of every op of its code is computed once (on
 // a program with Order, once per table entry however often the order
 // visits it). Run state (residency, pipelines, counters) is preserved, so
 // Bind only follows Init or Reset on a fresh measurement. Within each
 // phase the kernels must run on cores 0, 1, … in order, on cores the
 // engine was set up for. On a traced engine Bind also sizes the core
-// tracks' reuse bookkeeping to the tile table; a track records one
+// tracks' reuse bookkeeping to its Tiles; a track records one
 // program, so a traced engine binds once per Init.
 func (e *CompiledEngine) Bind(prog *schedule.Program) {
 	pos := 0
@@ -330,7 +330,7 @@ func (e *CompiledEngine) Bind(prog *schedule.Program) {
 		}
 		pos++
 	}
-	n := prog.Table.Len()
+	n := prog.Tiles
 	for i := range e.sets {
 		e.sets[i].grow(n)
 	}
@@ -660,20 +660,17 @@ func (e *CompiledEngine) insert(p *corePipe, id schedule.TileID, bytes int64, sp
 	}
 }
 
-// compiledRunner bundles the per-call state of the compiled path — engine,
-// compiler and program buffers — so a pooled runner executes a steady
-// stream of runs with no per-call allocations: the interning table, code
-// buffer, residency arrays and cost table all grow to the largest program
-// a worker sees and are then reused.
+// compiledRunner bundles the per-call state of the compiled path — engine
+// and program buffers — so a pooled runner executes a steady stream of
+// runs with no per-call allocations: the code buffer, residency arrays
+// and cost table all grow to the largest program a worker sees and are
+// then reused.
 type compiledRunner struct {
 	eng  CompiledEngine
-	comp *schedule.Compiler
 	prog schedule.Program
 }
 
-var compiledPool = runner.NewPool(func() *compiledRunner {
-	return &compiledRunner{comp: schedule.NewCompiler()}
-})
+var compiledPool = runner.NewPool(func() *compiledRunner { return &compiledRunner{} })
 
 // execute runs prog on the runner's engine, set up for cores cores under
 // the given placement (multi selects the multi-core trace layout), and

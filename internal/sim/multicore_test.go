@@ -92,13 +92,26 @@ func TestTooManyStreamsPanics(t *testing.T) {
 	runPhases(cfg, Options{}, [][][]schedule.Op{{ops, ops}}, true)
 }
 
+// TestEmptyPhasesPanics checks that lowering nothing is an error, not an
+// empty program: zero phases, a phase with no streams, and zero schedules.
 func TestEmptyPhasesPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero phases")
-		}
-	}()
-	runPhases(testCfg(), Options{}, nil, true)
+	for _, c := range []struct {
+		name  string
+		lower func()
+	}{
+		{"no phases", func() { runPhases(testCfg(), Options{}, nil, true) }},
+		{"no streams", func() { CompilePhases([][][]schedule.Op{{}}) }},
+		{"no schedules", func() { CompileSchedules() }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected a panic", c.name)
+				}
+			}()
+			c.lower()
+		}()
+	}
 }
 
 func TestMultiDeterminism(t *testing.T) {

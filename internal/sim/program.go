@@ -2,7 +2,6 @@ package sim
 
 import (
 	"igosim/internal/config"
-	"igosim/internal/runner"
 	"igosim/internal/schedule"
 )
 
@@ -16,18 +15,20 @@ import (
 // holds it.
 
 // CompileSchedules lowers at least one kernel into an immutable compiled
-// program: the one-core case of CompilePhases, each schedule one phase's
-// kernel on core 0, named after the schedule.
+// program: each schedule one phase's kernel on core 0, named after the
+// schedule, as CompilePhases lowers one-stream phases.
 func CompileSchedules(scheds ...schedule.Schedule) *schedule.Program {
-	phases, streams := make([][][]schedule.Op, len(scheds)), make([][]schedule.Op, len(scheds))
-	for i, s := range scheds {
-		streams[i] = s.Ops
-		phases[i] = streams[i : i+1]
+	if len(scheds) == 0 {
+		panic("sim: no schedules")
 	}
-	prog := CompilePhases(phases)
+	n := 0
+	prog := &schedule.Program{Kernels: make([]schedule.Kernel, len(scheds))}
 	for i, s := range scheds {
+		n += len(s.Ops)
 		prog.Kernels[i].Name = s.Name
 	}
+	prog.Code = make([]schedule.CompiledOp, 0, n)
+	schedule.LowerKernels(prog, func(i int) []schedule.Op { return scheds[i].Ops })
 	return prog
 }
 
@@ -37,47 +38,32 @@ func CompileSchedules(scheds ...schedule.Schedule) *schedule.Program {
 // i. One compiler interns tiles across every phase and stream, so a tile
 // shared between cores (the duplicated dY of ifmap-sharing partitioning)
 // carries one ID everywhere and the shared-residency logic runs on dense
-// arrays. Unlike the internal pooled path, the returned Program owns its
-// code, kernel and tile-table storage: callers may keep it and execute it
-// concurrently from many goroutines (execution state lives in the engine,
-// never in the program). Every phase must have at least one stream; empty
-// streams are allowed (an idle core).
+// arrays. Unlike RunSchedules' pooled program, the returned Program owns
+// its code and kernels: callers may keep it and execute it concurrently
+// from many goroutines (execution state lives in the engine, never in the
+// program). Every phase must have at least one stream; empty streams are
+// allowed (an idle core).
 func CompilePhases(phases [][][]schedule.Op) *schedule.Program {
 	if len(phases) == 0 {
 		panic("sim: no phases")
 	}
-	var n, kernels int
-	for _, streams := range phases {
-		if len(streams) == 0 {
+	var n int
+	var streams [][]schedule.Op
+	var kernels []schedule.Kernel
+	for _, ph := range phases {
+		if len(ph) == 0 {
 			panic("sim: no op streams")
 		}
-		kernels += len(streams)
-		for _, ops := range streams {
+		for ci, ops := range ph {
 			n += len(ops)
+			streams = append(streams, ops)
+			kernels = append(kernels, schedule.Kernel{Core: ci})
 		}
 	}
-	prog := &schedule.Program{
-		Code:    make([]schedule.CompiledOp, 0, n),
-		Kernels: make([]schedule.Kernel, 0, kernels),
-	}
-	comp := retainedCompilers.Get()
-	comp.Reset()
-	for _, streams := range phases {
-		for ci, ops := range streams {
-			comp.AppendKernel(prog, "", ci, ops)
-		}
-	}
-	prog.Table = comp.DetachTable()
-	retainedCompilers.Put(comp)
+	prog := &schedule.Program{Code: make([]schedule.CompiledOp, 0, n), Kernels: kernels}
+	schedule.LowerKernels(prog, func(i int) []schedule.Op { return streams[i] })
 	return prog
 }
-
-// retainedCompilers pools the compilers behind CompilePhases: the probe
-// table (grown once to the largest program seen) is reused across the
-// thousands of candidate-program compilations a tuning sweep performs,
-// while each program's code and detached key storage remain owned by the
-// program.
-var retainedCompilers = runner.NewPool(schedule.NewCompiler)
 
 // Family is one lookup of a program family: the results of its member
 // programs under the lookup's cost point. A hit replays the cached traces

@@ -17,7 +17,7 @@ import (
 // own, so every op misses all of them, moves the same 192 bytes in three
 // bursts and differs from the other classes by its shape alone.
 func classProgram(n int) *schedule.Program {
-	prog := &schedule.Program{Kernels: []schedule.Kernel{{Name: "classes", End: 2 * n}}}
+	prog := &schedule.Program{Kernels: []schedule.Kernel{{Name: "classes", End: 2 * n}}, Tiles: 6 * n}
 	for i := range 2 * n {
 		id := schedule.TileID(3 * i)
 		prog.Code = append(prog.Code, schedule.CompiledOp{
@@ -27,7 +27,6 @@ func classProgram(n int) *schedule.Program {
 			Flags: schedule.FlagOutFirst | schedule.FlagOutLast,
 		})
 	}
-	prog.Table.Keys = make([]schedule.TileKey, 6*n)
 	return prog
 }
 

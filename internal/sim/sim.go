@@ -126,13 +126,12 @@ func splitStall(chn dram.Channel, stall, memCycles, spillBytes int64, spillBurst
 // schedules are lowered into pooled buffers and run on the compiled engine.
 func RunSchedules(cfg config.NPU, opts Options, scheds ...schedule.Schedule) Result {
 	cr := compiledPool.Get()
-	cr.comp.Reset()
 	prog := &cr.prog
-	prog.Code, prog.Kernels = prog.Code[:0], prog.Kernels[:0]
+	prog.Kernels = prog.Kernels[:0]
 	for _, s := range scheds {
-		cr.comp.AppendKernel(prog, s.Name, 0, s.Ops)
+		prog.Kernels = append(prog.Kernels, schedule.Kernel{Name: s.Name})
 	}
-	prog.Table = cr.comp.Table()
+	schedule.LowerKernels(prog, func(i int) []schedule.Op { return scheds[i].Ops })
 	res, _ := cr.single(cfg, opts, prog, false)
 	compiledPool.Put(cr)
 	return res
