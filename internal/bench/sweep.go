@@ -68,9 +68,9 @@ func rootN(x float64, n int) float64 {
 // over the sweep (DESIGN.md §3l). Resolutions is the residency cache's
 // distinct-key census — the number of logical (program, capacity, policy)
 // traces the grid needs — which is parallelism-independent and gated
-// exactly. Replays counts replay events, which can lose a few to
-// miss races under -j (two workers resolving one key), so it is gated as
-// wall. ReuseRatio is replays per resolution — the factor the residency
+// exactly. Replays counts replay events, which can gain a few from
+// miss races under -j (a second worker replaying what the first resolved),
+// so it is gated as wall. ReuseRatio is replays per resolution — the factor the residency
 // cache saves on the grid. TraceBytes is what the resident traces pin at
 // the end of the sweep, as the cache's byte budget weighs them
 // (sim.ResolvedCacheBytes): the grid's traces all fit, so it is the sum

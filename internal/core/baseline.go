@@ -33,6 +33,36 @@ const (
 	dwNK                    // n outer, k middle, reduction inner
 )
 
+// Each GEMM's candidate orders, in exploration order.
+var (
+	dxOrders = []dxCandidate{dxMK, dxKM}
+	dwOrders = []dwCandidate{dwKN, dwNK}
+)
+
+// dxCandidates lists p's distinct dX candidates in exploration order. The
+// two orders differ only in which of the m and k loops is outer, so on a
+// grid with one tile along either axis dxKM is dxMK's walk and is left out.
+// The tuners keep the earlier candidate on a tie, so leaving out a later
+// duplicate never changes their choice. Callers must not modify the list.
+func dxCandidates(p schedule.TileParams) []dxCandidate {
+	mt, kt, _ := p.Tiling.Counts(p.Dims)
+	if mt == 1 || kt == 1 {
+		return dxOrders[:1]
+	}
+	return dxOrders
+}
+
+// dwCandidates lists p's distinct dW candidates in exploration order, as
+// dxCandidates does dX's: dwNK is dwKN's walk when the k or n axis has one
+// tile.
+func dwCandidates(p schedule.TileParams) []dwCandidate {
+	_, kt, nt := p.Tiling.Counts(p.Dims)
+	if kt == 1 || nt == 1 {
+		return dwOrders[:1]
+	}
+	return dwOrders
+}
+
 // ordersKey keys the per-shape tuning caches: the hardware fingerprint
 // (with Cores pinned to 1, since tuning always simulates a single core)
 // plus the shape facts the candidate schedules depend on. Tensor-instance
@@ -98,22 +128,19 @@ func baselineChoices(cfg config.NPU, p schedule.TileParams) ordersVal {
 		// orders (which park partial sums in the SPM) are not part of the
 		// baseline space — those appear only through the paper's
 		// transformations.
-		fam := baselineFamily(single, np)
+		dxs, dws := dxCandidates(np), dwCandidates(np)
+		fam := baselineFamily(single, np, dxs, dws)
 		var v ordersVal
 		best := int64(-1)
-		for _, c := range []dxCandidate{dxMK, dxKM} {
-			cyc := fam.Result(int(c)).Cycles
-			if best < 0 || cyc < best {
-				best = cyc
-				v.dx = c
+		for i, c := range dxs {
+			if cyc := fam.Result(i).Cycles; best < 0 || cyc < best {
+				best, v.dx = cyc, c
 			}
 		}
 		best = -1
-		for _, c := range []dwCandidate{dwKN, dwNK} {
-			cyc := fam.Result(2 + int(c)).Cycles
-			if best < 0 || cyc < best {
-				best = cyc
-				v.dw = c
+		for i, c := range dws {
+			if cyc := fam.Result(len(dxs) + i).Cycles; best < 0 || cyc < best {
+				best, v.dw = cyc, c
 			}
 		}
 		return v
@@ -155,13 +182,16 @@ var ilvCache = runner.NewCache[ordersKey, ilvTuned]("core/interleave-tune")
 // interference between the two streams.
 var interleaveBlocks = []int{1, 16, 128}
 
-// mergeCandidates lists np's valid fusion combinations in the joint
-// tuner's exploration order, so ties break identically on every path.
+// mergeCandidates lists np's distinct fusion combinations in the joint
+// tuner's exploration order, so ties break identically on every path: each
+// distinct dX order (dxCandidates) with each distinct dW order
+// (dwCandidates) at each valid block size. Two merges of different streams
+// or blocks differ, so no two combinations build the same program.
 func mergeCandidates(np schedule.TileParams) []ordersVal {
 	var vs []ordersVal
 	dxLen := np.OpCount()
-	for _, dc := range []dxCandidate{dxMK, dxKM} {
-		for _, wc := range []dwCandidate{dwKN, dwNK} {
+	for _, dc := range dxCandidates(np) {
+		for _, wc := range dwCandidates(np) {
 			for _, blk := range interleaveBlocks {
 				// A block at least as long as a stream degenerates to the
 				// sequential baseline; the fusion must actually alternate.

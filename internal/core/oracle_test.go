@@ -38,7 +38,8 @@ func singleCore(cfg config.NPU) config.NPU {
 	return cfg
 }
 
-// baseline mirrors baselineChoices.
+// baseline mirrors baselineChoices over both orders of each GEMM, whether
+// or not they are the same walk on p's grid.
 func (o *oracle) baseline(cfg config.NPU, p schedule.TileParams) ordersVal {
 	single, np := singleCore(cfg), tuneParams(p)
 	if v, ok := o.base[np]; ok {
@@ -61,18 +62,28 @@ func (o *oracle) baseline(cfg config.NPU, p schedule.TileParams) ordersVal {
 	return v
 }
 
-// interleave mirrors interleaveTuned: every fusion candidate, in
-// mergeCandidates order.
+// interleave mirrors interleaveTuned over the full fusion space: both dX
+// orders, both dW orders and every block that alternates, in that order,
+// whether or not two of them are the same walk on p's grid. The tuner
+// simulates only the distinct ones (mergeCandidates), so agreeing with
+// this mirror shows that dropping duplicates keeps every choice.
 func (o *oracle) interleave(cfg config.NPU, p schedule.TileParams) ilvTuned {
 	single, np := singleCore(cfg), tuneParams(p)
 	if t, ok := o.ilv[np]; ok {
 		return t
 	}
 	best := ilvTuned{cycles: -1}
-	for _, v := range mergeCandidates(np) {
-		ops := mergeStreams(nil, baselineDXOps(np, v.dx), baselineDWOps(np, v.dw), v.block)
-		if cyc := oracleCycles(single, ops); best.cycles < 0 || cyc < best.cycles {
-			best = ilvTuned{v: v, cycles: cyc}
+	for _, dc := range []dxCandidate{dxMK, dxKM} {
+		for _, wc := range []dwCandidate{dwKN, dwNK} {
+			for _, blk := range interleaveBlocks {
+				if blk > 1 && blk >= np.OpCount() {
+					continue
+				}
+				ops := mergeStreams(nil, baselineDXOps(np, dc), baselineDWOps(np, wc), blk)
+				if cyc := oracleCycles(single, ops); best.cycles < 0 || cyc < best.cycles {
+					best = ilvTuned{v: ordersVal{dx: dc, dw: wc, block: blk}, cycles: cyc}
+				}
+			}
 		}
 	}
 	o.ilv[np] = best

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"igosim/internal/config"
@@ -211,13 +213,14 @@ func TestShapeCodePrograms(t *testing.T) {
 			}
 		}
 
-		base := baselineMembers(p)
-		for c := dxMK; c <= dxKM; c++ {
-			check(fmt.Sprintf("baseline dX %d", c), base(int(c)),
+		dxs, dws := dxCandidates(p), dwCandidates(p)
+		base := baselineMembers(p, dxs, dws)
+		for i, c := range dxs {
+			check(fmt.Sprintf("baseline dX %d", c), base(i),
 				schedule.Schedule{Name: "baseline-dX", Ops: baselineDXOps(p, c)})
 		}
-		for c := dwKN; c <= dwNK; c++ {
-			check(fmt.Sprintf("baseline dW %d", c), base(2+int(c)),
+		for i, c := range dws {
+			check(fmt.Sprintf("baseline dW %d", c), base(len(dxs)+i),
 				schedule.Schedule{Name: "baseline-dW", Ops: baselineDWOps(p, c)})
 		}
 		vs := mergeCandidates(p)
@@ -282,6 +285,88 @@ func TestShapeCodePrograms(t *testing.T) {
 				t.Errorf("%v forward on %d cores: %v", p.Dims, cores, err)
 			}
 		}
+	}
+}
+
+// TestFamiliesHoldDistinctPrograms holds the tuner families to their
+// candidate sets being distinct by construction, on digestParams' grids
+// plus grids with one tile along M, K or N, and along both M and K: no two
+// members of a family have equal orders and kernels, and every candidate
+// of the full positional space a family leaves out (both orders of each
+// GEMM; every dX order with every dW order at every alternating block) is
+// a kept member's walk, op for op, in the shape code and in the Op
+// emitters alike.
+func TestFamiliesHoldDistinctPrograms(t *testing.T) {
+	cfg := shapeCodeCfg()
+	tl := schedule.Tiling{Tm: 4, Tk: 4, Tn: 4}
+	ps := append(digestParams(),
+		testParams(tensor.Dims{M: 3, K: 26, N: 22}, tl),
+		testParams(tensor.Dims{M: 38, K: 4, N: 22}, tl),
+		testParams(tensor.Dims{M: 38, K: 26, N: 3}, tl),
+		testParams(tensor.Dims{M: 3, K: 4, N: 22}, tl),
+	)
+	dropped := 0
+	for _, p := range ps {
+		dxs, dws, vs := dxCandidates(p), dwCandidates(p), mergeCandidates(p)
+		families := []struct {
+			name   string
+			n      int
+			member func(int) *schedule.Program
+		}{
+			{"baseline", len(dxs) + len(dws), baselineMembers(p, dxs, dws)},
+			{"merge", len(vs), mergeMembers(p, vs)},
+			{"major", 2, majorMembers(cfg, p)},
+		}
+		for _, f := range families {
+			var kept []schedule.Program
+			for i := range f.n {
+				m := f.member(i) // members share storage: keep copies
+				prog := schedule.Program{Order: slices.Clone(m.Order), Kernels: slices.Clone(m.Kernels)}
+				for j, k := range kept {
+					if slices.Equal(k.Order, prog.Order) && slices.Equal(k.Kernels, prog.Kernels) {
+						t.Errorf("%v %s family: members %d and %d are one program", p.Dims, f.name, j, i)
+					}
+				}
+				kept = append(kept, prog)
+			}
+		}
+
+		g := lowerShapes(p).grids[0]
+		for _, c := range dxOrders {
+			if !slices.Contains(dxs, c) {
+				dropped++
+				k := dxs[0]
+				if !slices.Equal(g.appendDX(nil, c), g.appendDX(nil, k)) || !reflect.DeepEqual(baselineDXOps(p, c), baselineDXOps(p, k)) {
+					t.Errorf("%v: dropped dX order %d is not kept order %d's walk", p.Dims, c, k)
+				}
+			}
+		}
+		for _, c := range dwOrders {
+			if !slices.Contains(dws, c) {
+				dropped++
+				k := dws[0]
+				if !slices.Equal(g.appendDW(nil, c), g.appendDW(nil, k)) || !reflect.DeepEqual(baselineDWOps(p, c), baselineDWOps(p, k)) {
+					t.Errorf("%v: dropped dW order %d is not kept order %d's walk", p.Dims, c, k)
+				}
+			}
+		}
+		for _, dc := range dxOrders {
+			for _, wc := range dwOrders {
+				for _, blk := range interleaveBlocks {
+					if blk > 1 && blk >= p.OpCount() {
+						continue
+					}
+					v := ordersVal{dx: dc, dw: wc, block: blk}
+					order := g.appendInterleave(nil, v)
+					if !slices.ContainsFunc(vs, func(k ordersVal) bool { return slices.Equal(order, g.appendInterleave(nil, k)) }) {
+						t.Errorf("%v: merge %+v is no kept member's walk", p.Dims, v)
+					}
+				}
+			}
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no grid drops a candidate: the test checks nothing")
 	}
 }
 

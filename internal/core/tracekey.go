@@ -219,8 +219,8 @@ type panelKey struct {
 type family uint8
 
 const (
-	famBaseline family = iota // dX MK/KM, dW KN/NK in isolation
-	famMerge                  // the fusion set, mergeCandidates order
+	famBaseline family = iota // the distinct dX orders, then the distinct dW orders, in isolation
+	famMerge                  // the distinct fusion combinations, mergeCandidates order
 	famMajor                  // dXmajor, dWmajor chunked
 )
 
@@ -260,10 +260,12 @@ func tunerFamily(single config.NPU, np schedule.TileParams, fam family, n int, m
 	return f
 }
 
-// baselineFamily runs the baseline tuner's isolated candidates, members
-// indexed dxMK, dxKM, then 2+dwKN, 2+dwNK.
-func baselineFamily(single config.NPU, np schedule.TileParams) sim.Family {
-	return tunerFamily(single, np, famBaseline, 4, baselineMembers(np))
+// baselineFamily runs the baseline tuner's isolated candidates: member i
+// is the dX order dxs[i], and member len(dxs)+j the dW order dws[j]. The
+// lists are np's distinct orders (dxCandidates, dwCandidates), which np
+// alone fixes, so the family key still names every member.
+func baselineFamily(single config.NPU, np schedule.TileParams, dxs []dxCandidate, dws []dwCandidate) sim.Family {
+	return tunerFamily(single, np, famBaseline, len(dxs)+len(dws), baselineMembers(np, dxs, dws))
 }
 
 // familyMembers returns a family's member builder over np's shape code,
@@ -283,15 +285,15 @@ func familyMembers(np schedule.TileParams, ops int, build func(prog *schedule.Pr
 	}
 }
 
-// baselineMembers builds baselineFamily's members.
-func baselineMembers(np schedule.TileParams) func(i int) *schedule.Program {
+// baselineMembers builds baselineFamily's members over dxs and dws.
+func baselineMembers(np schedule.TileParams, dxs []dxCandidate, dws []dwCandidate) func(i int) *schedule.Program {
 	return familyMembers(np, np.OpCount(), func(prog *schedule.Program, g grid, i int) {
-		if i < 2 {
-			prog.Order = g.appendDX(prog.Order, dxCandidate(i))
+		if i < len(dxs) {
+			prog.Order = g.appendDX(prog.Order, dxs[i])
 			endKernel(prog, "baseline-dX", 0, 0)
 			return
 		}
-		prog.Order = g.appendDW(prog.Order, dwCandidate(i-2))
+		prog.Order = g.appendDW(prog.Order, dws[i-len(dxs)])
 		endKernel(prog, "baseline-dW", 0, 0)
 	})
 }
@@ -301,8 +303,8 @@ func mergeFamily(single config.NPU, np schedule.TileParams, vs []ordersVal) sim.
 	return tunerFamily(single, np, famMerge, len(vs), mergeMembers(np, vs))
 }
 
-// mergeMembers builds mergeFamily's members, each a block merge of two of
-// the four baseline streams, which are built once.
+// mergeMembers builds mergeFamily's members, each a block merge of a dX
+// and a dW baseline stream; the four streams are built once.
 func mergeMembers(np schedule.TileParams, vs []ordersVal) func(i int) *schedule.Program {
 	var dx [2][]int32 // indexed by dxCandidate
 	var dw [2][]int32 // indexed by dwCandidate

@@ -75,8 +75,8 @@ var wallLeaves = map[string]bool{
 	"p50_us":         true,
 	"p99_us":         true,
 	"rps":            true,
-	// Two-phase executor statistics that lose a few events to miss races
-	// under -j (the deterministic counterpart, "resolutions", is the
+	// Two-phase executor statistics that vary by a few events with miss
+	// races under -j (the deterministic counterpart, "resolutions", is the
 	// residency cache's distinct-key census and is gated exactly).
 	"replays":            true,
 	"reuse_ratio":        true,

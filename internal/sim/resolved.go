@@ -411,9 +411,11 @@ var (
 	// "resolutions" leaf read it as Entries. Keys are recorded on a miss
 	// only: a hit key missed before it was admitted.
 	resolvedCensus = runner.NewCensus[resolvedKey](resolvedCounters)
-	// Wall domain: under a layer-memo miss race two workers may both
-	// resolve or replay the same key, so the executed split varies with
-	// -j. The deterministic census is resolvedCensus.
+	// Wall domain: under a layer-memo miss race two workers may both look
+	// the same key up, and the second replays it, so the replay count
+	// varies with -j. Resolutions do not: a worker that misses a key
+	// another is resolving waits for its traces (runKeyed), unless they
+	// are not admissible. The deterministic census is resolvedCensus.
 	resolvedPhases = stats.NewPhaseCounters("sim/resolved")
 )
 

@@ -3,7 +3,10 @@ package sim
 import (
 	"reflect"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"igosim/internal/config"
 	"igosim/internal/dram"
@@ -167,4 +170,83 @@ func TestResolvedCacheWeighsRealSize(t *testing.T) {
 	if w := int64(weight); 5*freed < 4*w || 4*freed > 5*w {
 		t.Fatalf("%d entries weigh %d bytes but pinned %d", entries, weight, freed)
 	}
+}
+
+// TestRunFamilySingleFlight starts callers goroutines that miss one family
+// key at once, each at its own bandwidth: the first to arrive resolves the
+// family while the others wait for it. A family whose traces are admitted
+// is built and resolved once, member by member, and the waiters replay its
+// traces; a family with an unrepresentable member is not admitted, so each
+// waiter resolves it again, as an uncached run would. Every caller reads
+// the engine's results for its configuration either way.
+func TestRunFamilySingleFlight(t *testing.T) {
+	const callers = 8
+	for _, tc := range []struct {
+		name     string
+		classes  []int // per member
+		admitted bool
+	}{
+		{"admitted", []int{4, 5, 6}, true},
+		{"unrepresentable", []int{4, maxClasses + 1}, false},
+	} {
+		ResetResolvedCache()
+		progs := make([]*schedule.Program, len(tc.classes))
+		for i, n := range tc.classes {
+			progs[i] = classProgram(n)
+		}
+		n := len(progs)
+		before := ResolvedCacheStats()
+		var builds atomic.Int64
+		var joined sync.Once
+		member := func(i int) *schedule.Program {
+			// The first build holds the leader until every other caller
+			// has joined its flight (or a second passes: without
+			// single-flight no one joins, and the counts below fail).
+			joined.Do(func() {
+				deadline := time.Now().Add(time.Second)
+				for ResolvedCacheStats().Coalesced-before.Coalesced < callers-1 && time.Now().Before(deadline) {
+					runtime.Gosched()
+				}
+			})
+			builds.Add(1)
+			return progs[i]
+		}
+		var wg sync.WaitGroup
+		for g := range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cfg := testCfg().WithBandwidth(float64(g+1) * 2e9)
+				fam := RunFamily(cfg, Options{}, "single-flight", n, member)
+				for i, prog := range progs {
+					if got, want := fam.Result(i), ExecuteProgram(cfg, Options{}, prog); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s caller %d member %d: %+v != engine %+v", tc.name, g, i, got, want)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+
+		resolvers := int64(1)
+		if !tc.admitted {
+			resolvers = callers
+		}
+		after := ResolvedCacheStats()
+		if got := after.Coalesced - before.Coalesced; got != callers-1 {
+			t.Errorf("%s: %d callers waited, want %d", tc.name, got, callers-1)
+		}
+		if got, want := builds.Load(), resolvers*int64(n); got != want {
+			t.Errorf("%s: %d members built, want %d", tc.name, got, want)
+		}
+		if got, want := ResolvedPhaseStats().Resolutions, resolvers*int64(n); got != want {
+			t.Errorf("%s: %d resolutions, want %d", tc.name, got, want)
+		}
+		if got := after.Entries; got != int64(n) {
+			t.Errorf("%s: census %d, want %d", tc.name, got, n)
+		}
+		if admitted := ResolvedCacheBytes() > 0; admitted != tc.admitted {
+			t.Errorf("%s: admitted %v, want %v", tc.name, admitted, tc.admitted)
+		}
+	}
+	ResetResolvedCache()
 }

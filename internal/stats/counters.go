@@ -106,7 +106,7 @@ func (s CacheSnapshot) String() string {
 
 // PhaseCounters splits a two-phase evaluator's executions into expensive
 // resolutions and cheap replays. Wall domain like raw hit/miss splits: under
-// a miss race two workers may both resolve the same key, so the executed
+// a miss race two workers may both look the same key up, so the executed
 // counts vary legitimately with -j (the deterministic view is the owning
 // cache's distinct-key census). Construct with NewPhaseCounters.
 //

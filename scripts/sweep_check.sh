@@ -7,6 +7,10 @@
 #   2. Checkpoint kill+resume: a sweep stopped after one shard and resumed
 #      from its checkpoint directory must produce a CSV byte-identical to an
 #      uninterrupted run's.
+#   3. Resolution count independent of -j: the canonical sweep must print
+#      the same number of two-phase resolutions at -j 1 as on each of four
+#      -j 2 runs, since workers that miss one trace key wait for the one
+#      resolving it instead of resolving it again.
 #
 # The grid is small (64 points of BERT-tiny on the small NPU) so the whole
 # script takes a few seconds; the same properties are exercised more deeply
@@ -50,3 +54,22 @@ else
     diff "$dir/resumed.csv" "$dir/fresh.csv" | head >&2
     exit 1
 fi
+
+# 3. Resolutions of the canonical sweep at -j 1 and -j 2.
+$GO build -o "$dir/sweep" ./cmd/sweep
+resolutions() {
+    "$dir/sweep" -canonical -j "$1" -csv /dev/null | sed -n 's/^two-phase executor: \([0-9]*\) resolutions.*/\1/p'
+}
+want=$(resolutions 1)
+if [ -z "$want" ]; then
+    echo "sweep-check: FAIL: the canonical sweep printed no resolution count" >&2
+    exit 1
+fi
+for run in 1 2 3 4; do
+    got=$(resolutions 2)
+    if [ "$got" != "$want" ]; then
+        echo "sweep-check: FAIL: canonical sweep resolved $got traces at -j 2 (run $run), $want at -j 1" >&2
+        exit 1
+    fi
+done
+echo "sweep-check: canonical sweep resolves $want traces at -j 1 and -j 2"
