@@ -146,14 +146,15 @@ ci: fmt-check vet build race bench bench-module perf-check serve-check bench-jso
 golden:
 	IGOSIM_GOLDEN_ALL=1 $(GO) test -run TestAllByteIdenticalAcrossParallelism -timeout 30m -v ./internal/experiments/
 
-# Non-test Go line counts of the simulator's core packages and of the
-# oracle-side packages that drive them, plus their total: the size figure
-# simplicity changes report, net of callers moved between packages. The
+# Non-test Go line counts of the simulator's core packages, of the
+# oracle-side packages that drive them and of the runner and serve layers
+# around them, plus their total: the size figure simplicity changes
+# report, net of callers moved between packages. The
 # api column counts each package's exported funcs, methods and types (the
 # `go doc -all` lines that start with func or type).
 loc:
 	@total=0; apis=0; printf '%-9s %6s %5s\n' package lines api; \
-	for d in schedule core sim trace proptest validate refmodel; do \
+	for d in schedule core sim trace proptest validate refmodel runner serve; do \
 		n=$$(cat $$(ls internal/$$d/*.go | grep -v '_test\.go$$') | wc -l); \
 		a=$$($(GO) doc -all ./internal/$$d | grep -cE '^(func|type)'); \
 		printf '%-9s %6d %5d\n' "$$d" "$$n" "$$a"; total=$$((total + n)); apis=$$((apis + a)); \

@@ -9,11 +9,11 @@ import (
 	"igosim/internal/stats"
 )
 
-// Memo execution counters. Wall domain, not cycle: under a miss race two
-// workers may both compute the same key (GetOrCompute documents this), and
-// tuning caches can re-enter memoLayer from a racing compute, so the
-// executed/served split varies legitimately with -j. The deterministic view
-// of the same cache lives in its stats entry count (manifest hit rate).
+// Memo execution counters. Wall domain, not cycle: the memo is single
+// flight, so each key is simulated once until ResetCaches, but a caller
+// that joins another's flight counts as served, and whether it joins or
+// hits depends on scheduling. The deterministic view of the same cache
+// lives in its stats entry count (manifest hit rate).
 var (
 	mLayerSims = metrics.NewCounter("core_layer_sims_total",
 		"layer simulations actually executed (memo misses)", metrics.Wall)
@@ -59,23 +59,22 @@ type layerKey struct {
 	scheme Scheme
 	parts  int
 	skipDX bool
-	opts   sim.Options
+	freeDY bool // sim.Options.FreeDYOnDW, the one option that changes outcomes
 }
 
 var layerMemo = runner.NewCache[layerKey, LayerOutcome]("core/layer-sim")
 
+// layerKeyFor keys a layer simulation under opts. Tracing never changes
+// outcomes, so traced and untraced runs share entries.
 func layerKeyFor(cfg config.NPU, p schedule.TileParams, kind memoKind, opts sim.Options) layerKey {
 	p.Layer, p.Part = 0, 0
-	// Tracing never changes simulation outcomes, so traced and untraced runs
-	// share cache entries; keeping the sink or label in the key would both
-	// fragment the cache and defeat memoization whenever tracing is on.
-	opts.Trace, opts.TraceLabel = nil, ""
-	return layerKey{fp: cfg.Fingerprint(), p: p, kind: kind, opts: opts}
+	return layerKey{fp: cfg.Fingerprint(), p: p, kind: kind, freeDY: opts.FreeDYOnDW}
 }
 
-// memoLayer wraps the layer-memo lookup for traced runs: a served result has
-// no engine spans in the trace (the simulation never ran), so the sink gets
-// a memo-hit instant naming what was skipped instead.
+// memoLayer wraps the layer-memo lookup for traced runs: a served result
+// (a hit, or a joined flight) has no engine spans in the trace (the
+// simulation never ran for this caller), so the sink gets a memo-hit
+// instant naming what was skipped instead.
 func memoLayer(key layerKey, opts sim.Options, compute func() LayerOutcome) LayerOutcome {
 	computed := false
 	out := layerMemo.GetOrCompute(key, func() LayerOutcome {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"igosim/internal/config"
+	"igosim/internal/metrics"
 	"igosim/internal/runner"
 	"igosim/internal/schedule"
 	"igosim/internal/sim"
@@ -202,6 +203,47 @@ func TestOpTablesRecycleConcurrently(t *testing.T) {
 	for _, e := range errs {
 		if e != "" {
 			t.Fatal(e)
+		}
+	}
+}
+
+// TestLayerMemoSingleFlight has 8 goroutines run one cold layer key
+// through RunBackwardMulti at once: the layer memo must simulate it once,
+// so core_layer_sims_total grows by exactly 1, and the rest must be
+// served that one outcome.
+func TestLayerMemoSingleFlight(t *testing.T) {
+	cfg := config.SmallNPU().WithCores(4)
+	m, err := workload.ByAbbr(workload.EdgeSuite(), "ncf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := PlanModel(cfg, m)[0].Params
+	ResetCaches()
+	defer ResetCaches()
+	sims := metrics.Value("core_layer_sims_total")
+	const callers = 8
+	outs := make([]LayerOutcome, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			outs[g] = RunBackwardMulti(cfg, sim.Options{}, p, PolPartition, false)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := metrics.Value("core_layer_sims_total") - sims; n != 1 {
+		t.Errorf("%d layer simulations for one key, want 1", n)
+	}
+	if s := LayerMemoStats(); s.Misses != 1 || s.Lookups() != callers {
+		t.Errorf("layer memo %+v, want 1 miss in %d lookups", s, callers)
+	}
+	for g := range outs {
+		if !reflect.DeepEqual(outs[g], outs[0]) {
+			t.Fatalf("caller %d got %+v, caller 0 %+v", g, outs[g], outs[0])
 		}
 	}
 }

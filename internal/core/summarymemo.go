@@ -97,20 +97,28 @@ func useSummaryMemo(opts sim.Options, k planKey) bool {
 // memoSummaryRun serves the summary-traced run of the plan k names from
 // the memo, or on a miss runs the program build returns one-shot on a
 // private summary sink and keeps the outcome and the folded tracks; either
-// way it appends the tracks to the caller's sink.
+// way it appends the tracks to the caller's sink. Concurrent runs of one
+// plan share one flight: the first runs it, the rest wait for its record.
 func memoSummaryRun(cfg config.NPU, opts sim.Options, k planKey, multi, shared bool, build func() *schedule.Program) LayerOutcome {
 	key := summaryKey{
 		p: k.p, fp: cfg.Fingerprint(), kind: k.kind, pol: k.pol, skipDX: k.skipDX,
 		scheme: k.scheme, parts: uint8(k.parts), orders: k.orders, freeDY: opts.FreeDYOnDW, multi: multi, shared: shared,
 	}
 	prefix := opts.TrackPrefix(multi)
-	r, ok := summaryMemo.Get(key)
-	if !ok {
+	r, wait, lead := summaryMemo.Lookup(key)
+	if lead {
+		// Deferred, so that a panicking leader still releases its waiters.
+		defer func() { summaryMemo.Finish(key, r, r.tracks != nil) }()
+	} else if wait != nil {
+		r = <-wait
+	}
+	// Fold never returns nil tracks: they are nil on a miss, or when the
+	// flight's leader panicked, and then this caller runs the plan.
+	if r.tracks == nil {
 		private := opts
 		private.Trace = trace.NewSummary()
 		r.out = runProgram(cfg, private, nil, multi, shared, build)
 		r.tracks = private.Trace.Fold(prefix)
-		summaryMemo.Put(key, r)
 	}
 	opts.Trace.Append(prefix, r.tracks)
 	return r.out

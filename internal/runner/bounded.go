@@ -7,12 +7,18 @@ import (
 )
 
 // Bounded is a capacity-bounded LRU cache with a doorkeeper admission
-// policy, for values too large or too numerous to memoize unboundedly
-// (resolved residency traces run to megabytes on big programs; a serving
-// process sees an open-ended stream of distinct requests). It trades the
-// sharding of Cache for strict LRU ordering under a single mutex: the
-// values it holds are expensive enough to produce that the lock is never
-// the bottleneck.
+// policy and single-flight lookups, for values too large or too numerous
+// to memoize unboundedly (resolved residency traces run to megabytes on
+// big programs; a serving process sees an open-ended stream of distinct
+// requests). It trades the sharding of Cache for strict LRU: one mutex
+// orders the LRU list, the doorkeeper and the flights, and the values are
+// expensive enough to produce that the lock is never the bottleneck.
+//
+// Under that mutex every key is resident, in flight, or neither. Lookup
+// hits a resident key, joins a key in flight, or makes the caller the
+// leader of a new flight; the leader's Finish offers its value for
+// admission, removes the flight and delivers the value to its waiters,
+// admitted or not. Reset and SetCap drop resident entries, never flights.
 //
 // Capacity is counted in weight units. NewBounded weighs every entry 1,
 // so capacity is an entry count; NewWeighted takes a weight function, so
@@ -20,9 +26,9 @@ import (
 //
 // Admission: while the new entry fits below capacity it is admitted
 // immediately (a cold sweep must not pay a double-compute tax). Once it
-// does not, the first Put of a new key is refused and the key is
+// does not, the first offer of a key is refused and the key is
 // remembered in the doorkeeper, a FIFO set of at most doorkeeperFactor ×
-// resident-entry-count keys; a Put of a remembered key is admitted,
+// resident-entry-count keys; an offer of a remembered key is admitted,
 // evicting LRU entries until it fits, and leaves the doorkeeper (so once
 // evicted it must miss twice again). A one-shot scan over many distinct
 // keys therefore cannot flush the working set: each scan key is refused
@@ -31,9 +37,9 @@ import (
 // whole capacity is never admitted.
 //
 // The cache keeps no census of the keys it has seen beyond the doorkeeper:
-// every piece of per-key state is bounded by capacity. The caller owns
-// the counters and picks what they report as Entries — Len, or an exact
-// distinct-key census it keeps itself.
+// every piece of per-key state is bounded by capacity or by the flights
+// in progress. The caller owns the counters and picks what they report as
+// Entries — Len, or an exact distinct-key census it keeps itself.
 type Bounded[K comparable, V any] struct {
 	mu       sync.Mutex
 	cap      int
@@ -45,6 +51,7 @@ type Bounded[K comparable, V any] struct {
 	door     map[K]int           // doorkeeper: refused key -> its slot in doorQ
 	doorQ    []K                 // ring of remembered keys; stale once admitted
 	doorNext int                 // doorQ's oldest slot once the ring is full
+	flights  map[K][]chan V      // keys in flight: the leader's and each waiter's delivery
 	counters *stats.CacheCounters
 }
 
@@ -63,8 +70,8 @@ const doorkeeperFactor = 8
 
 // NewBounded creates a bounded cache holding at most capacity entries,
 // counting its hits, misses and evictions on the caller's registered
-// counters. Capacity 0 disables the cache: Get always misses and Put is a
-// no-op.
+// counters. Capacity 0 disables the cache: every lookup that is not
+// coalesced misses, and Finish admits nothing.
 func NewBounded[K comparable, V any](capacity int, counters *stats.CacheCounters) *Bounded[K, V] {
 	return NewWeighted[K, V](capacity, nil, counters)
 }
@@ -78,13 +85,14 @@ func NewWeighted[K comparable, V any](capacity int, weigh func(V) int, counters 
 		weigh:    weigh,
 		m:        make(map[K]*boundedEntry[K, V]),
 		door:     make(map[K]int),
+		flights:  make(map[K][]chan V),
 		counters: counters,
 	}
 }
 
 // SetCap changes the capacity. Shrinking evicts LRU entries down to the
-// new bound; capacity 0 drops everything and disables the cache. The
-// doorkeeper starts over empty.
+// new bound; capacity 0 drops every resident entry and disables the cache.
+// The doorkeeper starts over empty; flights in progress are left alone.
 func (b *Bounded[K, V]) SetCap(capacity int) {
 	b.mu.Lock()
 	b.cap = capacity
@@ -102,51 +110,60 @@ func (b *Bounded[K, V]) Cap() int {
 	return b.cap
 }
 
-// Get returns the cached value for k, counting the lookup. A hit moves
-// the entry to the front of the LRU list.
-func (b *Bounded[K, V]) Get(k K) (V, bool) {
+// Lookup looks k up and counts the lookup. A hit returns k's resident
+// value and a nil wait. Otherwise wait delivers the value k's flight
+// finishes with: the lookup joined a flight in progress (coalesced), or
+// it missed and leads a new one (lead), and must compute the value and
+// call Finish exactly once, deferred if it may panic, or its waiters block
+// forever. A leader that ends without a value finishes with the zero
+// value, which tells its waiters to compute for themselves.
+func (b *Bounded[K, V]) Lookup(k K) (v V, wait <-chan V, lead bool) {
 	b.mu.Lock()
-	e, ok := b.m[k]
-	if ok {
+	if e, ok := b.m[k]; ok {
 		b.moveFrontLocked(e)
-		v := e.val // Put may rewrite e.val once the lock is released
+		v = e.val
 		b.mu.Unlock()
 		b.counters.Hit()
-		return v, true
+		return v, nil, false
 	}
+	ch := make(chan V, 1)
+	waiters, inFlight := b.flights[k]
+	b.flights[k] = append(waiters, ch)
 	b.mu.Unlock()
-	b.counters.Miss()
-	var zero V
-	return zero, false
+	if inFlight {
+		b.counters.Coalesced()
+	} else {
+		b.counters.Miss()
+	}
+	return v, ch, !inFlight
 }
 
-// Put offers v for caching under k and reports whether it was admitted. A
-// resident key takes the new value; a new key that fits below capacity is
-// admitted immediately; otherwise the doorkeeper refuses a new key the
-// first time and admits it, evicting LRU entries until it fits, once it
-// comes back. A value heavier than the capacity is refused outright, and
-// a resident key re-Put with such a value is dropped.
-func (b *Bounded[K, V]) Put(k K, v V) bool {
+// Finish ends the flight the caller leads on k, delivering v to the
+// leader and every waiter. If admit is set it first offers v for
+// admission under the policy above and reports whether v was admitted.
+func (b *Bounded[K, V]) Finish(k K, v V, admit bool) (admitted bool) {
 	w := 1
-	if b.weigh != nil { // set once at construction; weigh runs unlocked
+	if admit && b.weigh != nil { // set once at construction; weigh runs unlocked
 		w = b.weigh(v)
 	}
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.cap <= 0 || w > b.cap {
-		if e, ok := b.m[k]; ok {
-			b.removeLocked(e)
-		}
-		return false
+	if admit {
+		admitted = b.admitLocked(k, v, w)
 	}
-	if e, ok := b.m[k]; ok {
-		b.used += w - e.w
-		e.val, e.w = v, w
-		b.moveFrontLocked(e)
-		for b.used > b.cap {
-			b.evictLocked()
-		}
-		return true
+	waiters := b.flights[k]
+	delete(b.flights, k)
+	b.mu.Unlock()
+	for _, ch := range waiters {
+		ch <- v // buffered: a waiter that gave up never blocks the leader
+	}
+	return admitted
+}
+
+// admitLocked applies the admission policy to v, of weight w, under the
+// key k its flight computed; k is not resident.
+func (b *Bounded[K, V]) admitLocked(k K, v V, w int) bool {
+	if b.cap <= 0 || w > b.cap {
+		return false
 	}
 	if b.used+w > b.cap {
 		if _, ok := b.door[k]; !ok {
@@ -253,8 +270,9 @@ func (b *Bounded[K, V]) Len() int {
 	return len(b.m)
 }
 
-// Reset drops every entry and the doorkeeper's memory, and zeroes the
-// counters.
+// Reset drops every resident entry and the doorkeeper's memory, and zeroes
+// the counters. Flights in progress are left to finish; their values are
+// offered to the now-empty cache.
 func (b *Bounded[K, V]) Reset() {
 	b.mu.Lock()
 	b.m = make(map[K]*boundedEntry[K, V])

@@ -2,44 +2,117 @@ package runner
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
 	"igosim/internal/stats"
 )
 
-// TestBoundedGetPutSameKey hammers Get and Put on one resident key from
-// concurrent goroutines. Put rewrites the entry's value in place, so a Get
-// that read the value outside the lock would race with it; run with -race.
-func TestBoundedGetPutSameKey(t *testing.T) {
-	b := NewBounded[int, int](4, stats.NewCacheCounters("test/bounded-same-key"))
-	b.Put(1, 0)
-	const rounds = 2000
+// offer runs one flight on the non-resident key k that finishes with v,
+// as a caller that missed k would, and reports whether v was admitted.
+func offer[K comparable, V any](t *testing.T, b *Bounded[K, V], k K, v V) bool {
+	t.Helper()
+	if _, _, lead := b.Lookup(k); !lead {
+		t.Fatalf("Lookup(%v) did not lead a flight", k)
+	}
+	return b.Finish(k, v, true)
+}
+
+// TestBoundedSameKeyFlights hammers Lookup and Finish on one key from
+// concurrent goroutines while capacity flips between 0 and 4, so the key
+// is dropped and led again many times: every lookup must get a value some
+// leader finished with, and count exactly once. Run with -race.
+func TestBoundedSameKeyFlights(t *testing.T) {
+	counters := stats.NewCacheCounters("test/bounded-same-key")
+	b := NewBounded[int, int](4, counters)
+	const workers, rounds = 4, 500
 	var wg sync.WaitGroup
-	wg.Add(2)
+	stop := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		for i := 1; i <= rounds; i++ {
-			b.Put(1, i)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			if v, ok := b.Get(1); !ok || v < 0 || v > rounds {
-				t.Errorf("Get(1) = %d, %v", v, ok)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
 				return
+			default:
+				b.SetCap(4 * (i % 2))
+				runtime.Gosched()
 			}
 		}
 	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= rounds; i++ {
+				v, wait, lead := b.Lookup(1)
+				if lead {
+					b.Finish(1, i, true)
+				}
+				if wait != nil {
+					v = <-wait
+				}
+				if v < 1 || v > rounds {
+					t.Errorf("lookup %d got %d", i, v)
+					return
+				}
+			}
+		}()
+	}
 	wg.Wait()
-	if v, ok := b.Get(1); !ok || v != rounds {
-		t.Fatalf("after the hammer Get(1) = %d, %v, want %d", v, ok, rounds)
+	close(stop)
+	if got := counters.Snapshot().Lookups(); got != workers*rounds {
+		t.Errorf("lookups = %d, want %d", got, workers*rounds)
+	}
+	if n := len(b.flights); n != 0 {
+		t.Errorf("%d flights left after every leader finished", n)
 	}
 }
 
-// TestBoundedDoorkeeper drives the cache the way sim.RunFamily does — Get,
-// and on a miss compute and Put — and checks the admission policy: a
+// TestBoundedFlight checks one flight end to end: the first lookup leads
+// and misses, later ones join and count as coalesced, Reset leaves the
+// flight alone, and the leader's value reaches every waiter even when it
+// is not admitted.
+func TestBoundedFlight(t *testing.T) {
+	counters := stats.NewCacheCounters("test/bounded-flight")
+	b := NewBounded[string, int](4, counters)
+	_, lw, lead := b.Lookup("k")
+	if !lead || lw == nil {
+		t.Fatal("first lookup did not lead")
+	}
+	var waits []<-chan int
+	for range 2 {
+		_, w, l := b.Lookup("k")
+		if l || w == nil {
+			t.Fatal("lookup of a key in flight did not join it")
+		}
+		waits = append(waits, w)
+	}
+	if s := counters.Snapshot(); s.Misses != 1 || s.Coalesced != 2 || s.Hits != 0 {
+		t.Fatalf("counters %+v, want 1 miss + 2 coalesced", s)
+	}
+	b.Reset()
+	if b.Finish("k", 7, false) {
+		t.Fatal("Finish admitted a value it was not asked to")
+	}
+	for i, w := range append(waits, lw) {
+		if v := <-w; v != 7 {
+			t.Errorf("receiver %d got %d, want 7", i, v)
+		}
+	}
+	if b.Len() != 0 || len(b.flights) != 0 {
+		t.Fatalf("Len = %d, flights = %d after an unadmitted finish", b.Len(), len(b.flights))
+	}
+	if !offer(t, b, "k", 8) {
+		t.Fatal("a key below capacity was not admitted")
+	}
+	if v, w, l := b.Lookup("k"); w != nil || l || v != 8 {
+		t.Fatalf("Lookup after admission = %d, %v, %v; want a hit on 8", v, w, l)
+	}
+}
+
+// TestBoundedDoorkeeper drives the cache the way sim.RunFamily does — a
+// lookup, and on a miss compute and finish — and checks the admission policy: a
 // one-shot scan at capacity leaves the working set resident without an
 // eviction, a refused key is admitted on its second miss, and the
 // doorkeeper never remembers more than doorkeeperFactor × capacity keys.
@@ -49,11 +122,11 @@ func TestBoundedDoorkeeper(t *testing.T) {
 	b := NewBounded[string, int](capacity, counters)
 	computes := 0
 	lookup := func(k string) bool {
-		if _, ok := b.Get(k); ok {
+		if _, wait, _ := b.Lookup(k); wait == nil {
 			return true
 		}
 		computes++
-		b.Put(k, len(k))
+		b.Finish(k, len(k), true)
 		return false
 	}
 
@@ -89,7 +162,7 @@ func TestBoundedDoorkeeper(t *testing.T) {
 		t.Fatal("hot hit before it was ever stored")
 	}
 	if lookup("hot") {
-		t.Fatal("hot hit on its second lookup: its first Put should have been refused")
+		t.Fatal("hot hit on its second lookup: its first offer should have been refused")
 	}
 	if !lookup("hot") {
 		t.Error("hot missed on its third lookup: its second miss should have admitted it")
@@ -97,7 +170,7 @@ func TestBoundedDoorkeeper(t *testing.T) {
 	if ev := counters.Snapshot().Evictions; ev != 1 {
 		t.Errorf("evictions = %d after one admission at capacity, want 1", ev)
 	}
-	if _, ok := b.Get("w0"); ok {
+	if _, ok := b.m["w0"]; ok {
 		t.Error("w0 still resident: it was the LRU tail and should have been evicted")
 	}
 	if b.Len() != capacity {
@@ -113,8 +186,8 @@ func TestBoundedDoorkeeperRecycledSlot(t *testing.T) {
 	b := NewBounded[string, int](1, stats.NewCacheCounters("test/bounded-recycled-slot"))
 	put := func(k string, want bool) {
 		t.Helper()
-		if got := b.Put(k, 0); got != want {
-			t.Fatalf("Put(%s) admitted = %v, want %v", k, got, want)
+		if got := offer(t, b, k, 0); got != want {
+			t.Fatalf("offer(%s) admitted = %v, want %v", k, got, want)
 		}
 	}
 	put("r", true)  // below capacity
@@ -140,11 +213,11 @@ func TestBoundedWeighted(t *testing.T) {
 	b := NewWeighted[string, string](10, func(v string) int { return len(v) }, counters)
 	put := func(k, v string, want bool) {
 		t.Helper()
-		if got := b.Put(k, v); got != want {
-			t.Fatalf("Put(%s, %d bytes) admitted = %v, want %v", k, len(v), got, want)
+		if got := offer(t, b, k, v); got != want {
+			t.Fatalf("offer(%s, %d bytes) admitted = %v, want %v", k, len(v), got, want)
 		}
 		if w := b.Weight(); w > b.Cap() {
-			t.Fatalf("weight %d over capacity %d after Put(%s)", w, b.Cap(), k)
+			t.Fatalf("weight %d over capacity %d after offer(%s)", w, b.Cap(), k)
 		}
 	}
 	resident := func(want ...string) {
@@ -190,14 +263,15 @@ func TestBoundedWeighted(t *testing.T) {
 	put("g", "g", true)
 	resident("e", "f", "g")
 
-	// A resident key re-Put heavier evicts LRU entries to make room.
-	put("f", "ffff", true) // 8 + 4 + 1 = 13: evicts e
-	resident("f", "g")
+	// A recurring key evicts as many LRU entries as its weight needs.
+	put("h", "hhhh", false) // 10 + 4 > 10: refused once
+	put("h", "hhhh", true)  // evicts e alone: 1 + 1 + 4 fits
+	resident("f", "g", "h")
 	evictions(4)
 
-	b.SetCap(4)
-	resident("f")
-	evictions(5)
+	b.SetCap(4) // evicts f, then g
+	resident("h")
+	evictions(6)
 	if b.Weight() != 4 {
 		t.Fatalf("weight = %d after shrinking to 4, want 4", b.Weight())
 	}

@@ -12,11 +12,12 @@ import (
 // comfortably covers the pool widths the runner produces.
 const cacheShards = 64
 
-// Cache is a sharded, concurrency-safe memoization cache. It is built for
-// pure functions: GetOrCompute may invoke the compute function more than
-// once for the same key under a miss race, which is harmless (the callers
-// converge on one stored value) and keeps the fast path free of per-key
-// locking. Hit/miss counts are published through the stats cache report.
+// Cache is a sharded, concurrency-safe, unbounded memoization cache for
+// pure functions. A hit takes its shard's read lock and reads a map; a
+// miss takes the write lock, under which every key of the shard is
+// resident, in flight, or neither, and joins the key's flight or leads a
+// new one. Hit, miss and coalesced counts are published through the stats
+// cache report.
 type Cache[K comparable, V any] struct {
 	seed     maphash.Seed
 	counters *stats.CacheCounters
@@ -24,8 +25,9 @@ type Cache[K comparable, V any] struct {
 }
 
 type cacheShard[K comparable, V any] struct {
-	mu sync.RWMutex
-	m  map[K]V
+	mu      sync.RWMutex
+	m       map[K]V
+	flights map[K][]chan V // keys in flight: each waiter's delivery
 }
 
 // NewCache creates a cache registered in the stats cache report under name.
@@ -38,6 +40,7 @@ func NewCache[K comparable, V any](name string) *Cache[K, V] {
 	}
 	for i := range c.shards {
 		c.shards[i].m = make(map[K]V)
+		c.shards[i].flights = make(map[K][]chan V)
 	}
 	// The entry count is the deterministic half of the cache's statistics
 	// (distinct keys ever requested); manifests derive their
@@ -50,52 +53,57 @@ func (c *Cache[K, V]) shard(k K) *cacheShard[K, V] {
 	return &c.shards[maphash.Comparable(c.seed, k)%cacheShards]
 }
 
-// Get returns the cached value for k, counting the lookup.
-func (c *Cache[K, V]) Get(k K) (V, bool) {
+// GetOrCompute returns the cached value for k, computing and storing it on
+// a miss. Callers that miss k while another computes it wait for that
+// value, so compute runs once per key and every caller sees one value per
+// key at any parallelism. compute must not wait on a lookup of k, or the
+// flight waits on itself. If compute panics, its waiters retry.
+func (c *Cache[K, V]) GetOrCompute(k K, compute func() V) V {
 	s := c.shard(k)
 	s.mu.RLock()
 	v, ok := s.m[k]
 	s.mu.RUnlock()
 	if ok {
 		c.counters.Hit()
-	} else {
-		c.counters.Miss()
-	}
-	return v, ok
-}
-
-// Put stores v under k.
-func (c *Cache[K, V]) Put(k K, v V) {
-	s := c.shard(k)
-	s.mu.Lock()
-	s.m[k] = v
-	s.mu.Unlock()
-}
-
-// GetOrCompute returns the cached value for k, computing and storing it on
-// a miss. compute runs outside the shard lock, so under a miss race both
-// workers compute; the first to store wins and the loser adopts its value.
-// Every caller therefore sees one canonical value per key at any
-// parallelism, even when the value holds pointers whose identity differs
-// between the racing computations.
-func (c *Cache[K, V]) GetOrCompute(k K, compute func() V) V {
-	if v, ok := c.Get(k); ok {
 		return v
 	}
-	return c.putIfAbsent(k, compute())
-}
-
-// putIfAbsent stores v under k only if no value is resident, and returns
-// the resident value either way.
-func (c *Cache[K, V]) putIfAbsent(k K, v V) V {
-	s := c.shard(k)
 	s.mu.Lock()
-	if cur, ok := s.m[k]; ok {
+	if v, ok := s.m[k]; ok { // stored since the read lock was released
 		s.mu.Unlock()
-		return cur
+		c.counters.Hit()
+		return v
 	}
-	s.m[k] = v
+	if waiters, ok := s.flights[k]; ok {
+		ch := make(chan V, 1)
+		s.flights[k] = append(waiters, ch)
+		s.mu.Unlock()
+		c.counters.Coalesced()
+		if v, ok := <-ch; ok {
+			return v
+		}
+		return c.GetOrCompute(k, compute) // the leader panicked
+	}
+	s.flights[k] = nil
 	s.mu.Unlock()
+	c.counters.Miss()
+	done := false
+	defer func() {
+		s.mu.Lock()
+		if done {
+			s.m[k] = v
+		}
+		waiters := s.flights[k]
+		delete(s.flights, k)
+		s.mu.Unlock()
+		for _, ch := range waiters {
+			if done {
+				ch <- v
+			}
+			close(ch)
+		}
+	}()
+	v = compute()
+	done = true
 	return v
 }
 
@@ -111,8 +119,9 @@ func (c *Cache[K, V]) Len() int {
 	return n
 }
 
-// Reset drops every entry and zeroes the hit/miss counters (used by tests
-// and benchmarks that need a cold cache).
+// Reset drops every entry and zeroes the counters (used by tests and
+// benchmarks that need a cold cache). Flights in progress are left to
+// finish; their values land in the now-empty cache.
 func (c *Cache[K, V]) Reset() {
 	for i := range c.shards {
 		s := &c.shards[i]

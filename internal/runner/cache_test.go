@@ -1,8 +1,11 @@
 package runner
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 type testKey struct {
@@ -14,12 +17,13 @@ func TestCacheBasics(t *testing.T) {
 	c := NewCache[testKey, int]("test/basics")
 	k := testKey{A: 1, B: "x"}
 
-	if _, ok := c.Get(k); ok {
-		t.Fatal("empty cache reported a hit")
+	computed := 0
+	compute := func() int { computed++; return 42 }
+	if v := c.GetOrCompute(k, compute); v != 42 || computed != 1 {
+		t.Fatalf("empty cache: GetOrCompute = %d after %d computes", v, computed)
 	}
-	c.Put(k, 42)
-	if v, ok := c.Get(k); !ok || v != 42 {
-		t.Fatalf("Get = %d, %v", v, ok)
+	if v := c.GetOrCompute(k, compute); v != 42 || computed != 1 {
+		t.Fatalf("GetOrCompute = %d after %d computes, want a hit", v, computed)
 	}
 	if got := c.Len(); got != 1 {
 		t.Fatalf("Len = %d", got)
@@ -96,7 +100,7 @@ func TestCacheConcurrent(t *testing.T) {
 func TestCacheSpreadsAcrossShards(t *testing.T) {
 	c := NewCache[int, int]("test/shards")
 	for k := 0; k < 4096; k++ {
-		c.Put(k, k)
+		c.GetOrCompute(k, func() int { return k })
 	}
 	used := 0
 	for i := range c.shards {
@@ -111,26 +115,84 @@ func TestCacheSpreadsAcrossShards(t *testing.T) {
 	}
 }
 
-// TestCacheGetOrComputeConverges races many workers on one cold key, each
-// computing its own value: every caller must get back the single value
-// that was stored first.
+// TestCacheGetOrComputeConverges races many workers on one cold key: the
+// compute holds until every other worker has joined its flight (or a
+// second passes, as without single flight none ever joins), must run
+// once, and every worker must get back the one value it stored.
 func TestCacheGetOrComputeConverges(t *testing.T) {
 	c := NewCache[int, *int]("test/converge")
 	const goroutines = 16
+	var computes atomic.Int64
+	compute := func() *int {
+		computes.Add(1)
+		deadline := time.Now().Add(time.Second)
+		for c.Stats().Coalesced < goroutines-1 && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		return new(int)
+	}
 	got := make([]*int, goroutines)
 	var wg sync.WaitGroup
 	wg.Add(goroutines)
 	for g := 0; g < goroutines; g++ {
 		go func() {
 			defer wg.Done()
-			got[g] = c.GetOrCompute(1, func() *int { return new(int) })
+			got[g] = c.GetOrCompute(1, compute)
 		}()
 	}
 	wg.Wait()
-	stored, _ := c.Get(1)
+	if n := computes.Load(); n != 1 {
+		t.Fatalf("compute ran %d times for %d concurrent callers, want 1", n, goroutines)
+	}
+	if s := c.Stats(); s.Misses != 1 || s.Coalesced != goroutines-1 {
+		t.Errorf("stats = %+v, want 1 miss + %d coalesced", s, goroutines-1)
+	}
+	stored := c.GetOrCompute(1, func() *int { t.Fatal("a resident key recomputed"); return nil })
 	for g, p := range got {
 		if p != stored {
 			t.Fatalf("worker %d got %p, resident value is %p", g, p, stored)
 		}
+	}
+}
+
+// TestCachePanickingLeaderReleasesWaiters has a leader's compute panic
+// once its waiters have joined: the waiters must be released, retry, and
+// compute the value themselves, and the key must stay usable.
+func TestCachePanickingLeaderReleasesWaiters(t *testing.T) {
+	c := NewCache[int, int]("test/panic")
+	const waiters = 4
+	leading := make(chan struct{})
+	leaderDone := make(chan any)
+	go func() {
+		defer func() { leaderDone <- recover() }()
+		c.GetOrCompute(1, func() int {
+			close(leading)
+			for c.Stats().Coalesced < waiters {
+				runtime.Gosched()
+			}
+			panic("leader failed")
+		})
+	}()
+	<-leading
+	var wg sync.WaitGroup
+	got := make([]int, waiters)
+	for w := range waiters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w] = c.GetOrCompute(1, func() int { return 7 })
+		}()
+	}
+	if r := <-leaderDone; r != "leader failed" {
+		t.Fatalf("leader recovered %v, want its panic", r)
+	}
+	wg.Wait()
+	for w, v := range got {
+		if v != 7 {
+			t.Errorf("waiter %d got %d, want 7", w, v)
+		}
+	}
+	if c.Len() != 1 {
+		t.Errorf("Len = %d after the retry, want 1", c.Len())
 	}
 }

@@ -19,8 +19,11 @@
 //   - Shards: deterministic partitioning of a flattened work grid into
 //     contiguous index ranges, the unit of checkpointing for resumable
 //     sweeps (internal/dse);
-//   - Cache (cache.go): a sharded, shape-keyed memoization cache for
-//     per-layer simulation results.
+//   - the simulator's caches, all single-flight: under one lock a key is
+//     resident, in flight, or neither, so concurrent misses of one key
+//     compute it once. Cache (cache.go) is sharded and unbounded; Bounded
+//     (bounded.go) is a capacity-bounded LRU whose leaders finish a flight
+//     themselves (Lookup, Finish) and may decline to admit its value.
 package runner
 
 import (

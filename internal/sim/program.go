@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"sync"
-
 	"igosim/internal/config"
 	"igosim/internal/schedule"
 )
@@ -173,61 +171,32 @@ func cacheable(key any, opts Options) bool {
 	return key != nil && opts.Trace == nil && resolvedCache.Cap() > 0
 }
 
-// flight is one resolution in progress: waiters block on done, then read
-// traces, the leader's traces when they were admissible (nil otherwise).
-type flight struct {
-	done   chan struct{}
-	traces []*ResolvedTrace
-}
-
-// flights holds the keys being resolved. flightsMu orders each lookup
-// against a leader's admit-then-leave, so a key is always in flight,
-// resident, or neither, and a miss never races a finished leader into a
-// second resolution.
-var (
-	flightsMu sync.Mutex
-	flights   = make(map[resolvedKey]*flight)
-)
-
 // runKeyed is the two-phase executor's one lookup sequence for a
-// cacheable key of n traces. A hit returns the cached traces and runs
-// nothing. A miss on a key another caller is resolving waits for it and
-// returns its traces; if they were not admissible, the waiter resolves
-// the key itself. Any other miss leads: it counts the key into the census,
-// runs every member recording its trace, and admits the traces when every
-// one is representable and within maxCachedResolvedOps.
+// cacheable key of n traces, a single-flight lookup in resolvedCache. A
+// hit returns the cached traces and runs nothing. A miss on a key another
+// caller is resolving waits for it and returns its traces; if they were
+// not admissible, the waiter resolves the key itself. Any other miss
+// leads: it counts the key into the census, runs every member recording
+// its trace, and admits the traces when every one is representable and
+// within maxCachedResolvedOps.
 func runKeyed[R any](rk resolvedKey, n int, resolve func(i int) (R, *ResolvedTrace)) ([]R, []*ResolvedTrace) {
-	flightsMu.Lock()
-	if f, ok := flights[rk]; ok {
-		flightsMu.Unlock()
-		resolvedCounters.Coalesced()
-		<-f.done
-		if f.traces != nil {
-			return nil, f.traces
+	hit, wait, lead := resolvedCache.Lookup(rk)
+	switch {
+	case wait == nil:
+		return nil, hit
+	case !lead:
+		if traces := <-wait; traces != nil {
+			return nil, traces
 		}
 		res, _ := resolveAll(n, resolve)
 		return res, nil
 	}
-	if hit, ok := resolvedCache.Get(rk); ok {
-		flightsMu.Unlock()
-		return nil, hit
-	}
-	f := &flight{done: make(chan struct{})}
-	flights[rk] = f
-	flightsMu.Unlock()
+	var traces []*ResolvedTrace
 	// Deferred, so that a panicking leader still releases its waiters.
-	defer func() {
-		flightsMu.Lock()
-		if f.traces != nil {
-			resolvedCache.Put(rk, f.traces)
-		}
-		delete(flights, rk)
-		flightsMu.Unlock()
-		close(f.done)
-	}()
+	defer func() { resolvedCache.Finish(rk, traces, traces != nil) }()
 	resolvedCensus.Add(rk, n)
 	var res []R
-	res, f.traces = resolveAll(n, resolve)
+	res, traces = resolveAll(n, resolve)
 	return res, nil
 }
 

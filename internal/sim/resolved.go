@@ -411,11 +411,11 @@ var (
 	// "resolutions" leaf read it as Entries. Keys are recorded on a miss
 	// only: a hit key missed before it was admitted.
 	resolvedCensus = runner.NewCensus[resolvedKey](resolvedCounters)
-	// Wall domain: under a layer-memo miss race two workers may both look
-	// the same key up, and the second replays it, so the replay count
-	// varies with -j. Resolutions do not: a worker that misses a key
-	// another is resolving waits for its traces (runKeyed), unless they
-	// are not admissible. The deterministic census is resolvedCensus.
+	// Wall domain: which lookups still find a key resident depends on
+	// the eviction order, so the replay count may vary with -j.
+	// Resolutions of admitted keys do not while nothing is evicted: a
+	// worker that misses a key another is resolving waits for its traces
+	// (runKeyed). The deterministic census is resolvedCensus.
 	resolvedPhases = stats.NewPhaseCounters("sim/resolved")
 )
 
