@@ -96,7 +96,7 @@ fuzz-short:
 # property tests, then an end-to-end CLI check that a pruned sweep's
 # simulated rows match an unpruned sweep's byte for byte, that a sweep
 # killed after one shard resumes to a byte-identical CSV, and that the
-# canonical sweep resolves as many traces at -j 2 as at -j 1.
+# canonical sweep resolves as many traces at -j 2 and -j 8 as at -j 1.
 sweep-check:
 	$(GO) test ./internal/dse/ ./internal/analytic/ -count=1
 	sh scripts/sweep_check.sh

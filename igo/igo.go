@@ -169,9 +169,11 @@ func Experiments() []string { return experiments.IDs() }
 // fans work out by index and reassembles it in order.
 func Parallelism(n int) int { return runner.SetParallelism(n) }
 
-// CacheStats reports the hit/miss counters of the simulator's memo caches
-// (layer simulations and order-tuning results), one line per cache. Useful
-// when judging whether a sweep benefits from shape sharing.
+// CacheStats reports the hit/miss counters of every registered cache, one
+// line per cache: the layer-simulation memo, the three tuning caches, the
+// plan and tuner-family key censuses, the summary-trace memo, the
+// resolved-trace cache and, in programs that link the server, its result
+// cache. Useful when judging whether a sweep benefits from shape sharing.
 func CacheStats() []string {
 	snaps := stats.CacheReport()
 	out := make([]string, len(snaps))

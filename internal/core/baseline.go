@@ -81,9 +81,6 @@ var ordersCache = runner.NewCache[ordersKey, ordersVal]("core/baseline-tune")
 type ordersVal struct {
 	dx dxCandidate
 	dw dwCandidate
-	// block is the fusion granularity (ops per stream per turn); only the
-	// interleave cache uses it.
-	block int
 }
 
 func keyFor(cfg config.NPU, p schedule.TileParams) ordersKey {
@@ -129,7 +126,7 @@ func baselineChoices(cfg config.NPU, p schedule.TileParams) ordersVal {
 		// baseline space — those appear only through the paper's
 		// transformations.
 		dxs, dws := dxCandidates(np), dwCandidates(np)
-		fam := baselineFamily(single, np, dxs, dws)
+		fam := tunerFamily(single, np, famBaseline, baselineFamily(dxs, dws))
 		var v ordersVal
 		best := int64(-1)
 		for i, c := range dxs {
@@ -166,29 +163,29 @@ func TunedDWOnly(cfg config.NPU, p schedule.TileParams) schedule.Schedule {
 	return schedule.Schedule{Name: "dW-only", Ops: baselineDWOps(p, v.dw)}
 }
 
-// ilvTuned is the joint tuner's winning combination and its makespan,
+// ilvTuned is the joint tuner's winning fusion kernel and its makespan,
 // which BestOrderSimulated reads instead of re-simulating the winner.
 type ilvTuned struct {
-	v      ordersVal
+	kernel recipe
 	cycles int64
 }
 
-// ilvCache holds the jointly tuned order pair for the fused stream.
+// ilvCache holds the jointly tuned fusion kernel.
 var ilvCache = runner.NewCache[ordersKey, ilvTuned]("core/interleave-tune")
 
 // interleaveBlocks are the fusion granularities the joint tuner explores:
 // how many tile ops of each stream run per alternation turn. Finer blocks
 // shorten the dY reuse distance; coarser blocks reduce working-set
-// interference between the two streams.
+// interference between the two streams. Each fits a recipe's uint8 block.
 var interleaveBlocks = []int{1, 16, 128}
 
-// mergeCandidates lists np's distinct fusion combinations in the joint
-// tuner's exploration order, so ties break identically on every path: each
+// mergeCandidates lists np's distinct fusion kernels in the joint tuner's
+// exploration order, so ties break identically on every path: each
 // distinct dX order (dxCandidates) with each distinct dW order
 // (dwCandidates) at each valid block size. Two merges of different streams
-// or blocks differ, so no two combinations build the same program.
-func mergeCandidates(np schedule.TileParams) []ordersVal {
-	var vs []ordersVal
+// or blocks differ, so no two kernels build the same program.
+func mergeCandidates(np schedule.TileParams) []recipe {
+	var vs []recipe
 	dxLen := np.OpCount()
 	for _, dc := range dxCandidates(np) {
 		for _, wc := range dwCandidates(np) {
@@ -198,7 +195,7 @@ func mergeCandidates(np schedule.TileParams) []ordersVal {
 				if blk > 1 && blk >= dxLen {
 					continue
 				}
-				vs = append(vs, ordersVal{dx: dc, dw: wc, block: blk})
+				vs = append(vs, recipe{kind: kInterleave, dx: dc, dw: wc, block: uint8(blk)})
 			}
 		}
 	}
@@ -211,8 +208,9 @@ func mergeCandidates(np schedule.TileParams) []ordersVal {
 // co-schedules them — it simulates every (dX order, dW order, granularity)
 // combination and keeps the fastest. Each stream still walks dY in a
 // traditional order (Figure 10a); only the combination is chosen jointly.
-func interleaveChoices(cfg config.NPU, p schedule.TileParams) ordersVal {
-	return interleaveTuned(cfg, p).v
+// The choice is returned as the fusion kernel.
+func interleaveChoices(cfg config.NPU, p schedule.TileParams) recipe {
+	return interleaveTuned(cfg, p).kernel
 }
 
 // interleaveTuned is interleaveChoices plus the winner's makespan.
@@ -224,12 +222,12 @@ func interleaveTuned(cfg config.NPU, p schedule.TileParams) ilvTuned {
 		// On a bandwidth sweep the family lookup makes this loop pure
 		// replays of shared traces (DESIGN.md §3l).
 		vs := mergeCandidates(np)
-		fam := mergeFamily(single, np, vs)
+		fam := tunerFamily(single, np, famMerge, vs)
 		best := ilvTuned{cycles: -1}
 		for i, v := range vs {
 			cyc := fam.Result(i).Cycles
 			if best.cycles < 0 || cyc < best.cycles {
-				best = ilvTuned{v: v, cycles: cyc}
+				best = ilvTuned{kernel: v, cycles: cyc}
 			}
 		}
 		return best
@@ -262,7 +260,7 @@ func TunedInterleave(cfg config.NPU, p schedule.TileParams) schedule.Schedule {
 	v := interleaveChoices(cfg, p)
 	dx := baselineDXOps(p, v.dx)
 	dw := baselineDWOps(p, v.dw)
-	return schedule.Schedule{Name: "interleave", Ops: mergeStreams(nil, dx, dw, v.block)}
+	return schedule.Schedule{Name: "interleave", Ops: mergeStreams(nil, dx, dw, int(v.block))}
 }
 
 // fusedChunkShare is the fraction of the SPM streaming half granted to the
@@ -314,7 +312,7 @@ func BestOrderSimulated(cfg config.NPU, p schedule.TileParams) Order {
 		// makespan stands in, so the winner is neither re-emitted nor
 		// re-simulated.
 		bestCycles := interleaveTuned(single, np).cycles
-		mj := majorFamily(single, np)
+		mj := tunerFamily(single, np, famMajor, majorFamily(single, np))
 		if cyc := mj.Result(0).Cycles; cyc < bestCycles {
 			best, bestCycles = DXMajor, cyc
 		}

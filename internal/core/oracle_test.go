@@ -81,7 +81,7 @@ func (o *oracle) interleave(cfg config.NPU, p schedule.TileParams) ilvTuned {
 				}
 				ops := mergeStreams(nil, baselineDXOps(np, dc), baselineDWOps(np, wc), blk)
 				if cyc := oracleCycles(single, ops); best.cycles < 0 || cyc < best.cycles {
-					best = ilvTuned{v: ordersVal{dx: dc, dw: wc, block: blk}, cycles: cyc}
+					best = ilvTuned{kernel: recipe{kind: kInterleave, dx: dc, dw: wc, block: uint8(blk)}, cycles: cyc}
 				}
 			}
 		}
@@ -109,8 +109,8 @@ func (o *oracle) bestOrder(cfg config.NPU, p schedule.TileParams) Order {
 
 // interleaved emits the interleave-only schedule from the oracle's choice.
 func (o *oracle) interleaved(cfg config.NPU, p schedule.TileParams) schedule.Schedule {
-	v := o.interleave(cfg, p).v
-	return schedule.Schedule{Ops: mergeStreams(nil, baselineDXOps(p, v.dx), baselineDWOps(p, v.dw), v.block)}
+	v := o.interleave(cfg, p).kernel
+	return schedule.Schedule{Ops: mergeStreams(nil, baselineDXOps(p, v.dx), baselineDWOps(p, v.dw), int(v.block))}
 }
 
 // rearranged mirrors RearrangedTuned.
@@ -215,7 +215,7 @@ func (o *oracle) backwardMulti(cfg config.NPU, p schedule.TileParams, pol Policy
 	return best
 }
 
-// multiPlan mirrors runChosenPlan's multi-core run: part i's kernels from
+// multiPlan mirrors runPlan's multi-core run: part i's kernels from
 // the oracle's choices on core i, kernel k of every part as phase k,
 // replayed by refmodel.ReplayMulti, plus the plan's reductions.
 func (o *oracle) multiPlan(cfg config.NPU, p schedule.TileParams, plan Plan, pol Policy, skipDX, shared bool) LayerOutcome {

@@ -23,7 +23,7 @@ type layerResults struct {
 	rea  LayerOutcome
 	ord  Order
 	tune ordersVal
-	itun ordersVal
+	itun recipe
 }
 
 func computeLayer(cfg config.NPU, p LayerPlan) layerResults {
@@ -167,10 +167,11 @@ func TestOpTablesRecycleConcurrently(t *testing.T) {
 		}
 	}
 	run := func(j job) LayerOutcome {
+		plan := PartitionLayer(j.p, NoPartition, 1)
 		if j.multi {
-			return runPlan(j.cfg, sim.Options{}, j.p, PartitionLayer(j.p, WeightSharing, 2), j.pol, false, true, false)
+			plan = PartitionLayer(j.p, WeightSharing, 2)
 		}
-		return runPlan(j.cfg, sim.Options{}, j.p, PartitionLayer(j.p, NoPartition, 1), j.pol, false, false, false)
+		return runPlan(j.cfg, sim.Options{}, j.p, plan, tunedChoices(j.cfg, plan.Parts, j.pol, false), j.multi, false)
 	}
 	prevBytes := sim.SetResidencyCacheBytes(0)
 	defer sim.SetResidencyCacheBytes(prevBytes)

@@ -157,7 +157,8 @@ func RearrangedWithOrder(cfg config.NPU, p schedule.TileParams, o Order) (schedu
 // empirically best plan.)
 func RunBackward(cfg config.NPU, opts sim.Options, p schedule.TileParams, pol Policy, skipDX bool) LayerOutcome {
 	if pol != PolPartition || skipDX {
-		out := runPlan(cfg, opts, p, PartitionLayer(p, NoPartition, 1), pol, skipDX, false, false)
+		plan := PartitionLayer(p, NoPartition, 1)
+		out := runPlan(cfg, opts, p, plan, tunedChoices(cfg, plan.Parts, pol, skipDX), false, false)
 		out.Policy = pol
 		return out
 	}
@@ -177,7 +178,7 @@ func RunBackward(cfg config.NPU, opts sim.Options, p schedule.TileParams, pol Po
 		if len(plan.Parts) < 2 {
 			return LayerOutcome{}, false
 		}
-		return runPlan(cfg, opts, p, plan, PolRearrange, false, false, false), true
+		return runPlan(cfg, opts, p, plan, tunedChoices(cfg, plan.Parts, PolRearrange, false), false, false), true
 	})
 	out.Policy = PolPartition
 	return out
@@ -256,7 +257,7 @@ func runBackwardMulti(cfg config.NPU, opts sim.Options, p schedule.TileParams, p
 		// policy; the techniques do not apply. It runs as conventional data
 		// parallelism: private buffers.
 		plan := PartitionLayer(p, WeightSharing, cfg.Cores)
-		out := runPlan(cfg, opts, p, plan, PolBaseline, true, true, false)
+		out := runPlan(cfg, opts, p, plan, tunedChoices(cfg, plan.Parts, pol, true), true, false)
 		out.Policy = pol
 		return out
 	}
@@ -264,7 +265,7 @@ func runBackwardMulti(cfg config.NPU, opts sim.Options, p schedule.TileParams, p
 	switch pol {
 	case PolBaseline, PolInterleave, PolRearrange:
 		plan := PartitionLayer(p, WeightSharing, cfg.Cores)
-		out := runPlan(cfg, opts, p, plan, pol, false, true, false)
+		out := runPlan(cfg, opts, p, plan, tunedChoices(cfg, plan.Parts, pol, false), true, false)
 		out.Policy = pol
 		return out
 	default: // PolPartition: search the inter-core distribution
@@ -273,7 +274,8 @@ func runBackwardMulti(cfg config.NPU, opts sim.Options, p schedule.TileParams, p
 			cands = append(cands, planCandidate{scheme: scheme, parts: cfg.Cores})
 		}
 		out := searchPlans(opts, cands, func(c planCandidate) (LayerOutcome, bool) {
-			return runPlan(cfg, opts, p, PartitionLayer(p, c.scheme, c.parts), PolRearrange, false, true, true), true
+			plan := PartitionLayer(p, c.scheme, c.parts)
+			return runPlan(cfg, opts, p, plan, tunedChoices(cfg, plan.Parts, PolRearrange, false), true, true), true
 		})
 		out.Policy = PolPartition
 		return out

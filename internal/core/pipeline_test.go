@@ -154,7 +154,7 @@ func TestMultiPlanOrderIsLastParts(t *testing.T) {
 		t.Fatalf("every part tunes to %v: the plan cannot tell which part's order is reported", first)
 	}
 	for i := 0; i < 20; i++ {
-		if got := runPlan(cfg, sim.Options{}, p, plan, PolRearrange, false, true, true).Order; got != last {
+		if got := runPlan(cfg, sim.Options{}, p, plan, tunedChoices(cfg, plan.Parts, PolRearrange, false), true, true).Order; got != last {
 			t.Fatalf("run %d reports order %v, want the last part's %v", i, got, last)
 		}
 	}
@@ -238,14 +238,11 @@ func TestSelectorRunsMatchEngine(t *testing.T) {
 		for _, o := range Orders() {
 			run := RunTrainingSelector(cfg, sim.Options{}, ncf, func(config.NPU, schedule.TileParams) Order { return o })
 			for j, lp := range PlanModel(cfg, ncf) {
-				order, v := o, ordersVal{}
-				switch {
-				case lp.Layer.SkipDX:
-					order, v = OnlyInterleave, baselineChoices(cfg, lp.Params)
-				case o == OnlyInterleave:
-					v = interleaveChoices(cfg, lp.Params)
+				order, kernel := o, orderRecipe(cfg, lp.Params, o)
+				if lp.Layer.SkipDX {
+					order, kernel = OnlyInterleave, recipe{kind: kDWOnly, dw: baselineChoices(cfg, lp.Params).dw}
 				}
-				prog := planProgram(cfg, []schedule.TileParams{lp.Params}, PolRearrange, lp.Layer.SkipDX, false, []Order{order}, []ordersVal{v})
+				prog := planProgram([]schedule.TileParams{lp.Params}, []partKernels{{kernel}}, false)
 				want := outcomeFromResult(sim.ExecuteProgram(cfg, sim.Options{}, prog))
 				want.Name, want.Dims, want.Policy, want.Order, want.Parts = lp.Layer.Name, lp.Params.Dims, PolRearrange, order, 1
 				if got := run.Bwd[j]; !reflect.DeepEqual(got, want) {

@@ -51,11 +51,11 @@ func runPartitionedScheme(cfg config.NPU, opts sim.Options, p schedule.TileParam
 	var out LayerOutcome
 	switch {
 	case cfg.Cores > 1:
-		out = runPlan(cfg, opts, p, plan, PolRearrange, false, true, true)
+		out = runPlan(cfg, opts, p, plan, tunedChoices(cfg, plan.Parts, PolRearrange, false), true, true)
 	case len(plan.Parts) < 2:
 		out = RunBackward(cfg, opts, p, PolRearrange, false)
 	default:
-		out = runPlan(cfg, opts, p, plan, PolRearrange, false, false, false)
+		out = runPlan(cfg, opts, p, plan, tunedChoices(cfg, plan.Parts, PolRearrange, false), false, false)
 	}
 	out.Scheme = scheme
 	out.Dims = p.Dims

@@ -36,33 +36,20 @@ func runSelectorBackward(cfg config.NPU, opts sim.Options, p schedule.TileParams
 	key := layerKeyFor(cfg, p, memoSelectorBwd, opts)
 	key.order = o
 	return memoLayer(key, opts, func() LayerOutcome {
-		k := planKey{pol: PolRearrange}
-		if o == DXMajor || o == DWMajor {
-			k.orders[0] = o
-		} else {
-			k.orders[0], k.tuned[0] = OnlyInterleave, interleaveChoices(cfg, p)
-		}
-		out := runChosenPlan(cfg, opts, p, PartitionLayer(p, NoPartition, 1), k, false, false)
+		out := runPlan(cfg, opts, p, PartitionLayer(p, NoPartition, 1), []partKernels{{orderRecipe(cfg, p, o)}}, false, false)
 		out.Policy = PolRearrange
 		return out
 	})
 }
 
-// ConcatKernels joins kernels into one schedule (no flush between them) —
-// the emitted form of RunFusedSequential's program, kept as the oracle's
-// input.
-func ConcatKernels(kernels ...schedule.Schedule) schedule.Schedule {
-	var ops []schedule.Op
-	for _, k := range kernels {
-		ops = append(ops, k.Ops...)
-	}
-	return schedule.Schedule{Name: "fused-sequential", Ops: ops}
-}
-
 // RunFusedSequential simulates the "single kernel that sequentially
 // calculates dX and dW without interleaving" baseline variant of the
 // Figure 17 GPU study: the tuned baseline pair of TunedBaselineKernels as
-// one kernel, with no flush between them.
-func RunFusedSequential(cfg config.NPU, p schedule.TileParams) sim.Result {
-	return sim.ExecuteProgram(cfg, sim.Options{}, fusedSequentialProgram(p, baselineChoices(cfg, p)))
+// one kernel, with no flush between them, run one-shot.
+func RunFusedSequential(cfg config.NPU, p schedule.TileParams) LayerOutcome {
+	v := baselineChoices(cfg, p)
+	kernels := []partKernels{{{kind: kFusedSequential, dx: v.dx, dw: v.dw}}}
+	return runProgram(cfg, sim.Options{}, nil, false, false, func() *schedule.Program {
+		return planProgram([]schedule.TileParams{p}, kernels, false)
+	})
 }

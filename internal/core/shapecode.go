@@ -15,13 +15,75 @@ import (
 // backward ops are therefore lowered once — dX in MK order, then dW in KN
 // order, which fixes the tile IDs in first-appearance order — and every
 // backward program is a []int32 order over that table
-// (schedule.Program.Order): the tuners' baseline pair, fusion merges and
-// chunked majors, and every plan's program (planProgram) — a whole layer,
-// a single-core partitioned plan or a multi-core plan, whose parts lower
-// one after another into one table, so a tile two parts share carries one
-// ID. The Op emitters (baseline.go, order.go) stay as the refmodel
-// oracle's input; TestShapeCodePrograms holds every program built here to
-// the emitted schedules lowered through one compiler, op for op.
+// (schedule.Program.Order). Each kernel is a recipe — its kind and the
+// tuned candidate choice it walks — and one function, appendKernel, lays
+// out every kernel: the tuners' family members, every plan's program
+// (planProgram; a plan's parts lower into one table, so a tile two parts
+// share carries one ID) and Figure 17's fused-sequential kernel. The Op
+// emitters (baseline.go, order.go) stay as the refmodel oracle's input;
+// TestShapeCodePrograms holds every program built here to the emitted
+// schedules lowered through one compiler, op for op.
+
+// kernelKind names what one backward kernel walks.
+type kernelKind uint8
+
+const (
+	noKernel         kernelKind = iota // an unused kernel slot
+	kBaselineDX                        // the dX stream alone
+	kBaselineDW                        // the dW stream alone
+	kDWOnly                            // a first layer's dW stream, no dX
+	kInterleave                        // the two streams merged
+	kDXMajor                           // the chunked dXmajor order
+	kDWMajor                           // the chunked dWmajor order
+	kFusedSequential                   // the dX stream, then the dW stream, as one kernel
+)
+
+// kernelNames are the kernel names programs and emitted schedules carry.
+var kernelNames = [...]string{
+	kBaselineDX:      "baseline-dX",
+	kBaselineDW:      "baseline-dW",
+	kDWOnly:          "dW-only",
+	kInterleave:      "interleave",
+	kDXMajor:         "interleave+dXmajor",
+	kDWMajor:         "interleave+dWmajor",
+	kFusedSequential: "fused-sequential",
+}
+
+// recipe is one backward kernel: its kind and the tuned candidate choice
+// it walks, with every field the kind does not read left zero, so equal
+// kernels have equal recipes. The fields leave no padding, so the plan
+// keys that hold recipes hash and compare them as plain memory.
+type recipe struct {
+	kind  kernelKind
+	dx    dxCandidate // the dX stream's order, where the kernel walks it
+	dw    dwCandidate // the dW stream's order, where the kernel walks it
+	block uint8       // an interleave's ops per stream per turn
+	// chunk is a major order's chunk in tile-rows (dXmajor) or
+	// tile-columns (dWmajor), within [1, the grid's extent].
+	chunk int32
+}
+
+// partKernels are one part's kernels in launch order: the baseline pair,
+// or one kernel and an unused slot.
+type partKernels [2]recipe
+
+// orderRecipe is p's rearranged kernel under order o (RearrangedWithOrder's
+// schedule): the chunked major sized for cfg, or the tuned fusion.
+func orderRecipe(cfg config.NPU, p schedule.TileParams, o Order) recipe {
+	mt, _, nt := p.Tiling.Counts(p.Dims)
+	switch o {
+	case DXMajor:
+		return recipe{kind: kDXMajor, chunk: int32(min(max(dxMajorChunk(cfg, p), 1), mt))}
+	case DWMajor:
+		return recipe{kind: kDWMajor, chunk: int32(min(max(dwMajorChunk(cfg, p), 1), nt))}
+	default:
+		return interleaveChoices(cfg, p)
+	}
+}
+
+// kernelOrders is the access order a plan reports by its kernels' kind:
+// the major orders', else OnlyInterleave (the last entry sizes the table).
+var kernelOrders = [...]Order{kDXMajor: DXMajor, kDWMajor: DWMajor, kFusedSequential: OnlyInterleave}
 
 // shapeCode is the lowered backward op table of one shape, or of a plan's
 // parts in sequence, interned through one compiler.
@@ -29,6 +91,9 @@ type shapeCode struct {
 	code  []schedule.CompiledOp
 	tiles int
 	grids []grid // one per lowered shape
+	// built holds each grid's baseline streams an interleave merges, by
+	// index dxMK, dxKM, 2+dwKN, 2+dwNK, built on first use (streams).
+	built [][4][]int32
 }
 
 // grid locates one lowered shape's ops in its shapeCode.
@@ -146,20 +211,9 @@ func (g grid) appendDW(dst []int32, c dwCandidate) []int32 {
 	return dst
 }
 
-// appendInterleave appends the fusion v of the two baseline streams
-// (TunedInterleave's schedule).
-func (g grid) appendInterleave(dst []int32, v ordersVal) []int32 {
-	n := g.ops()
-	buf := make([]int32, 0, 2*n)
-	dx := g.appendDX(buf, v.dx)
-	dw := g.appendDW(dx[n:n], v.dw)
-	return mergeStreams(dst, dx, dw, v.block)
-}
-
-// appendDXMajor appends the dXmajor order in chunks of chunkRows tile-rows
+// appendDXMajor appends the dXmajor order in chunks of chunk tile-rows
 // (InterleaveDXMajorChunked).
-func (g grid) appendDXMajor(dst []int32, chunkRows int) []int32 {
-	chunk := min(max(chunkRows, 1), g.mt)
+func (g grid) appendDXMajor(dst []int32, chunk int) []int32 {
 	for mc := 0; mc < g.mt; mc += chunk {
 		hi := min(mc+chunk, g.mt)
 		for no := 0; no < g.nt; no++ {
@@ -173,10 +227,9 @@ func (g grid) appendDXMajor(dst []int32, chunkRows int) []int32 {
 	return dst
 }
 
-// appendDWMajor appends the dWmajor order in chunks of chunkCols
-// tile-columns (InterleaveDWMajorChunked).
-func (g grid) appendDWMajor(dst []int32, chunkCols int) []int32 {
-	chunk := min(max(chunkCols, 1), g.nt)
+// appendDWMajor appends the dWmajor order in chunks of chunk tile-columns
+// (InterleaveDWMajorChunked).
+func (g grid) appendDWMajor(dst []int32, chunk int) []int32 {
 	for nc := 0; nc < g.nt; nc += chunk {
 		hi := min(nc+chunk, g.nt)
 		for mo := 0; mo < g.mt; mo++ {
@@ -190,59 +243,68 @@ func (g grid) appendDWMajor(dst []int32, chunkCols int) []int32 {
 	return dst
 }
 
-// appendRearranged appends the rearranged kernel of order o on core
-// (RearrangedWithOrder's schedule): the chunked major sized for cfg, or
-// the fusion v.
-func appendRearranged(prog *schedule.Program, g grid, cfg config.NPU, p schedule.TileParams, core int, o Order, v ordersVal) {
-	start := len(prog.Order)
-	switch o {
-	case DXMajor:
-		prog.Order = g.appendDXMajor(prog.Order, dxMajorChunk(cfg, p))
-		endKernel(prog, "interleave+dXmajor", core, start)
-	case DWMajor:
-		prog.Order = g.appendDWMajor(prog.Order, dwMajorChunk(cfg, p))
-		endKernel(prog, "interleave+dWmajor", core, start)
-	default:
-		prog.Order = g.appendInterleave(prog.Order, v)
-		endKernel(prog, "interleave", core, start)
+// streams returns grid i's baseline streams that the fusion r merges,
+// each built on first use and kept, so the members of a fusion family
+// build every stream once.
+func (sc *shapeCode) streams(i int, r recipe) (dx, dw []int32) {
+	if sc.built == nil {
+		sc.built = make([][4][]int32, len(sc.grids))
 	}
+	g, s := sc.grids[i], &sc.built[i]
+	if s[r.dx] == nil {
+		s[r.dx] = g.appendDX(make([]int32, 0, g.ops()), r.dx)
+	}
+	if s[2+r.dw] == nil {
+		s[2+r.dw] = g.appendDW(make([]int32, 0, g.ops()), r.dw)
+	}
+	return s[r.dx], s[2+r.dw]
 }
 
-// planProgram builds the backward program of a plan's parts under pol,
-// dW-only when skipDX — the tuned kernels the Op emitters produce for each
-// part — from the tuned choices (orders[i], tuned[i]) that tunedChoices
-// resolves for part i. Kernels go phase-major: kernel k of every part in
-// turn, part i's on core i when multi and on core 0 otherwise. A whole layer is a one-part
-// plan; a single-core partitioned plan runs one rearranged kernel per
-// part, in order; the multi-core baseline runs every core's dX kernel as
-// one phase, then every core's dW kernel, since data parallelism launches
-// each gradient kernel on all cores together.
-func planProgram(cfg config.NPU, parts []schedule.TileParams, pol Policy, skipDX, multi bool, orders []Order, tuned []ordersVal) *schedule.Program {
+// appendKernel appends the kernel r over grid i to prog, on core. Every
+// backward kernel core runs is built here: plan kernels, the tuners'
+// family members and Figure 17's fused-sequential kernel.
+func (sc *shapeCode) appendKernel(prog *schedule.Program, i int, r recipe, core int) {
+	g, start := sc.grids[i], len(prog.Order)
+	switch r.kind {
+	case kBaselineDX:
+		prog.Order = g.appendDX(prog.Order, r.dx)
+	case kBaselineDW, kDWOnly:
+		prog.Order = g.appendDW(prog.Order, r.dw)
+	case kInterleave:
+		dx, dw := sc.streams(i, r)
+		prog.Order = mergeStreams(prog.Order, dx, dw, int(r.block))
+	case kDXMajor:
+		prog.Order = g.appendDXMajor(prog.Order, int(r.chunk))
+	case kDWMajor:
+		prog.Order = g.appendDWMajor(prog.Order, int(r.chunk))
+	case kFusedSequential:
+		prog.Order = g.appendDW(g.appendDX(prog.Order, r.dx), r.dw)
+	default:
+		panic(fmt.Sprintf("core: kernel kind %d has no order", r.kind))
+	}
+	endKernel(prog, kernelNames[r.kind], core, start)
+}
+
+// planProgram builds the backward program of a plan's parts, part i
+// running kernels[i]. Kernels go phase-major: kernel k of every part in
+// turn, part i's on core i when multi and on core 0 otherwise. A whole
+// layer is a one-part plan; a single-core partitioned plan runs one
+// kernel per part, in order; the multi-core baseline runs every core's dX
+// kernel as one phase, then every core's dW kernel, since data
+// parallelism launches each gradient kernel on all cores together.
+func planProgram(parts []schedule.TileParams, kernels []partKernels, multi bool) *schedule.Program {
 	sc := lowerShapes(parts...)
 	prog := sc.program(len(sc.code))
-	baseline, kernels := pol == PolBaseline && !skipDX, 1
-	if baseline {
-		kernels = 2
-	}
-	for k := range kernels {
-		for i, g := range sc.grids {
-			core, start, v := 0, len(prog.Order), tuned[i]
+	for k := range len(partKernels{}) {
+		for i, ks := range kernels {
+			if ks[k].kind == noKernel {
+				continue
+			}
+			core := 0
 			if multi {
 				core = i
 			}
-			switch {
-			case skipDX:
-				prog.Order = g.appendDW(prog.Order, v.dw)
-				endKernel(prog, "dW-only", core, start)
-			case baseline && k == 0:
-				prog.Order = g.appendDX(prog.Order, v.dx)
-				endKernel(prog, "baseline-dX", core, start)
-			case baseline:
-				prog.Order = g.appendDW(prog.Order, v.dw)
-				endKernel(prog, "baseline-dW", core, start)
-			default:
-				appendRearranged(prog, g, cfg, parts[i], core, orders[i], v)
-			}
+			sc.appendKernel(prog, i, ks[k], core)
 		}
 	}
 	return prog
@@ -264,16 +326,5 @@ func forwardProgram(parts []schedule.TileParams, multi bool) *schedule.Program {
 		}
 	}
 	prog.Code, prog.Tiles = schedule.LowerShapes(opTable(n), true, parts...)
-	return prog
-}
-
-// fusedSequentialProgram builds the baseline pair v of p as one kernel
-// named "fused-sequential".
-func fusedSequentialProgram(p schedule.TileParams, v ordersVal) *schedule.Program {
-	sc := lowerShapes(p)
-	g := sc.grids[0]
-	prog := sc.program(len(sc.code))
-	prog.Order = g.appendDW(g.appendDX(prog.Order, v.dx), v.dw)
-	endKernel(prog, "fused-sequential", 0, 0)
 	return prog
 }

@@ -66,6 +66,17 @@ func BackwardKernels(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX b
 	}
 }
 
+// ConcatKernels joins kernels into one schedule (no flush between them) —
+// the emitted form of RunFusedSequential's program, the reference the
+// tests hold it to.
+func ConcatKernels(kernels ...schedule.Schedule) schedule.Schedule {
+	var ops []schedule.Op
+	for _, k := range kernels {
+		ops = append(ops, k.Ops...)
+	}
+	return schedule.Schedule{Name: "fused-sequential", Ops: ops}
+}
+
 // keyed is a program with the tile keys its TileIDs stand for: keys[id]
 // is the key interned as id.
 type keyed struct {
@@ -180,19 +191,21 @@ func multiProgram(parts [][]schedule.Schedule) keyed {
 	return keyed{prog, tileKeys(streams...)}
 }
 
-// onePart wraps a whole layer's parameters and tuned choices as the
-// one-part plan planProgram takes.
-func onePart(p schedule.TileParams, o Order, v ordersVal) ([]schedule.TileParams, []Order, []ordersVal) {
-	return []schedule.TileParams{p}, []Order{o}, []ordersVal{v}
+// layerProgram builds the program of p run whole, as one part running
+// kernels.
+func layerProgram(p schedule.TileParams, kernels partKernels) *schedule.Program {
+	return planProgram([]schedule.TileParams{p}, []partKernels{kernels}, false)
 }
 
 // TestShapeCodePrograms holds every program built over a shape code to
 // the schedules the Op emitters produce for it, lowered through one
 // compiler: the tuners' baseline, merge and major family members, the
 // layer programs of every policy (dW-only included, and the rearranged
-// program under each order), the fused-sequential pair, every single-core partitioned plan's program,
-// every multi-core plan's program against BackwardKernels phase by phase,
-// and the forward programs on one and two cores.
+// program under each order), the fused-sequential pair, every single-core
+// partitioned plan's program, every multi-core plan's program against
+// BackwardKernels phase by phase, and the forward programs on one and two
+// cores. A family member and the one-part plan of the same recipe must be
+// one program: equal orders and kernels.
 func TestShapeCodePrograms(t *testing.T) {
 	ResetCaches()
 	defer ResetCaches()
@@ -214,53 +227,60 @@ func TestShapeCodePrograms(t *testing.T) {
 		}
 
 		dxs, dws := dxCandidates(p), dwCandidates(p)
-		base := baselineMembers(p, dxs, dws)
-		for i, c := range dxs {
-			check(fmt.Sprintf("baseline dX %d", c), base(i),
-				schedule.Schedule{Name: "baseline-dX", Ops: baselineDXOps(p, c)})
-		}
-		for i, c := range dws {
-			check(fmt.Sprintf("baseline dW %d", c), base(len(dxs)+i),
-				schedule.Schedule{Name: "baseline-dW", Ops: baselineDWOps(p, c)})
-		}
 		vs := mergeCandidates(p)
-		merge := mergeMembers(p, vs)
-		for i, v := range vs {
-			ops := mergeStreams(nil, baselineDXOps(p, v.dx), baselineDWOps(p, v.dw), v.block)
-			check(fmt.Sprintf("merge %+v", v), merge(i), schedule.Schedule{Name: "interleave", Ops: ops})
+		families := []struct {
+			name    string
+			kernels []recipe
+			want    func(i int) schedule.Schedule
+		}{
+			{"baseline", baselineFamily(dxs, dws), func(i int) schedule.Schedule {
+				if i < len(dxs) {
+					return schedule.Schedule{Name: "baseline-dX", Ops: baselineDXOps(p, dxs[i])}
+				}
+				return schedule.Schedule{Name: "baseline-dW", Ops: baselineDWOps(p, dws[i-len(dxs)])}
+			}},
+			{"merge", vs, func(i int) schedule.Schedule {
+				v := vs[i]
+				return schedule.Schedule{Name: "interleave", Ops: mergeStreams(nil, baselineDXOps(p, v.dx), baselineDWOps(p, v.dw), int(v.block))}
+			}},
+			{"major", majorFamily(cfg, p), func(i int) schedule.Schedule {
+				return [...]schedule.Schedule{FusedDXMajor(cfg, p), FusedDWMajor(cfg, p)}[i]
+			}},
 		}
-		major := majorMembers(cfg, p)
-		check("major dX", major(0), FusedDXMajor(cfg, p))
-		check("major dW", major(1), FusedDWMajor(cfg, p))
+		for _, f := range families {
+			member := familyMembers(p, f.kernels)
+			for i, r := range f.kernels {
+				got := member(i)
+				check(fmt.Sprintf("%s member %+v", f.name, r), got, f.want(i))
+				plan := layerProgram(p, partKernels{r})
+				if !slices.Equal(plan.Order, got.Order) || !slices.Equal(plan.Kernels, got.Kernels) {
+					t.Errorf("%v %s member %+v: the one-part plan of its recipe is another program", p.Dims, f.name, r)
+				}
+			}
+		}
 
 		for _, pol := range []Policy{PolBaseline, PolInterleave, PolRearrange} {
 			for _, skipDX := range []bool{false, true} {
-				o, v := tunedChoices(cfg, p, pol, skipDX)
 				kernels, _ := BackwardKernels(cfg, p, pol, skipDX)
-				ps, ords, vals := onePart(p, o, v)
-				check(fmt.Sprintf("layer %v skipDX=%v", pol, skipDX), planProgram(cfg, ps, pol, skipDX, false, ords, vals), kernels...)
+				check(fmt.Sprintf("layer %v skipDX=%v", pol, skipDX), layerProgram(p, tunedChoices(cfg, []schedule.TileParams{p}, pol, skipDX)[0]), kernels...)
 			}
 		}
 		for _, o := range Orders() {
-			v := interleaveChoices(cfg, p)
 			sched, _ := RearrangedWithOrder(cfg, p, o)
-			ps, ords, vals := onePart(p, o, v)
-			check(fmt.Sprintf("rearranged %v", o), planProgram(cfg, ps, PolRearrange, false, false, ords, vals), sched)
+			check(fmt.Sprintf("rearranged %v", o), layerProgram(p, partKernels{orderRecipe(cfg, p, o)}), sched)
 		}
 		dxK, dwK := TunedBaselineKernels(cfg, p)
-		check("fused-sequential", fusedSequentialProgram(p, baselineChoices(cfg, p)), ConcatKernels(dxK, dwK))
+		v := baselineChoices(cfg, p)
+		check("fused-sequential", layerProgram(p, partKernels{{kind: kFusedSequential, dx: v.dx, dw: v.dw}}), ConcatKernels(dxK, dwK))
 
 		for _, scheme := range Schemes() {
 			for _, parts := range []int{2, 4} {
 				plan := PartitionLayer(p, scheme, parts)
-				orders := make([]Order, len(plan.Parts))
-				tuned := make([]ordersVal, len(plan.Parts))
 				scheds := make([]schedule.Schedule, len(plan.Parts))
 				for i, sub := range plan.Parts {
-					orders[i], tuned[i] = tunedChoices(cfg, sub, PolRearrange, false)
-					scheds[i], _ = RearrangedWithOrder(cfg, sub, orders[i])
+					scheds[i], _ = RearrangedTuned(cfg, sub)
 				}
-				got := keyed{planProgram(cfg, plan.Parts, PolRearrange, false, false, orders, tuned), shapeKeys(plan.Parts...)}
+				got := keyed{planProgram(plan.Parts, tunedChoices(cfg, plan.Parts, PolRearrange, false), false), shapeKeys(plan.Parts...)}
 				if err := sameProgram(got, compiled(scheds...)); err != nil {
 					t.Errorf("%v plan %v x%d: %v", p.Dims, scheme, parts, err)
 				}
@@ -313,9 +333,9 @@ func TestFamiliesHoldDistinctPrograms(t *testing.T) {
 			n      int
 			member func(int) *schedule.Program
 		}{
-			{"baseline", len(dxs) + len(dws), baselineMembers(p, dxs, dws)},
-			{"merge", len(vs), mergeMembers(p, vs)},
-			{"major", 2, majorMembers(cfg, p)},
+			{"baseline", len(dxs) + len(dws), familyMembers(p, baselineFamily(dxs, dws))},
+			{"merge", len(vs), familyMembers(p, vs)},
+			{"major", 2, familyMembers(p, majorFamily(cfg, p))},
 		}
 		for _, f := range families {
 			var kept []schedule.Program
@@ -356,9 +376,11 @@ func TestFamiliesHoldDistinctPrograms(t *testing.T) {
 					if blk > 1 && blk >= p.OpCount() {
 						continue
 					}
-					v := ordersVal{dx: dc, dw: wc, block: blk}
-					order := g.appendInterleave(nil, v)
-					if !slices.ContainsFunc(vs, func(k ordersVal) bool { return slices.Equal(order, g.appendInterleave(nil, k)) }) {
+					v := recipe{kind: kInterleave, dx: dc, dw: wc, block: uint8(blk)}
+					order := layerProgram(p, partKernels{v}).Order
+					if !slices.ContainsFunc(vs, func(k recipe) bool {
+						return slices.Equal(order, layerProgram(p, partKernels{k}).Order)
+					}) {
 						t.Errorf("%v: merge %+v is no kept member's walk", p.Dims, v)
 					}
 				}
@@ -377,14 +399,11 @@ func multiPlans(t *testing.T, cfg config.NPU, p schedule.TileParams, plan Plan) 
 	t.Helper()
 	for _, pol := range []Policy{PolBaseline, PolInterleave, PolRearrange} {
 		for _, skipDX := range []bool{false, true} {
-			orders := make([]Order, len(plan.Parts))
-			tuned := make([]ordersVal, len(plan.Parts))
 			kernels := make([][]schedule.Schedule, len(plan.Parts))
 			for i, sub := range plan.Parts {
-				orders[i], tuned[i] = tunedChoices(cfg, sub, pol, skipDX)
 				kernels[i], _ = BackwardKernels(cfg, sub, pol, skipDX)
 			}
-			got := keyed{planProgram(cfg, plan.Parts, pol, skipDX, true, orders, tuned), shapeKeys(plan.Parts...)}
+			got := keyed{planProgram(plan.Parts, tunedChoices(cfg, plan.Parts, pol, skipDX), true), shapeKeys(plan.Parts...)}
 			if err := sameProgram(got, multiProgram(kernels)); err != nil {
 				t.Errorf("%v multi-core plan %v x%d %v skipDX=%v: %v", p.Dims, plan.Scheme, len(plan.Parts), pol, skipDX, err)
 			}
@@ -426,7 +445,9 @@ func TestTracedRunBackwardMatchesSchedules(t *testing.T) {
 	if len(plan.Parts) < 2 {
 		t.Fatal("plan degenerated")
 	}
-	got := dump(func(opts sim.Options) { runPlan(cfg, opts, p, plan, PolRearrange, false, false, false) })
+	got := dump(func(opts sim.Options) {
+		runPlan(cfg, opts, p, plan, tunedChoices(cfg, plan.Parts, PolRearrange, false), false, false)
+	})
 	want := dump(func(opts sim.Options) {
 		var scheds []schedule.Schedule
 		for _, sub := range plan.Parts {
@@ -446,7 +467,7 @@ func TestRunFusedSequentialMatchesSchedules(t *testing.T) {
 	cfg := shapeCodeCfg()
 	for _, p := range shapeCodeParams() {
 		dxK, dwK := TunedBaselineKernels(cfg, p)
-		if got, want := RunFusedSequential(cfg, p), sim.RunSchedules(cfg, sim.Options{}, ConcatKernels(dxK, dwK)); got != want {
+		if got, want := RunFusedSequential(cfg, p), outcomeFromResult(sim.RunSchedules(cfg, sim.Options{}, ConcatKernels(dxK, dwK))); got != want {
 			t.Errorf("%v: %+v, want %+v", p.Dims, got, want)
 		}
 	}

@@ -23,9 +23,11 @@ import (
 // (trace.FoldedTrack), so a repeated summary-traced run appends the
 // stored tracks to the caller's sink and returns the outcome without
 // lowering or executing anything: a serve trace report re-runs the same
-// few plans many times. The key keeps the parts' access orders, which a
-// selector may force (runChosenPlan), and leaves out the candidate
-// choices, which the fingerprint and the orders determine.
+// few plans many times. Since a plan key names the kernels a plan runs,
+// not the policy that chose them, runs of one program under different
+// policies (a dW-only layer under each) share one record: the outcome and
+// the tracks depend only on the program, the hardware and the labels the
+// caller's prefix supplies.
 //
 // Full sinks (trace.New: the CLIs' -trace and -report, the trace goldens)
 // never consult the memo: their event streams exist only if the engine
@@ -36,19 +38,12 @@ import (
 // reports, since each record keeps only the used span of each class's
 // reuse histogram.
 
-// summaryKey identifies one summary-traced plan run: a planKey's parent
-// (normalized), kind, policy, skipDX, split and orders, the hardware
-// fingerprint, and the options and placement that complete the residency
-// key.
+// summaryKey identifies one summary-traced plan run: its planKey, the
+// hardware fingerprint, and the options and placement that complete the
+// residency key.
 type summaryKey struct {
-	p             schedule.TileParams
+	planKey
 	fp            config.Fingerprint
-	kind          memoKind
-	pol           Policy
-	skipDX        bool
-	scheme        Scheme
-	parts         uint8
-	orders        [schedule.MaxPartitions]Order
 	freeDY        bool
 	multi, shared bool
 }
@@ -100,10 +95,7 @@ func useSummaryMemo(opts sim.Options, k planKey) bool {
 // way it appends the tracks to the caller's sink. Concurrent runs of one
 // plan share one flight: the first runs it, the rest wait for its record.
 func memoSummaryRun(cfg config.NPU, opts sim.Options, k planKey, multi, shared bool, build func() *schedule.Program) LayerOutcome {
-	key := summaryKey{
-		p: k.p, fp: cfg.Fingerprint(), kind: k.kind, pol: k.pol, skipDX: k.skipDX,
-		scheme: k.scheme, parts: uint8(k.parts), orders: k.orders, freeDY: opts.FreeDYOnDW, multi: multi, shared: shared,
-	}
+	key := summaryKey{planKey: k, fp: cfg.Fingerprint(), freeDY: opts.FreeDYOnDW, multi: multi, shared: shared}
 	prefix := opts.TrackPrefix(multi)
 	r, wait, lead := summaryMemo.Lookup(key)
 	if lead {

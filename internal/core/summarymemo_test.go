@@ -129,7 +129,10 @@ func TestSummaryMemoReportsMatchFull(t *testing.T) {
 // attribution depends on timing), every layer whole after every layer
 // dW-only, with dY reads charged after a run with them free, and each
 // layer under an order a selector forces after its tuned run (the
-// selector study's runs). The report must equal a full sink's.
+// selector study's runs). It also reports under one policy after warming
+// under another, which shares the plans that run the same kernels:
+// rearrangement after interleaving, and a dW-only model under
+// partitioning after the baseline. The report must equal a full sink's.
 func TestSummaryMemoKeysSeparateRuns(t *testing.T) {
 	small := config.SmallNPU()
 	slow := small.WithBandwidth(small.DRAMBandwidth / 2)
@@ -139,6 +142,11 @@ func TestSummaryMemoKeysSeparateRuns(t *testing.T) {
 			lp.Layer.SkipDX = true
 			leg(cfg, sink, label, lp, pol)
 		}
+	}
+	// backward traces only the backward pass, so that only backward plans
+	// can be served across policies.
+	backward := func(cfg config.NPU, sink *trace.Sink, label string, lp LayerPlan, pol Policy) {
+		RunBackward(cfg, sim.Options{Trace: sink, TraceLabel: label}, lp.Params, pol, lp.Layer.SkipDX)
 	}
 	freeDY := func(cfg config.NPU, sink *trace.Sink, label string, lp LayerPlan, pol Policy) {
 		RunBackward(cfg, sim.Options{Trace: sink, TraceLabel: label, FreeDYOnDW: true}, lp.Params, pol, lp.Layer.SkipDX)
@@ -152,17 +160,19 @@ func TestSummaryMemoKeysSeparateRuns(t *testing.T) {
 		}
 	}
 	cases := []struct {
-		name      string
-		warm, cfg config.NPU
-		warmLeg   reportLeg
-		leg       reportLeg
-		pol       Policy
+		name         string
+		warm, cfg    config.NPU
+		warmLeg      reportLeg
+		leg          reportLeg
+		warmPol, pol Policy
 	}{
-		{"half-bandwidth", small, slow, singleCoreLeg, singleCoreLeg, PolPartition},
-		{"dW-only", small, small, dwOnly(singleCoreLeg), singleCoreLeg, PolBaseline},
-		{"four-core-dW-only", four, four, dwOnly(multiCoreLeg), multiCoreLeg, PolBaseline},
-		{"free-dY", small, small, freeDY, singleCoreLeg, PolRearrange},
-		{"selector-forced", small, small, singleCoreLeg, forced, PolRearrange},
+		{"half-bandwidth", small, slow, singleCoreLeg, singleCoreLeg, PolPartition, PolPartition},
+		{"dW-only", small, small, dwOnly(singleCoreLeg), singleCoreLeg, PolBaseline, PolBaseline},
+		{"four-core-dW-only", four, four, dwOnly(multiCoreLeg), multiCoreLeg, PolBaseline, PolBaseline},
+		{"free-dY", small, small, freeDY, singleCoreLeg, PolRearrange, PolRearrange},
+		{"selector-forced", small, small, singleCoreLeg, forced, PolRearrange, PolRearrange},
+		{"interleave-then-rearrange", small, small, backward, backward, PolInterleave, PolRearrange},
+		{"dW-only-baseline-then-partition", small, small, dwOnly(backward), dwOnly(backward), PolBaseline, PolPartition},
 	}
 	defer ResetCaches()
 	for _, m := range []workload.Model{workload.MobileNet(), workload.NCF()} {
@@ -171,9 +181,13 @@ func TestSummaryMemoKeysSeparateRuns(t *testing.T) {
 			ResetCaches()
 			want := traceModel(t, c.cfg, trace.New(), plans, c.pol, c.leg, false)
 			ResetCaches()
-			traceModel(t, c.warm, trace.NewSummary(), PlanModel(c.warm, m), c.pol, c.warmLeg, false)
+			traceModel(t, c.warm, trace.NewSummary(), PlanModel(c.warm, m), c.warmPol, c.warmLeg, false)
+			hits := summaryCounters.Snapshot().Hits
 			if got := traceModel(t, c.cfg, trace.NewSummary(), plans, c.pol, c.leg, false); got != want {
 				t.Fatalf("%s %s: report after the warming run diverged:\n got %s\nwant %s", m.Abbr, c.name, got, want)
+			}
+			if c.warmPol != c.pol && summaryCounters.Snapshot().Hits == hits {
+				t.Fatalf("%s %s: no plan of the report was served from the other policy's run", m.Abbr, c.name)
 			}
 		}
 	}

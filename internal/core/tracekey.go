@@ -22,47 +22,45 @@ import (
 //
 // Every backward plan — a whole layer (a one-part plan), a single-core
 // partitioned plan or a multi-core plan — is one program (planProgram),
-// named by one planKey and run through one keyed path (runPlan, or
-// runChosenPlan for an order a selector forces); runForwardPlan is the
-// forward twin.
+// named by one planKey and run through one keyed path (runPlan);
+// runForwardPlan is the forward twin. A plan is named by what it runs,
+// its parts' kernels, not by the policy that chose them: tunedChoices
+// alone maps a policy to kernels, so policies that run the same kernels
+// (every policy on a dW-only layer, interleaving and a rearrangement that
+// keeps the traditional orders) share one key and one trace.
 //
 // Soundness: the tuned candidates ARE bandwidth-dependent (the tuner
 // simulates to pick them), so they are resolved first — through their own
-// fingerprint-keyed caches — and included in the key. Two configurations
-// that tune to different candidates get different keys; two that tune
-// alike share one. Keys normalize the parent's tile ids (Layer/Part
-// zeroed) exactly as the layer memo does: a bijective renaming of tile
-// keys cannot change residency behaviour, so the shared trace's results
-// are identical to a per-layer simulation. Traced runs bypass the keys
-// because a resolved trace keeps per-op transfer totals, not the event
-// stream and reuse distances a trace sink needs: only the engine can
-// serve them. Runs into a summary sink, which keeps only folded metrics,
-// have their own memo keyed by the same plan key (summarymemo.go).
+// fingerprint-keyed caches — and included in the key as the kernels'
+// recipes. Two configurations that tune to different candidates get
+// different keys; two that tune alike share one. Keys normalize the
+// parent's tile ids (Layer/Part zeroed) exactly as the layer memo does: a
+// bijective renaming of tile keys cannot change residency behaviour, so
+// the shared trace's results are identical to a per-layer simulation.
+// Traced runs bypass the keys because a resolved trace keeps per-op
+// transfer totals, not the event stream and reuse distances a trace sink
+// needs: only the engine can serve them. Runs into a summary sink, which
+// keeps only folded metrics, have their own memo keyed by the same plan
+// key (summarymemo.go).
 //
 // Single-core plans keep their old cache names in stats.CacheReport as
 // censuses of lookups (runner.Census): Entries counts the distinct keys,
 // at first lookup, so manifests read the same numbers at any -j.
 
 // planKey identifies one plan's program up to tensor renaming and hardware
-// timing: the parent shape, what every part runs (kind, policy, dW-only),
-// the plan's scheme and part count — which together fix the part shapes —
-// and each part's tuned choices: the access order, and for streams built
-// from tuned candidates (the baseline pair, or a fused interleave) the
-// candidate choice, zero otherwise. Forward keys carry no SPM or element
-// size: the forward stream depends on the tile parameters alone. sim
-// completes the key with the residency capacity, core count, placement
-// and free-dY option.
+// timing: the parent shape, the plan's scheme and part count — which
+// together fix the part shapes — and each part's kernels. Forward keys
+// carry no SPM, element size or kernels: the forward stream depends on
+// the tile parameters alone. sim completes the key with the residency
+// capacity, core count, placement and free-dY option.
 type planKey struct {
-	p      schedule.TileParams // parent, Layer/Part zeroed
-	spm    int64               // cfg.SPMBytes: sizes baseline/fused chunks
-	elem   int                 // cfg.ElemBytes: sizes every tile transfer
-	kind   memoKind
-	pol    Policy
-	skipDX bool
-	scheme Scheme
-	parts  int
-	orders [schedule.MaxPartitions]Order
-	tuned  [schedule.MaxPartitions]ordersVal
+	p       schedule.TileParams // parent, Layer/Part zeroed
+	spm     int64               // cfg.SPMBytes: sizes the major orders' chunks
+	elem    int                 // cfg.ElemBytes: sizes every tile transfer
+	parts   int
+	kind    memoKind
+	scheme  Scheme
+	kernels [schedule.MaxPartitions]partKernels
 }
 
 // Whole layers count their keys under the old layer-program cache name and
@@ -83,31 +81,21 @@ func useTraceCache(opts sim.Options, p schedule.TileParams) bool {
 	return opts.Trace == nil && p.OpCount() <= panelOpBudget
 }
 
-// runPlan simulates the backward pass of plan, a partitioning of p, under
-// pol, dW-only when skipDX: on one core, part after part with the
-// scratchpad flushed between kernels, or when multi one part per core,
-// shared placing every part's tiles in one scratchpad. The parts' tuned
-// choices are resolved first, as the emitters resolve them.
-func runPlan(cfg config.NPU, opts sim.Options, p schedule.TileParams, plan Plan, pol Policy, skipDX, multi, shared bool) LayerOutcome {
-	k := planKey{pol: pol, skipDX: skipDX}
-	for i, sub := range plan.Parts {
-		k.orders[i], k.tuned[i] = tunedChoices(cfg, sub, pol, skipDX)
-	}
-	return runChosenPlan(cfg, opts, p, plan, k, multi, shared)
-}
-
-// runChosenPlan runs plan under the policy, dW-only flag and per-part
-// choices k carries (runPlan's tuned ones, or an order a selector forces);
-// it completes the rest of k. The outcome adds the plan's reductions and
-// reports the last part's access order (identical across equal splits).
-func runChosenPlan(cfg config.NPU, opts sim.Options, p schedule.TileParams, plan Plan, k planKey, multi, shared bool) LayerOutcome {
+// runPlan simulates the backward pass of plan, a partitioning of p, part
+// i running kernels[i]: on one core, part after part with the scratchpad
+// flushed between kernels, or when multi one part per core, shared
+// placing every part's tiles in one scratchpad. The outcome adds the
+// plan's reductions and reports the last part's access order (identical
+// across equal splits).
+func runPlan(cfg config.NPU, opts sim.Options, p schedule.TileParams, plan Plan, kernels []partKernels, multi, shared bool) LayerOutcome {
 	n := len(plan.Parts)
-	k.spm, k.elem, k.kind, k.scheme, k.parts = cfg.SPMBytes, cfg.ElemBytes, memoBackward, plan.Scheme, n
+	k := planKey{spm: cfg.SPMBytes, elem: cfg.ElemBytes, parts: n, kind: memoBackward, scheme: plan.Scheme}
+	copy(k.kernels[:], kernels)
 	out := runKeyedPlan(cfg, opts, p, k, multi, shared, func() *schedule.Program {
-		return planProgram(cfg, plan.Parts, k.pol, k.skipDX, multi, k.orders[:n], k.tuned[:n])
+		return planProgram(plan.Parts, k.kernels[:n], multi)
 	})
 	out.addReductions(plan.ReduceResults(cfg))
-	out.Dims, out.Order, out.Scheme, out.Parts = p.Dims, k.orders[n-1], plan.Scheme, n
+	out.Dims, out.Order, out.Scheme, out.Parts = p.Dims, kernelOrders[k.kernels[n-1][0].kind], plan.Scheme, n
 	return out
 }
 
@@ -172,23 +160,28 @@ func runProgram(cfg config.NPU, opts sim.Options, key any, multi, shared bool, b
 	return out
 }
 
-// tunedChoices resolves the tuned choices that shape p's backward stream
-// under pol, the same ones the emitters make: the access order, and
-// for streams built from tuned candidates (the baseline pair, or a fused
-// interleave) the candidate choice, zero otherwise.
-func tunedChoices(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX bool) (Order, ordersVal) {
-	switch {
-	case skipDX, pol == PolBaseline:
-		return OnlyInterleave, baselineChoices(cfg, p)
-	case pol == PolInterleave:
-		return OnlyInterleave, interleaveChoices(cfg, p)
-	default: // PolRearrange and above
-		o := BestOrderSimulated(cfg, p)
-		if o == OnlyInterleave {
-			return o, interleaveChoices(cfg, p)
+// tunedChoices maps the backward pass of parts under pol, dW-only when
+// skipDX, to the kernels each part runs, with the tuned choices the
+// emitters make: the baseline pair under PolBaseline; else one kernel —
+// the dW stream alone when skipDX, the tuned fusion under PolInterleave,
+// and from PolRearrange up the rearranged kernel of the simulated-best
+// order.
+func tunedChoices(cfg config.NPU, parts []schedule.TileParams, pol Policy, skipDX bool) []partKernels {
+	kernels := make([]partKernels, len(parts))
+	for i, p := range parts {
+		switch {
+		case skipDX:
+			kernels[i] = partKernels{{kind: kDWOnly, dw: baselineChoices(cfg, p).dw}}
+		case pol == PolBaseline:
+			v := baselineChoices(cfg, p)
+			kernels[i] = partKernels{{kind: kBaselineDX, dx: v.dx}, {kind: kBaselineDW, dw: v.dw}}
+		case pol == PolInterleave:
+			kernels[i] = partKernels{interleaveChoices(cfg, p)}
+		default: // PolRearrange and above
+			kernels[i] = partKernels{orderRecipe(cfg, p, BestOrderSimulated(cfg, p))}
 		}
-		return o, ordersVal{}
 	}
+	return kernels
 }
 
 // Candidate families. The tuners (baselineChoices, interleaveChoices,
@@ -200,11 +193,9 @@ func tunedChoices(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX bool
 // fusion set, chunked majors — by one panelKey and makes ONE sim.RunFamily
 // lookup per tuning call: a bandwidth sweep's re-tuning replays the
 // family's traces, and only a miss lowers the shape's shapeCode and builds
-// the candidates, one at a time, dropping each once resolved. (An earlier
-// revision keyed each candidate individually; boxing and hashing the wide
-// per-candidate key ~10⁴ times per request cost as much as the replays it
-// guarded.) Above panelOpBudget the family runs unkeyed on the one-shot
-// engine and keeps nothing.
+// the candidates, one at a time, dropping each once resolved. Above
+// panelOpBudget the family runs unkeyed on the one-shot engine and keeps
+// nothing.
 
 // panelKey identifies one shape's candidate family up to tensor renaming
 // and hardware timing.
@@ -241,18 +232,19 @@ var panelCensus = [...]*runner.Census[panelKey]{
 // once. Oversized shapes run every candidate on the one-shot engine.
 const panelOpBudget = 1 << 13
 
-// tunerFamily runs one shape's candidate family under single, whose n
-// members member builds, keyed within panelOpBudget and one-shot above it.
+// tunerFamily runs one shape's candidate family under single, member i
+// running kernels[i], keyed within panelOpBudget and one-shot above it.
 // The members share one op table (familyMembers), recycled at the end.
-func tunerFamily(single config.NPU, np schedule.TileParams, fam family, n int, member func(i int) *schedule.Program) sim.Family {
+func tunerFamily(single config.NPU, np schedule.TileParams, fam family, kernels []recipe) sim.Family {
 	var key any
 	if np.OpCount() <= panelOpBudget {
 		k := panelKey{p: np, spm: single.SPMBytes, elem: single.ElemBytes, fam: fam}
 		panelCensus[fam].Lookup(k)
 		key = k
 	}
+	member := familyMembers(np, kernels)
 	var last *schedule.Program
-	f := sim.RunFamily(single, sim.Options{}, key, n, func(i int) *schedule.Program {
+	f := sim.RunFamily(single, sim.Options{}, key, len(kernels), func(i int) *schedule.Program {
 		last = member(i)
 		return last
 	})
@@ -260,84 +252,42 @@ func tunerFamily(single config.NPU, np schedule.TileParams, fam family, n int, m
 	return f
 }
 
-// baselineFamily runs the baseline tuner's isolated candidates: member i
-// is the dX order dxs[i], and member len(dxs)+j the dW order dws[j]. The
-// lists are np's distinct orders (dxCandidates, dwCandidates), which np
-// alone fixes, so the family key still names every member.
-func baselineFamily(single config.NPU, np schedule.TileParams, dxs []dxCandidate, dws []dwCandidate) sim.Family {
-	return tunerFamily(single, np, famBaseline, len(dxs)+len(dws), baselineMembers(np, dxs, dws))
-}
-
 // familyMembers returns a family's member builder over np's shape code,
-// lowered on the first call: build appends member i's order and kernels
-// to prog, which every member reuses, emptied, with room for ops.
-func familyMembers(np schedule.TileParams, ops int, build func(prog *schedule.Program, g grid, i int)) func(i int) *schedule.Program {
+// lowered on the first call: member i is the one-kernel program of
+// kernels[i], built into one program that every member reuses, emptied.
+func familyMembers(np schedule.TileParams, kernels []recipe) func(i int) *schedule.Program {
 	var sc *shapeCode
 	var prog *schedule.Program
 	return func(i int) *schedule.Program {
 		if sc == nil {
 			sc = lowerShapes(np)
-			prog = sc.program(ops)
+			prog = sc.program(len(sc.code))
 		}
 		prog.Order, prog.Kernels = prog.Order[:0], prog.Kernels[:0]
-		build(prog, sc.grids[0], i)
+		sc.appendKernel(prog, 0, kernels[i], 0)
 		return prog
 	}
 }
 
-// baselineMembers builds baselineFamily's members over dxs and dws.
-func baselineMembers(np schedule.TileParams, dxs []dxCandidate, dws []dwCandidate) func(i int) *schedule.Program {
-	return familyMembers(np, np.OpCount(), func(prog *schedule.Program, g grid, i int) {
-		if i < len(dxs) {
-			prog.Order = g.appendDX(prog.Order, dxs[i])
-			endKernel(prog, "baseline-dX", 0, 0)
-			return
-		}
-		prog.Order = g.appendDW(prog.Order, dws[i-len(dxs)])
-		endKernel(prog, "baseline-dW", 0, 0)
-	})
+// baselineFamily lists the baseline tuner's isolated candidates: the dX
+// orders dxs, then the dW orders dws. They are a shape's distinct orders
+// (dxCandidates, dwCandidates), which the shape alone fixes, so the
+// family key still names every member.
+func baselineFamily(dxs []dxCandidate, dws []dwCandidate) []recipe {
+	kernels := make([]recipe, 0, len(dxs)+len(dws))
+	for _, c := range dxs {
+		kernels = append(kernels, recipe{kind: kBaselineDX, dx: c})
+	}
+	for _, c := range dws {
+		kernels = append(kernels, recipe{kind: kBaselineDW, dw: c})
+	}
+	return kernels
 }
 
-// mergeFamily runs the fusion candidates vs (mergeCandidates(np)).
-func mergeFamily(single config.NPU, np schedule.TileParams, vs []ordersVal) sim.Family {
-	return tunerFamily(single, np, famMerge, len(vs), mergeMembers(np, vs))
-}
-
-// mergeMembers builds mergeFamily's members, each a block merge of a dX
-// and a dW baseline stream; the four streams are built once.
-func mergeMembers(np schedule.TileParams, vs []ordersVal) func(i int) *schedule.Program {
-	var dx [2][]int32 // indexed by dxCandidate
-	var dw [2][]int32 // indexed by dwCandidate
-	return familyMembers(np, 2*np.OpCount(), func(prog *schedule.Program, g grid, i int) {
-		if dx[0] == nil {
-			n := g.ops()
-			buf := make([]int32, 4*n)
-			for c := range dx {
-				dx[c] = g.appendDX(buf[2*c*n:2*c*n], dxCandidate(c))
-				dw[c] = g.appendDW(buf[(2*c+1)*n:(2*c+1)*n], dwCandidate(c))
-			}
-		}
-		v := vs[i]
-		prog.Order = mergeStreams(prog.Order, dx[v.dx], dw[v.dw], v.block)
-		endKernel(prog, "interleave", 0, 0)
-	})
-}
-
-// majorFamily runs the two chunked-major rearranged candidates, dXmajor
-// then dWmajor.
-func majorFamily(single config.NPU, np schedule.TileParams) sim.Family {
-	return tunerFamily(single, np, famMajor, 2, majorMembers(single, np))
-}
-
-// majorMembers builds majorFamily's members, chunked for single.
-func majorMembers(single config.NPU, np schedule.TileParams) func(i int) *schedule.Program {
-	return familyMembers(np, 2*np.OpCount(), func(prog *schedule.Program, g grid, i int) {
-		o := DXMajor
-		if i == 1 {
-			o = DWMajor
-		}
-		appendRearranged(prog, g, single, np, 0, o, ordersVal{})
-	})
+// majorFamily lists the two chunked-major rearranged candidates sized for
+// single, dXmajor then dWmajor.
+func majorFamily(single config.NPU, np schedule.TileParams) []recipe {
+	return []recipe{orderRecipe(single, np, DXMajor), orderRecipe(single, np, DWMajor)}
 }
 
 // tuneParams canonicalizes tile parameters to the equivalence the tuning

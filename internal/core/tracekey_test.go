@@ -94,6 +94,38 @@ func TestRunBackwardMultiMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestDWOnlyPoliciesShareOneTrace runs a single-core dW-only layer
+// through RunBackward under every policy on a cold cache. Every policy
+// runs the same kernel, the tuned dW stream, and a plan is named by the
+// kernels it runs, so once the tuning has resolved its own family the
+// four runs resolve one trace, not one per policy, and their outcomes
+// differ only in the policy they report.
+func TestDWOnlyPoliciesShareOneTrace(t *testing.T) {
+	ResetCaches()
+	defer ResetCaches()
+	cfg := config.SmallNPU()
+	p := LayerParams(tensor.Dims{M: 96, K: 384, N: 160}, 7, cfg)
+	if !useTraceCache(sim.Options{}, p) {
+		t.Fatalf("%v does not take the trace-cache path", p.Dims)
+	}
+	baselineChoices(cfg, p)
+	before := sim.ResolvedCacheStats().Entries
+	want := RunBackward(cfg, sim.Options{}, p, PolBaseline, true)
+	for _, pol := range Policies() {
+		got := RunBackward(cfg, sim.Options{}, p, pol, true)
+		if got.Policy != pol {
+			t.Errorf("policy %v reported policy %v", pol, got.Policy)
+		}
+		got.Policy = want.Policy
+		if got != want {
+			t.Errorf("policy %v: %+v, want %+v", pol, got, want)
+		}
+	}
+	if got := sim.ResolvedCacheStats().Entries - before; got != 1 {
+		t.Errorf("a dW-only layer under %d policies resolved %d traces, want 1", len(Policies()), got)
+	}
+}
+
 // TestProgramCacheSharesAcrossTimings proves the point of the keys: two
 // configurations that differ only in DRAM bandwidth (a timing fact the
 // emitted tile streams cannot see) share one layer-program key and its
@@ -164,9 +196,10 @@ func TestSingleCoreTraceCacheMatchesEngine(t *testing.T) {
 	lo, hi = lo.WithBandwidth(bws[0]), hi.WithBandwidth(bws[1])
 	flips := false
 	for _, lp := range PlanModel(lo, m) {
-		oLo, vLo := tunedChoices(lo, lp.Params, PolInterleave, lp.Layer.SkipDX)
-		oHi, vHi := tunedChoices(hi, lp.Params, PolInterleave, lp.Layer.SkipDX)
-		flips = flips || (oLo == oHi && vLo != vHi)
+		ps := []schedule.TileParams{lp.Params}
+		kLo := tunedChoices(lo, ps, PolInterleave, lp.Layer.SkipDX)[0]
+		kHi := tunedChoices(hi, ps, PolInterleave, lp.Layer.SkipDX)[0]
+		flips = flips || (kernelOrders[kLo[0].kind] == kernelOrders[kHi[0].kind] && kLo != kHi)
 	}
 	if !flips {
 		t.Fatal("no layer's tuned choice flips between 12 and 16 GB/s: the sweep cannot tell a key without choices")
@@ -242,10 +275,11 @@ func TestMultiCoreTraceCacheMatchesEngine(t *testing.T) {
 	lo, hi := cfg.WithBandwidth(24e9), cfg.WithBandwidth(32e9)
 	flips := false
 	for _, lp := range PlanModel(cfg, m) {
-		for _, sub := range PartitionLayer(lp.Params, WeightSharing, cfg.Cores).Parts {
-			oLo, vLo := tunedChoices(lo, sub, PolInterleave, lp.Layer.SkipDX)
-			oHi, vHi := tunedChoices(hi, sub, PolInterleave, lp.Layer.SkipDX)
-			flips = flips || (oLo == oHi && vLo != vHi)
+		parts := PartitionLayer(lp.Params, WeightSharing, cfg.Cores).Parts
+		kLo := tunedChoices(lo, parts, PolInterleave, lp.Layer.SkipDX)
+		kHi := tunedChoices(hi, parts, PolInterleave, lp.Layer.SkipDX)
+		for i := range parts {
+			flips = flips || (kernelOrders[kLo[i][0].kind] == kernelOrders[kHi[i][0].kind] && kLo[i] != kHi[i])
 		}
 	}
 	if !flips {

@@ -64,9 +64,12 @@ func (f *frontier) Add(p simPoint) {
 // least the candidate's cap minus epsRed. It returns the witness index, or
 // -1.
 //
-// With eps = epsRed = 0 the rule is exactly conservative: the witness is
-// certainly no worse than the candidate could possibly be on all three
-// objectives, so pruning loses nothing. Nonzero epsilons trade exactness
+// With eps = epsRed = 0 the rule is exactly conservative wherever the
+// bounds hold: the witness is then certainly no worse than the candidate
+// could possibly be on all three objectives, so pruning loses nothing.
+// The cycle and traffic bounds are sound; the reduction cap is
+// engineered, and points above it exist (ROADMAP.md, item 2), so exact
+// mode is not proven exact. Nonzero epsilons trade exactness
 // for pruning power — sound lower bounds sit strictly below simulated
 // values on compute plateaus, so the exact rule almost never fires; the
 // relaxed rule retains an epsilon-approximate Pareto set instead (see

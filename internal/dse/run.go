@@ -23,7 +23,7 @@ var mPoints = metrics.NewCounterVec("dse_points_total", "status",
 type Options struct {
 	// Prune enables the analytic pruner. Eps and EpsRed are the dominance
 	// relaxations (see frontier.Dominates); negative values select the
-	// defaults, zero means exactly-conservative pruning.
+	// defaults, zero the unrelaxed rule.
 	Prune  bool
 	Eps    float64
 	EpsRed float64
@@ -44,8 +44,6 @@ type Options struct {
 	CheckpointDir string
 	Resume        bool
 	MaxShards     int
-	// Opts is passed through to the simulations.
-	Opts sim.Options
 	// Progress, when non-nil, is called after each shard with points
 	// processed so far and the total.
 	Progress func(done, total int)
@@ -56,7 +54,9 @@ type Options struct {
 // percentage points on the reduction leg. The reduction default is wider
 // because the engineered cap structurally overestimates achievable
 // reduction by roughly the lower bound's own slack (see DESIGN.md section
-// 3h); -eps-red 0 restores exactly-conservative pruning on that leg.
+// 3h). -eps-red 0 is not proven exact: the cap is engineered, and some
+// rearrangement and partitioning points reduce more than their cap
+// (ROADMAP.md, item 2).
 const (
 	DefaultEps       = 0.02
 	DefaultEpsRed    = 0.10
@@ -296,7 +296,7 @@ func (st *sweepState) computeShard(s runner.Shard) []Row {
 			}
 			break
 		}
-		sims := st.simulateWave(rows, wave)
+		sims := runner.Map(wave, func(i int) Row { return st.simulate(rows[i]) })
 		for k, i := range wave {
 			rows[i] = sims[k]
 			st.front.Add(simPoint{sims[k].Index, sims[k].IgoCycles, sims[k].Traffic, sims[k].Reduction})
@@ -312,58 +312,16 @@ func boundsOf(r Row) Bounds {
 	return Bounds{Cycles: r.CyclesLB, Traffic: r.TrafficLB, RedCap: r.RedCap, Balance: r.Balance}
 }
 
-// simulateWave runs one wave's simulations, grouped by residency subkey:
-// the point axes minus bandwidth ({cores, SPM, TkCap, policy}) determine
-// the resolved hit/miss traces a simulation produces, so a wave holding a
-// bandwidth sweep of one configuration resolves each trace exactly once.
-// The first point of each subkey group runs in a leader pass; the rest run
-// afterwards and replay the leaders' traces from the residency cache
-// instead of racing the same resolution across workers. Results are
-// scattered back in wave order, so classification and frontier updates are
-// byte-identical to the ungrouped loop at any parallelism.
-func (st *sweepState) simulateWave(rows []Row, wave []int) []Row {
-	type subkey struct {
-		cores  int
-		spmMiB float64
-		tkCap  int
-		pol    core.Policy
-	}
-	sims := make([]Row, len(wave))
-	var leaders, followers []int // positions within the wave
-	seen := make(map[subkey]bool, len(wave))
-	for k, i := range wave {
-		p := st.space.Point(rows[i].Index)
-		sk := subkey{p.Cores, p.SPMMiB, p.TkCap, p.Policy}
-		if seen[sk] {
-			followers = append(followers, k)
-		} else {
-			seen[sk] = true
-			leaders = append(leaders, k)
-		}
-	}
-	lead := runner.Map(leaders, func(k int) Row { return st.simulate(rows[wave[k]]) })
-	for j, k := range leaders {
-		sims[k] = lead[j]
-	}
-	if len(followers) > 0 {
-		fol := runner.Map(followers, func(k int) Row { return st.simulate(rows[wave[k]]) })
-		for j, k := range followers {
-			sims[k] = fol[j]
-		}
-	}
-	return sims
-}
-
 // simulate runs one point's baseline and point-policy training steps and
 // fills the row's simulation fields. Baseline-policy points reuse the
 // baseline run for both sides (reduction is identically zero there).
 func (st *sweepState) simulate(row Row) Row {
 	p := st.space.Point(row.Index)
 	cfg := st.space.Config(p)
-	base := core.RunTraining(cfg, st.o.Opts, st.space.Model, core.PolBaseline)
+	base := core.RunTraining(cfg, sim.Options{}, st.space.Model, core.PolBaseline)
 	run := base
 	if p.Policy != core.PolBaseline {
-		run = core.RunTraining(cfg, st.o.Opts, st.space.Model, p.Policy)
+		run = core.RunTraining(cfg, sim.Options{}, st.space.Model, p.Policy)
 	}
 	row.Status = StatusSimulated
 	row.BaseCycles = base.TotalCycles()

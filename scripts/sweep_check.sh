@@ -9,8 +9,10 @@
 #      uninterrupted run's.
 #   3. Resolution count independent of -j: the canonical sweep must print
 #      the same number of two-phase resolutions at -j 1 as on each of four
-#      -j 2 runs, since workers that miss one trace key wait for the one
-#      resolving it instead of resolving it again.
+#      -j 2 runs and two -j 8 runs, since workers that miss one trace key
+#      wait for the one resolving it instead of resolving it again; the
+#      sweep's waves are plain parallel maps, so these flights alone keep
+#      each resolution once-only.
 #
 # The grid is small (64 points of BERT-tiny on the small NPU) so the whole
 # script takes a few seconds; the same properties are exercised more deeply
@@ -55,7 +57,7 @@ else
     exit 1
 fi
 
-# 3. Resolutions of the canonical sweep at -j 1 and -j 2.
+# 3. Resolutions of the canonical sweep at -j 1, -j 2 and -j 8.
 $GO build -o "$dir/sweep" ./cmd/sweep
 resolutions() {
     "$dir/sweep" -canonical -j "$1" -csv /dev/null | sed -n 's/^two-phase executor: \([0-9]*\) resolutions.*/\1/p'
@@ -65,11 +67,11 @@ if [ -z "$want" ]; then
     echo "sweep-check: FAIL: the canonical sweep printed no resolution count" >&2
     exit 1
 fi
-for run in 1 2 3 4; do
-    got=$(resolutions 2)
+for j in 2 2 2 2 8 8; do
+    got=$(resolutions $j)
     if [ "$got" != "$want" ]; then
-        echo "sweep-check: FAIL: canonical sweep resolved $got traces at -j 2 (run $run), $want at -j 1" >&2
+        echo "sweep-check: FAIL: canonical sweep resolved $got traces at -j $j, $want at -j 1" >&2
         exit 1
     fi
 done
-echo "sweep-check: canonical sweep resolves $want traces at -j 1 and -j 2"
+echo "sweep-check: canonical sweep resolves $want traces at -j 1, -j 2 and -j 8"
