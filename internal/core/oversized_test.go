@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"igosim/internal/config"
+	"igosim/internal/runner"
 	"igosim/internal/schedule"
 	"igosim/internal/sim"
 	"igosim/internal/tensor"
@@ -67,6 +68,34 @@ func TestOversizedTuningMatchesInterpreter(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("%v: compiled tuning diverged from the oracle:\n got %+v\nwant %+v", p.Dims, got, want)
+		}
+	}
+	ResetCaches()
+}
+
+// TestOversizedTuningParallelFamilies tunes the oversized shapes from cold
+// caches at widths 1 and 4. Over the panel budget sim.RunFamily runs each
+// family's members in parallel on the one-shot engine, each member
+// ordering the shared op table into a buffer of its own, so every choice
+// and outcome must equal the sequential run's. Run with -race: members
+// that share an order buffer, or a stream one of them builds while
+// another merges it, race.
+func TestOversizedTuningParallelFamilies(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates ~10⁷ ops per width")
+	}
+	cfg, ps := oversizedParams(t)
+	prev := runner.SetParallelism(1)
+	defer runner.SetParallelism(prev)
+	for _, p := range ps {
+		var got [2]oversizedTuning
+		for i, width := range []int{1, 4} {
+			runner.SetParallelism(width)
+			ResetCaches()
+			got[i] = tuneOversized(cfg, p)
+		}
+		if got[0] != got[1] {
+			t.Errorf("%v: tuning differs across widths:\n-j 1 %+v\n-j 4 %+v", p.Dims, got[0], got[1])
 		}
 	}
 	ResetCaches()

@@ -115,8 +115,11 @@ func TestRunTrainingParallelMatchesSequential(t *testing.T) {
 }
 
 // TestLayerMemoHitRate checks the shape-keyed memo pays on a repeated-block
-// workload: one cold ResNet training step must hit the layer memo on more
-// than half its lookups, since most blocks repeat the same GEMM shapes.
+// workload: one cold ResNet training step must serve more than half its
+// layer-memo lookups without simulating, since most blocks repeat the same
+// GEMM shapes. A served lookup is a hit or a joined flight (coalesced);
+// which of the two it is depends on goroutine scheduling, but their sum,
+// the lookups less the distinct keys, does not.
 func TestLayerMemoHitRate(t *testing.T) {
 	cfg := config.LargeNPU()
 	m, err := workload.ByAbbr(workload.ServerSuite(), "res")
@@ -128,14 +131,20 @@ func TestLayerMemoHitRate(t *testing.T) {
 	ResetCaches()
 	RunTraining(cfg, sim.Options{}, m, PolBaseline)
 	snap := LayerMemoStats()
-	if snap.Lookups() == 0 {
+	lookups := snap.Lookups()
+	if lookups == 0 {
 		t.Fatal("training did not consult the layer memo")
 	}
-	if snap.HitRate() <= 0.5 {
-		t.Fatalf("layer memo hit rate %.1f%% on ResNet (%d hits / %d lookups), want > 50%%",
-			100*snap.HitRate(), snap.Hits, snap.Lookups())
+	served := lookups - snap.Entries
+	if served != snap.Hits+snap.Coalesced {
+		t.Errorf("%d lookups of %d keys, but %d hits and %d coalesced: a key was simulated twice",
+			lookups, snap.Entries, snap.Hits, snap.Coalesced)
 	}
-	t.Logf("layer memo on ResNet: %s", snap)
+	if 2*served <= lookups {
+		t.Fatalf("layer memo served %d of %d lookups on ResNet (%d hits, %d coalesced), want > 50%%",
+			served, lookups, snap.Hits, snap.Coalesced)
+	}
+	t.Logf("layer memo on ResNet: %s, %d coalesced", snap, snap.Coalesced)
 }
 
 // TestOpTablesRecycleConcurrently runs every layer of a model, whole on

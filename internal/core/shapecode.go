@@ -103,34 +103,41 @@ type grid struct {
 }
 
 // opTables recycles the op tables of finished programs. sim.RunFamily and
-// sim.RunMultiKeyed keep only resolved traces, so once runProgram or
-// tunerFamily returns nothing references its program's table, and the
-// next lowering draws it from here instead of allocating 56 B per op.
+// sim.RunMultiKeyed keep only resolved traces, so once they release a
+// plan's program, or a tuner family returns, nothing references its
+// table, and the next lowering draws it from here instead of allocating
+// 56 B per op. Tables of every size are pooled: the one-shot programs of
+// oversized layers, megabytes each, are what the GPU study lowers all
+// the time, and left to the collector they were 70% of the bytes its
+// backward passes allocated.
 var opTables = runner.NewPool(func() []schedule.CompiledOp { return nil })
-
-// maxPooledOps bounds the tables opTables keeps: the keyed plans and
-// families stay within it, while the one-shot programs of oversized
-// layers, rare and megabytes each, are left to the collector.
-const maxPooledOps = 2 * panelOpBudget
 
 // opTable returns an empty op table with room for n ops, recycled when a
 // pooled one is large enough.
 func opTable(n int) []schedule.CompiledOp {
-	if n > maxPooledOps {
-		return make([]schedule.CompiledOp, 0, n)
-	}
 	if code := opTables.Get(); cap(code) >= n {
 		return code[:0]
 	}
 	return make([]schedule.CompiledOp, 0, n)
 }
 
-// recycle hands the op table of prog, a finished program no one else
-// references, back to opTables. A nil prog (nothing was built) is a no-op.
-func recycle(prog *schedule.Program) {
-	if prog != nil && cap(prog.Code) <= maxPooledOps {
-		opTables.Put(prog.Code[:0])
+// recycle hands code, the op table of finished programs no one else
+// references, back to opTables.
+func recycle(code []schedule.CompiledOp) { opTables.Put(code[:0]) }
+
+// orderBufs recycles the order buffers of released programs: plans', and
+// tuner family members', which run in parallel and so each need a buffer
+// of their own. The next program built draws its order from here instead
+// of allocating 4 B per op.
+var orderBufs = runner.NewPool(func() []int32 { return nil })
+
+// orderBuf returns an empty order buffer with room for n entries, recycled
+// when a pooled one is large enough.
+func orderBuf(n int) []int32 {
+	if order := orderBufs.Get(); cap(order) >= n {
+		return order[:0]
 	}
+	return make([]int32, 0, n)
 }
 
 // lowerShapes lowers the backward ops of ps, one shape after another, into
@@ -149,9 +156,10 @@ func lowerShapes(ps ...schedule.TileParams) *shapeCode {
 	return sc
 }
 
-// program returns an empty program over sc whose order has room for ops.
+// program returns an empty program over sc whose order, drawn from
+// orderBufs, has room for ops.
 func (sc *shapeCode) program(ops int) *schedule.Program {
-	return &schedule.Program{Code: sc.code, Order: make([]int32, 0, ops), Tiles: sc.tiles}
+	return &schedule.Program{Code: sc.code, Order: orderBuf(ops), Tiles: sc.tiles}
 }
 
 // endKernel closes the kernel name on core that spans prog's order from
@@ -291,10 +299,15 @@ func (sc *shapeCode) appendKernel(prog *schedule.Program, i int, r recipe, core 
 // layer is a one-part plan; a single-core partitioned plan runs one
 // kernel per part, in order; the multi-core baseline runs every core's dX
 // kernel as one phase, then every core's dW kernel, since data
-// parallelism launches each gradient kernel on all cores together.
+// parallelism launches each gradient kernel on all cores together. The
+// program's Release recycles its op table and order.
 func planProgram(parts []schedule.TileParams, kernels []partKernels, multi bool) *schedule.Program {
 	sc := lowerShapes(parts...)
 	prog := sc.program(len(sc.code))
+	prog.Release = func() {
+		orderBufs.Put(prog.Order[:0])
+		recycle(prog.Code)
+	}
 	for k := range len(partKernels{}) {
 		for i, ks := range kernels {
 			if ks[k].kind == noKernel {
@@ -312,7 +325,7 @@ func planProgram(parts []schedule.TileParams, kernels []partKernels, multi bool)
 
 // forwardProgram lowers the forward pass of parts through one compiler:
 // one kernel per part, part i's on core i when multi and on core 0
-// otherwise.
+// otherwise. The program's Release recycles its op table.
 func forwardProgram(parts []schedule.TileParams, multi bool) *schedule.Program {
 	n := 0
 	prog := &schedule.Program{Kernels: make([]schedule.Kernel, len(parts))}
@@ -326,5 +339,6 @@ func forwardProgram(parts []schedule.TileParams, multi bool) *schedule.Program {
 		}
 	}
 	prog.Code, prog.Tiles = schedule.LowerShapes(opTable(n), true, parts...)
+	prog.Release = func() { recycle(prog.Code) }
 	return prog
 }

@@ -250,7 +250,7 @@ func TestShapeCodePrograms(t *testing.T) {
 		for _, f := range families {
 			member := familyMembers(p, f.kernels)
 			for i, r := range f.kernels {
-				got := member(i)
+				got := member.build(i)
 				check(fmt.Sprintf("%s member %+v", f.name, r), got, f.want(i))
 				plan := layerProgram(p, partKernels{r})
 				if !slices.Equal(plan.Order, got.Order) || !slices.Equal(plan.Kernels, got.Kernels) {
@@ -333,15 +333,14 @@ func TestFamiliesHoldDistinctPrograms(t *testing.T) {
 			n      int
 			member func(int) *schedule.Program
 		}{
-			{"baseline", len(dxs) + len(dws), familyMembers(p, baselineFamily(dxs, dws))},
-			{"merge", len(vs), familyMembers(p, vs)},
-			{"major", 2, familyMembers(p, majorFamily(cfg, p))},
+			{"baseline", len(dxs) + len(dws), familyMembers(p, baselineFamily(dxs, dws)).build},
+			{"merge", len(vs), familyMembers(p, vs).build},
+			{"major", 2, familyMembers(p, majorFamily(cfg, p)).build},
 		}
 		for _, f := range families {
-			var kept []schedule.Program
+			var kept []*schedule.Program
 			for i := range f.n {
-				m := f.member(i) // members share storage: keep copies
-				prog := schedule.Program{Order: slices.Clone(m.Order), Kernels: slices.Clone(m.Kernels)}
+				prog := f.member(i)
 				for j, k := range kept {
 					if slices.Equal(k.Order, prog.Order) && slices.Equal(k.Kernels, prog.Kernels) {
 						t.Errorf("%v %s family: members %d and %d are one program", p.Dims, f.name, j, i)

@@ -93,7 +93,8 @@ func useSummaryMemo(opts sim.Options, k planKey) bool {
 // the memo, or on a miss runs the program build returns one-shot on a
 // private summary sink and keeps the outcome and the folded tracks; either
 // way it appends the tracks to the caller's sink. Concurrent runs of one
-// plan share one flight: the first runs it, the rest wait for its record.
+// plan share one flight: the first runs it, the rest wait for its record,
+// lending their worker slots for the wait (runner.Await).
 func memoSummaryRun(cfg config.NPU, opts sim.Options, k planKey, multi, shared bool, build func() *schedule.Program) LayerOutcome {
 	key := summaryKey{planKey: k, fp: cfg.Fingerprint(), freeDY: opts.FreeDYOnDW, multi: multi, shared: shared}
 	prefix := opts.TrackPrefix(multi)
@@ -102,7 +103,7 @@ func memoSummaryRun(cfg config.NPU, opts sim.Options, k planKey, multi, shared b
 		// Deferred, so that a panicking leader still releases its waiters.
 		defer func() { summaryMemo.Finish(key, r, r.tracks != nil) }()
 	} else if wait != nil {
-		r = <-wait
+		r, _ = runner.Await(wait)
 	}
 	// Fold never returns nil tracks: they are nil on a miss, or when the
 	// flight's leader panicked, and then this caller runs the plan.

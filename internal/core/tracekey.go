@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"igosim/internal/config"
 	"igosim/internal/runner"
 	"igosim/internal/schedule"
@@ -141,23 +143,14 @@ func runKeyedPlan(cfg config.NPU, opts sim.Options, p schedule.TileParams, k pla
 
 // runProgram runs the program build returns under key (nil: one-shot),
 // on one core through sim.RunFamily or, when multi, through
-// sim.RunMultiKeyed, then recycles the program's op table if it built one.
+// sim.RunMultiKeyed, whose release of the program recycles its storage.
 func runProgram(cfg config.NPU, opts sim.Options, key any, multi, shared bool, build func() *schedule.Program) LayerOutcome {
-	var prog *schedule.Program
-	built := func() *schedule.Program {
-		prog = build()
-		return prog
-	}
-	var out LayerOutcome
 	if multi {
-		out = outcomeFromMulti(sim.RunMultiKeyed(cfg, opts, key, shared, built))
-	} else {
-		out = outcomeFromResult(sim.RunFamily(cfg, opts, key, 1, func(int) *schedule.Program {
-			return built()
-		}).Result(0))
+		return outcomeFromMulti(sim.RunMultiKeyed(cfg, opts, key, shared, build))
 	}
-	recycle(prog)
-	return out
+	return outcomeFromResult(sim.RunFamily(cfg, opts, key, 1, func(int) *schedule.Program {
+		return build()
+	}).Result(0))
 }
 
 // tunedChoices maps the backward pass of parts under pol, dW-only when
@@ -193,9 +186,9 @@ func tunedChoices(cfg config.NPU, parts []schedule.TileParams, pol Policy, skipD
 // fusion set, chunked majors — by one panelKey and makes ONE sim.RunFamily
 // lookup per tuning call: a bandwidth sweep's re-tuning replays the
 // family's traces, and only a miss lowers the shape's shapeCode and builds
-// the candidates, one at a time, dropping each once resolved. Above
-// panelOpBudget the family runs unkeyed on the one-shot engine and keeps
-// nothing.
+// the candidates, in parallel, dropping each once resolved. Above
+// panelOpBudget the family runs unkeyed on the one-shot engine, its
+// members in parallel too, and keeps nothing.
 
 // panelKey identifies one shape's candidate family up to tensor renaming
 // and hardware timing.
@@ -242,30 +235,54 @@ func tunerFamily(single config.NPU, np schedule.TileParams, fam family, kernels 
 		panelCensus[fam].Lookup(k)
 		key = k
 	}
-	member := familyMembers(np, kernels)
-	var last *schedule.Program
-	f := sim.RunFamily(single, sim.Options{}, key, len(kernels), func(i int) *schedule.Program {
-		last = member(i)
-		return last
-	})
-	recycle(last)
+	m := familyMembers(np, kernels)
+	f := sim.RunFamily(single, sim.Options{}, key, len(kernels), m.build)
+	m.release()
 	return f
 }
 
-// familyMembers returns a family's member builder over np's shape code,
-// lowered on the first call: member i is the one-kernel program of
-// kernels[i], built into one program that every member reuses, emptied.
-func familyMembers(np schedule.TileParams, kernels []recipe) func(i int) *schedule.Program {
-	var sc *shapeCode
-	var prog *schedule.Program
-	return func(i int) *schedule.Program {
-		if sc == nil {
-			sc = lowerShapes(np)
-			prog = sc.program(len(sc.code))
+// members builds a tuner family's programs over np's shape code for
+// sim.RunFamily, which runs the members in parallel and so may call build
+// from several goroutines at once. The first build lowers the shape and
+// builds the baseline streams the fusion members merge, so no member
+// writes what another reads; each member then orders the shared op table
+// into an order buffer of its own, drawn from orderBufs and handed back
+// when RunFamily releases the member's program. A family's buffers thus
+// number the members running at once, not the members.
+type members struct {
+	np      schedule.TileParams
+	kernels []recipe
+	lower   sync.Once
+	sc      *shapeCode
+}
+
+// familyMembers returns the member builder of the family whose member i
+// runs kernels[i] on np.
+func familyMembers(np schedule.TileParams, kernels []recipe) *members {
+	return &members{np: np, kernels: kernels}
+}
+
+// build returns member i's one-kernel program.
+func (m *members) build(i int) *schedule.Program {
+	m.lower.Do(func() {
+		m.sc = lowerShapes(m.np)
+		for _, r := range m.kernels {
+			if r.kind == kInterleave {
+				m.sc.streams(0, r)
+			}
 		}
-		prog.Order, prog.Kernels = prog.Order[:0], prog.Kernels[:0]
-		sc.appendKernel(prog, 0, kernels[i], 0)
-		return prog
+	})
+	prog := m.sc.program(len(m.sc.code))
+	prog.Release = func() { orderBufs.Put(prog.Order[:0]) }
+	m.sc.appendKernel(prog, 0, m.kernels[i], 0)
+	return prog
+}
+
+// release hands the family's op table back to opTables. No program built
+// may run afterwards.
+func (m *members) release() {
+	if m.sc != nil {
+		recycle(m.sc.code)
 	}
 }
 

@@ -116,7 +116,9 @@ func (b *Bounded[K, V]) Cap() int {
 // it missed and leads a new one (lead), and must compute the value and
 // call Finish exactly once, deferred if it may panic, or its waiters block
 // forever. A leader that ends without a value finishes with the zero
-// value, which tells its waiters to compute for themselves.
+// value, which tells its waiters to compute for themselves. A waiter that
+// runs on the worker budget receives through Await, which lends its slot
+// while it blocks.
 func (b *Bounded[K, V]) Lookup(k K) (v V, wait <-chan V, lead bool) {
 	b.mu.Lock()
 	if e, ok := b.m[k]; ok {

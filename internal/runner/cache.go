@@ -55,9 +55,10 @@ func (c *Cache[K, V]) shard(k K) *cacheShard[K, V] {
 
 // GetOrCompute returns the cached value for k, computing and storing it on
 // a miss. Callers that miss k while another computes it wait for that
-// value, so compute runs once per key and every caller sees one value per
-// key at any parallelism. compute must not wait on a lookup of k, or the
-// flight waits on itself. If compute panics, its waiters retry.
+// value, lending their worker slot for the wait (Await), so compute runs
+// once per key and every caller sees one value per key at any
+// parallelism. compute must not wait on a lookup of k, or the flight waits
+// on itself. If compute panics, its waiters retry.
 func (c *Cache[K, V]) GetOrCompute(k K, compute func() V) V {
 	s := c.shard(k)
 	s.mu.RLock()
@@ -78,7 +79,7 @@ func (c *Cache[K, V]) GetOrCompute(k K, compute func() V) V {
 		s.flights[k] = append(waiters, ch)
 		s.mu.Unlock()
 		c.counters.Coalesced()
-		if v, ok := <-ch; ok {
+		if v, ok := Await(ch); ok {
 			return v
 		}
 		return c.GetOrCompute(k, compute) // the leader panicked

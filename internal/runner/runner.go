@@ -12,9 +12,11 @@
 //     cancellation on the first error. Every fan-out draws on one
 //     process-wide worker budget: the caller works its own items, and each
 //     claim that leaves items unclaimed recruits a helper goroutine without
-//     blocking while fewer than Parallelism()-1 helpers run. Nested fan-outs
-//     (figures → models → layers → partition plans) therefore keep at most
-//     Parallelism() items running per root, where a pool per call would put
+//     blocking while fewer than Parallelism()-1 helpers run. A goroutine
+//     blocked on a single-flight wait (Await) lends its slot for the wait.
+//     Nested fan-outs (figures → models → layers → partition plans →
+//     tuner family members) therefore keep at most roots + Parallelism()-1
+//     goroutines running items, where a pool per call would put
 //     Parallelism()^depth in flight;
 //   - Shards: deterministic partitioning of a flattened work grid into
 //     contiguous index ranges, the unit of checkpointing for resumable
@@ -48,6 +50,8 @@ var (
 		"worker-pool width as of the last SetParallelism", metrics.Wall)
 	mTaskMicros = metrics.NewHistogram("runner_task_us",
 		"per-task wall latency in microseconds (collected while tracing or metrics timing is enabled)", metrics.Wall)
+	mFlightWaits = metrics.NewCounter("runner_flight_waits_total",
+		"single-flight waits that blocked, lending their worker slot for the wait", metrics.Wall)
 )
 
 // parallelism holds the worker-pool width; 0 means "use GOMAXPROCS".
@@ -78,12 +82,14 @@ func SetParallelism(n int) int {
 // helpers counts the worker slots in use process-wide: the one budget
 // behind every fan-out, however deeply nested. A running helper goroutine
 // holds a slot; a fan-out's caller blocked waiting for its helpers lends
-// one back (see fanOut).
+// one back (see fanOut), and so does any goroutine blocked on a
+// single-flight wait (Await).
 var helpers atomic.Int64
 
 // recruit takes a helper slot without blocking, reporting whether it got
 // one. The budget is Parallelism()-1: every fan-out's caller works its own
-// items, so at most Parallelism() goroutines run items from one root.
+// items, so the goroutines running items number at most the roots (the
+// goroutines no fan-out started) plus Parallelism()-1.
 func recruit() bool {
 	limit := int64(Parallelism() - 1)
 	for {
@@ -147,6 +153,28 @@ func fanOut(items int, work func(worker int, claimed func(next int))) {
 	}
 	mu.Unlock()
 	wg.Wait()
+}
+
+// Await receives the value a single-flight wait delivers on ch: a
+// Bounded.Lookup wait, or a Cache flight's delivery. ok is false when ch
+// was closed without a value. A caller that would block lends its worker
+// slot to the budget for the wait, so the flight's leader, which may be
+// running a nested fan-out, can recruit a helper in the waiter's place,
+// and takes the slot back once the value arrives. It takes it back at
+// once, even while the helper it made room for still runs; recruit then
+// finds no free slot until enough helpers finish, so the budget is
+// exceeded only by waiters just woken, and only until then.
+func Await[V any](ch <-chan V) (v V, ok bool) {
+	select {
+	case v, ok = <-ch:
+		return v, ok
+	default:
+	}
+	helpers.Add(-1)
+	mFlightWaits.Inc()
+	v, ok = <-ch
+	helpers.Add(1)
+	return v, ok
 }
 
 // Map applies fn to every item and returns the results in input order.

@@ -298,3 +298,58 @@ func TestWaitingCallerLendsItsSlot(t *testing.T) {
 		}
 	})
 }
+
+// TestFlightWaiterLendsItsSlot checks that a goroutine blocked on a
+// single-flight wait lends its worker slot. At width 2 the root leads a
+// GetOrCompute flight while its one helper waits on it, so every slot is
+// taken; the leader's compute then runs a two-item Map whose items
+// rendezvous, which they can only do if the Map recruits a helper into
+// the slot the waiter lent. An item that waits for its partner in vain
+// gives up after a timeout, so the test fails rather than hangs.
+func TestFlightWaiterLendsItsSlot(t *testing.T) {
+	const timeout = 5 * time.Second
+	withParallelism(t, 2, func() {
+		c := NewCache[int, int]("test/flight-lend")
+		spin := func(what string, done func() bool) {
+			for deadline := time.Now().Add(timeout); !done(); runtime.Gosched() {
+				if time.Now().After(deadline) {
+					t.Errorf("timed out waiting for %s", what)
+					return
+				}
+			}
+		}
+		var met atomic.Int64
+		got := Map([]int{0, 1}, func(a int) int {
+			if a == 1 { // the root's helper: join the root's flight
+				spin("the leader's miss", func() bool { return c.Stats().Misses > 0 })
+				return c.GetOrCompute(0, func() int { return -1 })
+			}
+			return c.GetOrCompute(0, func() int {
+				spin("the waiter to lend its slot", func() bool { return helpers.Load() == 0 })
+				arrived := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+				Map([]int{0, 1}, func(i int) int {
+					close(arrived[i])
+					select {
+					case <-arrived[1-i]:
+						met.Add(1)
+					case <-time.After(timeout):
+					}
+					return 0
+				})
+				return 1
+			})
+		})
+		if got[0] != 1 || got[1] != 1 {
+			t.Errorf("flight values %v, want [1 1]", got)
+		}
+		if s := c.Stats(); s.Misses != 1 || s.Coalesced != 1 {
+			t.Errorf("stats %s, want one miss and one coalesced wait", s)
+		}
+		if n := met.Load(); n != 2 {
+			t.Errorf("%d of the leader's two items met their partner: the waiter's slot was not lent", n)
+		}
+		if n := helpers.Load(); n != 0 {
+			t.Errorf("%d helper slots still taken", n)
+		}
+	})
+}

@@ -77,6 +77,11 @@ type Program struct {
 	Order   []int32
 	Kernels []Kernel
 	Tiles   int
+	// Release, when set, hands storage the program borrowed back to its
+	// builder. sim.RunFamily and sim.RunMultiKeyed call it once a program
+	// their caller's builder returned has run, and reference the program
+	// no more.
+	Release func()
 }
 
 // Ops returns the total op count.

@@ -175,7 +175,10 @@ func TestMethodNotAllowed(t *testing.T) {
 
 // TestClientDisconnectMidRequest proves a client hanging up mid-simulation
 // neither kills the server nor wastes the work: the detached computation
-// finishes and populates the cache, so the retry hits.
+// finishes and populates the cache, so the retry hits. The client hangs
+// up only once the server has started that computation (the result cache
+// counted the leader's miss); a client that gave up before its request
+// arrived would leave nothing to finish.
 func TestClientDisconnectMidRequest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates one model point")
@@ -184,15 +187,26 @@ func TestClientDisconnectMidRequest(t *testing.T) {
 	req := Request{Workload: "dlrm", Suite: "edge", NPU: "small", Batch: 2}
 
 	payload, _ := json.Marshal(req)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	hreq, _ := http.NewRequestWithContext(ctx, http.MethodPost,
 		ts.URL+"/simulate", bytes.NewReader(payload))
 	hreq.Header.Set("Content-Type", "application/json")
-	if resp, err := ts.Client().Do(hreq); err == nil {
-		// The server may still have answered 504 before the client bailed.
-		resp.Body.Close()
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		if resp, err := ts.Client().Do(hreq); err == nil {
+			// The server may still have answered before the client bailed.
+			resp.Body.Close()
+		}
+	}()
+	for started := time.Now(); s.cache.results.Stats().Misses < 1; time.Sleep(time.Millisecond) {
+		if time.Since(started) > 120*time.Second {
+			t.Fatal("the request never reached the result cache")
+		}
 	}
+	cancel()
+	<-sent
 
 	// The detached leader finishes regardless; poll until the result lands.
 	// The ceiling is generous because this package shares the host with the

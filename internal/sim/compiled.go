@@ -27,17 +27,24 @@ const nilID = int32(-1)
 
 // residency is the engines' scratchpad model: a byte-capacity LRU set with
 // hit/miss/eviction stats, evicting least-recently-used tiles first, over
-// dense tile-ID arrays.
+// one dense slot per tile ID.
 type residency struct {
 	_              cacheLine
 	capacity, used int64
 	head, tail     int32
-	prev, next     []int32
-	resident       []bool
-	resBytes       []int64
+	slots          []tileSlot
 	stats          SPMStats
 	victims        []int32 // eviction scratch, reused across inserts
 	_              cacheLine
+}
+
+// tileSlot is one tile's residency state: its links in the LRU list and
+// its size while resident. bytes 0 means not resident (insert refuses
+// empty tiles), so one slot, one cache line at most, answers a lookup and
+// relinks the tile.
+type tileSlot struct {
+	prev, next int32
+	bytes      int64
 }
 
 // cacheLine pads both ends of the state step writes on every op — the
@@ -45,17 +52,14 @@ type residency struct {
 // so that the engines of two workers never share a cache line.
 type cacheLine [64]byte
 
-// grow sizes the arrays for a table of n tiles, reusing capacity. Contents
+// grow sizes the slots for a table of n tiles, reusing capacity. Contents
 // are stale afterwards; callers must reset before use.
-func (r *residency) grow(n int) {
-	r.prev, r.next = resize(r.prev, n), resize(r.next, n)
-	r.resident, r.resBytes = resize(r.resident, n), resize(r.resBytes, n)
-}
+func (r *residency) grow(n int) { r.slots = resize(r.slots, n) }
 
 // reset empties the residency set. Stats are preserved across this kernel
 // boundary; zero them separately when starting a fresh run.
 func (r *residency) reset() {
-	clear(r.resident)
+	clear(r.slots)
 	r.used = 0
 	r.head, r.tail = nilID, nilID
 }
@@ -65,7 +69,7 @@ func (r *residency) reset() {
 //lint:hotpath
 func (r *residency) touch(id schedule.TileID) bool {
 	i := int32(id)
-	if !r.resident[i] {
+	if r.slots[i].bytes == 0 {
 		r.stats.Misses++
 		return false
 	}
@@ -92,7 +96,7 @@ func (r *residency) insert(id schedule.TileID, bytes int64) (evicted []int32, ch
 	if bytes > r.capacity {
 		panic(fmt.Sprintf("sim: tile of %d bytes exceeds SPM capacity %d", bytes, r.capacity))
 	}
-	if r.resident[i] {
+	if r.slots[i].bytes != 0 {
 		if r.head != i {
 			r.unlink(i)
 			r.pushFront(i)
@@ -106,13 +110,12 @@ func (r *residency) insert(id schedule.TileID, bytes int64) (evicted []int32, ch
 			break
 		}
 		r.unlink(v)
-		r.resident[v] = false
-		r.used -= r.resBytes[v]
+		r.used -= r.slots[v].bytes
+		r.slots[v].bytes = 0
 		r.stats.Evictions++
 		r.victims = append(r.victims, v)
 	}
-	r.resident[i] = true
-	r.resBytes[i] = bytes
+	r.slots[i].bytes = bytes
 	r.used += bytes
 	r.pushFront(i)
 	return r.victims, true
@@ -123,25 +126,26 @@ func (r *residency) insert(id schedule.TileID, bytes int64) (evicted []int32, ch
 //lint:hotpath
 func (r *residency) remove(id schedule.TileID) bool {
 	i := int32(id)
-	if !r.resident[i] {
+	s := &r.slots[i]
+	if s.bytes == 0 {
 		return false
 	}
 	r.unlink(i)
-	r.resident[i] = false
-	r.used -= r.resBytes[i]
+	r.used -= s.bytes
+	s.bytes = 0
 	return true
 }
 
 //lint:hotpath
 func (r *residency) unlink(i int32) {
-	p, n := r.prev[i], r.next[i]
+	p, n := r.slots[i].prev, r.slots[i].next
 	if p != nilID {
-		r.next[p] = n
+		r.slots[p].next = n
 	} else {
 		r.head = n
 	}
 	if n != nilID {
-		r.prev[n] = p
+		r.slots[n].prev = p
 	} else {
 		r.tail = p
 	}
@@ -149,10 +153,10 @@ func (r *residency) unlink(i int32) {
 
 //lint:hotpath
 func (r *residency) pushFront(i int32) {
-	r.prev[i] = nilID
-	r.next[i] = r.head
+	s := &r.slots[i]
+	s.prev, s.next = nilID, r.head
 	if r.head != nilID {
-		r.prev[r.head] = i
+		r.slots[r.head].prev = i
 	}
 	r.head = i
 	if r.tail == nilID {

@@ -28,11 +28,13 @@ func (r MultiResult) Seconds(cfg config.NPU) float64 {
 	return float64(r.Cycles) / cfg.FrequencyHz
 }
 
-// runMultiProgram runs prog on a pooled runner, on as many cores as its
-// kernels use. A program's pipes are sized from its own kernels, so a
-// kernel on a core cfg lacks is caught here, not by Bind: it would
-// otherwise run at a 1/cfg.Cores bandwidth slice it does not own.
-func runMultiProgram(cfg config.NPU, opts Options, prog *schedule.Program, shared, record bool) (MultiResult, *ResolvedTrace) {
+// runMultiProgram runs the program build returns on a pooled runner, on
+// as many cores as its kernels use, then releases it. A program's pipes
+// are sized from its own kernels, so a kernel on a core cfg lacks is
+// caught here, not by Bind: it would otherwise run at a 1/cfg.Cores
+// bandwidth slice it does not own.
+func runMultiProgram(cfg config.NPU, opts Options, build func() *schedule.Program, shared, record bool) (MultiResult, *ResolvedTrace) {
+	prog := build()
 	cores := 0
 	for _, k := range prog.Kernels {
 		cores = max(cores, k.Core+1)
@@ -44,6 +46,7 @@ func runMultiProgram(cfg config.NPU, opts Options, prog *schedule.Program, share
 	rt := cr.execute(cfg, opts, prog, cores, shared, true, record)
 	out := cr.eng.multiResult()
 	compiledPool.Put(cr)
+	release(prog)
 	countMulti(out)
 	return out, rt
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"igosim/internal/config"
+	"igosim/internal/runner"
 	"igosim/internal/schedule"
 )
 
@@ -88,14 +89,20 @@ func (f Family) Result(i int) Result {
 }
 
 // RunFamily simulates a family of n single-core programs, which member
-// builds one at a time, through the two-phase executor — the single-core
-// counterpart of RunMultiKeyed. key must be a comparable value that
-// determines, up to a renaming of tiles, every member's program; the SPM
-// residency capacity and free-dY option complete the cache key here. The
-// first lookup of a key builds, resolves and drops each member in turn,
-// keeping only the traces; later lookups replay them under cfg's cost
-// axes without calling member. member may reuse one program's storage for
-// the next: no program is referenced after the next call.
+// builds, through the two-phase executor — the single-core counterpart of
+// RunMultiKeyed. key must be a comparable value that determines, up to a
+// renaming of tiles, every member's program; the SPM residency capacity
+// and free-dY option complete the cache key here. The first lookup of a
+// key builds, resolves and drops every member, keeping only the traces;
+// later lookups replay them under cfg's cost axes without calling member.
+//
+// Members run in parallel on the runner's worker budget (runner.Map), so
+// member may be called from several goroutines at once, once per member,
+// and must return a program of member i's own, which may share read-only
+// storage such as one op table with the others. Once a member's program
+// has run, RunFamily calls its Release, if set, and references it no
+// more. A traced family runs its members one after another, so their
+// trace tracks open in member order.
 //
 // A nil key, a traced call or a disabled cache (budget 0) executes every
 // member on the one-shot engine and keeps nothing. A family with a member
@@ -103,20 +110,50 @@ func (f Family) Result(i int) Result {
 // resolved but not admitted.
 func RunFamily(cfg config.NPU, opts Options, key any, n int, member func(i int) *schedule.Program) Family {
 	if !cacheable(key, opts) {
-		res := make([]Result, n)
-		for i := range res {
-			res[i], _ = runSingle(cfg, opts, member(i), false)
-		}
-		return Family{res: res}
+		return Family{res: runMembers(n, opts.Trace == nil, func(i int) Result {
+			res, _ := runMember(cfg, opts, member, i, false)
+			return res
+		})}
 	}
 	rk := resolvedKey{key: key, capacity: cfg.SPMBytes / 2, freeDY: opts.FreeDYOnDW}
-	res, traces := runKeyed(rk, n, func(i int) (Result, *ResolvedTrace) {
-		return runSingle(cfg, opts, member(i), true)
+	hit, wait, lead := resolvedCache.Lookup(rk)
+	if wait == nil {
+		return Family{cfg: cfg, traces: hit}
+	}
+	res, traces := runKeyed(rk, n, wait, lead, func(i int) (Result, *ResolvedTrace) {
+		return runMember(cfg, opts, member, i, true)
 	})
 	if traces != nil {
 		return Family{cfg: cfg, traces: traces}
 	}
 	return Family{res: res}
+}
+
+// runMember builds member i of a family, runs it on a pooled engine,
+// recording its trace when record is set, and releases it.
+func runMember(cfg config.NPU, opts Options, member func(i int) *schedule.Program, i int, record bool) (Result, *ResolvedTrace) {
+	prog := member(i)
+	res, rt := runSingle(cfg, opts, prog, record)
+	release(prog)
+	return res, rt
+}
+
+// runMembers returns run(i) for every member i of a family of n: through
+// runner.Map when parallel, else, or when there is one member to run (a
+// plan's program), one after another on the caller.
+func runMembers[R any](n int, parallel bool, run func(i int) R) []R {
+	if !parallel || n == 1 {
+		out := make([]R, n)
+		for i := range out {
+			out[i] = run(i)
+		}
+		return out
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return runner.Map(idx, run)
 }
 
 // RunMultiKeyed runs a multi-core program — kernels that are (phase,
@@ -144,24 +181,37 @@ func RunFamily(cfg config.NPU, opts Options, key any, n int, member func(i int) 
 // kept but the trace; later calls replay it under cfg's cost axes without
 // calling build. As with RunFamily, a nil key, a traced call or a
 // disabled cache (budget 0) runs the program once and keeps nothing, and
-// runs over maxCachedResolvedOps are resolved but not admitted. A program
+// runs over maxCachedResolvedOps are resolved but not admitted; once the
+// program has run, RunMultiKeyed calls its Release, if set. A program
 // with a kernel on a core cfg does not have panics.
 func RunMultiKeyed(cfg config.NPU, opts Options, key any, shared bool, build func() *schedule.Program) MultiResult {
 	if !cacheable(key, opts) {
-		out, _ := runMultiProgram(cfg, opts, build(), shared, false)
+		out, _ := runMultiProgram(cfg, opts, build, shared, false)
 		return out
 	}
 	rk := resolvedKey{key: key, capacity: cfg.SPMBytes / 2, cores: cfg.Cores, shared: shared, freeDY: opts.FreeDYOnDW}
-	res, traces := runKeyed(rk, 1, func(int) (MultiResult, *ResolvedTrace) {
-		return runMultiProgram(cfg, opts, build(), shared, true)
-	})
-	if traces == nil {
-		return res[0]
+	traces, wait, lead := resolvedCache.Lookup(rk)
+	if wait != nil {
+		var res []MultiResult
+		res, traces = runKeyed(rk, 1, wait, lead, func(int) (MultiResult, *ResolvedTrace) {
+			return runMultiProgram(cfg, opts, build, shared, true)
+		})
+		if traces == nil {
+			return res[0]
+		}
 	}
 	out := traces[0].replayMulti(cfg)
 	resolvedPhases.Replay()
 	countMulti(out)
 	return out
+}
+
+// release calls the Release of prog, a program a caller's builder
+// returned, once it has run.
+func release(prog *schedule.Program) {
+	if prog.Release != nil {
+		prog.Release()
+	}
 }
 
 // cacheable reports whether a run under key goes through the trace cache:
@@ -171,21 +221,19 @@ func cacheable(key any, opts Options) bool {
 	return key != nil && opts.Trace == nil && resolvedCache.Cap() > 0
 }
 
-// runKeyed is the two-phase executor's one lookup sequence for a
-// cacheable key of n traces, a single-flight lookup in resolvedCache. A
-// hit returns the cached traces and runs nothing. A miss on a key another
-// caller is resolving waits for it and returns its traces; if they were
-// not admissible, the waiter resolves the key itself. Any other miss
-// leads: it counts the key into the census, runs every member recording
-// its trace, and admits the traces when every one is representable and
-// within maxCachedResolvedOps.
-func runKeyed[R any](rk resolvedKey, n int, resolve func(i int) (R, *ResolvedTrace)) ([]R, []*ResolvedTrace) {
-	hit, wait, lead := resolvedCache.Lookup(rk)
-	switch {
-	case wait == nil:
-		return nil, hit
-	case !lead:
-		if traces := <-wait; traces != nil {
+// runKeyed is the rest of the two-phase executor's one lookup sequence
+// for a cacheable key of n traces, after a resolvedCache lookup that did
+// not hit: its wait and lead. (Callers look the key up themselves, so
+// that a hit builds no resolve closure.) A miss on a key another caller is
+// resolving waits for it, lending its worker slot to the leader's fan-out
+// (runner.Await), and returns its traces; if they were not admissible,
+// the waiter resolves the key itself. Any other miss leads: it counts the
+// key into the census, resolves every member, recording its trace, and
+// admits the traces when every one is representable and within
+// maxCachedResolvedOps.
+func runKeyed[R any](rk resolvedKey, n int, wait <-chan []*ResolvedTrace, lead bool, resolve func(i int) (R, *ResolvedTrace)) ([]R, []*ResolvedTrace) {
+	if !lead {
+		if traces, _ := runner.Await(wait); traces != nil {
 			return nil, traces
 		}
 		res, _ := resolveAll(n, resolve)
@@ -200,17 +248,28 @@ func runKeyed[R any](rk resolvedKey, n int, resolve func(i int) (R, *ResolvedTra
 	return res, nil
 }
 
-// resolveAll runs every member of a family, recording its trace, and
-// returns the traces too when every one is representable and within
-// maxCachedResolvedOps.
+// resolved is one member's resolution: its result and its trace, nil
+// when the run was not representable.
+type resolved[R any] struct {
+	res   R
+	trace *ResolvedTrace
+}
+
+// resolveAll resolves every member of a family in parallel (runMembers),
+// recording each trace, and returns the traces too when every one is
+// representable and within maxCachedResolvedOps.
 func resolveAll[R any](n int, resolve func(i int) (R, *ResolvedTrace)) ([]R, []*ResolvedTrace) {
-	traces := make([]*ResolvedTrace, n)
-	res := make([]R, n)
-	admit := true
-	for i := range res {
-		res[i], traces[i] = resolve(i)
+	members := runMembers(n, true, func(i int) resolved[R] {
+		res, rt := resolve(i)
 		resolvedPhases.Resolution()
-		admit = admit && traces[i] != nil && traces[i].Ops() <= maxCachedResolvedOps
+		return resolved[R]{res, rt}
+	})
+	res := make([]R, n)
+	traces := make([]*ResolvedTrace, n)
+	admit := true
+	for i, m := range members {
+		res[i], traces[i] = m.res, m.trace
+		admit = admit && m.trace != nil && m.trace.Ops() <= maxCachedResolvedOps
 	}
 	if !admit {
 		return res, nil

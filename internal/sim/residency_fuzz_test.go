@@ -10,9 +10,9 @@ import (
 )
 
 // FuzzResidency differentially tests the engines' LRU (intrusive list over
-// dense tile-ID arrays) against a brutally simple slice model: identical
-// hits, misses, evictions, eviction order, byte occupancy and full recency
-// ordering after every operation.
+// one dense slot per tile ID) against a brutally simple slice model: identical
+// hits, misses, evictions, eviction order, byte occupancy, each tile's resident
+// size and full recency ordering after every operation.
 func FuzzResidency(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x10, 0x20, 0x30, 0x40})
@@ -62,6 +62,16 @@ func FuzzResidency(f *testing.F) {
 
 			if r.Used() != ref.used() {
 				t.Fatalf("op %d: used %d, reference %d", i, r.Used(), ref.used())
+			}
+			// Every tile's slot holds its size while resident and 0 otherwise.
+			for key := 0; key <= 30; key++ {
+				var want int64
+				if j := ref.find(key); j >= 0 {
+					want = ref.entries[j].bytes
+				}
+				if got := r.Bytes(key); got != want {
+					t.Fatalf("op %d: tile %d holds %d bytes, reference %d", i, key, got, want)
+				}
 			}
 			gotKeys := r.Keys()
 			if len(gotKeys) != len(ref.entries) {

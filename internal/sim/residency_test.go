@@ -20,7 +20,7 @@ func newResidency(capacity int64, n int) *residency {
 // first.
 func (r *residency) keys() []int32 {
 	var ks []int32
-	for i := r.head; i != nilID; i = r.next[i] {
+	for i := r.head; i != nilID; i = r.slots[i].next {
 		ks = append(ks, i)
 	}
 	return ks
@@ -54,7 +54,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 	if len(evicted) != 1 || evicted[0] != 1 {
 		t.Fatalf("evicted %v, want [1]", evicted)
 	}
-	if !r.resident[0] || !r.resident[2] || r.resident[1] {
+	if !r.Resident(0) || !r.Resident(2) || r.Resident(1) {
 		t.Fatal("wrong residency after eviction")
 	}
 }
@@ -107,7 +107,7 @@ func TestRemove(t *testing.T) {
 	if r.remove(0) {
 		t.Fatal("double remove succeeded")
 	}
-	if r.used != 0 || r.resident[0] || len(r.keys()) != 0 {
+	if r.used != 0 || r.Resident(0) || len(r.keys()) != 0 {
 		t.Fatal("remove left residue")
 	}
 }
@@ -117,7 +117,7 @@ func TestFlushKeepsStats(t *testing.T) {
 	r.insert(0, 10)
 	r.touch(0)
 	r.reset()
-	if r.used != 0 || len(r.keys()) != 0 || r.resident[0] {
+	if r.used != 0 || len(r.keys()) != 0 || r.Resident(0) {
 		t.Fatal("reset incomplete")
 	}
 	if r.stats.Hits != 1 {
@@ -194,5 +194,30 @@ func TestAccountingInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRegrowResetsStaleSlots checks that a set regrown for another tile
+// table, as a pooled engine's Bind regrows it, reads empty after reset:
+// grow keeps the reused slots' contents, and a stale size would read as a
+// resident tile.
+func TestRegrowResetsStaleSlots(t *testing.T) {
+	r := newResidency(100, 4)
+	r.insert(1, 30)
+	r.insert(3, 30)
+	r.grow(2)
+	r.reset()
+	r.grow(4)
+	r.reset()
+	for id := range 4 {
+		if r.Resident(id) {
+			t.Fatalf("tile %d resident after reset", id)
+		}
+	}
+	if r.touch(3) || r.used != 0 || len(r.keys()) != 0 {
+		t.Fatal("reset left a stale slot")
+	}
+	if evicted, changed := r.insert(3, 30); len(evicted) != 0 || !changed {
+		t.Fatalf("insert after reset: evicted %v, changed %v", evicted, changed)
 	}
 }
