@@ -299,7 +299,9 @@ func (sc *shapeCode) appendKernel(prog *schedule.Program, i int, r recipe, core 
 // layer is a one-part plan; a single-core partitioned plan runs one
 // kernel per part, in order; the multi-core baseline runs every core's dX
 // kernel as one phase, then every core's dW kernel, since data
-// parallelism launches each gradient kernel on all cores together. The
+// parallelism launches each gradient kernel on all cores together.
+// Untraced single-core plans without free dY are composed from their
+// tuners' runs instead (compose.go), and build no program. The
 // program's Release recycles its op table and order.
 func planProgram(parts []schedule.TileParams, kernels []partKernels, multi bool) *schedule.Program {
 	sc := lowerShapes(parts...)

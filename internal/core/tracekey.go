@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"igosim/internal/config"
 	"igosim/internal/runner"
 	"igosim/internal/schedule"
@@ -23,9 +21,13 @@ import (
 // residency resolution once and replays the trace under each timing.
 //
 // Every backward plan — a whole layer (a one-part plan), a single-core
-// partitioned plan or a multi-core plan — is one program (planProgram),
-// named by one planKey and run through one keyed path (runPlan);
-// runForwardPlan is the forward twin. A plan is named by what it runs,
+// partitioned plan or a multi-core plan — is named by one planKey and run
+// by runPlan; runForwardPlan is the forward twin. An untraced, non-free-dY
+// single-core plan is composed from its tuners' runs of its kernels
+// (compose.go), so it lowers and simulates nothing and only counts its
+// key in its census. Every other plan — traced, free-dY or multi-core — is
+// one program (planProgram) run through one keyed path (runKeyedPlan).
+// A plan is named by what it runs,
 // its parts' kernels, not by the policy that chose them: tunedChoices
 // alone maps a policy to kernels, so policies that run the same kernels
 // (every policy on a dW-only layer, interleaving and a rearrangement that
@@ -86,16 +88,25 @@ func useTraceCache(opts sim.Options, p schedule.TileParams) bool {
 // runPlan simulates the backward pass of plan, a partitioning of p, part
 // i running kernels[i]: on one core, part after part with the scratchpad
 // flushed between kernels, or when multi one part per core, shared
-// placing every part's tiles in one scratchpad. The outcome adds the
-// plan's reductions and reports the last part's access order (identical
-// across equal splits).
+// placing every part's tiles in one scratchpad. An untraced single-core
+// plan without free dY is composed from its tuners' runs (composes); the
+// rest run their program. The outcome adds the plan's reductions and
+// reports the last part's access order (identical across equal splits).
 func runPlan(cfg config.NPU, opts sim.Options, p schedule.TileParams, plan Plan, kernels []partKernels, multi, shared bool) LayerOutcome {
 	n := len(plan.Parts)
 	k := planKey{spm: cfg.SPMBytes, elem: cfg.ElemBytes, parts: n, kind: memoBackward, scheme: plan.Scheme}
 	copy(k.kernels[:], kernels)
-	out := runKeyedPlan(cfg, opts, p, k, multi, shared, func() *schedule.Program {
-		return planProgram(plan.Parts, k.kernels[:n], multi)
-	})
+	var out LayerOutcome
+	if composes(opts, multi) {
+		if useTraceCache(opts, p) {
+			countPlan(k.normalized(p))
+		}
+		out = outcomeFromResult(composePlan(cfg, plan.Parts, k.kernels[:n]))
+	} else {
+		out = runKeyedPlan(cfg, opts, p, k, multi, shared, func() *schedule.Program {
+			return planProgram(plan.Parts, k.kernels[:n], multi)
+		})
+	}
 	out.addReductions(plan.ReduceResults(cfg))
 	out.Dims, out.Order, out.Scheme, out.Parts = p.Dims, kernelOrders[k.kernels[n-1][0].kind], plan.Scheme, n
 	return out
@@ -122,23 +133,36 @@ func runForwardPlan(cfg config.NPU, opts sim.Options, p schedule.TileParams, pla
 // whole-layer or partitioned census; multi-core ones run through
 // sim.RunMultiKeyed and record in neither.
 func runKeyedPlan(cfg config.NPU, opts sim.Options, p schedule.TileParams, k planKey, multi, shared bool, build func() *schedule.Program) LayerOutcome {
-	k.p = p
-	k.p.Layer, k.p.Part = 0, 0
+	k = k.normalized(p)
 	if useSummaryMemo(opts, k) {
 		return memoSummaryRun(cfg, opts, k, multi, shared, build)
 	}
 	var key any
 	if useTraceCache(opts, p) {
 		if !multi {
-			census := progCensus
-			if k.scheme != NoPartition {
-				census = partCensus
-			}
-			census.Lookup(k)
+			countPlan(k)
 		}
 		key = k
 	}
 	return runProgram(cfg, opts, key, multi, shared, build)
+}
+
+// normalized returns k completed with the parent p, its tile ids
+// normalized.
+func (k planKey) normalized(p schedule.TileParams) planKey {
+	k.p = p
+	k.p.Layer, k.p.Part = 0, 0
+	return k
+}
+
+// countPlan records a lookup of the single-core plan k names in the
+// whole-layer census or the partitioned one.
+func countPlan(k planKey) {
+	if k.scheme == NoPartition {
+		progCensus.Lookup(k)
+	} else {
+		partCensus.Lookup(k)
+	}
 }
 
 // runProgram runs the program build returns under key (nil: one-shot),
@@ -226,14 +250,21 @@ var panelCensus = [...]*runner.Census[panelKey]{
 const panelOpBudget = 1 << 13
 
 // tunerFamily runs one shape's candidate family under single, member i
-// running kernels[i], keyed within panelOpBudget and one-shot above it.
-// The members share one op table (familyMembers), recycled at the end.
+// running kernels[i], keyed within panelOpBudget and one-shot above it,
+// and records the lookup in its family census.
 func tunerFamily(single config.NPU, np schedule.TileParams, fam family, kernels []recipe) sim.Family {
+	if np.OpCount() <= panelOpBudget {
+		panelCensus[fam].Lookup(panelKey{p: np, spm: single.SPMBytes, elem: single.ElemBytes, fam: fam})
+	}
+	return runFamily(single, np, fam, kernels)
+}
+
+// runFamily is tunerFamily's lookup without the census: the members share
+// one op table (familyMembers), recycled at the end.
+func runFamily(single config.NPU, np schedule.TileParams, fam family, kernels []recipe) sim.Family {
 	var key any
 	if np.OpCount() <= panelOpBudget {
-		k := panelKey{p: np, spm: single.SPMBytes, elem: single.ElemBytes, fam: fam}
-		panelCensus[fam].Lookup(k)
-		key = k
+		key = panelKey{p: np, spm: single.SPMBytes, elem: single.ElemBytes, fam: fam}
 	}
 	m := familyMembers(np, kernels)
 	f := sim.RunFamily(single, sim.Options{}, key, len(kernels), m.build)
@@ -245,14 +276,15 @@ func tunerFamily(single config.NPU, np schedule.TileParams, fam family, kernels 
 // sim.RunFamily, which runs the members in parallel and so may call build
 // from several goroutines at once. The first build lowers the shape and
 // builds the baseline streams the fusion members merge, so no member
-// writes what another reads; each member then orders the shared op table
+// writes what another reads, while the others wait for it, lending their
+// worker slots (runner.Once); each member then orders the shared op table
 // into an order buffer of its own, drawn from orderBufs and handed back
 // when RunFamily releases the member's program. A family's buffers thus
 // number the members running at once, not the members.
 type members struct {
 	np      schedule.TileParams
 	kernels []recipe
-	lower   sync.Once
+	lower   runner.Once
 	sc      *shapeCode
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"igosim/internal/config"
+	"igosim/internal/metrics"
 	"igosim/internal/schedule"
 	"igosim/internal/sim"
 	"igosim/internal/tensor"
@@ -97,9 +98,11 @@ func TestRunBackwardMultiMatchesOracle(t *testing.T) {
 // TestDWOnlyPoliciesShareOneTrace runs a single-core dW-only layer
 // through RunBackward under every policy on a cold cache. Every policy
 // runs the same kernel, the tuned dW stream, and a plan is named by the
-// kernels it runs, so once the tuning has resolved its own family the
-// four runs resolve one trace, not one per policy, and their outcomes
-// differ only in the policy they report.
+// kernels it runs, so the four runs count one plan key, not one per
+// policy. Once the tuning has resolved its own family, every run is
+// composed from that family's dW member, the one trace they share: they
+// resolve no trace of their own and run nothing on the engine. Their
+// outcomes equal the oracle's and differ only in the policy they report.
 func TestDWOnlyPoliciesShareOneTrace(t *testing.T) {
 	ResetCaches()
 	defer ResetCaches()
@@ -110,7 +113,11 @@ func TestDWOnlyPoliciesShareOneTrace(t *testing.T) {
 	}
 	baselineChoices(cfg, p)
 	before := sim.ResolvedCacheStats().Entries
-	want := RunBackward(cfg, sim.Options{}, p, PolBaseline, true)
+	if before == 0 {
+		t.Fatal("the tuning resolved no family trace")
+	}
+	passes := metrics.Value("sim_passes_total")
+	want := newOracle().backward(cfg, p, PolBaseline, true)
 	for _, pol := range Policies() {
 		got := RunBackward(cfg, sim.Options{}, p, pol, true)
 		if got.Policy != pol {
@@ -118,38 +125,50 @@ func TestDWOnlyPoliciesShareOneTrace(t *testing.T) {
 		}
 		got.Policy = want.Policy
 		if got != want {
-			t.Errorf("policy %v: %+v, want %+v", pol, got, want)
+			t.Errorf("policy %v: %+v, want the oracle's %+v", pol, got, want)
 		}
 	}
-	if got := sim.ResolvedCacheStats().Entries - before; got != 1 {
-		t.Errorf("a dW-only layer under %d policies resolved %d traces, want 1", len(Policies()), got)
+	if got := sim.ResolvedCacheStats().Entries - before; got != 0 {
+		t.Errorf("a dW-only layer under %d policies resolved %d traces beyond its tuning's, want 0", len(Policies()), got)
+	}
+	if got := metrics.Value("sim_passes_total") - passes; got != 0 {
+		t.Errorf("a dW-only layer under %d policies ran %d engine passes, want 0", len(Policies()), got)
+	}
+	if got := progCensus.Len(); got != 1 {
+		t.Errorf("a dW-only layer under %d policies counted %d plan keys, want 1", len(Policies()), got)
 	}
 }
 
 // TestProgramCacheSharesAcrossTimings proves the point of the keys: two
 // configurations that differ only in DRAM bandwidth (a timing fact the
-// emitted tile streams cannot see) share one layer-program key and its
-// resolved traces, while the layer memo — keyed on the full hardware
-// fingerprint — must treat them as distinct.
+// emitted tile streams cannot see) share one layer-program key and the
+// resolved traces of the tuner families its plan is composed from, while
+// the layer memo — keyed on the full hardware fingerprint — must treat
+// them as distinct. The slower configuration retunes and composes its
+// plan by replaying those traces alone: it resolves nothing.
 func TestProgramCacheSharesAcrossTimings(t *testing.T) {
 	ResetCaches()
 	fast := config.SmallNPU()
 	slow := fast.WithBandwidth(fast.DRAMBandwidth / 2)
 	p := LayerParams(tensor.Dims{M: 128, K: 256, N: 128}, 3, fast)
 
-	census := func() [2]int64 {
-		return [2]int64{int64(progCensus.Len()), sim.ResolvedCacheStats().Entries}
+	census := func() [3]int64 {
+		return [3]int64{int64(progCensus.Len()), sim.ResolvedCacheStats().Entries, sim.ResolvedPhaseStats().Resolutions}
 	}
 	opts := sim.Options{}
 	a := RunBackward(fast, opts, p, PolBaseline, false)
 	entries := census()
-	if entries[0] == 0 || entries[1] == 0 {
-		t.Fatalf("the keyed path left no census (program keys, traces): %v", entries)
+	if entries[0] != 1 || entries[1] == 0 || entries[2] == 0 {
+		t.Fatalf("the keyed path left census (program keys, traces, resolutions) %v, want one program key and some traces", entries)
 	}
+	replays := sim.ResolvedPhaseStats().Replays
 	b := RunBackward(slow, opts, p, PolBaseline, false)
 	if got := census(); got != entries {
-		t.Errorf("bandwidth-only change grew the census (program keys, traces) %v -> %v; the traces should be shared",
+		t.Errorf("bandwidth-only change grew the census (program keys, traces, resolutions) %v -> %v; the traces should be shared",
 			entries, got)
+	}
+	if sim.ResolvedPhaseStats().Replays == replays {
+		t.Error("the slower configuration replayed no trace")
 	}
 	if a.Cycles == b.Cycles {
 		t.Error("halving bandwidth left cycles unchanged; a shared trace must still be re-timed per config")
@@ -157,19 +176,28 @@ func TestProgramCacheSharesAcrossTimings(t *testing.T) {
 	if a.Traffic != b.Traffic {
 		t.Errorf("traffic changed with bandwidth: %+v vs %+v", a.Traffic, b.Traffic)
 	}
+	o := newOracle()
+	for _, c := range []struct {
+		cfg config.NPU
+		got LayerOutcome
+	}{{fast, a}, {slow, b}} {
+		if want := o.backward(c.cfg, p, PolBaseline, false); c.got != want {
+			t.Errorf("%.0f GB/s: %+v, want the oracle's %+v", c.cfg.DRAMBandwidth/1e9, c.got, want)
+		}
+	}
 
 	// Different layer ids of the same shape share the key too.
 	p9 := p
 	p9.Layer = 9
 	_ = RunBackward(fast, opts, p9, PolBaseline, false)
 	if got := census(); got != entries {
-		t.Errorf("layer-id change grew the census (program keys, traces) %v -> %v; ids are normalized out of the key",
+		t.Errorf("layer-id change grew the census (program keys, traces, resolutions) %v -> %v; ids are normalized out of the key",
 			entries, got)
 	}
 
 	ResetCaches()
-	if got := census(); got != [2]int64{} {
-		t.Errorf("ResetCaches left a census (program keys, traces) of %v", got)
+	if got := census(); got != [3]int64{} {
+		t.Errorf("ResetCaches left a census (program keys, traces, resolutions) of %v", got)
 	}
 }
 

@@ -177,6 +177,33 @@ func Await[V any](ch <-chan V) (v V, ok bool) {
 	return v, ok
 }
 
+// Once runs a function once, as sync.Once does, except that a caller
+// that finds it running waits through Await and so lends its worker slot
+// until it returns: a family of members that share one lowering blocks
+// no slot the lowering's own fan-out could use. The zero value is ready;
+// a Once must not be copied after first use. If f panics, Do returns in
+// the waiters as if it had returned.
+type Once struct {
+	mu   sync.Mutex
+	done chan struct{}
+}
+
+// Do calls f if no call of Do on o has, and otherwise returns once the
+// call that does has returned.
+func (o *Once) Do(f func()) {
+	o.mu.Lock()
+	if done := o.done; done != nil {
+		o.mu.Unlock()
+		Await(done)
+		return
+	}
+	done := make(chan struct{})
+	o.done = done
+	o.mu.Unlock()
+	defer close(done)
+	f()
+}
+
 // Map applies fn to every item and returns the results in input order.
 // Items run on the caller and on helpers recruited from the shared worker
 // budget (fanOut); with a width of 1 every item runs inline on the calling

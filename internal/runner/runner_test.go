@@ -353,3 +353,74 @@ func TestFlightWaiterLendsItsSlot(t *testing.T) {
 		}
 	})
 }
+
+// TestOnceWaiterLendsItsSlot checks that a goroutine blocked in Once.Do
+// while another caller runs the function lends its worker slot. At width
+// 2 the root runs the function while its one helper waits in Do, so every
+// slot is taken; the function then runs a two-item Map whose items
+// rendezvous, which they can only do if the Map recruits a helper into
+// the slot the waiter lent. (A waiter in sync.Once's Do keeps its slot,
+// and the items time out.)
+func TestOnceWaiterLendsItsSlot(t *testing.T) {
+	const timeout = 5 * time.Second
+	withParallelism(t, 2, func() {
+		spin := func(what string, done func() bool) {
+			for deadline := time.Now().Add(timeout); !done(); runtime.Gosched() {
+				if time.Now().After(deadline) {
+					t.Errorf("timed out waiting for %s", what)
+					return
+				}
+			}
+		}
+		var once Once
+		var entered atomic.Bool
+		var runs, met atomic.Int64
+		Map([]int{0, 1}, func(a int) int {
+			if a == 1 { // the root's helper: wait for the root's call
+				spin("the first call", entered.Load)
+				once.Do(func() { runs.Add(1) })
+				return 0
+			}
+			once.Do(func() {
+				runs.Add(1)
+				entered.Store(true)
+				spin("the waiter to lend its slot", func() bool { return helpers.Load() == 0 })
+				arrived := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+				Map([]int{0, 1}, func(i int) int {
+					close(arrived[i])
+					select {
+					case <-arrived[1-i]:
+						met.Add(1)
+					case <-time.After(timeout):
+					}
+					return 0
+				})
+			})
+			return 0
+		})
+		if n := runs.Load(); n != 1 {
+			t.Errorf("the function ran %d times, want once", n)
+		}
+		if n := met.Load(); n != 2 {
+			t.Errorf("%d of the function's two items met their partner: the waiter's slot was not lent", n)
+		}
+		if n := helpers.Load(); n != 0 {
+			t.Errorf("%d helper slots still taken", n)
+		}
+	})
+}
+
+// TestOncePanicReleasesWaiters checks that a panicking function still
+// releases the callers waiting on it, and that Do does not run f again.
+func TestOncePanicReleasesWaiters(t *testing.T) {
+	var once Once
+	func() {
+		defer func() { _ = recover() }()
+		once.Do(func() { panic("lowering failed") })
+	}()
+	ran := false
+	once.Do(func() { ran = true })
+	if ran {
+		t.Error("Do ran its function again after a panic")
+	}
+}

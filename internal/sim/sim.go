@@ -132,9 +132,9 @@ func RunSchedules(cfg config.NPU, opts Options, scheds ...schedule.Schedule) Res
 		prog.Kernels = append(prog.Kernels, schedule.Kernel{Name: s.Name})
 	}
 	schedule.LowerKernels(prog, func(i int) []schedule.Op { return scheds[i].Ops })
-	res, _ := cr.single(cfg, opts, prog, false)
+	ph, _ := cr.single(cfg, opts, prog, false)
 	compiledPool.Put(cr)
-	return res
+	return ph.Res
 }
 
 // ReduceResult describes the cost of a cross-partition reduction phase.
